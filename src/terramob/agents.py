@@ -205,8 +205,10 @@ def traversal_time(
 
     Returns IMPASSABLE (inf) when the slope exceeds the profile's limit or
     either endpoint is nodata or out of bounds. Non-adjacent cells are a
-    caller error. This is the innermost cost of every route search, so the
-    speed laws are applied inline (same arithmetic as the speed functions).
+    caller error. This is the scalar reference edge cost: the Dijkstra oracle,
+    plan building and validation, and ``sim`` use it. The speed laws are
+    applied inline (same arithmetic as the speed functions); ``planner.astar``
+    carries its own copy of this arithmetic and must stay bit-identical to it.
     """
     ar, ac = a[0], a[1]
     br, bc = b[0], b[1]

@@ -3,8 +3,12 @@
 Edges are weighted by per-profile traversal time, the heuristic is octile
 distance divided by the profile's flat-terrain speed (admissible because no
 edge can be walked faster), and ties are broken deterministically: larger g
-first, then (row, col) order. A plain uniform-cost search is kept alongside
-as an independent optimality oracle for tests.
+first, then (row, col) order.
+
+A* carries its own inlined edge-cost and heuristic kernel over flat node ids.
+The uniform-cost oracle (``dijkstra_all``) goes through ``edge_cost`` and the
+scalar ``agents.traversal_time`` instead, so the optimality tests compare two
+separately written kernels.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import IO
 
-from .agents import AgentProfile, traversal_time
+from .agents import KIND_HUMAN, MIN_SLOPE_REDUCTION, AgentProfile, traversal_time
 from .terrain import (
     CellIndex,
     ElevationGrid,
@@ -45,15 +49,6 @@ class SearchStats:
     nodes_expanded: int
     open_peak: int
     wall_time: float
-
-
-# Global invocation counter; scenario tests use it to assert that a run
-# plans each agent's route exactly once.
-_astar_invocations = 0
-
-
-def astar_invocations() -> int:
-    return _astar_invocations
 
 
 OBJECTIVES = ("time", "distance")
@@ -89,13 +84,6 @@ def edge_cost(
     return step_run(grid, a, b)
 
 
-def _remaining_bound(c: CellIndex, goal: CellIndex, p: AgentProfile,
-                     cellsize: float, objective: str) -> float:
-    if objective == "time":
-        return heuristic(c, goal, p, cellsize)
-    return octile_distance_m(c, goal, cellsize)
-
-
 def astar(
     grid: ElevationGrid,
     p: AgentProfile,
@@ -109,11 +97,15 @@ def astar(
     minimizes path length in meters instead (same impassability rules).
     Raises NoPathError when the goal cannot be reached, ValueError when an
     endpoint is not traversable. start == goal yields the trivial plan.
+
+    Nodes are flat ids ``row * ncols + col`` and grid values are read one
+    at a time, so a search costs nothing proportional to the grid size. The
+    edge cost and the heuristic are inlined: they repeat the arithmetic of
+    ``traversal_time`` and ``heuristic`` operation for operation, so every
+    edge weight is bit-identical to the scalar speed law.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
-    global _astar_invocations
-    _astar_invocations += 1
 
     start = CellIndex(int(start[0]), int(start[1]))
     goal = CellIndex(int(goal[0]), int(goal[1]))
@@ -126,44 +118,94 @@ def astar(
         plan = PathPlan([start], [], 0.0, 0.0, p.name)
         return plan, SearchStats(1, 0, time.perf_counter() - t0)
 
-    g_best: dict[CellIndex, float] = {start: 0.0}
-    parent: dict[CellIndex, CellIndex] = {}
-    closed: set[CellIndex] = set()
-    # Heap key (f, -g, row, col): equal f prefers deeper nodes, then
-    # lexicographic cell order, so the search is fully deterministic.
-    open_heap = [(
-        _remaining_bound(start, goal, p, grid.cellsize, objective),
-        0.0, start.row, start.col,
-    )]
+    nrows, ncols = grid.nrows, grid.ncols
+    cellsize = grid.cellsize
+    nodata = grid.nodata
+    value = grid.values.item
+    # (dr, dc, id offset, run) in NEIGHBOR_OFFSETS order, which fixes the
+    # order neighbors are pushed and so the search's tie-breaking.
+    steps = [(dr, dc, dr * ncols + dc,
+              cellsize * (SQRT2 if dr != 0 and dc != 0 else 1.0))
+             for dr, dc in NEIGHBOR_OFFSETS]
+
+    # Speed-law constants. r_drop is 1 - r_at_ref with r_at_ref computed as
+    # traversal_time computes it (1 - reduction/100 rounds differently from
+    # reduction/100). Humans carry no load factor; multiplying by 1.0 is exact.
+    timed = objective == "time"
+    s_flat = p.s_flat
+    ref_slope = p.ref_slope
+    max_slope = p.max_slope
+    if p.kind == KIND_HUMAN:
+        r_drop = 1.0 - (1.0 - p.reduction_at_ref / 100.0)
+        r_load = 1.0
+    else:
+        r_drop = 1.0 - p.r_slope_at_ref
+        r_load = p.r_load
+    # Heuristic: octile meters, over the flat speed in time mode (x / 1.0 is
+    # exact, so distance mode shares the expression).
+    h_speed = s_flat if timed else 1.0
+    goal_row, goal_col = goal
+
+    def bound(row: int, col: int) -> float:
+        dr = abs(row - goal_row)
+        dc = abs(col - goal_col)
+        if dr < dc:
+            return (dr * SQRT2 + (dc - dr)) * cellsize / h_speed
+        return (dc * SQRT2 + (dr - dc)) * cellsize / h_speed
+
+    start_id = start.row * ncols + start.col
+    goal_id = goal.row * ncols + goal.col
+    g_best: dict[int, float] = {start_id: 0.0}
+    parent: dict[int, int] = {}
+    closed: set[int] = set()
+    # Heap key (f, -g, id): equal f prefers deeper nodes, then row-major
+    # cell order (the id order), so the search is fully deterministic.
+    open_heap = [(bound(start.row, start.col), 0.0, start_id)]
+    heappush, heappop = heapq.heappush, heapq.heappop
     expanded = 0
     open_peak = 1
 
     while open_heap:
-        f, neg_g, row, col = heapq.heappop(open_heap)
-        cell = CellIndex(row, col)
+        _, neg_g, node = heappop(open_heap)
         g = -neg_g
-        if cell in closed or g > g_best.get(cell, math.inf):
+        if node in closed or g > g_best[node]:
             continue
-        closed.add(cell)
+        closed.add(node)
         expanded += 1
-        if cell == goal:
-            plan = _build_plan(grid, p, parent, start, goal)
+        if node == goal_id:
+            plan = _build_plan(grid, p, parent, start_id, goal_id)
             stats = SearchStats(expanded, open_peak, time.perf_counter() - t0)
             return plan, stats
-        for dr, dc in NEIGHBOR_OFFSETS:
-            nb = CellIndex(row + dr, col + dc)
-            if not grid.in_bounds(nb) or nb in closed:
+        row, col = divmod(node, ncols)
+        va = value(node)
+        for dr, dc, offset, run in steps:
+            nrow = row + dr
+            ncol = col + dc
+            if not (0 <= nrow < nrows and 0 <= ncol < ncols):
                 continue
-            cost = edge_cost(grid, p, cell, nb, objective)
-            if not math.isfinite(cost):
+            nb = node + offset
+            if nb in closed:
                 continue
-            ng = g + cost
+            vb = value(nb)
+            if vb == nodata:
+                continue
+            slope = abs(vb - va) / run * 100.0
+            if slope > max_slope:
+                continue
+            if timed:
+                # r <= 1 already: the slope is non-negative and r_drop >= 0.
+                r = 1.0 - r_drop * (slope / ref_slope)
+                if r < MIN_SLOPE_REDUCTION:
+                    r = MIN_SLOPE_REDUCTION
+                ng = g + run / (s_flat * (r * r_load))
+            else:
+                ng = g + run
             if ng < g_best.get(nb, math.inf):
                 g_best[nb] = ng
-                parent[nb] = cell
-                nf = ng + _remaining_bound(nb, goal, p, grid.cellsize, objective)
-                heapq.heappush(open_heap, (nf, -ng, nb.row, nb.col))
-        open_peak = max(open_peak, len(open_heap))
+                parent[nb] = node
+                heappush(open_heap, (ng + bound(nrow, ncol), -ng, nb))
+        if len(open_heap) > open_peak:
+            open_peak = len(open_heap)
 
     raise NoPathError(f"no path from {tuple(start)} to {tuple(goal)} for {p.name}")
 
@@ -171,14 +213,15 @@ def astar(
 def _build_plan(
     grid: ElevationGrid,
     p: AgentProfile,
-    parent: dict[CellIndex, CellIndex],
-    start: CellIndex,
-    goal: CellIndex,
+    parent: dict[int, int],
+    start_id: int,
+    goal_id: int,
 ) -> PathPlan:
-    cells = [goal]
-    while cells[-1] != start:
-        cells.append(parent[cells[-1]])
-    cells.reverse()
+    ids = [goal_id]
+    while ids[-1] != start_id:
+        ids.append(parent[ids[-1]])
+    ids.reverse()
+    cells = [CellIndex(*divmod(i, grid.ncols)) for i in ids]
     edge_times = [traversal_time(p, grid, a, b) for a, b in zip(cells, cells[1:])]
     distance = sum(step_run(grid, a, b) for a, b in zip(cells, cells[1:]))
     return PathPlan(cells, edge_times, sum(edge_times), distance, p.name)

@@ -207,7 +207,6 @@ class World:
         obstacles: list[Obstacle],
         pursuit_rules: list[PursuitRule],
         dt: float = 1.0,
-        rng_seed: int = 0,
         observer_height: float = 1.7,
     ):
         self.grid = grid
@@ -216,7 +215,6 @@ class World:
         self.pursuit_rules = list(pursuit_rules)
         self.pursuit_states = [PursuitState() for _ in pursuit_rules]
         self.dt = dt
-        self.rng_seed = rng_seed
         self.observer_height = observer_height
         self.clock = 0.0
         self._by_id = {a.id: a for a in self.agents}
@@ -696,8 +694,8 @@ class ScenarioConfig:
 
     def profile_registry(self) -> dict[str, AgentProfile]:
         registry = {p.name: p for p in builtin_profiles()}
-        for spec in self.profiles:
-            p = profile_from_spec(spec)
+        for i, spec in enumerate(self.profiles):
+            p = _resolve_profile(spec, f"profiles[{i}]")
             registry[p.name] = p
         return registry
 
@@ -735,6 +733,16 @@ class SimReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
+def _resolve_profile(spec, where: str) -> AgentProfile:
+    """``profile_from_spec`` with a bad spec reported as a ConfigError."""
+    try:
+        return profile_from_spec(spec)
+    except KeyError as exc:  # unknown base name; str() would add quotes
+        raise ConfigError(f"{where}: {exc.args[0]}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _agent_row(agent: AgentRuntime, clock: float) -> dict:
     end = agent.end_clock if agent.end_clock is not None else clock
     duration = end - agent.start_clock
@@ -753,13 +761,13 @@ def build_world(config: ScenarioConfig) -> World:
     grid = config.resolve_grid()
     registry = config.profile_registry()
     runtimes = []
-    for spec in config.agents:
+    for i, spec in enumerate(config.agents):
         if isinstance(spec.profile, str):
             if spec.profile not in registry:
                 raise ConfigError(f"unknown profile {spec.profile!r}")
             profile = registry[spec.profile]
         else:
-            profile = profile_from_spec(spec.profile)
+            profile = _resolve_profile(spec.profile, f"agents[{i}].profile")
         for label, cell in (("start", spec.start), ("goal", spec.goal)):
             if not grid.traversable(cell):
                 raise ConfigError(
@@ -803,7 +811,6 @@ def build_world(config: ScenarioConfig) -> World:
         config.obstacles,
         config.pursuit_rules,
         dt=config.dt,
-        rng_seed=config.seed,
         observer_height=config.observer_height,
     )
     for rule in config.pursuit_rules:
@@ -865,7 +872,7 @@ def compare_transport(
                 raise ConfigError(f"unknown transport profile {ref!r}")
             sides.append((label, registry[ref]))
         else:
-            sides.append((label, profile_from_spec(ref)))
+            sides.append((label, _resolve_profile(ref, f"transport.{label}")))
 
     mode_rows: list[dict] = []
     comparisons: list[dict] = []

@@ -165,6 +165,29 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == EXIT_BAD_INPUT
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec", [
+        {"base": "ox_cart", "speed": 2},
+        {"base": "nosuch"},
+        {"name": "x"},
+    ])
+    @pytest.mark.parametrize("where", ["profiles[0]", "agents[0].profile",
+                                       "transport.a"])
+    def test_bad_profile_spec_is_exit_3(self, tmp_path, capsys, spec, where):
+        obj = json.loads(json.dumps(SCENARIO))
+        if where == "profiles[0]":
+            obj["profiles"] = [spec]
+        elif where == "agents[0].profile":
+            obj["agents"][0]["profile"] = spec
+        else:
+            obj["transport"]["a"] = spec
+        cfg = write_scenario(tmp_path, obj)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: ")
+        assert err.count("\n") == 1
+
     def test_bad_json_is_exit_3(self, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{nope")
