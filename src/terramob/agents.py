@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .terrain import CellIndex, ElevationGrid
+from .terrain import OFFSET_TO_ACTION, SQRT2, CellIndex, ElevationGrid
 
 KIND_HUMAN = "human"
 KIND_ANIMAL = "animal"
@@ -189,12 +189,6 @@ def profile_from_spec(spec: str | dict) -> AgentProfile:
     return AgentProfile(**spec)
 
 
-_SQRT2 = math.sqrt(2.0)
-_ADJACENT = {
-    (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1),
-}
-
-
 def traversal_time(
     p: AgentProfile,
     grid: ElevationGrid,
@@ -205,16 +199,19 @@ def traversal_time(
 
     Returns IMPASSABLE (inf) when the slope exceeds the profile's limit or
     either endpoint is nodata or out of bounds. Non-adjacent cells are a
-    caller error. This is the scalar reference edge cost: the Dijkstra oracle,
-    plan building and validation, and ``sim`` use it. The speed laws are
-    applied inline (same arithmetic as the speed functions); ``planner.astar``
-    carries its own copy of this arithmetic and must stay bit-identical to it.
+    caller error. This is the scalar reference edge cost. Its callers: the
+    Dijkstra oracle (``planner.dijkstra_all``), plan building and validation,
+    the local step rules (``local_adapt.follow_route`` and ``greedy_step``),
+    the training episodes, and ``sim``'s move check (``World._entry_ok``).
+    The speed laws are applied inline (same arithmetic as the speed
+    functions); ``planner.astar`` carries its own copy of this arithmetic and
+    must stay bit-identical to it.
     """
     ar, ac = a[0], a[1]
     br, bc = b[0], b[1]
     dr = br - ar
     dc = bc - ac
-    if (dr, dc) not in _ADJACENT:
+    if (dr, dc) not in OFFSET_TO_ACTION:
         raise ValueError(f"cells {(ar, ac)} and {(br, bc)} are not adjacent")
     values = grid.values
     nrows, ncols = values.shape
@@ -226,7 +223,7 @@ def traversal_time(
     nodata = grid.nodata
     if va == nodata or vb == nodata:
         return IMPASSABLE
-    run = grid.cellsize * (_SQRT2 if dr != 0 and dc != 0 else 1.0)
+    run = grid.cellsize * (SQRT2 if dr != 0 and dc != 0 else 1.0)
     slope = abs(vb - va) / run * 100.0
     if slope > p.max_slope:
         return IMPASSABLE

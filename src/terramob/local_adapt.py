@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .terrain import (
     DIRECTION_NAMES,
     ElevationGrid,
     NEIGHBOR_OFFSETS,
+    OFFSET_TO_ACTION,
     make_synthetic,
 )
 
@@ -307,6 +308,61 @@ def rejoin_check(
     return False, waypoint_index
 
 
+def greedy_step(
+    grid: ElevationGrid,
+    profile: AgentProfile,
+    at: CellIndex,
+    target: CellIndex,
+    blocked: Callable[[CellIndex], bool] | None = None,
+) -> int:
+    """Cheapest feasible move toward ``target``: edge time plus time bound.
+
+    Moves are scored in action order and the first strict minimum wins.
+    Off-grid, impassable and ``blocked`` cells are skipped; ACTION_STAY
+    when no move is feasible.
+    """
+    best_action = ACTION_STAY
+    best_cost = math.inf
+    for a, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
+        dest = CellIndex(at[0] + dr, at[1] + dc)
+        if not grid.in_bounds(dest):
+            continue
+        step = traversal_time(profile, grid, at, dest)
+        if not math.isfinite(step):
+            continue
+        if blocked is not None and blocked(dest):
+            continue
+        cost = step + heuristic(dest, target, profile, grid.cellsize)
+        if cost < best_cost:
+            best_cost = cost
+            best_action = a
+    return best_action
+
+
+def follow_route(
+    plan: PathPlan,
+    waypoint_index: int,
+    grid: ElevationGrid,
+    profile: AgentProfile,
+    at: CellIndex,
+) -> int:
+    """Unblocked move along the committed route.
+
+    On the route: take the plan edge (the true local cost minimum by
+    sub-path optimality of the global search). Off the route: the greedy
+    step toward the tracked waypoint.
+    """
+    if waypoint_index >= len(plan.waypoints):
+        return ACTION_STAY
+    wp = plan.waypoints[waypoint_index]
+    if at == wp:
+        return ACTION_STAY
+    if waypoint_index >= 1 and at == plan.waypoints[waypoint_index - 1]:
+        if math.isfinite(traversal_time(profile, grid, at, wp)):
+            return OFFSET_TO_ACTION[(wp[0] - at[0], wp[1] - at[1])]
+    return greedy_step(grid, profile, at, wp)
+
+
 def hierarchical_policy(
     blocked: bool,
     plan: PathPlan,
@@ -319,40 +375,12 @@ def hierarchical_policy(
 ) -> int:
     """Two-level action selection.
 
-    Unblocked, on the route: take the plan edge (the true local cost
-    minimum by sub-path optimality of the global search). Unblocked but
-    off-route: greedy over step cost plus the remaining-time bound toward
-    the tracked waypoint. Blocked: the learned table's argmax, with no
-    exploration.
+    Blocked: the learned table's argmax, with no exploration. Unblocked:
+    ``follow_route``.
     """
     if blocked:
         return int(np.argmax(q.values[s.encode()]))
-    n = len(plan.waypoints)
-    if waypoint_index >= n:
-        return ACTION_STAY
-    wp = plan.waypoints[waypoint_index]
-    if at == wp:
-        return ACTION_STAY
-    if waypoint_index >= 1 and at == plan.waypoints[waypoint_index - 1]:
-        dr, dc = wp[0] - at[0], wp[1] - at[1]
-        action = NEIGHBOR_OFFSETS.index((dr, dc))
-        if math.isfinite(traversal_time(profile, grid, at, wp)):
-            return action
-    best_action = ACTION_STAY
-    best_cost = math.inf
-    for a in range(len(NEIGHBOR_OFFSETS)):
-        dr, dc = NEIGHBOR_OFFSETS[a]
-        dest = CellIndex(at[0] + dr, at[1] + dc)
-        if not grid.in_bounds(dest):
-            continue
-        step = traversal_time(profile, grid, at, dest)
-        if not math.isfinite(step):
-            continue
-        cost = step + heuristic(dest, wp, profile, grid.cellsize)
-        if cost < best_cost:
-            best_cost = cost
-            best_action = a
-    return best_action
+    return follow_route(plan, waypoint_index, grid, profile, at)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +519,7 @@ def _run_episode(
             adapting = True
             a = select_action(q, s, epsilon, rng)
         else:
-            a = hierarchical_policy(False, plan, wi, q, s, grid, profile, cell)
+            a = follow_route(plan, wi, grid, profile, cell)
 
         prev_wi = wi
         prev_dev = deviation_cells(cell, plan)

@@ -6,9 +6,9 @@ edge can be walked faster), and ties are broken deterministically: larger g
 first, then (row, col) order.
 
 A* carries its own inlined edge-cost and heuristic kernel over flat node ids.
-The uniform-cost oracle (``dijkstra_all``) goes through ``edge_cost`` and the
-scalar ``agents.traversal_time`` instead, so the optimality tests compare two
-separately written kernels.
+The uniform-cost oracle (``dijkstra_all``) weighs each edge with the scalar
+``agents.traversal_time`` instead (``terrain.step_run`` meters in distance
+mode), so the optimality tests compare two separately written kernels.
 """
 
 from __future__ import annotations
@@ -64,24 +64,6 @@ def octile_distance_m(a: CellIndex, b: CellIndex, cellsize: float) -> float:
 def heuristic(c: CellIndex, goal: CellIndex, p: AgentProfile, cellsize: float) -> float:
     """Remaining-time lower bound: octile meters over the flat-terrain speed."""
     return octile_distance_m(c, goal, cellsize) / p.s_flat
-
-
-def edge_cost(
-    grid: ElevationGrid,
-    p: AgentProfile,
-    a: CellIndex,
-    b: CellIndex,
-    objective: str = "time",
-) -> float:
-    """Search weight of one edge: seconds, or meters in distance mode.
-
-    Impassability (slope limit, nodata) is the same in both modes; only the
-    minimized quantity changes.
-    """
-    t = traversal_time(p, grid, a, b)
-    if objective == "time" or not math.isfinite(t):
-        return t
-    return step_run(grid, a, b)
 
 
 def astar(
@@ -259,6 +241,8 @@ def dijkstra_all(
     """Uniform-cost distances from ``source`` to every reachable cell.
 
     Written independently of the A* code path so it can serve as an oracle.
+    Impassability (slope limit, nodata) is the same under both objectives;
+    only the minimized quantity changes.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -278,9 +262,11 @@ def dijkstra_all(
             nb = CellIndex(row + dr, col + dc)
             if not grid.in_bounds(nb) or nb in done:
                 continue
-            cost = edge_cost(grid, p, cell, nb, objective)
+            cost = traversal_time(p, grid, cell, nb)
             if not math.isfinite(cost):
                 continue
+            if objective == "distance":
+                cost = step_run(grid, cell, nb)
             nd = d + cost
             if nd < dist.get(nb, math.inf):
                 dist[nb] = nd
@@ -303,22 +289,6 @@ def dijkstra_oracle(
     if goal not in dist:
         raise NoPathError(f"no path from {tuple(start)} to {tuple(goal)} for {p.name}")
     return dist[goal]
-
-
-def local_step_cost(
-    grid: ElevationGrid,
-    p: AgentProfile,
-    at: CellIndex,
-    action: int,
-) -> float:
-    """Traversal time of one move action from ``at``; inf when impassable."""
-    if not 0 <= action < len(NEIGHBOR_OFFSETS):
-        raise ValueError(f"action {action} is not a move direction")
-    dr, dc = NEIGHBOR_OFFSETS[action]
-    dest = CellIndex(at[0] + dr, at[1] + dc)
-    if not grid.in_bounds(dest):
-        raise ValueError(f"action {action} leaves the grid from {tuple(at)}")
-    return traversal_time(p, grid, at, dest)
 
 
 def write_plan_csv(plan: PathPlan, grid: ElevationGrid, f: IO[str]) -> None:

@@ -34,11 +34,13 @@ from .local_adapt import (
     build_local_state,
     detect_block,
     deviation_cells,
+    follow_route,
+    greedy_step,
     hierarchical_policy,
     load_qtable,
     rejoin_check,
 )
-from .planner import NoPathError, PathPlan, heuristic
+from .planner import NoPathError, PathPlan
 from .terrain import (
     CellIndex,
     ElevationGrid,
@@ -65,8 +67,6 @@ PURSUIT_INTERCEPTION = "interception"
 PURSUIT_ABANDONED_LOS = "abandonment_los"
 PURSUIT_ABANDONED_EFFORT = "abandonment_effort"
 PURSUIT_TIMEOUT = "max_sim_time"
-
-_ZERO_Q = QTable.zeros()
 
 
 class ConfigError(ValueError):
@@ -168,7 +168,6 @@ class AgentRuntime:
     profile: AgentProfile
     plan: PathPlan | None
     qtable: QTable | None = None
-    qtable_ref: str = ""
     waypoint_index: int = 0
     mode: str = MODE_FOLLOWING
     outcome: str | None = None
@@ -262,16 +261,20 @@ class World:
         cy = min(max(float(pos[1]), y0), y1)
         return (pos[0] - cx) ** 2 + (pos[1] - cy) ** 2 <= radius * radius
 
+    def _blocker(self, agent: AgentRuntime):
+        """Cell-blocked test for the agent's moves: skips it and its partner."""
+        exclude = {agent.id}
+        if agent.chase_partner:
+            exclude.add(agent.chase_partner)
+        return lambda cell: self._blocked_multi(cell, exclude)
+
     def _entry_ok(self, agent: AgentRuntime, dest: CellIndex) -> bool:
         if not self.grid.traversable(dest):
             return False
         if not math.isfinite(traversal_time(agent.profile, self.grid,
                                             agent.cell, dest)):
             return False
-        exclude = {agent.id}
-        if agent.chase_partner:
-            exclude.add(agent.chase_partner)
-        return not self._blocked_multi(dest, exclude)
+        return not self._blocker(agent)(dest)
 
     # -- one simulation step --------------------------------------------------
 
@@ -371,8 +374,9 @@ class World:
                 agent.last_action = "close"
                 agent.last_speed = result.speed
                 return True
-            action = self._greedy_action(agent, agent.chase_cell)
-            if action is None:
+            action = greedy_step(self.grid, agent.profile, agent.cell,
+                                 agent.chase_cell, self._blocker(agent))
+            if action == ACTION_STAY:
                 agent.last_action = "stay"
                 return False
             return self._commit(agent, action)
@@ -384,28 +388,27 @@ class World:
             return False
         chi = detect_block(self, agent.id, plan, wi)
         agent.last_chi = chi
-        state = build_local_state(self.grid, self, agent.id, agent.cell, plan, wi)
         if chi:
             agent.mode = MODE_ADAPTING
             if agent.qtable is not None:
+                state = build_local_state(self.grid, self, agent.id,
+                                          agent.cell, plan, wi)
                 action = hierarchical_policy(
                     True, plan, wi, agent.qtable, state,
                     self.grid, agent.profile, agent.cell,
                 )
             else:
                 # untrained agents sidestep by cost instead of a zero argmax
-                action = self._greedy_action(agent, plan.waypoints[wi])
+                action = greedy_step(self.grid, agent.profile, agent.cell,
+                                     plan.waypoints[wi], self._blocker(agent))
         else:
             agent.mode = (
                 MODE_FOLLOWING
                 if deviation_cells(agent.cell, plan) == 0
                 else MODE_ADAPTING
             )
-            action = hierarchical_policy(
-                False, plan, wi, agent.qtable or _ZERO_Q, state,
-                self.grid, agent.profile, agent.cell,
-            )
-        if action is None or action == ACTION_STAY:
+            action = follow_route(plan, wi, self.grid, agent.profile, agent.cell)
+        if action == ACTION_STAY:
             agent.last_action = "stay"
             return False
         dr, dc = ACTIONS[action]
@@ -415,22 +418,6 @@ class World:
             agent.last_action = "stay"
             return False
         return self._commit(agent, action)
-
-    def _greedy_action(self, agent: AgentRuntime, goal_cell: CellIndex) -> int | None:
-        """Cheapest feasible step toward a cell: edge time plus time bound."""
-        best = None
-        best_cost = math.inf
-        for a, (dr, dc) in enumerate(ACTIONS[:8]):
-            dest = CellIndex(agent.cell[0] + dr, agent.cell[1] + dc)
-            if not self._entry_ok(agent, dest):
-                continue
-            step_t = traversal_time(agent.profile, self.grid, agent.cell, dest)
-            cost = step_t + heuristic(dest, goal_cell, agent.profile,
-                                      self.grid.cellsize)
-            if cost < best_cost:
-                best_cost = cost
-                best = a
-        return best
 
     def _commit(self, agent: AgentRuntime, action: int) -> bool:
         dr, dc = ACTIONS[action]
@@ -757,48 +744,67 @@ def _agent_row(agent: AgentRuntime, clock: float) -> dict:
     }
 
 
+def _profile_ref(ref, registry: dict[str, AgentProfile],
+                 where: str) -> AgentProfile:
+    """A registry name or an inline spec; errors name the config entry."""
+    if isinstance(ref, str):
+        if ref not in registry:
+            raise ConfigError(f"{where}: unknown profile {ref!r}")
+        return registry[ref]
+    return _resolve_profile(ref, where)
+
+
+def _runtime(
+    grid: ElevationGrid,
+    agent_id: str,
+    profile: AgentProfile,
+    start: CellIndex,
+    goal: CellIndex,
+    qtable_path: Path | None = None,
+) -> AgentRuntime:
+    """Check the endpoints, load the bypass table, and plan the route."""
+    for label, cell in (("start", start), ("goal", goal)):
+        if not grid.traversable(cell):
+            raise ConfigError(
+                f"agent {agent_id!r}: {label} {tuple(cell)} is not traversable"
+            )
+    qtable = None
+    if qtable_path is not None:
+        with open(qtable_path) as f:
+            qtable, _meta = load_qtable(f)
+    runtime = AgentRuntime(
+        id=agent_id,
+        profile=profile,
+        plan=None,
+        qtable=qtable,
+        cell=start,
+        position=np.array(grid.cell_center(start), dtype=float),
+    )
+    try:
+        plan, _stats = planner.astar(grid, profile, start, goal)
+        runtime.plan = plan
+        runtime.waypoint_index = 1
+        if len(plan.waypoints) == 1:
+            runtime.mode = MODE_ARRIVED
+            runtime.outcome = OUTCOME_ARRIVED
+            runtime.end_clock = 0.0
+    except NoPathError:
+        runtime.mode = MODE_ABANDONED
+        runtime.outcome = OUTCOME_NO_PATH
+        runtime.end_clock = 0.0
+    return runtime
+
+
 def build_world(config: ScenarioConfig) -> World:
     grid = config.resolve_grid()
     registry = config.profile_registry()
     runtimes = []
     for i, spec in enumerate(config.agents):
-        if isinstance(spec.profile, str):
-            if spec.profile not in registry:
-                raise ConfigError(f"unknown profile {spec.profile!r}")
-            profile = registry[spec.profile]
-        else:
-            profile = _resolve_profile(spec.profile, f"agents[{i}].profile")
-        for label, cell in (("start", spec.start), ("goal", spec.goal)):
-            if not grid.traversable(cell):
-                raise ConfigError(
-                    f"agent {spec.id!r}: {label} {tuple(cell)} is not traversable"
-                )
-        qtable = None
-        if spec.qtable:
-            with open(config.base_dir / spec.qtable) as f:
-                qtable, _meta = load_qtable(f)
-        runtime = AgentRuntime(
-            id=spec.id,
-            profile=profile,
-            plan=None,
-            qtable=qtable,
-            qtable_ref=spec.qtable or "",
-            cell=spec.start,
-            position=np.array(grid.cell_center(spec.start), dtype=float),
-        )
-        try:
-            plan, _stats = planner.astar(grid, profile, spec.start, spec.goal)
-            runtime.plan = plan
-            runtime.waypoint_index = 1
-            if len(plan.waypoints) == 1:
-                runtime.mode = MODE_ARRIVED
-                runtime.outcome = OUTCOME_ARRIVED
-                runtime.end_clock = 0.0
-        except NoPathError:
-            runtime.mode = MODE_ABANDONED
-            runtime.outcome = OUTCOME_NO_PATH
-            runtime.end_clock = 0.0
-        runtimes.append(runtime)
+        profile = _profile_ref(spec.profile, registry, f"agents[{i}].profile")
+        runtimes.append(_runtime(
+            grid, spec.id, profile, spec.start, spec.goal,
+            config.base_dir / spec.qtable if spec.qtable else None,
+        ))
 
     for ob in config.obstacles:
         for cell in ob.cells:
@@ -864,15 +870,12 @@ def compare_transport(
     if config.transport is None:
         raise ConfigError("config has no transport section")
     registry = config.profile_registry()
-    sides = []
-    for label, ref in (("a", config.transport.profile_a),
-                       ("b", config.transport.profile_b)):
-        if isinstance(ref, str):
-            if ref not in registry:
-                raise ConfigError(f"unknown transport profile {ref!r}")
-            sides.append((label, registry[ref]))
-        else:
-            sides.append((label, _resolve_profile(ref, f"transport.{label}")))
+    sides = [
+        (label, _profile_ref(ref, registry, f"transport.{label}"))
+        for label, ref in (("a", config.transport.profile_a),
+                           ("b", config.transport.profile_b))
+    ]
+    grid = config.resolve_grid()
 
     mode_rows: list[dict] = []
     comparisons: list[dict] = []
@@ -880,22 +883,13 @@ def compare_transport(
     for route in config.transport.routes:
         results = {}
         for label, profile in sides:
-            agent_id = f"{route.name}__{label}_{profile.name}"
-            sub = ScenarioConfig(
-                terrain=config.terrain,
-                seed=config.seed,
-                agents=[AgentSpec(agent_id, profile.name, route.start, route.goal)],
-                profiles=[spec for spec in config.profiles],
-                dt=config.dt,
-                max_sim_time=config.max_sim_time,
-                observer_height=config.observer_height,
-                base_dir=config.base_dir,
-            )
-            if profile.name not in sub.profile_registry():
-                sub.profiles.append(_profile_as_dict(profile))
-            report, sub_traces = run_scenario(sub)
-            results[label] = (profile, report.agents[0])
-            traces.update(sub_traces)
+            agent = _runtime(grid, f"{route.name}__{label}_{profile.name}",
+                             profile, route.start, route.goal)
+            world = World(grid, [agent], [], [], dt=config.dt,
+                          observer_height=config.observer_height)
+            _simulate(world, config.dt, config.max_sim_time)
+            results[label] = (profile, _agent_row(agent, world.clock))
+            traces[agent.id] = agent.trace
 
         (pa, row_a), (pb, row_b) = results["a"], results["b"]
         both_arrived = (
@@ -938,21 +932,6 @@ def compare_transport(
                 "reduction_percent": reduction,
             })
     return mode_rows, comparisons, traces
-
-
-def _profile_as_dict(p: AgentProfile) -> dict:
-    out = {
-        "name": p.name, "kind": p.kind, "s_flat": p.s_flat,
-        "ref_slope": p.ref_slope, "load_kg": p.load_kg, "vessels": p.vessels,
-        "max_slope": p.max_slope, "body_radius": p.body_radius, "role": p.role,
-    }
-    if p.reduction_at_ref is not None:
-        out["reduction_at_ref"] = p.reduction_at_ref
-    if p.r_slope_at_ref is not None:
-        out["r_slope_at_ref"] = p.r_slope_at_ref
-    if p.r_load is not None:
-        out["r_load"] = p.r_load
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,9 @@ NEIGHBOR_OFFSETS: tuple[tuple[int, int], ...] = (
 )
 DIRECTION_NAMES = ("n", "ne", "e", "se", "s", "sw", "w", "nw")
 
-_OFFSET_TO_ACTION = {off: i for i, off in enumerate(NEIGHBOR_OFFSETS)}
+# Inverse of NEIGHBOR_OFFSETS: move offset -> action code; its keys are the
+# adjacency rule.
+OFFSET_TO_ACTION = {off: i for i, off in enumerate(NEIGHBOR_OFFSETS)}
 
 
 class GridFormatError(ValueError):
@@ -287,7 +289,7 @@ def _num(x: float) -> str:
 def step_run(grid: ElevationGrid, a: CellIndex, b: CellIndex) -> float:
     """Horizontal run (meters) of one 8-connected move; raises if not adjacent."""
     dr, dc = b[0] - a[0], b[1] - a[1]
-    if (dr, dc) not in _OFFSET_TO_ACTION:
+    if (dr, dc) not in OFFSET_TO_ACTION:
         raise ValueError(f"cells {tuple(a)} and {tuple(b)} are not adjacent")
     return grid.cellsize * (SQRT2 if dr != 0 and dc != 0 else 1.0)
 

@@ -20,6 +20,7 @@ from terramob.local_adapt import (
     detect_block,
     deviation_cells,
     evaluate_bypass,
+    greedy_step,
     hierarchical_policy,
     load_qtable,
     q_update,
@@ -319,6 +320,19 @@ class TestHierarchicalPolicy:
                                      CellIndex(5, 5))
         # N and E tie once the direct NE step is a hole; N has the lower index
         assert action == 0
+
+
+class TestGreedyStep:
+    def test_blocked_cells_are_skipped(self):
+        grid = make_synthetic("flat", nrows=10, ncols=10, h=0.0)
+        p = builtin_profile("fit_adults")
+        at, target = CellIndex(5, 5), CellIndex(5, 9)
+        assert greedy_step(grid, p, at, target) == 2  # east
+        # NE and SE tie once east is blocked; NE has the lower index
+        assert greedy_step(grid, p, at, target,
+                           blocked=lambda c: c == CellIndex(5, 6)) == 1
+        assert greedy_step(grid, p, at, target,
+                           blocked=lambda c: True) == ACTION_STAY
 
 
 # ---------------------------------------------------------------------------

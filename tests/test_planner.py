@@ -11,7 +11,6 @@ from terramob.planner import (
     dijkstra_all,
     dijkstra_oracle,
     heuristic,
-    local_step_cost,
     octile_distance_m,
     validate_plan,
     write_plan_csv,
@@ -187,23 +186,6 @@ class TestDistanceObjective:
         with pytest.raises(ValueError, match="objective"):
             astar(flat10, builtin_profile("mule"), CellIndex(0, 0),
                   CellIndex(1, 1), objective="vibes")
-
-
-class TestLocalStepCost:
-    def test_mirrors_traversal_time(self, flat10):
-        p = builtin_profile("fit_adults")
-        assert local_step_cost(flat10, p, CellIndex(5, 5), 2) == pytest.approx(20.0)
-
-    def test_steep_step_impassable(self):
-        grid = make_synthetic("ramp", nrows=3, ncols=5, cellsize=30.0, slope=25.0)
-        p = builtin_profile("ox_cart")
-        assert math.isinf(local_step_cost(grid, p, CellIndex(1, 0), 2))
-
-    def test_off_grid_action_is_an_error(self, flat10):
-        with pytest.raises(ValueError):
-            local_step_cost(flat10, builtin_profile("mule"), CellIndex(0, 0), 0)
-        with pytest.raises(ValueError):
-            local_step_cost(flat10, builtin_profile("mule"), CellIndex(0, 0), 99)
 
 
 class TestPlanCsv:

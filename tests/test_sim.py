@@ -297,6 +297,22 @@ class TestTransport:
         _rows, comparisons, _tr = compare_transport(cfg)
         assert comparisons[0]["reduction_percent"] == 0.0
 
+    def test_inline_override_keeping_builtin_name(self):
+        # the override keeps the name "mule" but must still be simulated
+        cfg = ScenarioConfig.from_dict({
+            "terrain": {"recipe": "ramp", "nrows": 5, "ncols": 20,
+                        "cellsize": 30.0, "slope": 8.0},
+            "sim": {"dt": 1.0, "max_sim_time": 3600, "seed": 2},
+            "transport": {"a": {"base": "mule", "r_load": 0.5}, "b": "mule",
+                          "routes": [{"name": "r", "start": [2, 0],
+                                      "goal": [2, 19]}]},
+        })
+        _rows, comparisons, _tr = compare_transport(cfg)
+        c = comparisons[0]
+        assert c["a_duration_s"] == pytest.approx(1.5 * c["b_duration_s"])
+        assert c["a_distance_m"] == pytest.approx(c["b_distance_m"])
+        assert c["reduction_percent"] == pytest.approx(100.0 / 3.0)
+
     def test_no_path_propagates_per_mode(self):
         # the steep corridor grid with a cart-impossible start: block the
         # gentle corridor so the cart has no route at all
