@@ -134,9 +134,10 @@ def cmd_simulate(args) -> int:
             if args.dt <= 0:
                 raise ConfigError("--dt must be positive")
             config.dt = args.dt
-        report, traces = sim.run_scenario(config)
+        grid = config.resolve_grid()
+        report, traces = sim.run_scenario(config, grid)
         if config.transport is not None:
-            mode_rows, comparisons, extra = sim.compare_transport(config)
+            mode_rows, comparisons, extra = sim.compare_transport(config, grid)
             report.transport_rows = mode_rows
             report.comparisons = comparisons
             traces.update(extra)

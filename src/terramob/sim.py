@@ -357,14 +357,10 @@ class World:
             if agent.cell == agent.chase_cell:
                 # inside the last-seen cell: close on the live position, or
                 # hold the spot when sight has been lost
-                if agent.chase_xy is None:
-                    agent.last_action = "stay"
-                    return False
-                dist = math.hypot(agent.chase_xy[0] - agent.position[0],
-                                  agent.chase_xy[1] - agent.position[1])
-                if dist < 1e-9:
-                    agent.last_action = "stay"
-                    return False
+                xy = agent.chase_xy
+                if xy is None or math.hypot(xy[0] - agent.position[0],
+                                            xy[1] - agent.position[1]) < 1e-9:
+                    return self._commit(agent, ACTION_STAY)
                 result = speed(agent.profile, 0.0)
                 agent.edge_source = None
                 agent.edge_target = agent.cell
@@ -374,18 +370,14 @@ class World:
                 agent.last_action = "close"
                 agent.last_speed = result.speed
                 return True
-            action = greedy_step(self.grid, agent.profile, agent.cell,
-                                 agent.chase_cell, self._blocker(agent))
-            if action == ACTION_STAY:
-                agent.last_action = "stay"
-                return False
-            return self._commit(agent, action)
+            return self._commit(agent, greedy_step(
+                self.grid, agent.profile, agent.cell, agent.chase_cell,
+                self._blocker(agent)))
 
         plan = agent.plan
         wi = agent.waypoint_index
         if plan is None or wi >= len(plan.waypoints):
-            agent.last_action = "stay"
-            return False
+            return self._commit(agent, ACTION_STAY)
         chi = detect_block(self, agent.id, plan, wi)
         agent.last_chi = chi
         if chi:
@@ -398,9 +390,11 @@ class World:
                     self.grid, agent.profile, agent.cell,
                 )
             else:
-                # untrained agents sidestep by cost instead of a zero argmax
-                action = greedy_step(self.grid, agent.profile, agent.cell,
-                                     plan.waypoints[wi], self._blocker(agent))
+                # untrained agents sidestep by cost instead of a zero argmax;
+                # greedy_step already skips every move _entry_ok refuses
+                return self._commit(agent, greedy_step(
+                    self.grid, agent.profile, agent.cell, plan.waypoints[wi],
+                    self._blocker(agent)))
         else:
             agent.mode = (
                 MODE_FOLLOWING
@@ -408,18 +402,18 @@ class World:
                 else MODE_ADAPTING
             )
             action = follow_route(plan, wi, self.grid, agent.profile, agent.cell)
-        if action == ACTION_STAY:
-            agent.last_action = "stay"
-            return False
         dr, dc = ACTIONS[action]
         dest = CellIndex(agent.cell[0] + dr, agent.cell[1] + dc)
-        if not self._entry_ok(agent, dest):
+        if action != ACTION_STAY and not self._entry_ok(agent, dest):
             # blocked or invalid move: stand (the later-ordered mover yields)
-            agent.last_action = "stay"
-            return False
+            action = ACTION_STAY
         return self._commit(agent, action)
 
     def _commit(self, agent: AgentRuntime, action: int) -> bool:
+        """Start walking the edge of ``action``; ACTION_STAY stands instead."""
+        if action == ACTION_STAY:
+            agent.last_action = "stay"
+            return False
         dr, dc = ACTIONS[action]
         dest = CellIndex(agent.cell[0] + dr, agent.cell[1] + dc)
         sample = slope_percent(self.grid, agent.cell, dest)
@@ -795,8 +789,9 @@ def _runtime(
     return runtime
 
 
-def build_world(config: ScenarioConfig) -> World:
-    grid = config.resolve_grid()
+def build_world(config: ScenarioConfig,
+                grid: ElevationGrid | None = None) -> World:
+    grid = config.resolve_grid() if grid is None else grid
     registry = config.profile_registry()
     runtimes = []
     for i, spec in enumerate(config.agents):
@@ -833,9 +828,10 @@ def _simulate(world: World, dt: float, max_sim_time: float) -> None:
 
 def run_scenario(
     config: ScenarioConfig,
+    grid: ElevationGrid | None = None,
 ) -> tuple[SimReport, dict[str, list[TraceRecord]]]:
     """Simulate the configured agents to termination or the time limit."""
-    world = build_world(config)
+    world = build_world(config, grid)
     _simulate(world, config.dt, config.max_sim_time)
     agents = [_agent_row(a, world.clock) for a in world.agents]
     pursuits = []
@@ -861,6 +857,7 @@ def run_scenario(
 
 def compare_transport(
     config: ScenarioConfig,
+    grid: ElevationGrid | None = None,
 ) -> tuple[list[dict], list[dict], dict[str, list[TraceRecord]]]:
     """Run both transport profiles over each route and tabulate the contrast.
 
@@ -875,7 +872,7 @@ def compare_transport(
         for label, ref in (("a", config.transport.profile_a),
                            ("b", config.transport.profile_b))
     ]
-    grid = config.resolve_grid()
+    grid = config.resolve_grid() if grid is None else grid
 
     mode_rows: list[dict] = []
     comparisons: list[dict] = []

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import IO, Iterable, NamedTuple
 
 import numpy as np
@@ -347,10 +346,20 @@ def line_of_sight(
 
     The segment runs from ``observer_height`` above the ground at ``a`` to
     ``target_height`` above the ground at ``b``. Every cell the segment
-    crosses (exact integer traversal between cell centers) is compared
-    against the linearly interpolated line height at the midpoint of the
-    crossing; nodata cells are opaque. Exact corner contacts check both
-    touching cells, which makes sealed diagonal corners opaque as well.
+    crosses is compared against the linearly interpolated line height at the
+    midpoint of the crossing; nodata cells are opaque. Exact corner contacts
+    check both touching cells, which makes sealed diagonal corners opaque as
+    well.
+
+    The traversal is exact integer arithmetic (after Amanatides & Woo 1987).
+    The i-th row boundary falls at t = (2i-1)/(2|dr|) and the j-th column
+    boundary at t = (2j-1)/(2|dc|); over the common denominator
+    D = 2*max(|dr|,1)*max(|dc|,1) their numerators are the odd multiples
+    (2i-1)*max(|dc|,1) and (2j-1)*max(|dr|,1). Both sequences ascend, so
+    one two-pointer merge visits the crossings in order, and equal
+    numerators are the exact corner contacts. Int/int division is correctly
+    rounded, so each crossing's t/D is the float of its reduced fraction and
+    the midpoints ``(prev/D + t/D) / 2`` are those of an exact traversal.
     """
     a = CellIndex(int(a[0]), int(a[1]))
     b = CellIndex(int(b[0]), int(b[1]))
@@ -371,55 +380,47 @@ def line_of_sight(
     zdiff = zb - za
     dr = b.row - a.row
     dc = b.col - a.col
-
-    # Boundary crossings as exact fractions of the segment parameter:
-    # the ray row coordinate is a.row + 1/2 + t*dr, so integer level L is
-    # crossed at t = (2L - 2*a.row - 1) / (2*dr); likewise for columns.
-    events: list[tuple[Fraction, int]] = []
-    if dr != 0:
-        for level in range(min(a.row, b.row) + 1, max(a.row, b.row) + 1):
-            events.append((Fraction(2 * level - 2 * a.row - 1, 2 * dr), 1))
-    if dc != 0:
-        for level in range(min(a.col, b.col) + 1, max(a.col, b.col) + 1):
-            events.append((Fraction(2 * level - 2 * a.col - 1, 2 * dc), 2))
-    events.sort(key=lambda e: (e[0], e[1]))
-
     sr = 1 if dr > 0 else -1
     sc = 1 if dc > 0 else -1
     endpoints = {(a.row, a.col), (b.row, b.col)}
+    values = grid.values
+    nodata = grid.nodata
 
-    def cell_blocks(rr: int, cc: int, tm: float) -> bool:
-        z = float(grid.values[rr, cc])
-        if z == grid.nodata:
-            return True
-        return z > za + tm * zdiff
-
+    # Crossing numerators over den; a sequence with no crossings starts at
+    # den, and every exhausted one lies past it.
+    half_r = abs(dc) or 1
+    half_c = abs(dr) or 1
+    den = 2 * half_r * half_c
+    tr = half_r if dr else den
+    tc = half_c if dc else den
     r, c = a.row, a.col
-    t_prev = Fraction(0)
-    i = 0
-    n = len(events)
-    while i < n:
-        t = events[i][0]
-        kinds = 0
-        while i < n and events[i][0] == t:
-            kinds |= events[i][1]
-            i += 1
+    f_prev = 0.0
+    while True:
+        t = tr if tr < tc else tc
+        if t >= den:
+            return True
+        f = t / den
         if (r, c) not in endpoints:
-            tm = (float(t_prev) + float(t)) / 2.0
-            if cell_blocks(r, c, tm):
+            z = values.item(r, c)
+            if z == nodata or z > za + (f_prev + f) / 2.0 * zdiff:
                 return False
-        if kinds == 3:  # exact corner: both touching cells can occlude
+        if tr == tc:  # exact corner: both touching cells can occlude
             for rr, cc in ((r + sr, c), (r, c + sc)):
-                if (rr, cc) not in endpoints and cell_blocks(rr, cc, float(t)):
-                    return False
+                if (rr, cc) not in endpoints:
+                    z = values.item(rr, cc)
+                    if z == nodata or z > za + f * zdiff:
+                        return False
             r += sr
             c += sc
-        elif kinds == 1:
+            tr += 2 * half_r
+            tc += 2 * half_c
+        elif tr < tc:
             r += sr
+            tr += 2 * half_r
         else:
             c += sc
-        t_prev = t
-    return True
+            tc += 2 * half_c
+        f_prev = f
 
 
 def viewshed(

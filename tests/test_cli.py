@@ -130,6 +130,31 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "out2")]) == EXIT_OK
 
+    def test_asc_terrain_parsed_once(self, tmp_path, monkeypatch):
+        from terramob import sim
+        from terramob.terrain import make_synthetic, serialize_ascii_grid
+        grid = make_synthetic("ramp", nrows=6, ncols=8, slope=5.0)
+        (tmp_path / "ramp.asc").write_text(serialize_ascii_grid(grid))
+        parse = sim.parse_ascii_grid
+        parses = []
+
+        def counting_parse(text):
+            parses.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(sim, "parse_ascii_grid", counting_parse)
+        cfg = write_scenario(tmp_path, {
+            "terrain": "ramp.asc",
+            "agents": [{"id": "a", "profile": "mule",
+                        "start": [0, 0], "goal": [5, 7]}],
+            "sim": {"dt": 1.0, "max_sim_time": 600, "seed": 1},
+            "transport": {"a": "ox_cart", "b": "mule", "routes": [
+                {"name": "r", "start": [5, 0], "goal": [0, 7]}]},
+        })
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert len(parses) == 1
+
     def test_ridge_pursuit_outcome_recorded(self, tmp_path):
         cfg = write_scenario(tmp_path, {
             "terrain": {"recipe": "ridge", "nrows": 21, "ncols": 31,
