@@ -23,7 +23,6 @@ from .local_adapt import (
     RewardWeights,
     StepEvent,
     evaluate_bypass,
-    hierarchical_policy,
     q_update,
     reward,
     select_action,

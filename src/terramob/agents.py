@@ -202,7 +202,8 @@ def traversal_time(
     caller error. This is the scalar reference edge cost. Its callers: the
     Dijkstra oracle (``planner.dijkstra_all``), plan building and validation,
     the local step rules (``local_adapt.follow_route`` and ``greedy_step``),
-    the training episodes, and ``sim``'s move check (``World._entry_ok``).
+    the training episodes, and ``sim``'s move and walk-back check
+    (``World._entry_ok``).
     The speed laws are applied inline (same arithmetic as the speed
     functions); ``planner.astar`` carries its own copy of this arithmetic and
     must stay bit-identical to it.

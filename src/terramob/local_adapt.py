@@ -5,6 +5,11 @@ occupancy x waypoint direction x deviation bucket) picks bypass moves
 whenever the next step of an agent's committed global route is obstructed;
 otherwise a cost-greedy rule keeps the agent on the route. Tables are
 trained offline on randomized corridor episodes and frozen for simulation.
+
+"Obstructed" is decided by one blocking predicate, a ``Callable[[CellIndex],
+bool]`` that ``detect_block``, ``build_local_state`` and ``greedy_step``
+take: the simulation passes ``World._blocker(agent)`` and training passes
+``CorridorEnv.cell_blocked``.
 """
 
 from __future__ import annotations
@@ -86,15 +91,6 @@ class RewardWeights:
                      "rejoin", "clear"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-
-    def max_magnitude(self, max_delay_s: float, max_deviation: float) -> float:
-        return max(
-            self.collision,
-            self.delay_per_second * max_delay_s,
-            self.deviation_per_cell * max_deviation,
-            self.rejoin,
-            self.clear,
-        )
 
 
 @dataclass(frozen=True)
@@ -182,12 +178,6 @@ class QTable:
     def zeros(cls) -> "QTable":
         return cls()
 
-    def copy(self) -> "QTable":
-        return QTable(self.values.copy(), self.visits.copy())
-
-    def row(self, s: LocalState) -> np.ndarray:
-        return self.values[s.encode()]
-
 
 def q_update(
     q: QTable,
@@ -260,36 +250,31 @@ def deviation_cells(cell: CellIndex, plan: PathPlan) -> int:
 
 def build_local_state(
     grid: ElevationGrid,
-    world,
-    agent_id: str | None,
+    blocked: Callable[[CellIndex], bool],
     cell: CellIndex,
     plan: PathPlan,
     waypoint_index: int,
 ) -> LocalState:
     """Observe the discrete local state around an agent.
 
-    ``world`` only needs a ``cell_blocked(cell, exclude_id)`` query; grid
-    boundaries and nodata holes count as occupied neighbors too.
+    A neighbor is occupied when ``blocked`` says so, or when it is off the
+    grid or a nodata hole.
     """
     occ = []
     for dr, dc in NEIGHBOR_OFFSETS:
         nb = CellIndex(cell[0] + dr, cell[1] + dc)
-        occ.append(
-            not grid.traversable(nb) or world.cell_blocked(nb, exclude_id=agent_id)
-        )
+        occ.append(not grid.traversable(nb) or blocked(nb))
     wp = plan.waypoints[min(waypoint_index, len(plan.waypoints) - 1)]
     dev = min(deviation_cells(cell, plan), N_DEVIATION_BUCKETS - 1)
     return LocalState(tuple(occ), waypoint_direction(cell, wp), dev)
 
 
-def detect_block(world, agent_id: str | None, plan: PathPlan,
+def detect_block(blocked: Callable[[CellIndex], bool], plan: PathPlan,
                  waypoint_index: int) -> bool:
     """True when the next routed step is obstructed by a dynamic blocker."""
     if waypoint_index >= len(plan.waypoints):
         return False
-    return bool(
-        world.cell_blocked(plan.waypoints[waypoint_index], exclude_id=agent_id)
-    )
+    return bool(blocked(plan.waypoints[waypoint_index]))
 
 
 def rejoin_check(
@@ -363,26 +348,6 @@ def follow_route(
     return greedy_step(grid, profile, at, wp)
 
 
-def hierarchical_policy(
-    blocked: bool,
-    plan: PathPlan,
-    waypoint_index: int,
-    q: QTable,
-    s: LocalState,
-    grid: ElevationGrid,
-    profile: AgentProfile,
-    at: CellIndex,
-) -> int:
-    """Two-level action selection.
-
-    Blocked: the learned table's argmax, with no exploration. Unblocked:
-    ``follow_route``.
-    """
-    if blocked:
-        return int(np.argmax(q.values[s.encode()]))
-    return follow_route(plan, waypoint_index, grid, profile, at)
-
-
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
@@ -423,9 +388,9 @@ class CorridorEnv:
     """Flat training corridor with one randomized blocking bar per episode.
 
     The global route runs straight down the middle row; each episode drops
-    a vertical bar of 1, 3, or 5 cells across it at a random column. The
-    env doubles as the world view for state building: ``cell_blocked``
-    reports membership in the current bar.
+    a vertical bar of 1, 3, or 5 cells across it at a random column.
+    ``cell_blocked`` is the episode's blocking predicate: membership in the
+    bar while it is present.
     """
 
     def __init__(
@@ -461,7 +426,7 @@ class CorridorEnv:
         self.obstacle_until = until
         self.now = 0
 
-    def cell_blocked(self, cell: CellIndex, exclude_id: str | None = None) -> bool:
+    def cell_blocked(self, cell: CellIndex) -> bool:
         if self.obstacle_until is not None and self.now > self.obstacle_until:
             return False
         return cell in self.obstacle
@@ -511,10 +476,11 @@ def _run_episode(
     elapsed = 0.0
     goal = plan.waypoints[-1]
 
+    blocked = env.cell_blocked
     for step in range(1, step_cap + 1):
         env.now = step
-        was_blocked = detect_block(env, None, plan, wi)
-        s = build_local_state(grid, env, None, cell, plan, wi)
+        was_blocked = detect_block(blocked, plan, wi)
+        s = build_local_state(grid, blocked, cell, plan, wi)
         if was_blocked:
             adapting = True
             a = select_action(q, s, epsilon, rng)
@@ -529,18 +495,14 @@ def _run_episode(
         else:
             dr, dc = ACTIONS[a]
             dest = CellIndex(cell[0] + dr, cell[1] + dc)
-            invalid = (
-                not grid.traversable(dest)
-                or not math.isfinite(traversal_time(profile, grid, cell, dest))
-            )
-            if invalid or env.cell_blocked(dest):
+            move_time = traversal_time(profile, grid, cell, dest)
+            if not math.isfinite(move_time) or blocked(dest):
                 # walked into the bar or the corridor wall
                 r = reward(StepEvent("collision"), weights)
                 total_r += r
                 if learn:
                     q_update(q, s, a, r, s, params)
                 return total_r, False, True, step, elapsed
-            move_time = traversal_time(profile, grid, cell, dest)
 
         cell = dest
         elapsed += move_time
@@ -548,7 +510,7 @@ def _run_episode(
         if rejoined:
             wi = k + 1
         env.now = step + 1  # the step consumed time; observe the next state
-        now_blocked = detect_block(env, None, plan, wi)
+        now_blocked = detect_block(blocked, plan, wi)
         dev = deviation_cells(cell, plan)
 
         if rejoined and adapting:
@@ -564,7 +526,7 @@ def _run_episode(
         r = reward(event, weights)
         total_r += r
         if learn:
-            s_next = build_local_state(grid, env, None, cell, plan, wi)
+            s_next = build_local_state(grid, blocked, cell, plan, wi)
             q_update(q, s, a, r, s_next, params)
 
         if rejoined and adapting:

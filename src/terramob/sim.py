@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from .local_adapt import (
     deviation_cells,
     follow_route,
     greedy_step,
-    hierarchical_policy,
     load_qtable,
     rejoin_check,
 )
@@ -217,8 +216,7 @@ class World:
         self.observer_height = observer_height
         self.clock = 0.0
         self._by_id = {a.id: a for a in self.agents}
-        self._snapshot: dict[str, tuple[np.ndarray, CellIndex]] | None = None
-        self._decision_time = 0.0
+        self._snapshot: dict[str, np.ndarray] = {}
         for a in self.agents:
             a.trace.append(self._trace_record(a, 0.0))
 
@@ -228,53 +226,44 @@ class World:
     def any_active(self) -> bool:
         return any(a.mode not in TERMINAL_MODES for a in self.agents)
 
-    # -- blocking queries ---------------------------------------------------
+    # -- blocking query -------------------------------------------------------
 
-    def cell_blocked(self, cell: CellIndex, exclude_id: str | None = None) -> bool:
-        exclude = {exclude_id} if exclude_id else set()
-        return self._blocked_multi(cell, exclude)
+    def _blocker(self, agent: AgentRuntime) -> Callable[[CellIndex], bool]:
+        """The blocked-cell test of every step rule, for one decision.
 
-    def _blocked_multi(self, cell: CellIndex, exclude: set[str]) -> bool:
-        t = self._decision_time
-        for ob in self.obstacles:
-            if ob.active(t) and cell in ob.cells:
-                return True
-        for other in self.agents:
-            if other.id in exclude:
-                continue
-            if self._snapshot is not None:
-                pos, _ = self._snapshot[other.id]
-            else:
-                pos = other.position
-            if self._disc_hits_cell(pos, other.profile.body_radius, cell):
-                return True
-        return False
-
-    def _disc_hits_cell(self, pos: np.ndarray, radius: float,
-                        cell: CellIndex) -> bool:
+        A cell is blocked by an obstacle active at ``self.clock`` or by the
+        step-start disc of any agent other than ``agent`` and its chase
+        partner. Only valid inside ``step``.
+        """
         g = self.grid
-        x0 = g.xll + cell.col * g.cellsize
-        y1 = g.yll + (g.nrows - cell.row) * g.cellsize
-        x1 = x0 + g.cellsize
-        y0 = y1 - g.cellsize
-        cx = min(max(float(pos[0]), x0), x1)
-        cy = min(max(float(pos[1]), y0), y1)
-        return (pos[0] - cx) ** 2 + (pos[1] - cy) ** 2 <= radius * radius
+        walls = [ob.cells for ob in self.obstacles if ob.active(self.clock)]
+        discs = [
+            (self._snapshot[other.id], other.profile.body_radius)
+            for other in self.agents
+            if other.id != agent.id and other.id != agent.chase_partner
+        ]
 
-    def _blocker(self, agent: AgentRuntime):
-        """Cell-blocked test for the agent's moves: skips it and its partner."""
-        exclude = {agent.id}
-        if agent.chase_partner:
-            exclude.add(agent.chase_partner)
-        return lambda cell: self._blocked_multi(cell, exclude)
+        def blocked(cell: CellIndex) -> bool:
+            if any(cell in cells for cells in walls):
+                return True
+            x0 = g.xll + cell.col * g.cellsize
+            y1 = g.yll + (g.nrows - cell.row) * g.cellsize
+            x1 = x0 + g.cellsize
+            y0 = y1 - g.cellsize
+            for pos, radius in discs:
+                cx = min(max(float(pos[0]), x0), x1)
+                cy = min(max(float(pos[1]), y0), y1)
+                if (pos[0] - cx) ** 2 + (pos[1] - cy) ** 2 <= radius * radius:
+                    return True
+            return False
 
-    def _entry_ok(self, agent: AgentRuntime, dest: CellIndex) -> bool:
-        if not self.grid.traversable(dest):
-            return False
-        if not math.isfinite(traversal_time(agent.profile, self.grid,
-                                            agent.cell, dest)):
-            return False
-        return not self._blocker(agent)(dest)
+        return blocked
+
+    def _entry_ok(self, agent: AgentRuntime, dest: CellIndex,
+                  blocked: Callable[[CellIndex], bool]) -> bool:
+        return (math.isfinite(traversal_time(agent.profile, self.grid,
+                                             agent.cell, dest))
+                and not blocked(dest))
 
     # -- one simulation step --------------------------------------------------
 
@@ -283,15 +272,11 @@ class World:
         if not dt > 0:
             raise ValueError("dt must be positive")
         t0 = self.clock
-        self._decision_time = t0
-        self._snapshot = {
-            a.id: (a.position.copy(), a.cell) for a in self.agents
-        }
+        self._snapshot = {a.id: a.position.copy() for a in self.agents}
         for agent in self.agents:
             if agent.mode in TERMINAL_MODES:
                 continue
             self._advance_agent(agent, dt, t0)
-        self._snapshot = None
         self.clock = t0 + dt
         for i, rule in enumerate(self.pursuit_rules):
             self._pursuit_update(i, rule, dt)
@@ -308,7 +293,8 @@ class World:
             agent.edge_target is not None
             and agent.edge_source is not None
             and agent.cell == agent.edge_source
-            and not self._entry_ok(agent, agent.edge_target)
+            and not self._entry_ok(agent, agent.edge_target,
+                                   self._blocker(agent))
         ):
             back = agent.edge_source
             agent.edge_target = back
@@ -378,23 +364,21 @@ class World:
         wi = agent.waypoint_index
         if plan is None or wi >= len(plan.waypoints):
             return self._commit(agent, ACTION_STAY)
-        chi = detect_block(self, agent.id, plan, wi)
+        blocked = self._blocker(agent)
+        chi = detect_block(blocked, plan, wi)
         agent.last_chi = chi
         if chi:
             agent.mode = MODE_ADAPTING
             if agent.qtable is not None:
-                state = build_local_state(self.grid, self, agent.id,
-                                          agent.cell, plan, wi)
-                action = hierarchical_policy(
-                    True, plan, wi, agent.qtable, state,
-                    self.grid, agent.profile, agent.cell,
-                )
+                state = build_local_state(self.grid, blocked, agent.cell,
+                                          plan, wi)
+                action = int(np.argmax(agent.qtable.values[state.encode()]))
             else:
                 # untrained agents sidestep by cost instead of a zero argmax;
                 # greedy_step already skips every move _entry_ok refuses
                 return self._commit(agent, greedy_step(
                     self.grid, agent.profile, agent.cell, plan.waypoints[wi],
-                    self._blocker(agent)))
+                    blocked))
         else:
             agent.mode = (
                 MODE_FOLLOWING
@@ -404,7 +388,7 @@ class World:
             action = follow_route(plan, wi, self.grid, agent.profile, agent.cell)
         dr, dc = ACTIONS[action]
         dest = CellIndex(agent.cell[0] + dr, agent.cell[1] + dc)
-        if action != ACTION_STAY and not self._entry_ok(agent, dest):
+        if action != ACTION_STAY and not self._entry_ok(agent, dest, blocked):
             # blocked or invalid move: stand (the later-ordered mover yields)
             action = ACTION_STAY
         return self._commit(agent, action)
@@ -540,6 +524,13 @@ class TransportSpec:
     routes: tuple[RouteSpec, ...]
 
 
+def _list_entry(obj: dict, key: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError(f"'{key}' must be a list")
+    return value
+
+
 @dataclass
 class ScenarioConfig:
     """Parsed scenario file; see the README for the JSON layout."""
@@ -567,18 +558,25 @@ class ScenarioConfig:
         except KeyError:
             raise ConfigError("config needs a 'terrain' entry") from None
         sim = obj.get("sim", {})
+        if not isinstance(sim, dict):
+            raise ConfigError("'sim' must be an object")
         if "seed" not in sim:
             raise ConfigError("config needs sim.seed (runs must be seeded)")
-        dt = float(sim.get("dt", 1.0))
+        try:
+            seed = int(sim["seed"])
+            dt = float(sim.get("dt", 1.0))
+            max_sim_time = float(sim.get("max_sim_time", 86400.0))
+            observer_height = float(sim.get("observer_height", 1.7))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sim: {exc}") from None
         if dt <= 0:
             raise ConfigError("sim.dt must be positive")
-        max_sim_time = float(sim.get("max_sim_time", 86400.0))
         if max_sim_time <= 0:
             raise ConfigError("sim.max_sim_time must be positive")
 
         agents = []
         seen_ids = set()
-        for i, a in enumerate(obj.get("agents", [])):
+        for i, a in enumerate(_list_entry(obj, "agents")):
             try:
                 spec = AgentSpec(
                     id=str(a["id"]),
@@ -595,7 +593,7 @@ class ScenarioConfig:
             agents.append(spec)
 
         obstacles = []
-        for i, ob in enumerate(obj.get("obstacles", [])):
+        for i, ob in enumerate(_list_entry(obj, "obstacles")):
             try:
                 cells = frozenset(
                     CellIndex(int(r), int(c)) for r, c in ob["cells"]
@@ -608,7 +606,7 @@ class ScenarioConfig:
                 raise ConfigError(f"obstacles[{i}]: {exc}") from None
 
         rules = []
-        for i, r in enumerate(obj.get("pursuit_rules", [])):
+        for i, r in enumerate(_list_entry(obj, "pursuit_rules")):
             try:
                 rules.append(PursuitRule(
                     pursuer=str(r["pursuer"]),
@@ -642,14 +640,14 @@ class ScenarioConfig:
 
         return cls(
             terrain=terrain,
-            seed=int(sim["seed"]),
+            seed=seed,
             agents=agents,
-            profiles=list(obj.get("profiles", [])),
+            profiles=_list_entry(obj, "profiles"),
             obstacles=obstacles,
             pursuit_rules=rules,
             dt=dt,
             max_sim_time=max_sim_time,
-            observer_height=float(sim.get("observer_height", 1.7)),
+            observer_height=observer_height,
             transport=transport,
             outputs=obj.get("outputs"),
             strict=bool(obj.get("strict", False)),

@@ -213,6 +213,28 @@ class TestSimulate:
         assert err.startswith(f"error: {where}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("key", ["sim", "agents", "profiles", "obstacles",
+                                     "pursuit_rules"])
+    def test_wrong_json_type_is_exit_3(self, tmp_path, capsys, key):
+        kind = "an object" if key == "sim" else "a list"
+        obj = json.loads(json.dumps(SCENARIO))
+        obj[key] = 5
+        cfg = write_scenario(tmp_path, obj)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: '{key}' must be {kind}\n"
+
+    @pytest.mark.parametrize("key", ["seed", "dt", "max_sim_time",
+                                     "observer_height"])
+    def test_wrong_sim_value_type_is_exit_3(self, tmp_path, capsys, key):
+        obj = json.loads(json.dumps(SCENARIO))
+        obj["sim"][key] = []
+        cfg = write_scenario(tmp_path, obj)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: sim: ") and err.count("\n") == 1
+
     def test_bad_json_is_exit_3(self, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{nope")

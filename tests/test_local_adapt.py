@@ -20,8 +20,8 @@ from terramob.local_adapt import (
     detect_block,
     deviation_cells,
     evaluate_bypass,
+    follow_route,
     greedy_step,
-    hierarchical_policy,
     load_qtable,
     q_update,
     rejoin_check,
@@ -36,12 +36,8 @@ from terramob.planner import PathPlan
 from terramob.terrain import CellIndex, make_synthetic
 
 
-class StubWorld:
-    def __init__(self, blocked=()):
-        self.blocked = set(blocked)
-
-    def cell_blocked(self, cell, exclude_id=None):
-        return cell in self.blocked
+def blocked_by(*cells):
+    return set(cells).__contains__
 
 
 def straight_plan(row=3, ncols=10, cellsize=30.0, speed=1.5):
@@ -245,27 +241,25 @@ class TestSelectAction:
 
 
 # ---------------------------------------------------------------------------
-# Route tracking and the hierarchical policy
+# Route tracking and the step rules
 # ---------------------------------------------------------------------------
 
 class TestDetectBlock:
     def test_empty_world(self):
         plan = straight_plan()
-        assert not detect_block(StubWorld(), None, plan, 4)
+        assert not detect_block(blocked_by(), plan, 4)
 
     def test_obstacle_on_next_waypoint(self):
         plan = straight_plan()
-        world = StubWorld({CellIndex(3, 4)})
-        assert detect_block(world, None, plan, 4)
+        assert detect_block(blocked_by(CellIndex(3, 4)), plan, 4)
 
     def test_obstacle_off_path(self):
         plan = straight_plan()
-        world = StubWorld({CellIndex(1, 4)})
-        assert not detect_block(world, None, plan, 4)
+        assert not detect_block(blocked_by(CellIndex(1, 4)), plan, 4)
 
     def test_exhausted_plan(self):
         plan = straight_plan()
-        assert not detect_block(StubWorld({CellIndex(3, 9)}), None, plan, 10)
+        assert not detect_block(blocked_by(CellIndex(3, 9)), plan, 10)
 
 
 class TestRejoinCheck:
@@ -282,44 +276,33 @@ class TestRejoinCheck:
         assert rejoin_check(CellIndex(3, 2), plan, 4) == (False, 4)
 
 
-class TestHierarchicalPolicy:
+class TestFollowRoute:
     def test_clear_straight_plan_takes_plan_edge(self):
         env = CorridorEnv(builtin_profile("fit_adults"))
-        s = build_local_state(env.grid, env, None, CellIndex(3, 4), env.plan, 5)
-        action = hierarchical_policy(False, env.plan, 5, QTable.zeros(), s,
-                                     env.grid, env.profile, CellIndex(3, 4))
+        action = follow_route(env.plan, 5, env.grid, env.profile,
+                              CellIndex(3, 4))
         assert ACTIONS[action] == (0, 1)  # east along the route
-
-    def test_blocked_uses_argmax(self):
-        env = CorridorEnv(builtin_profile("fit_adults"))
-        q = QTable.zeros()
-        s = build_local_state(env.grid, env, None, CellIndex(3, 4), env.plan, 5)
-        q.values[s.encode(), 7] = 4.0
-        action = hierarchical_policy(True, env.plan, 5, q, s,
-                                     env.grid, env.profile, CellIndex(3, 4))
-        assert action == 7
-
-    def test_unblocked_ignores_table(self):
-        # mutating the table must not change the chi == 0 choice
-        env = CorridorEnv(builtin_profile("fit_adults"))
-        s = build_local_state(env.grid, env, None, CellIndex(3, 4), env.plan, 5)
-        q = QTable.zeros()
-        base = hierarchical_policy(False, env.plan, 5, q, s, env.grid,
-                                   env.profile, CellIndex(3, 4))
-        q.values[:] = np.random.default_rng(0).normal(size=q.values.shape)
-        assert hierarchical_policy(False, env.plan, 5, q, s, env.grid,
-                                   env.profile, CellIndex(3, 4)) == base
 
     def test_off_route_equal_cost_tie_breaks_low_index(self):
         grid = make_synthetic("flat", nrows=10, ncols=10, h=0.0)
         grid = grid.with_nodata([CellIndex(4, 6)])
         plan = PathPlan([CellIndex(3, 7)], [], 0.0, 0.0, "fit_adults")
-        s = LocalState((False,) * 8, 1, 3)
-        action = hierarchical_policy(False, plan, 0, QTable.zeros(), s, grid,
-                                     builtin_profile("fit_adults"),
-                                     CellIndex(5, 5))
+        action = follow_route(plan, 0, grid, builtin_profile("fit_adults"),
+                              CellIndex(5, 5))
         # N and E tie once the direct NE step is a hole; N has the lower index
         assert action == 0
+
+
+class TestBuildLocalState:
+    def test_blocked_and_off_grid_neighbors_are_occupied(self):
+        plan = straight_plan(row=0)
+        s = build_local_state(make_synthetic("flat", nrows=4, ncols=10, h=0.0),
+                              blocked_by(CellIndex(0, 5)), CellIndex(0, 4),
+                              plan, 5)
+        # N, NE and NW are off the grid; E is blocked
+        assert s.occupancy == (True, True, True, False, False, False, False,
+                               True)
+        assert s.waypoint_dir == 2 and s.deviation_bucket == 0
 
 
 class TestGreedyStep:

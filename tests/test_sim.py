@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from terramob.agents import builtin_profile
+from terramob.local_adapt import QTable, build_local_state
 from terramob.planner import astar
 from terramob.sim import (
     ConfigError,
@@ -21,7 +22,7 @@ from terramob.sim import (
     run_scenario,
     write_trace_csv,
 )
-from terramob.terrain import CellIndex
+from terramob.terrain import CellIndex, ElevationGrid, serialize_ascii_grid
 
 
 def flat_cfg(**overrides):
@@ -155,6 +156,18 @@ class TestStep:
         # the detour costs something relative to an unobstructed run
         assert report.agents[0]["duration_s"] >= baseline.agents[0]["duration_s"]
 
+    def test_blocked_agent_with_table_takes_its_argmax(self):
+        cfg = flat_cfg(obstacles=[{"cells": [[3, 1]], "schedule": [[0, 500]]}])
+        world = build_world(cfg)
+        agent = world.agents[0]
+        state = build_local_state(world.grid, {CellIndex(3, 1)}.__contains__,
+                                  agent.cell, agent.plan, agent.waypoint_index)
+        agent.qtable = QTable.zeros()
+        agent.qtable.values[state.encode(), 3] = 4.0  # se, not the zero argmax
+        world.step(1.0)
+        assert agent.last_chi is True
+        assert agent.last_action == "se"
+
     def test_invalid_dt(self):
         world = build_world(flat_cfg())
         with pytest.raises(ValueError):
@@ -197,6 +210,34 @@ class TestPursuit:
         assert abs(pu["time_s"] - predicted) / predicted < 0.05
         outcomes = {a["id"]: a["outcome"] for a in report.agents}
         assert outcomes == {"p": "arrived", "t": "intercepted"}
+
+    def test_unseen_target_on_route_does_not_block_its_pursuer(self, tmp_path):
+        # the pursuer's route runs through its target's cell; the 50 m pillars
+        # at (1,2) and (2,1) seal the diagonal's corner, so the target is out
+        # of sight and the pursuer follows its route, which the chase partner
+        # does not block
+        rows = [[0.0] * 6 for _ in range(5)]
+        rows[1][2] = rows[2][1] = 50.0
+        grid = ElevationGrid(6, 5, 0.0, 0.0, 30.0, -9999.0, np.array(rows))
+        (tmp_path / "pillars.asc").write_text(serialize_ascii_grid(grid))
+        cfg = ScenarioConfig.from_dict({
+            "terrain": "pillars.asc",
+            "agents": [
+                {"id": "p", "profile": "hostile", "start": [1, 1], "goal": [3, 3]},
+                {"id": "t", "profile": "elderly", "start": [2, 2], "goal": [2, 2]},
+            ],
+            "pursuit_rules": [{"pursuer": "p", "target": "t",
+                               "los_loss_limit": 1e6, "effort_budget": 1e6,
+                               "capture_radius": 1.0}],
+            "sim": {"dt": 1.0, "max_sim_time": 200, "seed": 1},
+        }, base_dir=tmp_path)
+        report, traces = run_scenario(cfg)
+        assert report.pursuits[0]["outcome"] == "interception"
+        assert report.pursuits[0]["time_s"] == 24.0
+        chase = traces["p"][:-1]
+        assert (chase[-1].row, chase[-1].col) == (2, 2)  # walked into t's cell
+        assert all(r.mode == "following" and not r.chi for r in chase)
+        assert traces["p"][-1].mode == "arrived"
 
     def test_ridge_occlusion_abandonment(self):
         cfg = ScenarioConfig.from_dict({
