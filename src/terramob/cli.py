@@ -131,8 +131,7 @@ def cmd_simulate(args) -> int:
         if args.seed is not None:
             config.seed = args.seed
         if args.dt is not None:
-            if args.dt <= 0:
-                raise ConfigError("--dt must be positive")
+            sim.check_run_length(args.dt, config.max_sim_time, "--dt")
             config.dt = args.dt
         grid = config.resolve_grid()
         report, traces = sim.run_scenario(config, grid)

@@ -237,15 +237,20 @@ def waypoint_direction(at: CellIndex, waypoint: CellIndex) -> int:
 
 
 def deviation_cells(cell: CellIndex, plan: PathPlan) -> int:
-    """Chebyshev distance (king moves) from a cell to the nearest waypoint."""
-    best = None
-    for wp in plan.waypoints:
-        d = max(abs(cell[0] - wp[0]), abs(cell[1] - wp[1]))
-        if best is None or d < best:
-            best = d
-            if best == 0:
-                break
-    return int(best)
+    """Chebyshev distance (king moves) from a cell to the nearest waypoint.
+
+    0 for a waypoint; other cells scan the route once and are memoized on
+    the plan.
+    """
+    if cell in plan.index:
+        return 0
+    dev = plan.deviations.get(cell)
+    if dev is None:
+        dev = plan.deviations[cell] = int(min(
+            max(abs(cell[0] - wp[0]), abs(cell[1] - wp[1]))
+            for wp in plan.waypoints
+        ))
+    return dev
 
 
 def build_local_state(
@@ -287,9 +292,9 @@ def rejoin_check(
     Matches only forward along the plan: standing on an already-passed
     waypoint does not count. Returns (rejoined, matched index or unchanged).
     """
-    for k in range(waypoint_index, len(plan.waypoints)):
-        if plan.waypoints[k] == agent_cell:
-            return True, k
+    k = plan.index.get(agent_cell)
+    if k is not None and k >= waypoint_index:
+        return True, k
     return False, waypoint_index
 
 

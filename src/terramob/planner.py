@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO
 
 from .agents import KIND_HUMAN, MIN_SLOPE_REDUCTION, AgentProfile, traversal_time
@@ -35,13 +35,29 @@ class NoPathError(Exception):
 
 @dataclass
 class PathPlan:
-    """A committed global route: adjacent waypoints with per-edge times."""
+    """A committed global route: adjacent waypoints with per-edge times.
+
+    An optimal route visits no cell twice, so a plan refuses a repeated
+    cell (ValueError) and keeps ``index``, each waypoint's position in the
+    route. ``deviations`` memoizes ``local_adapt.deviation_cells`` for
+    off-route cells. Both are derived from ``waypoints``, which must not
+    change after construction.
+    """
 
     waypoints: list[CellIndex]
     edge_times: list[float]
     total_time: float
     total_distance: float
     profile_name: str
+    index: dict[CellIndex, int] = field(init=False, compare=False, repr=False)
+    deviations: dict[CellIndex, int] = field(init=False, compare=False,
+                                             repr=False)
+
+    def __post_init__(self):
+        self.index = {cell: k for k, cell in enumerate(self.waypoints)}
+        if len(self.index) != len(self.waypoints):
+            raise ValueError("plan visits a cell more than once")
+        self.deviations = {}
 
 
 @dataclass

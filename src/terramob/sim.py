@@ -72,7 +72,28 @@ class ConfigError(ValueError):
     """Invalid scenario configuration."""
 
 
-def effort_accrual(profile: AgentProfile, edge_time: float, slope: float) -> float:
+# Upper bound on max_sim_time / dt: 86400 s at dt 0.01 is 8.64 M steps.
+MAX_SIM_STEPS = 10**7
+
+
+def check_run_length(dt: float, max_sim_time: float,
+                     dt_name: str = "sim.dt") -> None:
+    """Raise ConfigError unless the run is finite, non-empty and capped.
+
+    Both times must be finite and positive, and ``max_sim_time / dt`` at
+    most MAX_SIM_STEPS. ``dt_name`` names where dt came from.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"{dt_name} must be positive and finite")
+    if not (math.isfinite(max_sim_time) and max_sim_time > 0):
+        raise ConfigError("sim.max_sim_time must be positive and finite")
+    if max_sim_time / dt > MAX_SIM_STEPS:
+        raise ConfigError(
+            f"sim.max_sim_time / {dt_name} is {max_sim_time / dt:.3g} steps;"
+            f" at most {MAX_SIM_STEPS} are allowed")
+
+
+def effort_accrual(edge_time: float, slope: float) -> float:
     """Exertion proxy for time spent on a slope: time * (1 + slope/100)."""
     if edge_time < 0:
         raise ValueError("edge_time must be non-negative")
@@ -128,6 +149,10 @@ class PursuitState:
     los_down_s: float = 0.0
     outcome: str | None = None
     time_s: float | None = None
+    # last (pursuer cell, target cell) asked and its line_of_sight answer;
+    # exact because the grid and observer height are fixed for a World
+    los_cells: tuple[CellIndex, CellIndex] | None = None
+    los_visible: bool = False
 
 
 @dataclass
@@ -216,7 +241,10 @@ class World:
         self.observer_height = observer_height
         self.clock = 0.0
         self._by_id = {a.id: a for a in self.agents}
-        self._snapshot: dict[str, np.ndarray] = {}
+        # step-start snapshot read by _blocker: active obstacle cells and
+        # (id, x, y, radius**2) per agent disc
+        self._walls: set[CellIndex] = set()
+        self._discs: list[tuple[str, float, float, float]] = []
         for a in self.agents:
             a.trace.append(self._trace_record(a, 0.0))
 
@@ -231,29 +259,30 @@ class World:
     def _blocker(self, agent: AgentRuntime) -> Callable[[CellIndex], bool]:
         """The blocked-cell test of every step rule, for one decision.
 
-        A cell is blocked by an obstacle active at ``self.clock`` or by the
-        step-start disc of any agent other than ``agent`` and its chase
-        partner. Only valid inside ``step``.
+        A cell is blocked by an obstacle active at the step's start time or
+        by the step-start disc of any agent other than ``agent`` and its
+        chase partner: a disc blocks the cells whose closed rectangle it
+        touches. Both come from the snapshot ``step`` takes once per step,
+        so every decision of a step sees the same scene. Only valid inside
+        ``step``.
         """
         g = self.grid
-        walls = [ob.cells for ob in self.obstacles if ob.active(self.clock)]
-        discs = [
-            (self._snapshot[other.id], other.profile.body_radius)
-            for other in self.agents
-            if other.id != agent.id and other.id != agent.chase_partner
-        ]
+        walls = self._walls
+        skip = (agent.id, agent.chase_partner)
+        discs = [(x, y, r2) for aid, x, y, r2 in self._discs
+                 if aid not in skip]
 
         def blocked(cell: CellIndex) -> bool:
-            if any(cell in cells for cells in walls):
+            if cell in walls:
                 return True
             x0 = g.xll + cell.col * g.cellsize
             y1 = g.yll + (g.nrows - cell.row) * g.cellsize
             x1 = x0 + g.cellsize
             y0 = y1 - g.cellsize
-            for pos, radius in discs:
-                cx = min(max(float(pos[0]), x0), x1)
-                cy = min(max(float(pos[1]), y0), y1)
-                if (pos[0] - cx) ** 2 + (pos[1] - cy) ** 2 <= radius * radius:
+            for x, y, r2 in discs:
+                cx = min(max(x, x0), x1)
+                cy = min(max(y, y0), y1)
+                if (x - cx) ** 2 + (y - cy) ** 2 <= r2:
                     return True
             return False
 
@@ -272,7 +301,13 @@ class World:
         if not dt > 0:
             raise ValueError("dt must be positive")
         t0 = self.clock
-        self._snapshot = {a.id: a.position.copy() for a in self.agents}
+        self._walls = set().union(
+            *(ob.cells for ob in self.obstacles if ob.active(t0)))
+        self._discs = [
+            (a.id, float(a.position[0]), float(a.position[1]),
+             a.profile.body_radius * a.profile.body_radius)
+            for a in self.agents
+        ]
         for agent in self.agents:
             if agent.mode in TERMINAL_MODES:
                 continue
@@ -316,9 +351,7 @@ class World:
                 agent.position[1] = ty
                 agent.cell = agent.edge_target
                 agent.distance_m += dist
-                agent.effort_spent += effort_accrual(
-                    agent.profile, t_need, agent.edge_slope
-                )
+                agent.effort_spent += effort_accrual(t_need, agent.edge_slope)
                 remaining -= t_need
                 agent.edge_target = None
                 agent.edge_source = None
@@ -328,9 +361,8 @@ class World:
                 agent.position[0] += dx / dist * moved
                 agent.position[1] += dy / dist * moved
                 agent.distance_m += moved
-                agent.effort_spent += effort_accrual(
-                    agent.profile, remaining, agent.edge_slope
-                )
+                agent.effort_spent += effort_accrual(remaining,
+                                                     agent.edge_slope)
                 agent.cell = self.grid.cell_of_point(
                     float(agent.position[0]), float(agent.position[1])
                 )
@@ -450,8 +482,12 @@ class World:
             return
         if pu.mode in TERMINAL_MODES:
             return
-        h = self.observer_height
-        if line_of_sight(self.grid, pu.cell, tg.cell, h, h):
+        cells = (pu.cell, tg.cell)
+        if cells != st.los_cells:
+            h = self.observer_height
+            st.los_cells = cells
+            st.los_visible = line_of_sight(self.grid, pu.cell, tg.cell, h, h)
+        if st.los_visible:
             st.last_seen = tg.cell
             st.los_down_s = 0.0
             pu.chase_cell = tg.cell
@@ -569,10 +605,7 @@ class ScenarioConfig:
             observer_height = float(sim.get("observer_height", 1.7))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"sim: {exc}") from None
-        if dt <= 0:
-            raise ConfigError("sim.dt must be positive")
-        if max_sim_time <= 0:
-            raise ConfigError("sim.max_sim_time must be positive")
+        check_run_length(dt, max_sim_time)
 
         agents = []
         seen_ids = set()
@@ -587,6 +620,8 @@ class ScenarioConfig:
                 )
             except (KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"agents[{i}]: {exc}") from None
+            if not isinstance(spec.qtable, (str, type(None))):
+                raise ConfigError(f"'agents[{i}].qtable' must be a string")
             if spec.id in seen_ids:
                 raise ConfigError(f"duplicate agent id {spec.id!r}")
             seen_ids.add(spec.id)
@@ -622,6 +657,10 @@ class ScenarioConfig:
                 if aid not in seen_ids:
                     raise ConfigError(f"pursuit {label} {aid!r} is not an agent")
 
+        outputs = obj.get("outputs")
+        if not isinstance(outputs, (str, type(None))):
+            raise ConfigError("'outputs' must be a string")
+
         transport = None
         if "transport" in obj:
             tr = obj["transport"]
@@ -649,7 +688,7 @@ class ScenarioConfig:
             max_sim_time=max_sim_time,
             observer_height=observer_height,
             transport=transport,
-            outputs=obj.get("outputs"),
+            outputs=outputs,
             strict=bool(obj.get("strict", False)),
             base_dir=Path(base_dir),
         )

@@ -214,11 +214,16 @@ class TestSimulate:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("key", ["sim", "agents", "profiles", "obstacles",
-                                     "pursuit_rules"])
+                                     "pursuit_rules", "outputs",
+                                     "agents[0].qtable"])
     def test_wrong_json_type_is_exit_3(self, tmp_path, capsys, key):
-        kind = "an object" if key == "sim" else "a list"
+        kind = {"sim": "an object", "outputs": "a string",
+                "agents[0].qtable": "a string"}.get(key, "a list")
         obj = json.loads(json.dumps(SCENARIO))
-        obj[key] = 5
+        if key == "agents[0].qtable":
+            obj["agents"][0]["qtable"] = 5
+        else:
+            obj[key] = 5
         cfg = write_scenario(tmp_path, obj)
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
@@ -234,6 +239,32 @@ class TestSimulate:
                      "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert err.startswith("error: sim: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sim, message", [
+        ({"dt": 1e-300}, "error: sim.max_sim_time / sim.dt is 7.2e+303 steps;"
+                         " at most 10000000 are allowed\n"),
+        ({"max_sim_time": float("nan")},
+         "error: sim.max_sim_time must be positive and finite\n"),
+        ({"max_sim_time": float("inf")},
+         "error: sim.max_sim_time must be positive and finite\n"),
+    ], ids=["tiny_dt", "nan_max_sim_time", "infinite_max_sim_time"])
+    def test_unbounded_or_empty_run_is_exit_3(self, tmp_path, capsys, sim,
+                                               message):
+        obj = json.loads(json.dumps(SCENARIO))
+        obj["sim"].update(sim)
+        cfg = write_scenario(tmp_path, obj)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("dt", ["1e-300", "nan"])
+    def test_dt_flag_is_checked_like_sim_dt(self, tmp_path, capsys, dt):
+        cfg = write_scenario(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--dt", dt,
+                     "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--dt" in err
 
     def test_bad_json_is_exit_3(self, tmp_path):
         cfg = tmp_path / "broken.json"

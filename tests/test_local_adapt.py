@@ -276,6 +276,46 @@ class TestRejoinCheck:
         assert rejoin_check(CellIndex(3, 2), plan, 4) == (False, 4)
 
 
+@st.composite
+def route_and_cells(draw):
+    """A non-repeating route (one straight leg or several bent ones), cells
+    to query, each asked twice, and a waypoint index."""
+    cells = [CellIndex(draw(st.integers(-4, 4)), draw(st.integers(-4, 4)))]
+    legs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(1, 8)),
+                         min_size=1, max_size=5))
+    for action, run in legs:
+        dr, dc = ACTIONS[action]
+        for _ in range(run):
+            nxt = CellIndex(cells[-1].row + dr, cells[-1].col + dc)
+            if nxt in cells:
+                break
+            cells.append(nxt)
+    n = len(cells)
+    plan = PathPlan(cells, [1.0] * (n - 1), float(n - 1), float(n - 1), "x")
+    queries = draw(st.lists(
+        st.one_of(st.sampled_from(cells),
+                  st.builds(CellIndex, st.integers(-15, 15),
+                            st.integers(-15, 15))),
+        min_size=1, max_size=12))
+    wi = draw(st.integers(0, n + 1))
+    return plan, queries + queries[::-1], wi
+
+
+class TestRouteLookups:
+    @settings(max_examples=300, deadline=None)
+    @given(route_and_cells())
+    def test_match_brute_force_scans(self, case):
+        plan, queries, wi = case
+        for cell in queries:
+            dev = min(max(abs(cell.row - w.row), abs(cell.col - w.col))
+                      for w in plan.waypoints)
+            assert deviation_cells(cell, plan) == dev
+            forward = [k for k in range(wi, len(plan.waypoints))
+                       if plan.waypoints[k] == cell]
+            expected = (True, forward[0]) if forward else (False, wi)
+            assert rejoin_check(cell, plan, wi) == expected
+
+
 class TestFollowRoute:
     def test_clear_straight_plan_takes_plan_edge(self):
         env = CorridorEnv(builtin_profile("fit_adults"))

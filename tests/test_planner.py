@@ -7,6 +7,7 @@ import pytest
 from terramob.agents import builtin_profile, builtin_profiles
 from terramob.planner import (
     NoPathError,
+    PathPlan,
     astar,
     dijkstra_all,
     dijkstra_oracle,
@@ -186,6 +187,19 @@ class TestDistanceObjective:
         with pytest.raises(ValueError, match="objective"):
             astar(flat10, builtin_profile("mule"), CellIndex(0, 0),
                   CellIndex(1, 1), objective="vibes")
+
+
+class TestPathPlan:
+    def test_repeated_cell_rejected(self):
+        cells = [CellIndex(0, 0), CellIndex(0, 1), CellIndex(1, 1),
+                 CellIndex(0, 1)]
+        with pytest.raises(ValueError, match="more than once"):
+            PathPlan(cells, [20.0, 28.3, 28.3], 76.6, 114.9, "fit_adults")
+
+    def test_index_is_waypoint_position(self, flat10):
+        plan, _ = astar(flat10, builtin_profile("mule"), CellIndex(0, 0),
+                        CellIndex(9, 4))
+        assert plan.index == {c: k for k, c in enumerate(plan.waypoints)}
 
 
 class TestPlanCsv:

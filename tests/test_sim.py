@@ -9,6 +9,7 @@ from terramob.agents import builtin_profile
 from terramob.local_adapt import QTable, build_local_state
 from terramob.planner import astar
 from terramob.sim import (
+    MAX_SIM_STEPS,
     ConfigError,
     Obstacle,
     PursuitRule,
@@ -39,21 +40,19 @@ def flat_cfg(**overrides):
 
 class TestEffortAccrual:
     def test_flat_edge(self):
-        p = builtin_profile("fit_adults")
-        assert effort_accrual(p, 20.0, 0.0) == 20.0
+        assert effort_accrual(20.0, 0.0) == 20.0
 
     def test_15_percent_edge(self):
-        p = builtin_profile("fit_adults")
-        assert effort_accrual(p, 26.666666666666668, 15.0) == pytest.approx(
+        assert effort_accrual(26.666666666666668, 15.0) == pytest.approx(
             30.667, abs=1e-3
         )
 
     def test_zero_duration(self):
-        assert effort_accrual(builtin_profile("mule"), 0.0, 10.0) == 0.0
+        assert effort_accrual(0.0, 10.0) == 0.0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            effort_accrual(builtin_profile("mule"), -1.0, 0.0)
+            effort_accrual(-1.0, 0.0)
 
 
 class TestObstacle:
@@ -210,6 +209,39 @@ class TestPursuit:
         assert abs(pu["time_s"] - predicted) / predicted < 0.05
         outcomes = {a["id"]: a["outcome"] for a in report.agents}
         assert outcomes == {"p": "arrived", "t": "intercepted"}
+
+    def test_line_of_sight_asked_once_per_cell_pair_change(self, monkeypatch):
+        from terramob import sim
+        los = sim.line_of_sight
+        calls = []
+
+        def counting_los(grid, a, b, h_a, h_b):
+            calls.append((a, b))
+            return los(grid, a, b, h_a, h_b)
+
+        monkeypatch.setattr(sim, "line_of_sight", counting_los)
+        cfg = ScenarioConfig.from_dict({
+            "terrain": {"recipe": "ramp", "nrows": 12, "ncols": 40,
+                        "cellsize": 30.0, "slope": 4.0},
+            "agents": [
+                {"id": "p", "profile": "hostile", "start": [2, 2], "goal": [2, 12]},
+                {"id": "t", "profile": "elderly", "start": [2, 12],
+                 "goal": [10, 32]},
+            ],
+            "pursuit_rules": [{"pursuer": "p", "target": "t",
+                               "los_loss_limit": 1e6, "effort_budget": 1e6,
+                               "capture_radius": 2.0}],
+            "sim": {"dt": 1.0, "max_sim_time": 3000, "seed": 3},
+        })
+        report, traces = run_scenario(cfg)
+        assert report.pursuits[0]["outcome"] == "interception"
+        # one pursuit update per trace row; the interception row asks no
+        # sight line
+        pairs = [((a.row, a.col), (b.row, b.col))
+                 for a, b in zip(traces["p"][:-1], traces["t"][:-1])]
+        changes = [q for i, q in enumerate(pairs) if i == 0 or q != pairs[i - 1]]
+        assert len(pairs) > 2 * len(changes)
+        assert calls == changes
 
     def test_unseen_target_on_route_does_not_block_its_pursuer(self, tmp_path):
         # the pursuer's route runs through its target's cell; the 50 m pillars
@@ -469,6 +501,16 @@ class TestConfigValidation:
                 "terrain": "flat:h=0,nrows=5,ncols=5",
                 "sim": {"seed": 1, "dt": 0.0},
             })
+
+    def test_step_cap(self):
+        def cfg(dt, max_sim_time):
+            return ScenarioConfig.from_dict({
+                "terrain": "flat:h=0,nrows=5,ncols=5",
+                "sim": {"seed": 1, "dt": dt, "max_sim_time": max_sim_time},
+            })
+        assert cfg(0.01, 86400.0).dt == 0.01  # 8.64 M steps are allowed
+        with pytest.raises(ConfigError, match="steps"):
+            cfg(86400.0 / (MAX_SIM_STEPS + 1), 86400.0)
 
     def test_pursuit_rule_validation(self):
         with pytest.raises(ValueError):
