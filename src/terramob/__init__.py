@@ -7,12 +7,9 @@ pursuit / transport scenario runs.
 
 from .agents import (
     AgentProfile,
-    SpeedResult,
-    animal_speed,
     builtin_profile,
     builtin_profiles,
-    human_speed,
-    reduction_factor,
+    speed,
     traversal_time,
 )
 from .local_adapt import (
@@ -46,7 +43,6 @@ from .terrain import (
     SlopeSample,
     line_of_sight,
     make_synthetic,
-    neighbors,
     parse_ascii_grid,
     serialize_ascii_grid,
     slope_percent,

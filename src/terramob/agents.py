@@ -1,10 +1,11 @@
-"""Mobility profiles: slope- and load-dependent walking speeds.
+"""Mobility profiles, the slope speed law, and the grid edge rule.
 
-Two speed laws cover the modeled movers. Humans scale a flat-terrain speed
-by a slope reduction factor; transport animals multiply in a constant load
-factor as well. Each profile anchors its reduction at one reference slope
-and the curve is linear in slope from r(0) = 1 through that anchor, floored
-at MIN_SLOPE_REDUCTION, with a hard impassability cutoff at ``max_slope``.
+``speed`` is the one speed law. Humans scale a flat-terrain speed by a slope
+reduction factor; transport animals multiply in a constant load factor as
+well. Each profile anchors its reduction at one reference slope and the
+curve is linear in slope from r(0) = 1 through that anchor, floored at
+MIN_SLOPE_REDUCTION, with a hard impassability cutoff at ``max_slope``.
+``traversal_time`` is the one edge rule built on it.
 """
 
 from __future__ import annotations
@@ -78,54 +79,29 @@ class AgentProfile:
                 raise ValueError("animal profile takes no reduction_at_ref")
 
 
-@dataclass(frozen=True)
-class SpeedResult:
-    speed: float        # m/s; 0 when not passable
-    r_effective: float  # combined reduction actually applied
-    passable: bool
-
-
-def reduction_factor(reduction_percent: float) -> float:
-    """Convert a percentage speed reduction to a multiplicative factor."""
-    if not 0 <= reduction_percent <= 100:
-        raise ValueError("reduction percent must be in [0, 100]")
-    return 1.0 - reduction_percent / 100.0
-
-
 def _slope_curve(r_at_ref: float, ref_slope: float, slope: float) -> float:
     """Linear reduction in slope through (0, 1) and (ref_slope, r_at_ref)."""
     r = 1.0 - (1.0 - r_at_ref) * (slope / ref_slope)
     return max(MIN_SLOPE_REDUCTION, min(1.0, r))
 
 
-def human_speed(p: AgentProfile, slope: float) -> SpeedResult:
-    """Slope-adjusted walking speed for a human profile."""
-    if p.kind != KIND_HUMAN:
-        raise ValueError(f"profile {p.name!r} is not a human profile")
+def speed(p: AgentProfile, slope: float) -> float:
+    """Walking speed in m/s on a ``slope`` percent grade; 0.0 above max_slope.
+
+    Humans scale ``s_flat`` by the slope curve anchored at
+    ``1 - reduction_at_ref / 100``; animals anchor it at ``r_slope_at_ref``
+    and multiply in ``r_load``. This is the package's one speed law;
+    ``planner.astar`` repeats its arithmetic inline.
+    """
     if slope < 0:
         raise ValueError("slope must be non-negative")
     if slope > p.max_slope:
-        return SpeedResult(0.0, 0.0, False)
-    r = _slope_curve(reduction_factor(p.reduction_at_ref), p.ref_slope, slope)
-    return SpeedResult(p.s_flat * r, r, True)
-
-
-def animal_speed(p: AgentProfile, slope: float) -> SpeedResult:
-    """Slope- and load-adjusted speed for a transport-animal profile."""
-    if p.kind != KIND_ANIMAL:
-        raise ValueError(f"profile {p.name!r} is not an animal profile")
-    if slope < 0:
-        raise ValueError("slope must be non-negative")
-    if slope > p.max_slope:
-        return SpeedResult(0.0, 0.0, False)
-    r = _slope_curve(p.r_slope_at_ref, p.ref_slope, slope) * p.r_load
-    return SpeedResult(p.s_flat * r, r, True)
-
-
-def speed(p: AgentProfile, slope: float) -> SpeedResult:
+        return 0.0
     if p.kind == KIND_HUMAN:
-        return human_speed(p, slope)
-    return animal_speed(p, slope)
+        return p.s_flat * _slope_curve(1.0 - p.reduction_at_ref / 100.0,
+                                       p.ref_slope, slope)
+    return p.s_flat * (_slope_curve(p.r_slope_at_ref, p.ref_slope, slope)
+                       * p.r_load)
 
 
 def builtin_profiles() -> list[AgentProfile]:
@@ -195,18 +171,23 @@ def traversal_time(
     a: CellIndex,
     b: CellIndex,
 ) -> float:
-    """Seconds to walk one grid edge under the profile's speed law.
+    """Seconds to walk one grid edge: the package's one edge rule.
 
-    Returns IMPASSABLE (inf) when the slope exceeds the profile's limit or
-    either endpoint is nodata or out of bounds. Non-adjacent cells are a
-    caller error. This is the scalar reference edge cost. Its callers: the
-    Dijkstra oracle (``planner.dijkstra_all``), plan building and validation,
-    the local step rules (``local_adapt.follow_route`` and ``greedy_step``),
-    the training episodes, and ``sim``'s move and walk-back check
-    (``World._entry_ok``).
-    The speed laws are applied inline (same arithmetic as the speed
-    functions); ``planner.astar`` carries its own copy of this arithmetic and
-    must stay bit-identical to it.
+    The edge a -> b is IMPASSABLE (inf) when
+      - either endpoint is out of bounds or nodata;
+      - it is a diagonal whose two flanking cells, ``(b.row, a.col)`` and
+        ``(a.row, b.col)``, are both nodata (a sealed corner, which
+        ``terrain.line_of_sight`` also treats as opaque);
+      - its slope exceeds the profile's ``max_slope``.
+    Otherwise it takes ``run / speed(p, slope)``. Non-adjacent cells are a
+    caller error (ValueError).
+
+    Callers: the Dijkstra oracle (``planner.dijkstra_all``), plan building
+    and validation, the local step rules (``local_adapt.follow_route`` and
+    ``greedy_step``), the training episodes, and ``sim``'s move and
+    walk-back check (``World._entry_ok``). ``planner.astar`` carries an
+    inlined copy of this rule and of ``speed`` that must stay bit-identical
+    to it.
     """
     ar, ac = a[0], a[1]
     br, bc = b[0], b[1]
@@ -224,12 +205,9 @@ def traversal_time(
     nodata = grid.nodata
     if va == nodata or vb == nodata:
         return IMPASSABLE
-    run = grid.cellsize * (SQRT2 if dr != 0 and dc != 0 else 1.0)
-    slope = abs(vb - va) / run * 100.0
-    if slope > p.max_slope:
+    diagonal = dr != 0 and dc != 0
+    if diagonal and values[br, ac] == nodata and values[ar, bc] == nodata:
         return IMPASSABLE
-    if p.kind == KIND_HUMAN:
-        r = _slope_curve(1.0 - p.reduction_at_ref / 100.0, p.ref_slope, slope)
-    else:
-        r = _slope_curve(p.r_slope_at_ref, p.ref_slope, slope) * p.r_load
-    return run / (p.s_flat * r)
+    run = grid.cellsize * (SQRT2 if diagonal else 1.0)
+    v = speed(p, abs(vb - va) / run * 100.0)
+    return run / v if v > 0.0 else IMPASSABLE

@@ -482,10 +482,12 @@ def _run_episode(
     goal = plan.waypoints[-1]
 
     blocked = env.cell_blocked
+    s = None
     for step in range(1, step_cap + 1):
         env.now = step
         was_blocked = detect_block(blocked, plan, wi)
-        s = build_local_state(grid, blocked, cell, plan, wi)
+        if s is None:
+            s = build_local_state(grid, blocked, cell, plan, wi)
         if was_blocked:
             adapting = True
             a = select_action(q, s, epsilon, rng)
@@ -533,6 +535,7 @@ def _run_episode(
         if learn:
             s_next = build_local_state(grid, blocked, cell, plan, wi)
             q_update(q, s, a, r, s_next, params)
+        s = s_next if learn else None  # same cell, wi and clock next step
 
         if rejoined and adapting:
             adapting = False
@@ -659,7 +662,10 @@ def load_qtable(f: IO[str]) -> tuple[QTable, dict]:
     q = QTable.zeros()
     for _ in range(meta["entries"]):
         s_str, a_str, v_str = f.readline().split()
-        q.values[int(s_str), int(a_str)] = float(v_str)
+        si, ai = int(s_str), int(a_str)
+        if not (0 <= si < N_STATES and 0 <= ai < N_ACTIONS):
+            raise ValueError(f"qtable entry ({si}, {ai}) out of range")
+        q.values[si, ai] = float(v_str)
     return q, meta
 
 

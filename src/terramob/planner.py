@@ -5,10 +5,12 @@ distance divided by the profile's flat-terrain speed (admissible because no
 edge can be walked faster), and ties are broken deterministically: larger g
 first, then (row, col) order.
 
-A* carries its own inlined edge-cost and heuristic kernel over flat node ids.
-The uniform-cost oracle (``dijkstra_all``) weighs each edge with the scalar
-``agents.traversal_time`` instead (``terrain.step_run`` meters in distance
-mode), so the optimality tests compare two separately written kernels.
+A* carries its own inlined copy of the edge rule (``agents.traversal_time``:
+bounds, nodata, sealed corners, slope limit) and of the speed law
+(``agents.speed``) over flat node ids, which is faster than calling them
+per edge. The uniform-cost oracle (``dijkstra_all``) weighs each edge with
+``traversal_time`` itself (``terrain.step_run`` meters in distance mode), so
+the optimality tests compare two separately written kernels.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ def astar(
     at a time, so a search costs nothing proportional to the grid size. The
     edge cost and the heuristic are inlined: they repeat the arithmetic of
     ``traversal_time`` and ``heuristic`` operation for operation, so every
-    edge weight is bit-identical to the scalar speed law.
+    edge weight is bit-identical to ``agents.speed``, and every edge
+    ``traversal_time`` refuses is skipped.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -127,7 +130,7 @@ def astar(
              for dr, dc in NEIGHBOR_OFFSETS]
 
     # Speed-law constants. r_drop is 1 - r_at_ref with r_at_ref computed as
-    # traversal_time computes it (1 - reduction/100 rounds differently from
+    # agents.speed computes it (1 - reduction/100 rounds differently from
     # reduction/100). Humans carry no load factor; multiplying by 1.0 is exact.
     timed = objective == "time"
     s_flat = p.s_flat
@@ -199,6 +202,11 @@ def astar(
             else:
                 ng = g + run
             if ng < g_best.get(nb, math.inf):
+                # sealed corner: both flanks of a diagonal are nodata; tested
+                # only on relaxing edges, where it is cheapest
+                if (dr and dc and value(node + dr * ncols) == nodata
+                        and value(node + dc) == nodata):
+                    continue
                 g_best[nb] = ng
                 parent[nb] = node
                 heappush(open_heap, (ng + bound(nrow, ncol), -ng, nb))
@@ -257,8 +265,9 @@ def dijkstra_all(
     """Uniform-cost distances from ``source`` to every reachable cell.
 
     Written independently of the A* code path so it can serve as an oracle.
-    Impassability (slope limit, nodata) is the same under both objectives;
-    only the minimized quantity changes.
+    Impassability (``traversal_time``: bounds, nodata, sealed corners, slope
+    limit) is the same under both objectives; only the minimized quantity
+    changes.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")

@@ -379,14 +379,14 @@ class World:
                 if xy is None or math.hypot(xy[0] - agent.position[0],
                                             xy[1] - agent.position[1]) < 1e-9:
                     return self._commit(agent, ACTION_STAY)
-                result = speed(agent.profile, 0.0)
+                v = speed(agent.profile, 0.0)
                 agent.edge_source = None
                 agent.edge_target = agent.cell
                 agent.edge_target_xy = agent.chase_xy
-                agent.edge_speed = result.speed
+                agent.edge_speed = v
                 agent.edge_slope = 0.0
                 agent.last_action = "close"
-                agent.last_speed = result.speed
+                agent.last_speed = v
                 return True
             return self._commit(agent, greedy_step(
                 self.grid, agent.profile, agent.cell, agent.chase_cell,
@@ -433,14 +433,14 @@ class World:
         dr, dc = ACTIONS[action]
         dest = CellIndex(agent.cell[0] + dr, agent.cell[1] + dc)
         sample = slope_percent(self.grid, agent.cell, dest)
-        result = speed(agent.profile, sample.percent)
+        v = speed(agent.profile, sample.percent)
         agent.edge_source = agent.cell
         agent.edge_target = dest
         agent.edge_target_xy = self.grid.cell_center(dest)
-        agent.edge_speed = result.speed
+        agent.edge_speed = v
         agent.edge_slope = sample.percent
         agent.last_action = ACTION_NAMES[action]
-        agent.last_speed = result.speed
+        agent.last_speed = v
         return True
 
     def _at_center(self, agent: AgentRuntime, t0: float, dt: float,
@@ -560,6 +560,11 @@ class TransportSpec:
     routes: tuple[RouteSpec, ...]
 
 
+# What converting one JSON entry can raise: a missing key, a wrong type, a
+# bad value, or a float too large for int() (JSON allows 1e999).
+_ENTRY_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
 def _list_entry(obj: dict, key: str) -> list:
     value = obj.get(key, [])
     if not isinstance(value, list):
@@ -603,7 +608,7 @@ class ScenarioConfig:
             dt = float(sim.get("dt", 1.0))
             max_sim_time = float(sim.get("max_sim_time", 86400.0))
             observer_height = float(sim.get("observer_height", 1.7))
-        except (TypeError, ValueError) as exc:
+        except _ENTRY_ERRORS as exc:
             raise ConfigError(f"sim: {exc}") from None
         check_run_length(dt, max_sim_time)
 
@@ -618,7 +623,7 @@ class ScenarioConfig:
                     goal=CellIndex(*[int(v) for v in a["goal"]]),
                     qtable=a.get("qtable"),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except _ENTRY_ERRORS as exc:
                 raise ConfigError(f"agents[{i}]: {exc}") from None
             if not isinstance(spec.qtable, (str, type(None))):
                 raise ConfigError(f"'agents[{i}].qtable' must be a string")
@@ -637,7 +642,7 @@ class ScenarioConfig:
                     (float(s), float(e)) for s, e in ob["schedule"]
                 )
                 obstacles.append(Obstacle(cells, schedule))
-            except (KeyError, TypeError, ValueError) as exc:
+            except _ENTRY_ERRORS as exc:
                 raise ConfigError(f"obstacles[{i}]: {exc}") from None
 
         rules = []
@@ -650,7 +655,7 @@ class ScenarioConfig:
                     effort_budget=float(r["effort_budget"]),
                     capture_radius=float(r["capture_radius"]),
                 ))
-            except (KeyError, TypeError, ValueError) as exc:
+            except _ENTRY_ERRORS as exc:
                 raise ConfigError(f"pursuit_rules[{i}]: {exc}") from None
         for r in rules:
             for label, aid in (("pursuer", r.pursuer), ("target", r.target)):
@@ -665,16 +670,17 @@ class ScenarioConfig:
         if "transport" in obj:
             tr = obj["transport"]
             try:
-                routes = tuple(
-                    RouteSpec(
+                routes = []
+                for j, rt in enumerate(tr["routes"]):
+                    if not isinstance(rt, dict):
+                        raise ValueError(f"routes[{j}] must be an object")
+                    routes.append(RouteSpec(
                         name=str(rt.get("name", f"route_{j}")),
                         start=CellIndex(*[int(v) for v in rt["start"]]),
                         goal=CellIndex(*[int(v) for v in rt["goal"]]),
-                    )
-                    for j, rt in enumerate(tr["routes"])
-                )
-                transport = TransportSpec(tr["a"], tr["b"], routes)
-            except (KeyError, TypeError, ValueError) as exc:
+                    ))
+                transport = TransportSpec(tr["a"], tr["b"], tuple(routes))
+            except _ENTRY_ERRORS as exc:
                 raise ConfigError(f"transport: {exc}") from None
 
         return cls(

@@ -1,15 +1,16 @@
 """Elevation rasters and the geometry queries the rest of the package builds on.
 
 Grids are immutable row-major arrays with ESRI ASCII text I/O, slope and
-adjacency queries, exact line-of-sight / viewshed tests, and a handful of
-synthetic terrain generators for desk-scale scenarios.
+step-length queries, exact line-of-sight / viewshed tests, and a handful of
+synthetic terrain generators for desk-scale scenarios. Which steps can be
+walked is decided by ``agents.traversal_time``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -251,7 +252,7 @@ def _looks_numeric(token: str) -> bool:
 def _check_header(header: dict[str, float], lines: dict[str, int]) -> None:
     for key in ("ncols", "nrows"):
         v = header[key]
-        if v != int(v) or int(v) <= 0:
+        if not (math.isfinite(v) and v == int(v) and v > 0):
             raise GridFormatError(
                 f"{key} must be a positive integer, got {v}", lines[key]
             )
@@ -303,32 +304,6 @@ def slope_percent(grid: ElevationGrid, a: CellIndex, b: CellIndex) -> SlopeSampl
             raise ValueError(f"cell {tuple(c)} is nodata")
     rise = grid.elevation(b) - grid.elevation(a)
     return SlopeSample(percent=abs(rise) / run * 100.0, rise=rise, run=run)
-
-
-def neighbors(grid: ElevationGrid, c: CellIndex) -> list[CellIndex]:
-    """In-bounds, non-nodata 8-neighbors of ``c``.
-
-    A diagonal neighbor is dropped when both of its flanking orthogonal
-    cells are nodata, so paths cannot slip through a sealed corner.
-    """
-    if not grid.in_bounds(c):
-        raise ValueError(f"cell {tuple(c)} out of bounds")
-    out = []
-    for dr, dc in NEIGHBOR_OFFSETS:
-        nb = CellIndex(c[0] + dr, c[1] + dc)
-        if not grid.in_bounds(nb) or grid.is_nodata(nb):
-            continue
-        if dr != 0 and dc != 0:
-            side_a = CellIndex(c[0] + dr, c[1])
-            side_b = CellIndex(c[0], c[1] + dc)
-            if _blocked(grid, side_a) and _blocked(grid, side_b):
-                continue
-        out.append(nb)
-    return out
-
-
-def _blocked(grid: ElevationGrid, c: CellIndex) -> bool:
-    return not grid.in_bounds(c) or grid.is_nodata(c)
 
 
 # ---------------------------------------------------------------------------
@@ -455,22 +430,6 @@ def viewshed(
     return mask
 
 
-def write_viewshed_pgm(mask: np.ndarray, f: IO[str]) -> None:
-    """Write a visibility mask as plain PGM (P2): 0 = hidden, 1 = visible."""
-    nrows, ncols = mask.shape
-    f.write("P2\n")
-    f.write(f"{ncols} {nrows}\n")
-    f.write("1\n")
-    for r in range(nrows):
-        f.write(" ".join("1" if mask[r, c] else "0" for c in range(ncols)) + "\n")
-
-
-def write_viewshed_csv(mask: np.ndarray, f: IO[str]) -> None:
-    nrows, ncols = mask.shape
-    for r in range(nrows):
-        f.write(",".join("1" if mask[r, c] else "0" for c in range(ncols)) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Synthetic terrain
 # ---------------------------------------------------------------------------
@@ -595,18 +554,21 @@ def grid_from_recipe(spec: str | dict) -> ElevationGrid:
                 params[key.strip()] = _coerce(val.strip())
         spec = {"recipe": kind.strip(), **params}
     spec = dict(spec)
-    kind = str(spec.pop("recipe"))
     try:
+        kind = str(spec.pop("recipe"))
         nrows = int(spec.pop("nrows"))
         ncols = int(spec.pop("ncols"))
-    except KeyError as exc:
-        raise ValueError(f"recipe needs {exc.args[0]}") from None
-    cellsize = float(spec.pop("cellsize", 30.0))
-    xll = float(spec.pop("xll", 0.0))
-    yll = float(spec.pop("yll", 0.0))
-    return make_synthetic(
-        kind, nrows=nrows, ncols=ncols, cellsize=cellsize, xll=xll, yll=yll, **spec
-    )
+        cellsize = float(spec.pop("cellsize", 30.0))
+        xll = float(spec.pop("xll", 0.0))
+        yll = float(spec.pop("yll", 0.0))
+        return make_synthetic(
+            kind, nrows=nrows, ncols=ncols, cellsize=cellsize, xll=xll,
+            yll=yll, **spec
+        )
+    except KeyError as exc:  # a missing recipe name or parameter
+        raise ValueError(f"recipe needs a {exc.args[0]!r} entry") from None
+    except (TypeError, OverflowError) as exc:  # a parameter of the wrong type
+        raise ValueError(f"bad recipe parameter: {exc}") from None
 
 
 def _coerce(val: str):

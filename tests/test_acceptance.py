@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import terramob.planner as planner
-from terramob.agents import animal_speed, builtin_profile, builtin_profiles, speed
+from terramob.agents import builtin_profile, builtin_profiles, speed
 from terramob.cli import main
 from terramob.local_adapt import (
     CorridorEnv,
@@ -70,7 +70,7 @@ def test_criterion_1_mobility_tables():
     if len(profiles) != 6:
         failures.append(f"expected 6 built-ins, got {len(profiles)}")
     for p in profiles:
-        got = speed(p, p.ref_slope).speed
+        got = speed(p, p.ref_slope)
         want = expected[p.name]
         if abs(got - want) > 0.005:
             failures.append(f"{p.name}: {got} vs {want}")
@@ -263,7 +263,7 @@ def test_criterion_5_transport_desk_scale():
 
     # documentation fixture: a straight 24 km route at the published mule
     # speed lands below the 7.5-9 h reference band, within 15 percent of it
-    mule_speed = round(animal_speed(mule, 25.0).speed, 2)
+    mule_speed = round(speed(mule, 25.0), 2)
     if mule_speed != 0.96:
         failures.append(f"mule reference speed {mule_speed} != 0.96")
     hours = 24_000.0 / mule_speed / 3600.0

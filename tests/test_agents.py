@@ -6,99 +6,96 @@ from hypothesis import given, settings, strategies as st
 
 from terramob.agents import (
     IMPASSABLE,
+    MIN_SLOPE_REDUCTION,
     AgentProfile,
-    animal_speed,
     builtin_profile,
     builtin_profiles,
-    human_speed,
     profile_from_spec,
-    reduction_factor,
     speed,
     traversal_time,
 )
 from terramob.terrain import CellIndex, make_synthetic
 
 
+def _human(reduction_at_ref):
+    return AgentProfile(name="x", kind="human", s_flat=2.0, ref_slope=15.0,
+                        reduction_at_ref=reduction_at_ref)
+
+
 class TestReductionFactor:
+    """A human's percent reduction is its speed factor at the reference."""
+
     def test_worked_example(self):
-        assert reduction_factor(40.0) == pytest.approx(0.60)
+        assert speed(_human(40.0), 15.0) == pytest.approx(0.60 * 2.0)
 
     def test_no_reduction(self):
-        assert reduction_factor(0.0) == 1.0
+        assert speed(_human(0.0), 15.0) == 2.0
 
     def test_adopted_load_reduction(self):
-        assert reduction_factor(25.0) == pytest.approx(0.75)
+        assert speed(_human(25.0), 15.0) == pytest.approx(0.75 * 2.0)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            reduction_factor(-1.0)
+            _human(-1.0)
         with pytest.raises(ValueError):
-            reduction_factor(101.0)
+            _human(101.0)
 
     @given(st.floats(min_value=0.01, max_value=1.0))
     @settings(max_examples=200, deadline=None)
     def test_percent_round_trip(self, r):
-        assert reduction_factor(100.0 * (1.0 - r)) == pytest.approx(r, abs=1e-12)
+        # the slope curve is floored at MIN_SLOPE_REDUCTION
+        got = speed(_human(100.0 * (1.0 - r)), 15.0) / 2.0
+        assert got == pytest.approx(max(r, MIN_SLOPE_REDUCTION), abs=1e-12)
 
 
 class TestHumanSpeed:
     def test_fit_adult_at_reference(self):
-        p = builtin_profile("fit_adults")
-        res = human_speed(p, 15.0)
-        assert res.speed == pytest.approx(1.125, abs=0.005)
-        assert res.passable
+        assert speed(builtin_profile("fit_adults"), 15.0) == pytest.approx(
+            1.125, abs=0.005
+        )
 
     def test_elderly_at_reference(self):
-        assert human_speed(builtin_profile("elderly"), 15.0).speed == pytest.approx(
+        assert speed(builtin_profile("elderly"), 15.0) == pytest.approx(
             0.50, abs=0.005
         )
 
     def test_hostile_at_reference(self):
-        assert human_speed(builtin_profile("hostile"), 15.0).speed == pytest.approx(
+        assert speed(builtin_profile("hostile"), 15.0) == pytest.approx(
             1.44, abs=0.005
         )
 
     def test_flat_ground_is_full_speed(self):
         for p in builtin_profiles():
             if p.kind == "human":
-                assert human_speed(p, 0.0).speed == p.s_flat
+                assert speed(p, 0.0) == p.s_flat
 
     def test_impassable_above_max_slope(self):
         p = builtin_profile("fit_adults")
-        res = human_speed(p, p.max_slope + 0.1)
-        assert not res.passable and res.speed == 0.0
-
-    def test_animal_profile_rejected(self):
-        with pytest.raises(ValueError):
-            human_speed(builtin_profile("mule"), 10.0)
+        assert speed(p, p.max_slope + 0.1) == 0.0
 
     def test_negative_slope_rejected(self):
         with pytest.raises(ValueError):
-            human_speed(builtin_profile("elderly"), -1.0)
+            speed(builtin_profile("elderly"), -1.0)
 
 
 class TestAnimalSpeed:
     def test_ox_cart_at_reference(self):
-        res = animal_speed(builtin_profile("ox_cart"), 10.0)
-        assert res.speed == pytest.approx(0.84, abs=0.005)
-        assert res.speed == pytest.approx(0.84375)
+        v = speed(builtin_profile("ox_cart"), 10.0)
+        assert v == pytest.approx(0.84, abs=0.005)
+        assert v == pytest.approx(0.84375)
 
     def test_mule_at_reference(self):
-        res = animal_speed(builtin_profile("mule"), 25.0)
-        assert res.speed == pytest.approx(0.96, abs=0.005)
-        assert res.speed == pytest.approx(0.95625)
+        v = speed(builtin_profile("mule"), 25.0)
+        assert v == pytest.approx(0.96, abs=0.005)
+        assert v == pytest.approx(0.95625)
 
     def test_mule_on_flat_keeps_load_factor(self):
-        assert animal_speed(builtin_profile("mule"), 0.0).speed == pytest.approx(1.275)
-
-    def test_human_profile_rejected(self):
-        with pytest.raises(ValueError):
-            animal_speed(builtin_profile("elderly"), 10.0)
+        assert speed(builtin_profile("mule"), 0.0) == pytest.approx(1.275)
 
     def test_speed_result_consistency(self):
+        # s_flat * slope factor (linear from 1 to 0.9 at 10 %) * load factor
         p = builtin_profile("ox_cart")
-        res = animal_speed(p, 8.0)
-        assert res.speed == pytest.approx(p.s_flat * res.r_effective)
+        assert speed(p, 8.0) == pytest.approx(1.25 * (1.0 - 0.1 * 0.8) * 0.75)
 
 
 class TestBuiltinProfiles:
@@ -106,7 +103,7 @@ class TestBuiltinProfiles:
         assert len(builtin_profiles()) == 6
 
     def test_families_at_reference(self):
-        assert human_speed(builtin_profile("families"), 15.0).speed == pytest.approx(
+        assert speed(builtin_profile("families"), 15.0) == pytest.approx(
             0.78, abs=0.005
         )
 
@@ -129,14 +126,14 @@ class TestBuiltinProfiles:
             "mule": 0.96,
         }
         for p in builtin_profiles():
-            assert speed(p, p.ref_slope).speed == pytest.approx(
+            assert speed(p, p.ref_slope) == pytest.approx(
                 expected[p.name], abs=0.005
             ), p.name
 
     def test_speed_monotone_in_slope(self):
         for p in builtin_profiles():
             slopes = np.linspace(0.0, p.max_slope, 60)
-            speeds = [speed(p, s).speed for s in slopes]
+            speeds = [speed(p, s) for s in slopes]
             assert all(a >= b for a, b in zip(speeds, speeds[1:])), p.name
             assert all(0.0 < v <= p.s_flat for v in speeds), p.name
 

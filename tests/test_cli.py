@@ -272,6 +272,65 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg)]) == EXIT_BAD_INPUT
 
 
+class TestMalformedInput:
+    """Each input here once ended in a traceback; now exit 3, one line."""
+
+    @pytest.mark.parametrize("command", ["plan", "simulate"])
+    def test_infinite_asc_dimension(self, tmp_path, capsys, command):
+        asc = tmp_path / "inf.asc"
+        asc.write_text("ncols inf\nnrows 1\nxllcorner 0\nyllcorner 0\n"
+                       "cellsize 30\n1 2\n")
+        if command == "plan":
+            argv = ["plan", "--terrain", str(asc), "--profile", "mule",
+                    "--start", "0,0", "--goal", "0,1"]
+        else:
+            obj = json.loads(json.dumps(SCENARIO))
+            obj["terrain"] = "inf.asc"
+            argv = ["simulate", "--config", str(write_scenario(tmp_path, obj))]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            "error: line 1: ncols must be a positive integer, got inf\n")
+
+    def _simulate_err(self, tmp_path, capsys, obj):
+        cfg = write_scenario(tmp_path, obj)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        return capsys.readouterr().err
+
+    def test_recipe_without_name(self, tmp_path, capsys):
+        obj = json.loads(json.dumps(SCENARIO))
+        obj["terrain"] = {"nrows": 4, "ncols": 4}
+        err = self._simulate_err(tmp_path, capsys, obj)
+        assert err == "error: recipe needs a 'recipe' entry\n"
+
+    def test_transport_route_not_an_object(self, tmp_path, capsys):
+        obj = json.loads(json.dumps(SCENARIO))
+        obj["transport"]["routes"] = [5]
+        err = self._simulate_err(tmp_path, capsys, obj)
+        assert err == "error: transport: routes[0] must be an object\n"
+
+    @pytest.mark.parametrize("where", ["sim", "agents[0]", "transport"])
+    def test_number_too_large_for_int(self, tmp_path, capsys, where):
+        obj = json.loads(json.dumps(SCENARIO))
+        if where == "sim":
+            obj["sim"]["seed"] = float("inf")  # written as JSON Infinity
+        elif where == "agents[0]":
+            obj["agents"][0]["start"] = [float("inf"), 0]
+        else:
+            obj["transport"]["routes"][0]["goal"] = [6, float("-inf")]
+        err = self._simulate_err(tmp_path, capsys, obj)
+        assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+
+    def test_qtable_entry_out_of_range(self, tmp_path, capsys):
+        (tmp_path / "q.txt").write_text(
+            "terramob-qtable 1\nstates 8192\nactions 9\ngamma 0.95\n"
+            "alpha 0.1\nseed 0\nepisodes 0\nentries 1\n99999 0 1.0\n")
+        obj = json.loads(json.dumps(SCENARIO))
+        obj["agents"][0]["qtable"] = "q.txt"
+        err = self._simulate_err(tmp_path, capsys, obj)
+        assert err == "error: qtable entry (99999, 0) out of range\n"
+
+
 class TestReport:
     def test_reference_fixture_reductions(self, capsys):
         rc = main(["report", str(FIXTURE)])

@@ -1,0 +1,181 @@
+"""Malformed-input fuzzing of every parser behind the CLI.
+
+Whatever a scenario file, an ``.asc`` grid, a recipe or a q-table holds,
+the parser either returns or raises ValueError (ConfigError and
+GridFormatError are ValueErrors), which the CLI turns into exit 3 with one
+``error:`` line. Any other exception would be a traceback. Grid sizes are
+drawn small so that no case allocates a large grid.
+"""
+
+import io
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from terramob.local_adapt import load_qtable
+from terramob.sim import ScenarioConfig
+from terramob.terrain import RECIPES, grid_from_recipe, parse_ascii_grid
+
+FUZZ = settings(max_examples=300, deadline=None)
+
+scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+    # JSON's 1e999 and NaN, common enough to reach every int()/float()
+    st.sampled_from([float("inf"), float("-inf"), float("nan")]),
+)
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+# A scenario using every section; cases replace or delete parts of it.
+VALID_SCENARIO = {
+    "terrain": {"recipe": "flat", "nrows": 4, "ncols": 4},
+    "sim": {"seed": 1, "dt": 1.0, "max_sim_time": 60.0,
+            "observer_height": 1.7},
+    "agents": [{"id": "a", "profile": "mule", "start": [0, 0],
+                "goal": [3, 3], "qtable": "q.txt"},
+               {"id": "b", "profile": {"base": "hostile"}, "start": [3, 0],
+                "goal": [0, 3]}],
+    "profiles": [{"base": "mule", "max_slope": 20.0}],
+    "obstacles": [{"cells": [[1, 1], [1, 2]], "schedule": [[0.0, 5.0]]}],
+    "pursuit_rules": [{"pursuer": "b", "target": "a", "los_loss_limit": 30.0,
+                       "effort_budget": 100.0, "capture_radius": 1.0}],
+    "transport": {"a": "ox_cart", "b": "mule",
+                  "routes": [{"name": "r", "start": [0, 0], "goal": [3, 3]}]},
+    "outputs": "out",
+    "strict": False,
+}
+DELETE = object()
+
+
+def _paths(obj, prefix=()):
+    """Every key or index path into a JSON document, the root excluded."""
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _paths(v, prefix + (k,))
+
+
+def _mutate(doc, edits):
+    doc = json.loads(json.dumps(doc))
+    for path, value in edits:
+        parent = doc
+        try:
+            for k in path[:-1]:
+                parent = parent[k]
+            if value is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            pass  # an earlier edit removed or replaced this path
+    return doc
+
+
+scenarios = st.one_of(
+    st.lists(st.tuples(st.sampled_from(list(_paths(VALID_SCENARIO))),
+                       values | st.just(DELETE)), min_size=1, max_size=3)
+    .map(lambda edits: _mutate(VALID_SCENARIO, edits)),
+    values,
+)
+
+
+def _rejects_cleanly(parse, arg):
+    try:
+        parse(arg)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=1000, deadline=None)
+@given(scenarios)
+def test_scenario_from_dict(obj):
+    _rejects_cleanly(ScenarioConfig.from_dict, obj)
+
+
+dims = st.sampled_from(["1", "2", "3", "0", "-2", "2.5", "inf", "-inf", "nan",
+                        "1e999", "1e9", "x"])
+numbers = st.sampled_from(["0", "1.5", "-9999", "nan", "inf", "1e999", "x",
+                           "-0"])
+# The five required keys (values fuzzed), maybe NODATA_value, any order.
+header_lines = st.tuples(
+    st.tuples(st.sampled_from(["ncols", "NCOLS"]), dims),
+    st.tuples(st.just("nrows"), dims),
+    st.tuples(st.just("xllcorner"), numbers),
+    st.tuples(st.just("yllcorner"), numbers),
+    st.tuples(st.just("cellsize"), st.sampled_from(["30", "0", "-1", "nan"])),
+    st.lists(st.tuples(st.sampled_from(["NODATA_value", "bogus"]), numbers),
+             max_size=1),
+).map(lambda t: [" ".join(kv) for kv in (*t[:5], *t[5])])
+header_lines = header_lines.flatmap(st.permutations)
+data_lines = st.lists(st.lists(numbers, max_size=4).map(" ".join), max_size=4)
+
+
+@FUZZ
+@given(st.one_of(
+    st.tuples(header_lines, data_lines).map(
+        lambda hd: "\n".join(hd[0] + hd[1])),
+    st.text(max_size=60),
+))
+def test_parse_ascii_grid(text):
+    _rejects_cleanly(parse_ascii_grid, text)
+
+
+small = st.one_of(st.integers(-2, 6), st.sampled_from(
+    [2.5, float("nan"), float("inf"), "3", "x", None, [1], {}]))
+recipe_params = {k: values for k in (
+    "h", "slope", "axis", "height", "position", "peak", "radius", "gentle",
+    "steep", "cellsize", "xll", "yll", "nodata", "kind", "extra")}
+recipes = st.fixed_dictionaries({}, optional={
+    "recipe": st.sampled_from(RECIPES + ("nope",)) | values,
+    "nrows": small, "ncols": small, **recipe_params,
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    recipes,
+    recipes.map(lambda d: f"{d.get('recipe', '')}:" + ",".join(
+        f"{k}={v}" for k, v in d.items() if k != "recipe")),
+    st.text(max_size=30),
+))
+def test_grid_from_recipe(spec):
+    _rejects_cleanly(grid_from_recipe, spec)
+
+
+qtable_fields = [("states", "8192", ["1", "x"]),
+                 ("actions", "9", ["8", ""]),
+                 ("gamma", "0.95", ["nan", "x"]),
+                 ("alpha", "0.1", ["inf"]),
+                 ("seed", "0", ["-1", "1.5"]),
+                 ("episodes", "10", ["x"]),
+                 ("entries", "1", ["0", "3", "-1", "1000000000", "x"])]
+entry_lines = st.one_of(
+    st.tuples(st.integers(-2, 9000), st.integers(-2, 10),
+              st.sampled_from(["1.0", "-2.5", "nan", "inf", "x"]))
+    .map(lambda t: f"{t[0]} {t[1]} {t[2]}"),
+    st.text(max_size=12),
+)
+# Half the cases keep the whole header valid and so reach the entries.
+good_header = ["terramob-qtable 1"] + [f"{k} {ok}"
+                                       for k, ok, _ in qtable_fields]
+bad_header = st.tuples(
+    st.sampled_from(["terramob-qtable 1", "nope"]),
+    *[st.sampled_from([f"{k} {ok}", k] + [f"{k} {v}" for v in bad])
+      for k, ok, bad in qtable_fields],
+).map(list)
+qtables = st.tuples(
+    st.just(good_header) | bad_header,
+    st.lists(entry_lines, min_size=1, max_size=4),
+).map(lambda t: "\n".join(t[0] + t[1]) + "\n")
+
+
+@FUZZ
+@given(st.one_of(qtables, st.text(max_size=80)))
+def test_load_qtable(text):
+    _rejects_cleanly(load_qtable, io.StringIO(text))

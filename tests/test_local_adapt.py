@@ -482,3 +482,13 @@ class TestPersistence:
     def test_bad_header_rejected(self):
         with pytest.raises(ValueError):
             load_qtable(io.StringIO("not a table\n"))
+
+    @pytest.mark.parametrize("entry", ["99999 0 1.0", "-1 0 7.0", "0 9 1.0",
+                                       "0 -1 1.0"])
+    def test_entry_out_of_range_rejected(self, entry):
+        buf = io.StringIO()
+        save_qtable(QTable.zeros(), buf, gamma=0.9, alpha=0.5, seed=0,
+                    episodes=0)
+        text = buf.getvalue().replace("entries 0", "entries 1") + entry + "\n"
+        with pytest.raises(ValueError, match="out of range"):
+            load_qtable(io.StringIO(text))

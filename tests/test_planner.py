@@ -84,6 +84,25 @@ class TestAstar:
             astar(grid, builtin_profile("fit_adults"), CellIndex(0, 0),
                   CellIndex(9, 9))
 
+    @pytest.mark.parametrize("objective", ["time", "distance"])
+    @pytest.mark.parametrize("holes", [
+        # 3x3 checkerboard: corners and center open, every diagonal between
+        # them flanked by two nodata cells
+        [(0, 1), (1, 0), (1, 2), (2, 1)],
+        # a diagonal wall from (0, 9) to (9, 0) on 10x10
+        [(r, 9 - r) for r in range(10)],
+    ], ids=["checkerboard", "diagonal_wall"])
+    def test_no_path_through_sealed_corners(self, holes, objective):
+        n = max(r for r, _ in holes) + 1
+        grid = make_synthetic("flat", nrows=n, ncols=n, h=0.0)
+        grid = grid.with_nodata([CellIndex(r, c) for r, c in holes])
+        p = builtin_profile("fit_adults")
+        start, goal = CellIndex(0, 0), CellIndex(n - 1, n - 1)
+        with pytest.raises(NoPathError):
+            astar(grid, p, start, goal, objective)
+        with pytest.raises(NoPathError):
+            dijkstra_oracle(grid, p, start, goal, objective)
+
     def test_untraversable_endpoint_rejected(self, flat10):
         grid = flat10.with_nodata([CellIndex(0, 0)])
         with pytest.raises(ValueError):

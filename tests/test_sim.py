@@ -187,6 +187,22 @@ class TestStep:
         assert report.agents[0]["outcome"] == "no_path"
         assert report.agents[0]["duration_s"] == 0.0
 
+    def test_sealed_corner_agent_reported_no_path(self, tmp_path):
+        # 3x3 checkerboard: (0,0) reaches (2,2) only through sealed corners
+        from terramob.terrain import make_synthetic
+        grid = make_synthetic("flat", nrows=3, ncols=3, cellsize=30.0, h=0.0)
+        board = grid.with_nodata([CellIndex(0, 1), CellIndex(1, 0),
+                                  CellIndex(1, 2), CellIndex(2, 1)])
+        (tmp_path / "board.asc").write_text(serialize_ascii_grid(board))
+        cfg = ScenarioConfig.from_dict({
+            "terrain": "board.asc",
+            "agents": [{"id": "a1", "profile": "fit_adults",
+                        "start": [0, 0], "goal": [2, 2]}],
+            "sim": {"dt": 1.0, "max_sim_time": 100, "seed": 1},
+        }, base_dir=tmp_path)
+        report, _ = run_scenario(cfg)
+        assert report.agents[0]["outcome"] == "no_path"
+
 
 class TestPursuit:
     def test_flat_interception_closed_form(self):

@@ -1,4 +1,3 @@
-import io
 import math
 from fractions import Fraction
 
@@ -6,21 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from terramob.agents import builtin_profile, traversal_time
 from terramob.terrain import (
     CellIndex,
     ElevationGrid,
     GridFormatError,
+    NEIGHBOR_OFFSETS,
     grid_from_recipe,
     line_of_sight,
     make_synthetic,
-    neighbors,
     parse_ascii_grid,
     serialize_ascii_grid,
     slope_percent,
     two_corridor_endpoints,
     viewshed,
-    write_viewshed_csv,
-    write_viewshed_pgm,
 )
 from conftest import rough_grid
 
@@ -171,6 +169,17 @@ class TestSlope:
 # Neighbors
 # ---------------------------------------------------------------------------
 
+def neighbors(grid, c):
+    """The 8-neighbors ``traversal_time`` lets a fit adult step to from c."""
+    p = builtin_profile("fit_adults")
+    out = []
+    for dr, dc in NEIGHBOR_OFFSETS:
+        nb = CellIndex(c[0] + dr, c[1] + dc)
+        if math.isfinite(traversal_time(p, grid, c, nb)):
+            out.append(nb)
+    return out
+
+
 class TestNeighbors:
     def test_interior_cell_has_8(self, flat10):
         assert len(neighbors(flat10, CellIndex(5, 5))) == 8
@@ -185,6 +194,8 @@ class TestNeighbors:
         grid = ElevationGrid(3, 3, 0, 0, 30.0, -9999.0, values)
         nbs = neighbors(grid, CellIndex(1, 1))
         assert CellIndex(0, 2) not in nbs
+        # ... in both directions
+        assert CellIndex(1, 1) not in neighbors(grid, CellIndex(0, 2))
         # with only one side open the diagonal is allowed
         values2 = np.zeros((3, 3))
         values2[0, 1] = -9999.0
@@ -383,15 +394,6 @@ class TestViewshed:
                     assert not mask[r, c]
                 else:
                     assert mask[r, c] == line_of_sight(grid, origin, cell)
-
-    def test_pgm_and_csv_export(self):
-        mask = np.array([[True, False], [False, True]])
-        pgm = io.StringIO()
-        write_viewshed_pgm(mask, pgm)
-        assert pgm.getvalue() == "P2\n2 2\n1\n1 0\n0 1\n"
-        csv = io.StringIO()
-        write_viewshed_csv(mask, csv)
-        assert csv.getvalue() == "1,0\n0,1\n"
 
 
 # ---------------------------------------------------------------------------
