@@ -15,10 +15,7 @@ from .agents import (
 from .local_adapt import (
     CorridorEnv,
     LearningParams,
-    LocalState,
-    QTable,
     RewardWeights,
-    StepEvent,
     evaluate_bypass,
     q_update,
     reward,

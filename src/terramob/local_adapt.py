@@ -3,8 +3,10 @@
 A tabular action-value function over a small discrete state (neighbor
 occupancy x waypoint direction x deviation bucket) picks bypass moves
 whenever the next step of an agent's committed global route is obstructed;
-otherwise a cost-greedy rule keeps the agent on the route. Tables are
-trained offline on randomized corridor episodes and frozen for simulation.
+otherwise a cost-greedy rule keeps the agent on the route. A table is a
+plain ``(N_STATES, N_ACTIONS)`` float array whose rows are indexed by the
+state code of ``build_local_state``; tables are trained offline on
+randomized corridor episodes and frozen for simulation.
 
 "Obstructed" is decided by one blocking predicate, a ``Callable[[CellIndex],
 bool]`` that ``detect_block``, ``build_local_state`` and ``greedy_step``
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Callable, Sequence
+from typing import IO, Callable
 
 import numpy as np
 
@@ -42,40 +44,6 @@ N_DIRECTIONS = 8
 N_DEVIATION_BUCKETS = 4
 N_STATES = N_OCCUPANCY * N_DIRECTIONS * N_DEVIATION_BUCKETS  # 8192
 
-EVENT_KINDS = ("collision", "delay", "deviation", "rejoin", "clear", "none")
-
-
-@dataclass(frozen=True)
-class LocalState:
-    """Discrete navigation context for the bypass policy."""
-
-    occupancy: tuple[bool, ...]  # blocked flags for the 8 neighbor cells
-    waypoint_dir: int            # compass bucket toward the tracked waypoint
-    deviation_bucket: int        # 0, 1, 2 cells off-route, or 3 for >= 3
-
-    def __post_init__(self):
-        if len(self.occupancy) != 8:
-            raise ValueError("occupancy must have 8 entries")
-        if not 0 <= self.waypoint_dir < N_DIRECTIONS:
-            raise ValueError("waypoint_dir out of range")
-        if not 0 <= self.deviation_bucket < N_DEVIATION_BUCKETS:
-            raise ValueError("deviation_bucket out of range")
-
-    def encode(self) -> int:
-        bits = 0
-        for i, occ in enumerate(self.occupancy):
-            if occ:
-                bits |= 1 << i
-        return bits | (self.waypoint_dir << 8) | (self.deviation_bucket << 11)
-
-    @classmethod
-    def decode(cls, code: int) -> "LocalState":
-        if not 0 <= code < N_STATES:
-            raise ValueError("state code out of range")
-        occ = tuple(bool(code & (1 << i)) for i in range(8))
-        return cls(occ, (code >> 8) & 0x7, (code >> 11) & 0x3)
-
-
 @dataclass(frozen=True)
 class RewardWeights:
     """Magnitudes of the shaping terms; the reward function applies signs."""
@@ -93,33 +61,21 @@ class RewardWeights:
                 raise ValueError(f"{name} must be non-negative")
 
 
-@dataclass(frozen=True)
-class StepEvent:
-    """One classified outcome per step; ``amount`` carries dt or d_t."""
-
-    kind: str
-    amount: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        if self.kind in ("delay", "deviation") and self.amount < 0:
-            raise ValueError(f"{self.kind} amount must be non-negative")
-
-
-def reward(event: StepEvent, w: RewardWeights) -> float:
-    """Scalar reward for a classified step event."""
-    if event.kind == "collision":
+def reward(kind: str, amount: float, w: RewardWeights) -> float:
+    """Scalar reward for one classified step; ``amount`` carries dt or d_t."""
+    if kind == "collision":
         return -w.collision
-    if event.kind == "delay":
-        return -w.delay_per_second * event.amount
-    if event.kind == "deviation":
-        return -w.deviation_per_cell * event.amount
-    if event.kind == "rejoin":
+    if kind == "delay":
+        return -w.delay_per_second * amount
+    if kind == "deviation":
+        return -w.deviation_per_cell * amount
+    if kind == "rejoin":
         return w.rejoin
-    if event.kind == "clear":
+    if kind == "clear":
         return w.clear
-    return 0.0
+    if kind == "none":
+        return 0.0
+    raise ValueError(f"unknown event kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -156,70 +112,39 @@ class LearningParams:
         return self.epsilon_start + (self.epsilon_end - self.epsilon_start) * frac
 
 
-class QTable:
-    """Dense action-value table with per-entry visit counts."""
-
-    def __init__(self, values: np.ndarray | None = None,
-                 visits: np.ndarray | None = None):
-        self.values = (
-            np.zeros((N_STATES, N_ACTIONS)) if values is None
-            else np.asarray(values, dtype=float)
-        )
-        self.visits = (
-            np.zeros((N_STATES, N_ACTIONS), dtype=np.int64) if visits is None
-            else np.asarray(visits, dtype=np.int64)
-        )
-        if self.values.shape != (N_STATES, N_ACTIONS):
-            raise ValueError("values must have shape (N_STATES, N_ACTIONS)")
-        if self.visits.shape != (N_STATES, N_ACTIONS):
-            raise ValueError("visits must have shape (N_STATES, N_ACTIONS)")
-
-    @classmethod
-    def zeros(cls) -> "QTable":
-        return cls()
-
-
 def q_update(
-    q: QTable,
-    s: LocalState,
+    q: np.ndarray,
+    s: int,
     a: int,
     r: float,
-    s_next: LocalState,
+    s_next: int,
     p: LearningParams,
-) -> QTable:
+) -> np.ndarray:
     """One temporal-difference backup on the (s, a) entry; returns ``q``."""
     if not 0 <= a < N_ACTIONS:
         raise ValueError(f"action {a} out of range")
-    si = s.encode()
-    ni = s_next.encode()
-    current = q.values[si, a]
-    target = r + p.gamma * float(np.max(q.values[ni]))
-    q.values[si, a] = current + p.alpha * (target - current)
-    q.visits[si, a] += 1
+    current = q[s, a]
+    target = r + p.gamma * float(np.max(q[s_next]))
+    q[s, a] = current + p.alpha * (target - current)
     return q
 
 
 def select_action(
-    q: QTable,
-    s: LocalState,
-    epsilon: float,
-    rng: np.random.Generator,
-    feasible: Sequence[int] | None = None,
+    q: np.ndarray,
+    s: int,
+    epsilon: float = 0.0,
+    rng: np.random.Generator | None = None,
 ) -> int:
-    """Epsilon-greedy action choice with lowest-index tie-breaking."""
+    """The table's move in state ``s``: the first maximum of its row.
+
+    With probability ``epsilon`` a uniform random action drawn from ``rng``
+    instead; ``rng`` is read only when ``epsilon > 0``.
+    """
     if not 0 <= epsilon <= 1:
         raise ValueError("epsilon must be in [0, 1]")
-    actions = list(range(N_ACTIONS)) if feasible is None else sorted(set(feasible))
-    if not actions:
-        return ACTION_STAY
     if epsilon > 0 and rng.random() < epsilon:
-        return actions[int(rng.integers(len(actions)))]
-    row = q.values[s.encode()]
-    best = actions[0]
-    for a in actions[1:]:
-        if row[a] > row[best]:
-            best = a
-    return best
+        return int(rng.integers(N_ACTIONS))
+    return int(np.argmax(q[s]))
 
 
 # ---------------------------------------------------------------------------
@@ -259,19 +184,21 @@ def build_local_state(
     cell: CellIndex,
     plan: PathPlan,
     waypoint_index: int,
-) -> LocalState:
-    """Observe the discrete local state around an agent.
+) -> int:
+    """The state code around an agent, a row index of a value table.
 
-    A neighbor is occupied when ``blocked`` says so, or when it is off the
-    grid or a nodata hole.
+    Bit i (0-7, action order) is set when neighbor i is off the grid, a
+    nodata hole, or ``blocked``; bits 8-10 hold the waypoint direction and
+    bits 11-12 the deviation bucket (0, 1, 2 cells off-route, 3 for more).
     """
-    occ = []
-    for dr, dc in NEIGHBOR_OFFSETS:
+    code = 0
+    for i, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
         nb = CellIndex(cell[0] + dr, cell[1] + dc)
-        occ.append(not grid.traversable(nb) or blocked(nb))
+        if not grid.traversable(nb) or blocked(nb):
+            code |= 1 << i
     wp = plan.waypoints[min(waypoint_index, len(plan.waypoints) - 1)]
     dev = min(deviation_cells(cell, plan), N_DEVIATION_BUCKETS - 1)
-    return LocalState(tuple(occ), waypoint_direction(cell, wp), dev)
+    return code | (waypoint_direction(cell, wp) << 8) | (dev << 11)
 
 
 def detect_block(blocked: Callable[[CellIndex], bool], plan: PathPlan,
@@ -455,7 +382,7 @@ class CorridorEnv:
 
 def _run_episode(
     env: CorridorEnv,
-    q: QTable,
+    q: np.ndarray,
     weights: RewardWeights,
     params: LearningParams,
     rng: np.random.Generator,
@@ -486,7 +413,8 @@ def _run_episode(
     for step in range(1, step_cap + 1):
         env.now = step
         was_blocked = detect_block(blocked, plan, wi)
-        if s is None:
+        # learning reads every state; evaluation only a blocked step's
+        if s is None and (learn or was_blocked):
             s = build_local_state(grid, blocked, cell, plan, wi)
         if was_blocked:
             adapting = True
@@ -505,7 +433,7 @@ def _run_episode(
             move_time = traversal_time(profile, grid, cell, dest)
             if not math.isfinite(move_time) or blocked(dest):
                 # walked into the bar or the corridor wall
-                r = reward(StepEvent("collision"), weights)
+                r = reward("collision", 0.0, weights)
                 total_r += r
                 if learn:
                     q_update(q, s, a, r, s, params)
@@ -521,16 +449,15 @@ def _run_episode(
         dev = deviation_cells(cell, plan)
 
         if rejoined and adapting:
-            event = StepEvent("rejoin")
+            r = reward("rejoin", 0.0, weights)
         elif was_blocked and not now_blocked and not rejoined:
-            event = StepEvent("clear")
+            r = reward("clear", 0.0, weights)
         elif dev > 0:
-            event = StepEvent("deviation", dev)
+            r = reward("deviation", dev, weights)
         elif wi == prev_wi and dev >= prev_dev:
-            event = StepEvent("delay", move_time)
+            r = reward("delay", move_time, weights)
         else:
-            event = StepEvent("none")
-        r = reward(event, weights)
+            r = reward("none", 0.0, weights)
         total_r += r
         if learn:
             s_next = build_local_state(grid, blocked, cell, plan, wi)
@@ -551,14 +478,14 @@ def train_bypass(
     env: CorridorEnv,
     weights: RewardWeights,
     params: LearningParams,
-) -> tuple[QTable, list[EpisodeStats]]:
+) -> tuple[np.ndarray, list[EpisodeStats]]:
     """Episodic training against randomized bar placements.
 
     Episodes start just before the blockage and end on rejoin, collision,
     or the step cap; the per-episode return/success series doubles as the
     learning curve.
     """
-    q = QTable.zeros()
+    q = np.zeros((N_STATES, N_ACTIONS))
     rng = np.random.default_rng(params.seed)
     curve: list[EpisodeStats] = []
     for ep in range(params.episodes):
@@ -575,7 +502,7 @@ def train_bypass(
 
 
 def evaluate_bypass(
-    q: QTable,
+    q: np.ndarray,
     env: CorridorEnv,
     episodes: int = 200,
     seed: int = 10_000,
@@ -623,7 +550,7 @@ _QTABLE_MAGIC = "terramob-qtable 1"
 
 
 def save_qtable(
-    q: QTable,
+    q: np.ndarray,
     f: IO[str],
     *,
     gamma: float,
@@ -639,13 +566,13 @@ def save_qtable(
     f.write(f"alpha {alpha!r}\n")
     f.write(f"seed {seed}\n")
     f.write(f"episodes {episodes}\n")
-    rows, cols = np.nonzero(q.values)
+    rows, cols = np.nonzero(q)
     f.write(f"entries {len(rows)}\n")
     for s, a in zip(rows.tolist(), cols.tolist()):
-        f.write(f"{s} {a} {float(q.values[s, a])!r}\n")
+        f.write(f"{s} {a} {float(q[s, a])!r}\n")
 
 
-def load_qtable(f: IO[str]) -> tuple[QTable, dict]:
+def load_qtable(f: IO[str]) -> tuple[np.ndarray, dict]:
     header = f.readline().rstrip("\n")
     if header != _QTABLE_MAGIC:
         raise ValueError(f"not a qtable file (header {header!r})")
@@ -659,13 +586,13 @@ def load_qtable(f: IO[str]) -> tuple[QTable, dict]:
         meta[key] = cast(value)
     if meta["states"] != N_STATES or meta["actions"] != N_ACTIONS:
         raise ValueError("state-space descriptor does not match this build")
-    q = QTable.zeros()
+    q = np.zeros((N_STATES, N_ACTIONS))
     for _ in range(meta["entries"]):
         s_str, a_str, v_str = f.readline().split()
         si, ai = int(s_str), int(a_str)
         if not (0 <= si < N_STATES and 0 <= ai < N_ACTIONS):
             raise ValueError(f"qtable entry ({si}, {ai}) out of range")
-        q.values[si, ai] = float(v_str)
+        q[si, ai] = float(v_str)
     return q, meta
 
 

@@ -30,7 +30,6 @@ from .local_adapt import (
     ACTION_NAMES,
     ACTION_STAY,
     ACTIONS,
-    QTable,
     build_local_state,
     detect_block,
     deviation_cells,
@@ -38,6 +37,7 @@ from .local_adapt import (
     greedy_step,
     load_qtable,
     rejoin_check,
+    select_action,
 )
 from .planner import NoPathError, PathPlan
 from .terrain import (
@@ -191,7 +191,7 @@ class AgentRuntime:
     id: str
     profile: AgentProfile
     plan: PathPlan | None
-    qtable: QTable | None = None
+    qtable: np.ndarray | None = None
     waypoint_index: int = 0
     mode: str = MODE_FOLLOWING
     outcome: str | None = None
@@ -262,9 +262,11 @@ class World:
         A cell is blocked by an obstacle active at the step's start time or
         by the step-start disc of any agent other than ``agent`` and its
         chase partner: a disc blocks the cells whose closed rectangle it
-        touches. Both come from the snapshot ``step`` takes once per step,
-        so every decision of a step sees the same scene. Only valid inside
-        ``step``.
+        touches. Agents in a terminal mode at the step's start (arrived,
+        intercepted, abandoned, ``no_path`` included) have left the scene
+        and have no disc. Both come from the snapshot ``step`` takes once
+        per step, so every decision of a step sees the same scene. Only
+        valid inside ``step``.
         """
         g = self.grid
         walls = self._walls
@@ -306,7 +308,7 @@ class World:
         self._discs = [
             (a.id, float(a.position[0]), float(a.position[1]),
              a.profile.body_radius * a.profile.body_radius)
-            for a in self.agents
+            for a in self.agents if a.mode not in TERMINAL_MODES
         ]
         for agent in self.agents:
             if agent.mode in TERMINAL_MODES:
@@ -402,11 +404,10 @@ class World:
         if chi:
             agent.mode = MODE_ADAPTING
             if agent.qtable is not None:
-                state = build_local_state(self.grid, blocked, agent.cell,
-                                          plan, wi)
-                action = int(np.argmax(agent.qtable.values[state.encode()]))
+                action = select_action(agent.qtable, build_local_state(
+                    self.grid, blocked, agent.cell, plan, wi))
             else:
-                # untrained agents sidestep by cost instead of a zero argmax;
+                # untrained agents sidestep by cost instead of an all-zero row;
                 # greedy_step already skips every move _entry_ok refuses
                 return self._commit(agent, greedy_step(
                     self.grid, agent.profile, agent.cell, plan.waypoints[wi],

@@ -74,8 +74,10 @@ class ElevationGrid:
     def __post_init__(self):
         if self.ncols <= 0 or self.nrows <= 0:
             raise ValueError("grid dimensions must be positive")
-        if not (self.cellsize > 0):
-            raise ValueError("cellsize must be positive")
+        if not (self.cellsize > 0 and math.isfinite(self.cellsize)):
+            raise ValueError("cellsize must be positive and finite")
+        if not (math.isfinite(self.xll) and math.isfinite(self.yll)):
+            raise ValueError("grid origin must be finite")
         if not math.isfinite(self.nodata):
             raise ValueError("nodata sentinel must be finite")
         arr = np.asarray(self.values, dtype=float)
@@ -256,6 +258,10 @@ def _check_header(header: dict[str, float], lines: dict[str, int]) -> None:
             raise GridFormatError(
                 f"{key} must be a positive integer, got {v}", lines[key]
             )
+    for key in ("xllcorner", "yllcorner", "cellsize"):
+        if not math.isfinite(header[key]):
+            raise GridFormatError(f"{key} must be finite, got {header[key]}",
+                                  lines[key])
     if not header["cellsize"] > 0:
         raise GridFormatError(
             f"cellsize must be positive, got {header['cellsize']}",
@@ -435,6 +441,7 @@ def viewshed(
 # ---------------------------------------------------------------------------
 
 RECIPES = ("flat", "ramp", "ridge", "cone", "two_corridor")
+MAX_GRID_CELLS = 10**7  # 80 MB of float64 elevations
 
 
 def make_synthetic(
@@ -468,6 +475,9 @@ def make_synthetic(
     """
     if nrows <= 0 or ncols <= 0:
         raise ValueError("nrows and ncols must be positive")
+    if nrows * ncols > MAX_GRID_CELLS:
+        raise ValueError(f"recipe grid of {nrows} x {ncols} cells exceeds "
+                         f"MAX_GRID_CELLS = {MAX_GRID_CELLS}")
     if kind == "flat":
         h = float(params.pop("h", 0.0))
         _no_extra(params)

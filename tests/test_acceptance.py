@@ -16,11 +16,9 @@ from terramob.cli import main
 from terramob.local_adapt import (
     CorridorEnv,
     LearningParams,
-    LocalState,
+    N_ACTIONS,
     N_STATES,
-    QTable,
     RewardWeights,
-    StepEvent,
     evaluate_bypass,
     q_update,
     reward,
@@ -171,7 +169,7 @@ def test_criterion_3_hybrid_contract(trained_bypass, tmp_path, monkeypatch):
 def test_criterion_4_q_learning_properties():
     failures = []
     rng = np.random.default_rng(12)
-    q = QTable.zeros()
+    q = np.zeros((N_STATES, N_ACTIONS))
     w = RewardWeights()
     params = LearningParams(alpha=0.35, gamma=0.95)
     r_max = 0.0
@@ -181,40 +179,40 @@ def test_criterion_4_q_learning_properties():
         amount = float(rng.uniform(0.0, 30.0)) if kind == "delay" else (
             float(rng.integers(0, 4)) if kind == "deviation" else 0.0
         )
-        r = reward(StepEvent(kind, amount), w)
+        r = reward(kind, amount, w)
         r_max = max(r_max, abs(r))
-        q_update(q, LocalState.decode(int(rng.integers(N_STATES))),
+        q_update(q, int(rng.integers(N_STATES)),
                  int(rng.integers(9)), r,
-                 LocalState.decode(int(rng.integers(N_STATES))), params)
+                 int(rng.integers(N_STATES)), params)
     bound = r_max / (1.0 - params.gamma)
-    if np.abs(q.values).max() > bound + 1e-9:
-        failures.append(f"|Q| {np.abs(q.values).max():.3f} exceeds {bound:.3f}")
+    if np.abs(q).max() > bound + 1e-9:
+        failures.append(f"|Q| {np.abs(q).max():.3f} exceeds {bound:.3f}")
 
     # alpha = 0 identity
-    q2 = QTable.zeros()
-    q2.values[:] = rng.normal(size=q2.values.shape)
-    before = q2.values.copy()
-    q_update(q2, LocalState.decode(3), 1, 5.0, LocalState.decode(4),
+    q2 = np.zeros((N_STATES, N_ACTIONS))
+    q2[:] = rng.normal(size=q2.shape)
+    before = q2.copy()
+    q_update(q2, 3, 1, 5.0, 4,
              LearningParams(alpha=0.0))
-    if not np.array_equal(q2.values, before):
+    if not np.array_equal(q2, before):
         failures.append("alpha=0 update changed the table")
 
     # single-entry locality
-    q3 = QTable.zeros()
-    q_update(q3, LocalState.decode(100), 5, -2.0, LocalState.decode(200),
+    q3 = np.zeros((N_STATES, N_ACTIONS))
+    q_update(q3, 100, 5, -2.0, 200,
              LearningParams(alpha=0.5))
-    touched = list(zip(*np.nonzero(q3.values)))
+    touched = list(zip(*np.nonzero(q3)))
     if touched != [(100, 5)]:
         failures.append(f"update touched {touched}")
 
     # argmax invariance under constant row shifts
-    q4 = QTable.zeros()
-    q4.values[50, :] = rng.normal(size=9)
-    base = select_action(q4, LocalState.decode(50), 0.0,
+    q4 = np.zeros((N_STATES, N_ACTIONS))
+    q4[50, :] = rng.normal(size=9)
+    base = select_action(q4, 50, 0.0,
                          np.random.default_rng(0))
     for shift in (-3.0, 0.5, 42.0):
-        q4.values[50, :] += shift
-        pick = select_action(q4, LocalState.decode(50), 0.0,
+        q4[50, :] += shift
+        pick = select_action(q4, 50, 0.0,
                              np.random.default_rng(0))
         if pick != base:
             failures.append(f"argmax changed under shift {shift}")

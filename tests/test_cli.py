@@ -330,6 +330,36 @@ class TestMalformedInput:
         err = self._simulate_err(tmp_path, capsys, obj)
         assert err == "error: qtable entry (99999, 0) out of range\n"
 
+    @pytest.mark.parametrize("header, message", [
+        ("xllcorner 0\nyllcorner 0\ncellsize inf\n",
+         "line 5: cellsize must be finite, got inf"),
+        ("xllcorner inf\nyllcorner 0\ncellsize 30\n",
+         "line 3: xllcorner must be finite, got inf"),
+    ])
+    def test_non_finite_asc_header(self, tmp_path, capsys, header, message):
+        asc = tmp_path / "bad.asc"
+        asc.write_text("ncols 3\nnrows 1\n" + header + "0 0 0\n")
+        assert main(["plan", "--terrain", str(asc), "--profile", "mule",
+                     "--start", "0,0", "--goal", "0,2",
+                     "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_recipe_cellsize(self, tmp_path, capsys):
+        assert main(["plan", "--terrain", "flat:nrows=1,ncols=3,cellsize=inf",
+                     "--profile", "mule", "--start", "0,0", "--goal", "0,2",
+                     "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            "error: cellsize must be positive and finite\n")
+
+    def test_oversized_recipe_is_refused_before_allocating(self, tmp_path,
+                                                          capsys):
+        obj = json.loads(json.dumps(SCENARIO))
+        obj["terrain"] = {"recipe": "flat", "nrows": 100000, "ncols": 100000}
+        err = self._simulate_err(tmp_path, capsys, obj)
+        assert err == ("error: recipe grid of 100000 x 100000 cells exceeds "
+                       "MAX_GRID_CELLS = 10000000\n")
+
 
 class TestReport:
     def test_reference_fixture_reductions(self, capsys):

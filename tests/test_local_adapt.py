@@ -11,11 +11,9 @@ from terramob.local_adapt import (
     ACTIONS,
     CorridorEnv,
     LearningParams,
-    LocalState,
+    N_ACTIONS,
     N_STATES,
-    QTable,
     RewardWeights,
-    StepEvent,
     build_local_state,
     detect_block,
     deviation_cells,
@@ -55,25 +53,31 @@ class TestLocalState:
     def test_state_space_size(self):
         assert N_STATES == 2 ** 8 * 8 * 4 == 8192
 
-    def test_encode_decode_round_trip(self):
+    def test_code_bit_fields(self):
+        grid = make_synthetic("flat", nrows=12, ncols=12, h=0.0)
+        plan = PathPlan([CellIndex(r, 5) for r in range(11, -1, -1)],
+                        [20.0] * 11, 220.0, 330.0, "fit_adults")
         rng = np.random.default_rng(0)
         for _ in range(200):
-            occ = tuple(bool(b) for b in rng.integers(0, 2, 8))
-            s = LocalState(occ, int(rng.integers(8)), int(rng.integers(4)))
-            assert LocalState.decode(s.encode()) == s
+            occ = rng.integers(0, 2, 8)
+            cell = CellIndex(int(rng.integers(1, 11)), int(rng.integers(1, 11)))
+            blocked = blocked_by(*(CellIndex(cell.row + dr, cell.col + dc)
+                                   for (dr, dc), b in zip(ACTIONS, occ) if b))
+            wi = int(rng.integers(12))
+            s = build_local_state(grid, blocked, cell, plan, wi)
+            assert [(s >> i) & 1 for i in range(8)] == occ.tolist()
+            assert (s >> 8) & 0x7 == waypoint_direction(cell, plan.waypoints[wi])
+            assert s >> 11 == min(abs(cell.col - 5), 3)
 
     def test_codes_cover_range(self):
-        lo = LocalState((False,) * 8, 0, 0).encode()
-        hi = LocalState((True,) * 8, 7, 3).encode()
+        grid = make_synthetic("flat", nrows=10, ncols=10, h=0.0)
+        plan = PathPlan([CellIndex(r, 5) for r in range(9, -1, -1)],
+                        [20.0] * 9, 180.0, 270.0, "fit_adults")
+        # on the route, nothing blocked, next waypoint due north
+        lo = build_local_state(grid, blocked_by(), CellIndex(5, 5), plan, 5)
+        # four cells off the route, all blocked, next waypoint to the NW
+        hi = build_local_state(grid, lambda c: True, CellIndex(8, 9), plan, 9)
         assert lo == 0 and hi == N_STATES - 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LocalState((False,) * 7, 0, 0)
-        with pytest.raises(ValueError):
-            LocalState((False,) * 8, 8, 0)
-        with pytest.raises(ValueError):
-            LocalState((False,) * 8, 0, 4)
 
     def test_waypoint_direction_buckets(self):
         at = CellIndex(5, 5)
@@ -98,75 +102,67 @@ class TestLocalState:
 
 class TestReward:
     def test_none_is_zero(self):
-        assert reward(StepEvent("none"), RewardWeights()) == 0.0
+        assert reward("none", 0.0, RewardWeights()) == 0.0
 
     def test_deviation_two_cells(self):
         w = RewardWeights(deviation_per_cell=0.5)
-        assert reward(StepEvent("deviation", 2.0), w) == pytest.approx(-1.0)
+        assert reward("deviation", 2.0, w) == pytest.approx(-1.0)
 
     def test_rejoin_positive(self):
-        assert reward(StepEvent("rejoin"), RewardWeights(rejoin=5.0)) == 5.0
+        assert reward("rejoin", 0.0, RewardWeights(rejoin=5.0)) == 5.0
 
     def test_collision_and_clear_and_delay(self):
         w = RewardWeights()
-        assert reward(StepEvent("collision"), w) == -10.0
-        assert reward(StepEvent("clear"), w) == 2.0
-        assert reward(StepEvent("delay", 20.0), w) == pytest.approx(-2.0)
-
-    def test_negative_amounts_rejected(self):
-        with pytest.raises(ValueError):
-            StepEvent("delay", -1.0)
-        with pytest.raises(ValueError):
-            StepEvent("deviation", -0.5)
+        assert reward("collision", 0.0, w) == -10.0
+        assert reward("clear", 0.0, w) == 2.0
+        assert reward("delay", 20.0, w) == pytest.approx(-2.0)
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            StepEvent("explosion")
+        with pytest.raises(ValueError, match="unknown event kind"):
+            reward("explosion", 0.0, RewardWeights())
 
 
 # ---------------------------------------------------------------------------
 # Q updates
 # ---------------------------------------------------------------------------
 
-def _state(code):
-    return LocalState.decode(code)
+def zeros():
+    return np.zeros((N_STATES, N_ACTIONS))
 
 
 class TestQUpdate:
     def test_alpha_zero_is_identity(self):
-        q = QTable.zeros()
-        q.values[:] = np.random.default_rng(0).normal(size=q.values.shape)
-        before = q.values.copy()
-        q_update(q, _state(5), 2, 7.0, _state(9), LearningParams(alpha=0.0))
-        assert np.array_equal(q.values, before)
-        assert q.visits[5, 2] == 1  # the visit is still recorded
+        q = zeros()
+        q[:] = np.random.default_rng(0).normal(size=q.shape)
+        before = q.copy()
+        q_update(q, 5, 2, 7.0, 9, LearningParams(alpha=0.0))
+        assert np.array_equal(q, before)
 
     def test_single_step_from_zero(self):
-        q = QTable.zeros()
+        q = zeros()
         params = LearningParams(alpha=1.0, gamma=0.9)
-        q_update(q, _state(0), 3, 1.0, _state(1), params)
-        assert q.values[0, 3] == pytest.approx(1.0)
+        q_update(q, 0, 3, 1.0, 1, params)
+        assert q[0, 3] == pytest.approx(1.0)
 
     def test_update_locality(self):
-        q = QTable.zeros()
+        q = zeros()
         params = LearningParams(alpha=0.5, gamma=0.9)
-        q_update(q, _state(17), 4, -3.0, _state(42), params)
-        nz = np.nonzero(q.values)
+        q_update(q, 17, 4, -3.0, 42, params)
+        nz = np.nonzero(q)
         assert list(zip(*nz)) == [(17, 4)]
-        assert q.visits[17, 4] == 1 and q.visits.sum() == 1
 
     def test_fixed_point_convergence(self):
-        q = QTable.zeros()
+        q = zeros()
         params = LearningParams(alpha=0.5, gamma=0.9)
-        s, s_next = _state(7), _state(9)
-        q.values[9, :] = 2.0  # frozen successor row
+        s, s_next = 7, 9
+        q[9, :] = 2.0  # frozen successor row
         for _ in range(200):
             q_update(q, s, 1, 1.5, s_next, params)
-        assert q.values[7, 1] == pytest.approx(1.5 + 0.9 * 2.0, abs=1e-6)
+        assert q[7, 1] == pytest.approx(1.5 + 0.9 * 2.0, abs=1e-6)
 
     def test_boundedness_random_stream(self):
         rng = np.random.default_rng(8)
-        q = QTable.zeros()
+        q = zeros()
         w = RewardWeights()
         params = LearningParams(alpha=0.3, gamma=0.95)
         r_max = 0.0
@@ -176,18 +172,17 @@ class TestQUpdate:
             amount = float(rng.uniform(0.0, 30.0)) if kind == "delay" else (
                 float(rng.integers(0, 4)) if kind == "deviation" else 0.0
             )
-            r = reward(StepEvent(kind, amount), w)
+            r = reward(kind, amount, w)
             r_max = max(r_max, abs(r))
-            q_update(q, _state(int(rng.integers(N_STATES))),
+            q_update(q, int(rng.integers(N_STATES)),
                      int(rng.integers(9)), r,
-                     _state(int(rng.integers(N_STATES))), params)
+                     int(rng.integers(N_STATES)), params)
         bound = r_max / (1.0 - params.gamma)
-        assert np.abs(q.values).max() <= bound + 1e-9
+        assert np.abs(q).max() <= bound + 1e-9
 
     def test_invalid_action_rejected(self):
         with pytest.raises(ValueError):
-            q_update(QTable.zeros(), _state(0), 9, 0.0, _state(0),
-                     LearningParams())
+            q_update(zeros(), 0, 9, 0.0, 0, LearningParams())
 
 
 # ---------------------------------------------------------------------------
@@ -196,47 +191,39 @@ class TestQUpdate:
 
 class TestSelectAction:
     def test_greedy_unique_max(self):
-        q = QTable.zeros()
-        q.values[0, 6] = 3.0
+        q = zeros()
+        q[0, 6] = 3.0
         rng = np.random.default_rng(0)
-        assert select_action(q, _state(0), 0.0, rng) == 6
+        assert select_action(q, 0, 0.0, rng) == 6
 
     def test_epsilon_one_is_seeded_uniform(self):
-        q = QTable.zeros()
-        seq1 = [select_action(q, _state(0), 1.0, np.random.default_rng(4))
+        q = zeros()
+        seq1 = [select_action(q, 0, 1.0, np.random.default_rng(4))
                 for _ in range(1)]
         rng_a = np.random.default_rng(4)
         rng_b = np.random.default_rng(4)
-        a = [select_action(q, _state(0), 1.0, rng_a) for _ in range(20)]
-        b = [select_action(q, _state(0), 1.0, rng_b) for _ in range(20)]
+        a = [select_action(q, 0, 1.0, rng_a) for _ in range(20)]
+        b = [select_action(q, 0, 1.0, rng_b) for _ in range(20)]
         assert a == b
         assert len(set(a)) > 1
 
     def test_all_equal_row_ties_to_index_zero(self):
-        q = QTable.zeros()
-        q.values[3, :] = 1.25
-        assert select_action(q, _state(3), 0.0, np.random.default_rng(0)) == 0
-
-    def test_feasible_restriction(self):
-        q = QTable.zeros()
-        q.values[0, 0] = 10.0
-        rng = np.random.default_rng(0)
-        assert select_action(q, _state(0), 0.0, rng, feasible=[2, 5]) == 2
-
-    def test_no_feasible_actions_stays(self):
-        q = QTable.zeros()
-        assert select_action(q, _state(0), 0.0, np.random.default_rng(0),
-                             feasible=[]) == ACTION_STAY
+        q = zeros()
+        q[3, :] = 1.25
+        assert select_action(q, 3, 0.0, np.random.default_rng(0)) == 0
+        assert select_action(q, 3) == 0  # greedy: no generator needed
+        q[3, [5, 2]] = 2.0
+        assert select_action(q, 3) == 2  # the first of two maxima
 
     @given(st.floats(min_value=-5.0, max_value=5.0))
     @settings(max_examples=50, deadline=None)
     def test_argmax_invariant_under_row_shift(self, shift):
-        q = QTable.zeros()
+        q = zeros()
         rng = np.random.default_rng(11)
-        q.values[40, :] = rng.normal(size=9)
-        base = select_action(q, _state(40), 0.0, np.random.default_rng(0))
-        q.values[40, :] += shift
-        assert select_action(q, _state(40), 0.0,
+        q[40, :] = rng.normal(size=9)
+        base = select_action(q, 40, 0.0, np.random.default_rng(0))
+        q[40, :] += shift
+        assert select_action(q, 40, 0.0,
                              np.random.default_rng(0)) == base
 
 
@@ -339,10 +326,9 @@ class TestBuildLocalState:
         s = build_local_state(make_synthetic("flat", nrows=4, ncols=10, h=0.0),
                               blocked_by(CellIndex(0, 5)), CellIndex(0, 4),
                               plan, 5)
-        # N, NE and NW are off the grid; E is blocked
-        assert s.occupancy == (True, True, True, False, False, False, False,
-                               True)
-        assert s.waypoint_dir == 2 and s.deviation_bucket == 0
+        # N, NE and NW (bits 0, 1, 7) are off the grid; E (bit 2) is
+        # blocked; the waypoint is due east (2 << 8); on the route (0 << 11)
+        assert s == 0b111 | 1 << 7 | 2 << 8 == 647
 
 
 class TestGreedyStep:
@@ -367,7 +353,7 @@ class TestTraining:
         env = CorridorEnv(builtin_profile("fit_adults"))
         q, curve = train_bypass(env, RewardWeights(),
                                 LearningParams(episodes=0))
-        assert not q.values.any()
+        assert not q.any()
         assert curve == []
 
     def test_seeded_determinism(self):
@@ -375,8 +361,7 @@ class TestTraining:
         params = LearningParams(episodes=300, seed=3)
         q1, c1 = train_bypass(env, RewardWeights(), params)
         q2, c2 = train_bypass(env, RewardWeights(), params)
-        assert np.array_equal(q1.values, q2.values)
-        assert np.array_equal(q1.visits, q2.visits)
+        assert np.array_equal(q1, q2)
         assert [(s.ep_return, s.success) for s in c1] == \
                [(s.ep_return, s.success) for s in c2]
 
@@ -413,7 +398,7 @@ class TestTraining:
         # a huge clear bonus makes the event visible in the return
         weights = RewardWeights(clear=1000.0)
         total, success, collided, _steps, _t = _run_episode(
-            env, QTable.zeros(), weights, LearningParams(), np.random.default_rng(0),
+            env, zeros(), weights, LearningParams(), np.random.default_rng(0),
             epsilon=0.0, learn=False, full_route=False, step_cap=40,
         )
         assert success and not collided
@@ -425,7 +410,7 @@ class TestTraining:
         env.begin_episode(frozenset({CellIndex(env.mid, 10)}))
         weights = RewardWeights(clear=1000.0)
         total, success, _c, _s, _t = _run_episode(
-            env, QTable.zeros(), weights, LearningParams(), np.random.default_rng(0),
+            env, zeros(), weights, LearningParams(), np.random.default_rng(0),
             epsilon=0.0, learn=False, full_route=False, step_cap=40,
         )
         assert total < 900.0
@@ -466,13 +451,13 @@ class TestPersistence:
         save_qtable(q, buf, gamma=0.95, alpha=0.1, seed=9, episodes=200)
         buf.seek(0)
         loaded, meta = load_qtable(buf)
-        assert np.array_equal(loaded.values, q.values)
+        assert np.array_equal(loaded, q)
         assert meta["seed"] == 9 and meta["episodes"] == 200
         assert meta["gamma"] == 0.95
 
     def test_only_nonzero_entries_stored(self):
-        q = QTable.zeros()
-        q.values[100, 3] = 1.5
+        q = zeros()
+        q[100, 3] = 1.5
         buf = io.StringIO()
         save_qtable(q, buf, gamma=0.9, alpha=0.5, seed=0, episodes=0)
         body = buf.getvalue().splitlines()
@@ -487,7 +472,7 @@ class TestPersistence:
                                        "0 -1 1.0"])
     def test_entry_out_of_range_rejected(self, entry):
         buf = io.StringIO()
-        save_qtable(QTable.zeros(), buf, gamma=0.9, alpha=0.5, seed=0,
+        save_qtable(zeros(), buf, gamma=0.9, alpha=0.5, seed=0,
                     episodes=0)
         text = buf.getvalue().replace("entries 0", "entries 1") + entry + "\n"
         with pytest.raises(ValueError, match="out of range"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from terramob.agents import builtin_profile
-from terramob.local_adapt import QTable, build_local_state
+from terramob.local_adapt import N_ACTIONS, N_STATES, build_local_state
 from terramob.planner import astar
 from terramob.sim import (
     MAX_SIM_STEPS,
@@ -161,11 +161,31 @@ class TestStep:
         agent = world.agents[0]
         state = build_local_state(world.grid, {CellIndex(3, 1)}.__contains__,
                                   agent.cell, agent.plan, agent.waypoint_index)
-        agent.qtable = QTable.zeros()
-        agent.qtable.values[state.encode(), 3] = 4.0  # se, not the zero argmax
+        agent.qtable = np.zeros((N_STATES, N_ACTIONS))
+        agent.qtable[state, 3] = 4.0  # se, not the zero argmax
         world.step(1.0)
         assert agent.last_chi is True
         assert agent.last_action == "se"
+
+    @pytest.mark.parametrize("a_start, a_goal, b_duration", [
+        ([2, 5], [2, 8], 160.0),  # shared goal: b timed out after 3000 m
+        ([0, 4], [2, 4], 160.0),  # goal on b's route: b took 200 s
+    ])
+    def test_finished_agent_leaves_the_scene(self, a_start, a_goal,
+                                             b_duration):
+        cfg = flat_cfg(
+            terrain={"recipe": "flat", "nrows": 5, "ncols": 9,
+                     "cellsize": 30.0, "h": 0.0},
+            agents=[{"id": "a", "profile": "fit_adults",
+                     "start": a_start, "goal": a_goal},
+                    {"id": "b", "profile": "fit_adults",
+                     "start": [2, 0], "goal": [2, 8]}],
+            sim={"dt": 1.0, "max_sim_time": 2000, "seed": 1})
+        report, _traces = run_scenario(cfg)
+        b = report.agents[1]
+        assert b["outcome"] == "arrived"
+        assert b["duration_s"] == pytest.approx(b_duration)
+        assert b["distance_m"] == pytest.approx(240.0)
 
     def test_invalid_dt(self):
         world = build_world(flat_cfg())
