@@ -9,6 +9,7 @@ from .agents import (
     AgentProfile,
     builtin_profile,
     builtin_profiles,
+    edge,
     speed,
     traversal_time,
 )
@@ -37,12 +38,10 @@ from .terrain import (
     CellIndex,
     ElevationGrid,
     GridFormatError,
-    SlopeSample,
     line_of_sight,
     make_synthetic,
     parse_ascii_grid,
     serialize_ascii_grid,
-    slope_percent,
     two_corridor_endpoints,
     viewshed,
 )

@@ -5,7 +5,8 @@ reduction factor; transport animals multiply in a constant load factor as
 well. Each profile anchors its reduction at one reference slope and the
 curve is linear in slope from r(0) = 1 through that anchor, floored at
 MIN_SLOPE_REDUCTION, with a hard impassability cutoff at ``max_slope``.
-``traversal_time`` is the one edge rule built on it.
+``edge`` is the one edge rule built on it, and ``traversal_time`` its
+time in seconds.
 """
 
 from __future__ import annotations
@@ -165,29 +166,26 @@ def profile_from_spec(spec: str | dict) -> AgentProfile:
     return AgentProfile(**spec)
 
 
-def traversal_time(
+def edge(
     p: AgentProfile,
     grid: ElevationGrid,
     a: CellIndex,
     b: CellIndex,
-) -> float:
-    """Seconds to walk one grid edge: the package's one edge rule.
+) -> tuple[float, float, float]:
+    """``(run, slope, speed)`` of the grid edge a -> b: the one edge rule.
 
-    The edge a -> b is IMPASSABLE (inf) when
-      - either endpoint is out of bounds or nodata;
+    ``run`` is the horizontal length in meters (cellsize, times sqrt(2) on
+    a diagonal), ``slope`` the grade in percent and ``speed`` the profile's
+    walking speed in m/s. Speed is 0.0, and the edge impassable, when
+      - either endpoint is out of bounds or nodata (slope reads 0.0);
       - it is a diagonal whose two flanking cells, ``(b.row, a.col)`` and
         ``(a.row, b.col)``, are both nodata (a sealed corner, which
-        ``terrain.line_of_sight`` also treats as opaque);
+        ``terrain.line_of_sight`` also treats as opaque; slope reads 0.0);
       - its slope exceeds the profile's ``max_slope``.
-    Otherwise it takes ``run / speed(p, slope)``. Non-adjacent cells are a
-    caller error (ValueError).
+    Non-adjacent cells are a caller error (ValueError).
 
-    Callers: the Dijkstra oracle (``planner.dijkstra_all``), plan building
-    and validation, the local step rules (``local_adapt.follow_route`` and
-    ``greedy_step``), the training episodes, and ``sim``'s move and
-    walk-back check (``World._entry_ok``). ``planner.astar`` carries an
-    inlined copy of this rule and of ``speed`` that must stay bit-identical
-    to it.
+    ``planner.astar`` carries an inlined copy of this rule and of ``speed``
+    that must stay bit-identical to it.
     """
     ar, ac = a[0], a[1]
     br, bc = b[0], b[1]
@@ -195,19 +193,35 @@ def traversal_time(
     dc = bc - ac
     if (dr, dc) not in OFFSET_TO_ACTION:
         raise ValueError(f"cells {(ar, ac)} and {(br, bc)} are not adjacent")
+    diagonal = dr != 0 and dc != 0
+    run = grid.cellsize * (SQRT2 if diagonal else 1.0)
     values = grid.values
     nrows, ncols = values.shape
     if not (0 <= ar < nrows and 0 <= ac < ncols
             and 0 <= br < nrows and 0 <= bc < ncols):
-        return IMPASSABLE
+        return run, 0.0, 0.0
     va = float(values[ar, ac])
     vb = float(values[br, bc])
     nodata = grid.nodata
-    if va == nodata or vb == nodata:
-        return IMPASSABLE
-    diagonal = dr != 0 and dc != 0
-    if diagonal and values[br, ac] == nodata and values[ar, bc] == nodata:
-        return IMPASSABLE
-    run = grid.cellsize * (SQRT2 if diagonal else 1.0)
-    v = speed(p, abs(vb - va) / run * 100.0)
+    if va == nodata or vb == nodata or (
+            diagonal and values[br, ac] == nodata and values[ar, bc] == nodata):
+        return run, 0.0, 0.0
+    slope = abs(vb - va) / run * 100.0
+    return run, slope, speed(p, slope)
+
+
+def traversal_time(
+    p: AgentProfile,
+    grid: ElevationGrid,
+    a: CellIndex,
+    b: CellIndex,
+) -> float:
+    """Seconds to walk one grid edge: ``run / speed`` of ``edge``, IMPASSABLE
+    (inf) where its speed is 0.0.
+
+    Callers: the Dijkstra oracle (``planner.dijkstra_all``), plan building,
+    the local step rules (``local_adapt.follow_route`` and ``greedy_step``)
+    and the training episodes.
+    """
+    run, _slope, v = edge(p, grid, a, b)
     return run / v if v > 0.0 else IMPASSABLE

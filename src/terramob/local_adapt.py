@@ -593,6 +593,8 @@ def load_qtable(f: IO[str]) -> tuple[np.ndarray, dict]:
         if not (0 <= si < N_STATES and 0 <= ai < N_ACTIONS):
             raise ValueError(f"qtable entry ({si}, {ai}) out of range")
         q[si, ai] = float(v_str)
+        if not math.isfinite(q[si, ai]):
+            raise ValueError(f"qtable entry ({si}, {ai}) is not finite")
     return q, meta
 
 

@@ -5,7 +5,7 @@ distance divided by the profile's flat-terrain speed (admissible because no
 edge can be walked faster), and ties are broken deterministically: larger g
 first, then (row, col) order.
 
-A* carries its own inlined copy of the edge rule (``agents.traversal_time``:
+A* carries its own inlined copy of the edge rule (``agents.edge``:
 bounds, nodata, sealed corners, slope limit) and of the speed law
 (``agents.speed``) over flat node ids, which is faster than calling them
 per edge. The uniform-cost oracle (``dijkstra_all``) weighs each edge with
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -66,7 +65,6 @@ class PathPlan:
 class SearchStats:
     nodes_expanded: int
     open_peak: int
-    wall_time: float
 
 
 OBJECTIVES = ("time", "distance")
@@ -114,10 +112,8 @@ def astar(
         if not grid.traversable(c):
             raise ValueError(f"{label} cell {tuple(c)} is not traversable")
 
-    t0 = time.perf_counter()
     if start == goal:
-        plan = PathPlan([start], [], 0.0, 0.0, p.name)
-        return plan, SearchStats(1, 0, time.perf_counter() - t0)
+        return PathPlan([start], [], 0.0, 0.0, p.name), SearchStats(1, 0)
 
     nrows, ncols = grid.nrows, grid.ncols
     cellsize = grid.cellsize
@@ -175,8 +171,7 @@ def astar(
         expanded += 1
         if node == goal_id:
             plan = _build_plan(grid, p, parent, start_id, goal_id)
-            stats = SearchStats(expanded, open_peak, time.perf_counter() - t0)
-            return plan, stats
+            return plan, SearchStats(expanded, open_peak)
         row, col = divmod(node, ncols)
         va = value(node)
         for dr, dc, offset, run in steps:
@@ -231,29 +226,6 @@ def _build_plan(
     edge_times = [traversal_time(p, grid, a, b) for a, b in zip(cells, cells[1:])]
     distance = sum(step_run(grid, a, b) for a, b in zip(cells, cells[1:]))
     return PathPlan(cells, edge_times, sum(edge_times), distance, p.name)
-
-
-def validate_plan(plan: PathPlan, grid: ElevationGrid, p: AgentProfile) -> None:
-    """Raise ValueError if a plan violates its structural guarantees."""
-    if not plan.waypoints:
-        raise ValueError("plan has no waypoints")
-    for c in plan.waypoints:
-        if not grid.traversable(c):
-            raise ValueError(f"waypoint {tuple(c)} is not traversable")
-    if len(plan.edge_times) != len(plan.waypoints) - 1:
-        raise ValueError("edge_times length mismatch")
-    total = 0.0
-    dist = 0.0
-    for a, b, t in zip(plan.waypoints, plan.waypoints[1:], plan.edge_times):
-        cost = traversal_time(p, grid, a, b)  # raises if not adjacent
-        if not math.isfinite(cost):
-            raise ValueError(f"edge {tuple(a)} -> {tuple(b)} is impassable")
-        if cost != t:
-            raise ValueError(f"edge {tuple(a)} -> {tuple(b)} time mismatch")
-        total += t
-        dist += step_run(grid, a, b)
-    if abs(total - plan.total_time) > 1e-9 or abs(dist - plan.total_distance) > 1e-9:
-        raise ValueError("plan totals do not match edges")
 
 
 def dijkstra_all(

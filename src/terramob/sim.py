@@ -19,13 +19,7 @@ from typing import IO, Callable
 import numpy as np
 
 from . import planner
-from .agents import (
-    AgentProfile,
-    builtin_profiles,
-    profile_from_spec,
-    speed,
-    traversal_time,
-)
+from .agents import AgentProfile, builtin_profiles, edge, profile_from_spec, speed
 from .local_adapt import (
     ACTION_NAMES,
     ACTION_STAY,
@@ -46,7 +40,6 @@ from .terrain import (
     grid_from_recipe,
     line_of_sight,
     parse_ascii_grid,
-    slope_percent,
 )
 
 MODE_FOLLOWING = "following"
@@ -56,9 +49,8 @@ MODE_INTERCEPTED = "intercepted"
 MODE_ABANDONED = "abandoned"
 TERMINAL_MODES = (MODE_ARRIVED, MODE_INTERCEPTED, MODE_ABANDONED)
 
-OUTCOME_ARRIVED = "arrived"
-OUTCOME_INTERCEPTED = "intercepted"
-OUTCOME_ABANDONED = "abandoned"
+# an outcome is the agent's terminal mode, except for an agent with no route
+# (abandoned at 0 s) and one still moving at max_sim_time
 OUTCOME_NO_PATH = "no_path"
 OUTCOME_TIMEOUT = "timeout"
 
@@ -195,11 +187,10 @@ class AgentRuntime:
     waypoint_index: int = 0
     mode: str = MODE_FOLLOWING
     outcome: str | None = None
-    position: np.ndarray = field(default_factory=lambda: np.zeros(2))
+    position: tuple[float, float] = (0.0, 0.0)
     cell: CellIndex = CellIndex(0, 0)
     effort_spent: float = 0.0
     distance_m: float = 0.0
-    start_clock: float = 0.0
     end_clock: float | None = None
     chase_partner: str | None = None   # pursuit target id, when this is a pursuer
     chase_cell: CellIndex | None = None
@@ -207,13 +198,19 @@ class AgentRuntime:
     edge_source: CellIndex | None = None
     edge_target: CellIndex | None = None
     edge_target_xy: tuple[float, float] = (0.0, 0.0)
-    edge_speed: float = 0.0
+    edge_speed: float = 0.0  # 0.0 while standing
     edge_slope: float = 0.0
     last_chi: bool = False
     last_action: str = "none"
-    last_speed: float = 0.0
     trace: list[TraceRecord] = field(default_factory=list)
     done_traced: bool = False
+
+
+def _finish(agent: AgentRuntime, mode: str, clock: float) -> None:
+    """Enter a terminal mode at ``clock``; the mode is also the outcome."""
+    agent.mode = mode
+    agent.outcome = mode
+    agent.end_clock = clock
 
 
 # ---------------------------------------------------------------------------
@@ -256,23 +253,25 @@ class World:
 
     # -- blocking query -------------------------------------------------------
 
-    def _blocker(self, agent: AgentRuntime) -> Callable[[CellIndex], bool]:
+    def _blocker(self, agent: AgentRuntime,
+                 lower_ids_only: bool = False) -> Callable[[CellIndex], bool]:
         """The blocked-cell test of every step rule, for one decision.
 
         A cell is blocked by an obstacle active at the step's start time or
         by the step-start disc of any agent other than ``agent`` and its
-        chase partner: a disc blocks the cells whose closed rectangle it
-        touches. Agents in a terminal mode at the step's start (arrived,
-        intercepted, abandoned, ``no_path`` included) have left the scene
-        and have no disc. Both come from the snapshot ``step`` takes once
-        per step, so every decision of a step sees the same scene. Only
-        valid inside ``step``.
+        chase partner (with ``lower_ids_only``, only of agents whose id
+        sorts before ``agent.id``): a disc blocks the cells whose closed
+        rectangle it touches. Agents in a terminal mode at the step's start
+        (arrived, intercepted, abandoned, ``no_path`` included) have left
+        the scene and have no disc. Both come from the snapshot ``step``
+        takes once per step, so every decision of a step sees the same
+        scene. Only valid inside ``step``.
         """
         g = self.grid
         walls = self._walls
         skip = (agent.id, agent.chase_partner)
         discs = [(x, y, r2) for aid, x, y, r2 in self._discs
-                 if aid not in skip]
+                 if aid not in skip and not (lower_ids_only and aid > agent.id)]
 
         def blocked(cell: CellIndex) -> bool:
             if cell in walls:
@@ -290,12 +289,6 @@ class World:
 
         return blocked
 
-    def _entry_ok(self, agent: AgentRuntime, dest: CellIndex,
-                  blocked: Callable[[CellIndex], bool]) -> bool:
-        return (math.isfinite(traversal_time(agent.profile, self.grid,
-                                             agent.cell, dest))
-                and not blocked(dest))
-
     # -- one simulation step --------------------------------------------------
 
     def step(self, dt: float | None = None) -> None:
@@ -306,8 +299,7 @@ class World:
         self._walls = set().union(
             *(ob.cells for ob in self.obstacles if ob.active(t0)))
         self._discs = [
-            (a.id, float(a.position[0]), float(a.position[1]),
-             a.profile.body_radius * a.profile.body_radius)
+            (a.id, *a.position, a.profile.body_radius * a.profile.body_radius)
             for a in self.agents if a.mode not in TERMINAL_MODES
         ]
         for agent in self.agents:
@@ -325,13 +317,13 @@ class World:
                 agent.done_traced = True
 
     def _advance_agent(self, agent: AgentRuntime, dt: float, t0: float) -> None:
-        # a committed edge whose destination got blocked is walked back once
+        # a committed edge whose destination got blocked is walked back once.
+        # The edge was passable when committed and stays so; agents yield in
+        # id order, so a pair on crossing edges cannot both walk back forever.
         if (
-            agent.edge_target is not None
-            and agent.edge_source is not None
+            agent.edge_source is not None
             and agent.cell == agent.edge_source
-            and not self._entry_ok(agent, agent.edge_target,
-                                   self._blocker(agent))
+            and self._blocker(agent, lower_ids_only=True)(agent.edge_target)
         ):
             back = agent.edge_source
             agent.edge_target = back
@@ -339,18 +331,16 @@ class World:
             agent.edge_source = None
         remaining = dt
         while remaining > 1e-12 and agent.mode not in TERMINAL_MODES:
-            if agent.edge_target is None:
-                if not self._decide(agent):
-                    agent.last_speed = 0.0
-                    break
+            if agent.edge_target is None and not self._decide(agent):
+                break
+            x, y = agent.position
             tx, ty = agent.edge_target_xy
-            dx = tx - agent.position[0]
-            dy = ty - agent.position[1]
+            dx = tx - x
+            dy = ty - y
             dist = math.hypot(dx, dy)
             t_need = dist / agent.edge_speed if agent.edge_speed > 0 else math.inf
             if t_need <= remaining:
-                agent.position[0] = tx
-                agent.position[1] = ty
+                agent.position = (tx, ty)
                 agent.cell = agent.edge_target
                 agent.distance_m += dist
                 agent.effort_spent += effort_accrual(t_need, agent.edge_slope)
@@ -360,14 +350,13 @@ class World:
                 self._at_center(agent, t0, dt, remaining)
             else:
                 moved = agent.edge_speed * remaining
-                agent.position[0] += dx / dist * moved
-                agent.position[1] += dy / dist * moved
+                x += dx / dist * moved
+                y += dy / dist * moved
+                agent.position = (x, y)
                 agent.distance_m += moved
                 agent.effort_spent += effort_accrual(remaining,
                                                      agent.edge_slope)
-                agent.cell = self.grid.cell_of_point(
-                    float(agent.position[0]), float(agent.position[1])
-                )
+                agent.cell = self.grid.cell_of_point(x, y)
                 remaining = 0.0
 
     def _decide(self, agent: AgentRuntime) -> bool:
@@ -381,14 +370,12 @@ class World:
                 if xy is None or math.hypot(xy[0] - agent.position[0],
                                             xy[1] - agent.position[1]) < 1e-9:
                     return self._commit(agent, ACTION_STAY)
-                v = speed(agent.profile, 0.0)
                 agent.edge_source = None
                 agent.edge_target = agent.cell
-                agent.edge_target_xy = agent.chase_xy
-                agent.edge_speed = v
+                agent.edge_target_xy = xy
+                agent.edge_speed = speed(agent.profile, 0.0)
                 agent.edge_slope = 0.0
                 agent.last_action = "close"
-                agent.last_speed = v
                 return True
             return self._commit(agent, greedy_step(
                 self.grid, agent.profile, agent.cell, agent.chase_cell,
@@ -403,15 +390,15 @@ class World:
         agent.last_chi = chi
         if chi:
             agent.mode = MODE_ADAPTING
-            if agent.qtable is not None:
-                action = select_action(agent.qtable, build_local_state(
-                    self.grid, blocked, agent.cell, plan, wi))
-            else:
-                # untrained agents sidestep by cost instead of an all-zero row;
-                # greedy_step already skips every move _entry_ok refuses
+            if agent.qtable is None:
+                # untrained agents sidestep by cost instead of an all-zero
+                # row, toward the first waypoint not blocked (else the goal)
+                aim = next((w for w in plan.waypoints[wi:] if not blocked(w)),
+                           plan.waypoints[-1])
                 return self._commit(agent, greedy_step(
-                    self.grid, agent.profile, agent.cell, plan.waypoints[wi],
-                    blocked))
+                    self.grid, agent.profile, agent.cell, aim, blocked))
+            action = select_action(agent.qtable, build_local_state(
+                self.grid, blocked, agent.cell, plan, wi))
         else:
             agent.mode = (
                 MODE_FOLLOWING
@@ -419,30 +406,31 @@ class World:
                 else MODE_ADAPTING
             )
             action = follow_route(plan, wi, self.grid, agent.profile, agent.cell)
-        dr, dc = ACTIONS[action]
-        dest = CellIndex(agent.cell[0] + dr, agent.cell[1] + dc)
-        if action != ACTION_STAY and not self._entry_ok(agent, dest, blocked):
-            # blocked or invalid move: stand (the later-ordered mover yields)
-            action = ACTION_STAY
-        return self._commit(agent, action)
+        return self._commit(agent, action, blocked)
 
-    def _commit(self, agent: AgentRuntime, action: int) -> bool:
-        """Start walking the edge of ``action``; ACTION_STAY stands instead."""
-        if action == ACTION_STAY:
-            agent.last_action = "stay"
-            return False
-        dr, dc = ACTIONS[action]
-        dest = CellIndex(agent.cell[0] + dr, agent.cell[1] + dc)
-        sample = slope_percent(self.grid, agent.cell, dest)
-        v = speed(agent.profile, sample.percent)
-        agent.edge_source = agent.cell
-        agent.edge_target = dest
-        agent.edge_target_xy = self.grid.cell_center(dest)
-        agent.edge_speed = v
-        agent.edge_slope = sample.percent
-        agent.last_action = ACTION_NAMES[action]
-        agent.last_speed = v
-        return True
+    def _commit(self, agent: AgentRuntime, action: int,
+                blocked: Callable[[CellIndex], bool] | None = None) -> bool:
+        """Start walking the edge of ``action``; False means stand instead.
+
+        The agent stands on ACTION_STAY, on an impassable edge, or on a
+        ``blocked`` destination (the later-ordered mover yields). Moves from
+        ``greedy_step`` pass no ``blocked``: it has skipped blocked cells.
+        """
+        if action != ACTION_STAY:
+            dr, dc = ACTIONS[action]
+            dest = CellIndex(agent.cell[0] + dr, agent.cell[1] + dc)
+            _run, slope, v = edge(agent.profile, self.grid, agent.cell, dest)
+            if v > 0.0 and not (blocked is not None and blocked(dest)):
+                agent.edge_source = agent.cell
+                agent.edge_target = dest
+                agent.edge_target_xy = self.grid.cell_center(dest)
+                agent.edge_speed = v
+                agent.edge_slope = slope
+                agent.last_action = ACTION_NAMES[action]
+                return True
+        agent.edge_speed = 0.0
+        agent.last_action = "stay"
+        return False
 
     def _at_center(self, agent: AgentRuntime, t0: float, dt: float,
                    remaining: float) -> None:
@@ -456,9 +444,7 @@ class World:
         if agent.mode == MODE_ADAPTING:
             agent.mode = MODE_FOLLOWING
         if k == len(plan.waypoints) - 1:
-            agent.mode = MODE_ARRIVED
-            agent.outcome = OUTCOME_ARRIVED
-            agent.end_clock = t0 + (dt - remaining)
+            _finish(agent, MODE_ARRIVED, t0 + (dt - remaining))
 
     # -- pursuit ---------------------------------------------------------------
 
@@ -474,12 +460,8 @@ class World:
         if gap <= rule.capture_radius:
             st.outcome = PURSUIT_INTERCEPTION
             st.time_s = self.clock
-            tg.mode = MODE_INTERCEPTED
-            tg.outcome = OUTCOME_INTERCEPTED
-            tg.end_clock = self.clock
-            pu.mode = MODE_ARRIVED
-            pu.outcome = OUTCOME_ARRIVED
-            pu.end_clock = self.clock
+            _finish(tg, MODE_INTERCEPTED, self.clock)
+            _finish(pu, MODE_ARRIVED, self.clock)
             return
         if pu.mode in TERMINAL_MODES:
             return
@@ -492,8 +474,9 @@ class World:
             st.last_seen = tg.cell
             st.los_down_s = 0.0
             pu.chase_cell = tg.cell
-            pu.chase_xy = (float(tg.position[0]), float(tg.position[1]))
-            pu.edge_source = None  # allow the next decision to re-aim
+            pu.chase_xy = tg.position
+            # a pursuer that sees its target never walks its edge back
+            pu.edge_source = None
         else:
             st.los_down_s += dt
             pu.chase_xy = None
@@ -502,16 +485,12 @@ class World:
             if st.los_down_s >= rule.los_loss_limit:
                 st.outcome = PURSUIT_ABANDONED_LOS
                 st.time_s = self.clock
-                pu.mode = MODE_ABANDONED
-                pu.outcome = OUTCOME_ABANDONED
-                pu.end_clock = self.clock
+                _finish(pu, MODE_ABANDONED, self.clock)
                 return
         if pu.effort_spent > rule.effort_budget:
             st.outcome = PURSUIT_ABANDONED_EFFORT
             st.time_s = self.clock
-            pu.mode = MODE_ABANDONED
-            pu.outcome = OUTCOME_ABANDONED
-            pu.end_clock = self.clock
+            _finish(pu, MODE_ABANDONED, self.clock)
 
     def _trace_record(self, agent: AgentRuntime, t: float) -> TraceRecord:
         if agent.chase_cell is not None or agent.plan is None:
@@ -522,13 +501,13 @@ class World:
             t_s=t,
             row=agent.cell.row,
             col=agent.cell.col,
-            easting=float(agent.position[0]),
-            northing=float(agent.position[1]),
+            easting=agent.position[0],
+            northing=agent.position[1],
             elevation_m=self.grid.elevation(agent.cell),
             mode=agent.mode,
             chi=agent.last_chi,
             action=agent.last_action,
-            speed_mps=agent.last_speed,
+            speed_mps=agent.edge_speed,
             d_t_cells=dev,
             effort=agent.effort_spent,
         )
@@ -769,8 +748,7 @@ def _resolve_profile(spec, where: str) -> AgentProfile:
 
 
 def _agent_row(agent: AgentRuntime, clock: float) -> dict:
-    end = agent.end_clock if agent.end_clock is not None else clock
-    duration = end - agent.start_clock
+    duration = agent.end_clock if agent.end_clock is not None else clock
     return {
         "id": agent.id,
         "profile": agent.profile.name,
@@ -816,20 +794,17 @@ def _runtime(
         plan=None,
         qtable=qtable,
         cell=start,
-        position=np.array(grid.cell_center(start), dtype=float),
+        position=grid.cell_center(start),
     )
     try:
         plan, _stats = planner.astar(grid, profile, start, goal)
         runtime.plan = plan
         runtime.waypoint_index = 1
         if len(plan.waypoints) == 1:
-            runtime.mode = MODE_ARRIVED
-            runtime.outcome = OUTCOME_ARRIVED
-            runtime.end_clock = 0.0
+            _finish(runtime, MODE_ARRIVED, 0.0)
     except NoPathError:
-        runtime.mode = MODE_ABANDONED
+        _finish(runtime, MODE_ABANDONED, 0.0)
         runtime.outcome = OUTCOME_NO_PATH
-        runtime.end_clock = 0.0
     return runtime
 
 
@@ -934,8 +909,8 @@ def compare_transport(
 
         (pa, row_a), (pb, row_b) = results["a"], results["b"]
         both_arrived = (
-            row_a["outcome"] == OUTCOME_ARRIVED
-            and row_b["outcome"] == OUTCOME_ARRIVED
+            row_a["outcome"] == MODE_ARRIVED
+            and row_b["outcome"] == MODE_ARRIVED
         )
         reduction = None
         difference_s = None

@@ -1,9 +1,9 @@
 """Elevation rasters and the geometry queries the rest of the package builds on.
 
-Grids are immutable row-major arrays with ESRI ASCII text I/O, slope and
-step-length queries, exact line-of-sight / viewshed tests, and a handful of
+Grids are immutable row-major arrays with ESRI ASCII text I/O, a
+step-length query, exact line-of-sight / viewshed tests, and a handful of
 synthetic terrain generators for desk-scale scenarios. Which steps can be
-walked is decided by ``agents.traversal_time``.
+walked, and at what slope, is decided by ``agents.edge``.
 """
 
 from __future__ import annotations
@@ -80,6 +80,9 @@ class ElevationGrid:
             raise ValueError("grid origin must be finite")
         if not math.isfinite(self.nodata):
             raise ValueError("nodata sentinel must be finite")
+        # plain floats, so geometry derived from them (positions, traces) is too
+        for name in ("xll", "yll", "cellsize", "nodata"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         arr = np.asarray(self.values, dtype=float)
         if arr.size != self.nrows * self.ncols:
             raise ValueError(
@@ -129,15 +132,6 @@ class ElevationGrid:
             self.ncols, self.nrows, self.xll, self.yll,
             self.cellsize, self.nodata, arr,
         )
-
-
-@dataclass(frozen=True)
-class SlopeSample:
-    """Slope between two adjacent cells: percent == |rise| / run * 100."""
-
-    percent: float
-    rise: float
-    run: float
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +283,7 @@ def _num(x: float) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Slope and adjacency
+# Adjacency
 # ---------------------------------------------------------------------------
 
 def step_run(grid: ElevationGrid, a: CellIndex, b: CellIndex) -> float:
@@ -298,18 +292,6 @@ def step_run(grid: ElevationGrid, a: CellIndex, b: CellIndex) -> float:
     if (dr, dc) not in OFFSET_TO_ACTION:
         raise ValueError(f"cells {tuple(a)} and {tuple(b)} are not adjacent")
     return grid.cellsize * (SQRT2 if dr != 0 and dc != 0 else 1.0)
-
-
-def slope_percent(grid: ElevationGrid, a: CellIndex, b: CellIndex) -> SlopeSample:
-    """Slope of the move a -> b. Diagonal runs are cellsize * sqrt(2)."""
-    run = step_run(grid, a, b)
-    for c in (a, b):
-        if not grid.in_bounds(c):
-            raise ValueError(f"cell {tuple(c)} out of bounds")
-        if grid.is_nodata(c):
-            raise ValueError(f"cell {tuple(c)} is nodata")
-    rise = grid.elevation(b) - grid.elevation(a)
-    return SlopeSample(percent=abs(rise) / run * 100.0, rise=rise, run=run)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from terramob.terrain import DEFAULT_NODATA, ElevationGrid
+from terramob.agents import AgentProfile, traversal_time
+from terramob.planner import PathPlan
+from terramob.terrain import DEFAULT_NODATA, ElevationGrid, step_run
 
 
 def rough_grid(seed: int, nrows: int = 32, ncols: int = 32,
@@ -22,6 +26,29 @@ def rough_grid(seed: int, nrows: int = 32, ncols: int = 32,
     holes[0, 0] = holes[nrows - 1, ncols - 1] = False
     values[holes] = DEFAULT_NODATA
     return ElevationGrid(ncols, nrows, 0.0, 0.0, cellsize, DEFAULT_NODATA, values)
+
+
+def validate_plan(plan: PathPlan, grid: ElevationGrid, p: AgentProfile) -> None:
+    """Raise ValueError if a plan violates its structural guarantees."""
+    if not plan.waypoints:
+        raise ValueError("plan has no waypoints")
+    for c in plan.waypoints:
+        if not grid.traversable(c):
+            raise ValueError(f"waypoint {tuple(c)} is not traversable")
+    if len(plan.edge_times) != len(plan.waypoints) - 1:
+        raise ValueError("edge_times length mismatch")
+    total = 0.0
+    dist = 0.0
+    for a, b, t in zip(plan.waypoints, plan.waypoints[1:], plan.edge_times):
+        cost = traversal_time(p, grid, a, b)  # raises if not adjacent
+        if not math.isfinite(cost):
+            raise ValueError(f"edge {tuple(a)} -> {tuple(b)} is impassable")
+        if cost != t:
+            raise ValueError(f"edge {tuple(a)} -> {tuple(b)} time mismatch")
+        total += t
+        dist += step_run(grid, a, b)
+    if abs(total - plan.total_time) > 1e-9 or abs(dist - plan.total_distance) > 1e-9:
+        raise ValueError("plan totals do not match edges")
 
 
 @pytest.fixture

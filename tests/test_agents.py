@@ -10,11 +10,13 @@ from terramob.agents import (
     AgentProfile,
     builtin_profile,
     builtin_profiles,
+    edge,
     profile_from_spec,
     speed,
     traversal_time,
 )
-from terramob.terrain import CellIndex, make_synthetic
+from terramob.terrain import NEIGHBOR_OFFSETS, CellIndex, make_synthetic
+from conftest import rough_grid
 
 
 def _human(reduction_at_ref):
@@ -203,3 +205,18 @@ class TestTraversalTime:
         up = traversal_time(p, grid, CellIndex(1, 1), CellIndex(1, 2))
         down = traversal_time(p, grid, CellIndex(1, 2), CellIndex(1, 1))
         assert up == down
+
+    def test_time_is_run_over_edge_speed(self):
+        grid = rough_grid(5, nrows=12, ncols=12, nodata_frac=0.15, relief=120.0)
+        seen = set()
+        for p in builtin_profiles():
+            for r in range(-1, 13):
+                for c in range(-1, 13):
+                    a = CellIndex(r, c)
+                    for dr, dc in NEIGHBOR_OFFSETS:
+                        b = CellIndex(r + dr, c + dc)
+                        run, _slope, v = edge(p, grid, a, b)
+                        want = run / v if v > 0.0 else IMPASSABLE
+                        assert traversal_time(p, grid, a, b) == want
+                        seen.add(v > 0.0)
+        assert seen == {True, False}

@@ -17,9 +17,9 @@ from pathlib import Path
 import pytest
 
 from terramob.agents import builtin_profile, builtin_profiles
-from terramob.planner import NoPathError, astar, validate_plan
+from terramob.planner import NoPathError, astar
 from terramob.terrain import CellIndex
-from conftest import rough_grid
+from conftest import rough_grid, validate_plan
 
 GOLDEN = Path(__file__).parent / "data" / "astar_golden.json"
 

@@ -330,6 +330,15 @@ class TestMalformedInput:
         err = self._simulate_err(tmp_path, capsys, obj)
         assert err == "error: qtable entry (99999, 0) out of range\n"
 
+    def test_qtable_entry_not_finite(self, tmp_path, capsys):
+        (tmp_path / "q.txt").write_text(
+            "terramob-qtable 1\nstates 8192\nactions 9\ngamma 0.95\n"
+            "alpha 0.1\nseed 0\nepisodes 0\nentries 1\n0 0 nan\n")
+        obj = json.loads(json.dumps(SCENARIO))
+        obj["agents"][0]["qtable"] = "q.txt"
+        err = self._simulate_err(tmp_path, capsys, obj)
+        assert err == "error: qtable entry (0, 0) is not finite\n"
+
     @pytest.mark.parametrize("header, message", [
         ("xllcorner 0\nyllcorner 0\ncellsize inf\n",
          "line 5: cellsize must be finite, got inf"),

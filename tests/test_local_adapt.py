@@ -477,3 +477,13 @@ class TestPersistence:
         text = buf.getvalue().replace("entries 0", "entries 1") + entry + "\n"
         with pytest.raises(ValueError, match="out of range"):
             load_qtable(io.StringIO(text))
+
+    @pytest.mark.parametrize("entry", ["0 0 nan", "0 1 inf", "5 2 -inf"])
+    def test_entry_not_finite_rejected(self, entry):
+        # np.argmax would return the first NaN: a nan entry steers a table
+        buf = io.StringIO()
+        save_qtable(zeros(), buf, gamma=0.9, alpha=0.5, seed=0,
+                    episodes=0)
+        text = buf.getvalue().replace("entries 0", "entries 1") + entry + "\n"
+        with pytest.raises(ValueError, match="not finite"):
+            load_qtable(io.StringIO(text))

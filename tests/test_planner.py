@@ -13,11 +13,10 @@ from terramob.planner import (
     dijkstra_oracle,
     heuristic,
     octile_distance_m,
-    validate_plan,
     write_plan_csv,
 )
 from terramob.terrain import CellIndex, make_synthetic, two_corridor_endpoints
-from conftest import rough_grid
+from conftest import rough_grid, validate_plan
 
 SQRT2 = math.sqrt(2.0)
 

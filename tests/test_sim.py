@@ -187,6 +187,62 @@ class TestStep:
         assert b["duration_s"] == pytest.approx(b_duration)
         assert b["distance_m"] == pytest.approx(240.0)
 
+    def test_untrained_bypass_aims_past_the_blocked_waypoint(self):
+        # the CI smoke scenario: a one-cell bar on a straight route; aiming
+        # at the bar itself took an orthogonal staircase of 270 m
+        cfg = flat_cfg(
+            terrain={"recipe": "flat", "nrows": 6, "ncols": 8, "h": 0.0},
+            agents=[{"id": "a", "profile": "fit_adults",
+                     "start": [2, 0], "goal": [2, 7]}],
+            obstacles=[{"cells": [[2, 4]], "schedule": [[0, 1000]]}])
+        report, _traces = run_scenario(cfg)
+        a = report.agents[0]
+        assert a["outcome"] == "arrived"
+        assert a["distance_m"] == pytest.approx(150.0 + 60.0 * math.sqrt(2))
+        assert a["duration_s"] == pytest.approx(a["distance_m"] / 1.5)
+
+    def test_crossing_diagonals_yield_by_id(self):
+        # both reach the shared corner in the same step and each disc
+        # touches the other's destination; only the higher id walks back
+        cfg = flat_cfg(
+            terrain={"recipe": "flat", "nrows": 4, "ncols": 4, "h": 0.0},
+            agents=[{"id": "a", "profile": "fit_adults",
+                     "start": [1, 1], "goal": [2, 2]},
+                    {"id": "b", "profile": "fit_adults",
+                     "start": [1, 2], "goal": [2, 1]}],
+            sim={"dt": 1.0, "max_sim_time": 600, "seed": 1})
+        report, _traces = run_scenario(cfg)
+        a, b = report.agents
+        assert a["outcome"] == "arrived" and b["outcome"] == "arrived"
+        assert a["distance_m"] == pytest.approx(30.0 * math.sqrt(2))
+        assert b["distance_m"] > a["distance_m"]
+
+    def test_cone_crossing_every_agent_arrives(self):
+        agents = [{"id": f"a{i:03d}", "profile": "fit_adults",
+                   "start": [7 * i % 64, 0], "goal": [63 - 7 * i % 64, 63]}
+                  for i in range(8)]
+        cfg = flat_cfg(
+            terrain={"recipe": "cone", "nrows": 64, "ncols": 64,
+                     "peak": 200.0, "radius": 900.0},
+            agents=agents,
+            sim={"dt": 1.0, "max_sim_time": 20000, "seed": 1})
+        report, _traces = run_scenario(cfg)
+        assert [a["outcome"] for a in report.agents] == ["arrived"] * 8
+        assert report.sim_time_s < 2400.0
+
+    def test_trace_holds_plain_floats(self):
+        # numpy scalars in the grid geometry must not reach the trace text
+        grid = ElevationGrid(4, 4, np.float64(0.0), 0.0, np.float64(30.0),
+                             -9999.0, np.zeros((4, 4)))
+        world = build_world(flat_cfg(agents=[
+            {"id": "a", "profile": "fit_adults", "start": [0, 0],
+             "goal": [3, 3]}]), grid)
+        for _ in range(3):
+            world.step(1.0)
+        buf = io.StringIO()
+        write_trace_csv(world.agents[0].trace, buf)
+        assert "np." not in buf.getvalue()
+
     def test_invalid_dt(self):
         world = build_world(flat_cfg())
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from terramob.agents import builtin_profile, traversal_time
+from terramob.agents import builtin_profile, edge, traversal_time
 from terramob.terrain import (
     CellIndex,
     ElevationGrid,
@@ -16,11 +16,12 @@ from terramob.terrain import (
     make_synthetic,
     parse_ascii_grid,
     serialize_ascii_grid,
-    slope_percent,
     two_corridor_endpoints,
     viewshed,
 )
 from conftest import rough_grid
+
+FIT = builtin_profile("fit_adults")
 
 ASC_3X3 = """\
 ncols 3
@@ -122,36 +123,38 @@ class TestParseAsciiGrid:
 # ---------------------------------------------------------------------------
 
 class TestSlope:
+    """Run and slope of ``agents.edge``; speed 0.0 where an endpoint is a hole."""
+
     def test_flat_neighbors_zero(self, flat10):
-        s = slope_percent(flat10, CellIndex(2, 2), CellIndex(2, 3))
-        assert s.percent == 0.0 and s.rise == 0.0 and s.run == 30.0
+        run, slope, _v = edge(FIT, flat10, CellIndex(2, 2), CellIndex(2, 3))
+        assert slope == 0.0 and run == 30.0
 
     def test_orthogonal_15_percent(self):
         grid = make_synthetic("ramp", nrows=4, ncols=4, cellsize=30.0, slope=15.0)
-        s = slope_percent(grid, CellIndex(1, 0), CellIndex(1, 1))
-        assert s.percent == pytest.approx(15.0)
-        assert s.rise == pytest.approx(4.5)
+        run, slope, _v = edge(FIT, grid, CellIndex(1, 0), CellIndex(1, 1))
+        assert slope == pytest.approx(15.0)
+        assert slope / 100.0 * run == pytest.approx(4.5)
 
     def test_diagonal_run_uses_sqrt2(self):
         values = np.zeros((2, 2))
         values[1, 1] = 4.5
         grid = ElevationGrid(2, 2, 0, 0, 30.0, -9999.0, values)
-        s = slope_percent(grid, CellIndex(0, 0), CellIndex(1, 1))
-        assert s.run == pytest.approx(30.0 * math.sqrt(2))
-        assert s.percent == pytest.approx(10.6066, abs=1e-4)
+        run, slope, _v = edge(FIT, grid, CellIndex(0, 0), CellIndex(1, 1))
+        assert run == pytest.approx(30.0 * math.sqrt(2))
+        assert slope == pytest.approx(10.6066, abs=1e-4)
 
     def test_non_adjacent_rejected(self, flat10):
         with pytest.raises(ValueError, match="not adjacent"):
-            slope_percent(flat10, CellIndex(0, 0), CellIndex(0, 2))
+            edge(FIT, flat10, CellIndex(0, 0), CellIndex(0, 2))
 
     def test_nodata_endpoint_rejected(self):
         values = np.zeros((2, 2))
         values[0, 1] = -9999.0
         grid = ElevationGrid(2, 2, 0, 0, 30.0, -9999.0, values)
-        with pytest.raises(ValueError, match="nodata"):
-            slope_percent(grid, CellIndex(0, 0), CellIndex(0, 1))
+        assert edge(FIT, grid, CellIndex(0, 0), CellIndex(0, 1))[2] == 0.0
+        assert edge(FIT, grid, CellIndex(0, 1), CellIndex(0, 0))[2] == 0.0
 
-    def test_antisymmetry_on_rough_grid(self):
+    def test_symmetric_on_rough_grid(self):
         grid = rough_grid(11, nrows=10, ncols=10, nodata_frac=0.0)
         rng = np.random.default_rng(1)
         for _ in range(200):
@@ -159,10 +162,7 @@ class TestSlope:
             c = int(rng.integers(1, 9))
             dr, dc = [(-1, 0), (-1, 1), (0, 1), (1, 1)][int(rng.integers(4))]
             a, b = CellIndex(r, c), CellIndex(r + dr, c + dc)
-            fwd = slope_percent(grid, a, b)
-            back = slope_percent(grid, b, a)
-            assert fwd.percent == back.percent
-            assert fwd.rise == -back.rise
+            assert edge(FIT, grid, a, b) == edge(FIT, grid, b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +428,16 @@ class TestSynthetic:
         assert start == CellIndex(6, 0) and goal == CellIndex(6, 20)
         mid = 6
         for c in range(20):
-            s = slope_percent(grid, CellIndex(mid, c), CellIndex(mid, c + 1))
-            assert s.percent == pytest.approx(25.0)
-            s = slope_percent(grid, CellIndex(0, c), CellIndex(0, c + 1))
-            assert s.percent == pytest.approx(10.0)
+            _run, slope, _v = edge(FIT, grid, CellIndex(mid, c),
+                                   CellIndex(mid, c + 1))
+            assert slope == pytest.approx(25.0)
+            _run, slope, _v = edge(FIT, grid, CellIndex(0, c),
+                                   CellIndex(0, c + 1))
+            assert slope == pytest.approx(10.0)
         for r in range(mid):
-            s = slope_percent(grid, CellIndex(r, 0), CellIndex(r + 1, 0))
-            assert s.percent == 0.0
+            _run, slope, _v = edge(FIT, grid, CellIndex(r, 0),
+                                   CellIndex(r + 1, 0))
+            assert slope == 0.0
         # off-corridor cells are holes
         assert grid.is_nodata(CellIndex(3, 5))
 
