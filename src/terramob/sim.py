@@ -420,7 +420,7 @@ class World:
             dr, dc = ACTIONS[action]
             dest = CellIndex(agent.cell[0] + dr, agent.cell[1] + dc)
             _run, slope, v = edge(agent.profile, self.grid, agent.cell, dest)
-            if v > 0.0 and not (blocked is not None and blocked(dest)):
+            if v > 0.0 and (blocked is None or not blocked(dest)):
                 agent.edge_source = agent.cell
                 agent.edge_target = dest
                 agent.edge_target_xy = self.grid.cell_center(dest)
