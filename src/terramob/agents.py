@@ -147,7 +147,7 @@ def builtin_profile(name: str) -> AgentProfile:
     for p in builtin_profiles():
         if p.name == name:
             return p
-    raise KeyError(f"no built-in profile named {name!r}")
+    raise ValueError(f"no built-in profile named {name!r}")
 
 
 def profile_from_spec(spec: str | dict) -> AgentProfile:

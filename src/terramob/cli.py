@@ -39,12 +39,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _load_terrain(arg: str):
-    if arg.endswith(".asc"):
-        return terrain.parse_ascii_grid(Path(arg).read_text())
-    return terrain.grid_from_recipe(arg)
-
-
 def _parse_cell(text: str) -> CellIndex:
     try:
         r, c = text.split(",")
@@ -61,11 +55,11 @@ def _out_dir(arg: str | None) -> Path:
 
 def cmd_plan(args) -> int:
     try:
-        grid = _load_terrain(args.terrain)
+        grid = terrain.load_grid(args.terrain)
         profile = builtin_profile(args.profile)
         start = _parse_cell(args.start)
         goal = _parse_cell(args.goal)
-    except (GridFormatError, ValueError, KeyError, OSError) as exc:
+    except (GridFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
@@ -104,10 +98,9 @@ def cmd_train(args) -> int:
             delay_per_second=args.r_delay,
             deviation_per_cell=args.r_deviation,
             rejoin=args.r_rejoin,
-            clear=args.r_clear,
         )
         env = CorridorEnv(builtin_profile(args.profile))
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     qtable, curve = train_bypass(env, weights, params)
@@ -209,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--r-delay", type=float, default=0.1)
     t.add_argument("--r-deviation", type=float, default=0.5)
     t.add_argument("--r-rejoin", type=float, default=5.0)
-    t.add_argument("--r-clear", type=float, default=2.0)
     t.add_argument("--out", help="output dir")
     t.set_defaults(func=cmd_train)
 

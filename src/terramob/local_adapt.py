@@ -52,11 +52,10 @@ class RewardWeights:
     delay_per_second: float = 0.1
     deviation_per_cell: float = 0.5
     rejoin: float = 5.0
-    clear: float = 2.0
 
     def __post_init__(self):
         for name in ("collision", "delay_per_second", "deviation_per_cell",
-                     "rejoin", "clear"):
+                     "rejoin"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -71,8 +70,6 @@ def reward(kind: str, amount: float, w: RewardWeights) -> float:
         return -w.deviation_per_cell * amount
     if kind == "rejoin":
         return w.rejoin
-    if kind == "clear":
-        return w.clear
     if kind == "none":
         return 0.0
     raise ValueError(f"unknown event kind {kind!r}")
@@ -307,60 +304,37 @@ class BypassEvaluation:
     collisions: int
     instances: list[BypassInstance]
 
-    @property
-    def success_rate(self) -> float:
-        return self.successes / self.episodes if self.episodes else 0.0
-
-    @property
-    def collision_rate(self) -> float:
-        return self.collisions / self.episodes if self.episodes else 0.0
-
 
 class CorridorEnv:
     """Flat training corridor with one randomized blocking bar per episode.
 
-    The global route runs straight down the middle row; each episode drops
-    a vertical bar of 1, 3, or 5 cells across it at a random column.
-    ``cell_blocked`` is the episode's blocking predicate: membership in the
-    bar while it is present.
+    The corridor is a fixed 7 x 30 grid of 30 m cells. The global route
+    runs straight down the middle row; each episode drops a vertical bar of
+    1, 3, or 5 cells across it at a random column, which stays for the
+    whole episode. ``cell_blocked`` is the episode's blocking predicate:
+    membership in the bar.
     """
 
-    def __init__(
-        self,
-        profile: AgentProfile,
-        nrows: int = 7,
-        ncols: int = 30,
-        cellsize: float = 30.0,
-    ):
-        if nrows < 5 or ncols < 10:
-            raise ValueError("corridor must be at least 5 x 10 cells")
+    def __init__(self, profile: AgentProfile):
         self.profile = profile
-        self.grid = make_synthetic("flat", nrows=nrows, ncols=ncols,
-                                   cellsize=cellsize, h=0.0)
-        self.mid = nrows // 2
-        cells = [CellIndex(self.mid, c) for c in range(ncols)]
-        edge = cellsize / profile.s_flat
+        self.grid = make_synthetic("flat", nrows=7, ncols=30, cellsize=30.0,
+                                   h=0.0)
+        self.mid = self.grid.nrows // 2
+        cells = [CellIndex(self.mid, c) for c in range(self.grid.ncols)]
+        self.stay_time = self.grid.cellsize / profile.s_flat  # one flat edge
         self.plan = PathPlan(
             waypoints=cells,
-            edge_times=[edge] * (ncols - 1),
-            total_time=edge * (ncols - 1),
-            total_distance=cellsize * (ncols - 1),
+            edge_times=[self.stay_time] * (len(cells) - 1),
+            total_time=self.stay_time * (len(cells) - 1),
+            total_distance=self.grid.cellsize * (len(cells) - 1),
             profile_name=profile.name,
         )
-        self.stay_time = cellsize / profile.s_flat
         self.obstacle: frozenset[CellIndex] = frozenset()
-        self.obstacle_until: int | None = None  # last step the bar is present
-        self.now = 0
 
-    def begin_episode(self, cells: frozenset[CellIndex],
-                      until: int | None = None) -> None:
+    def begin_episode(self, cells: frozenset[CellIndex]) -> None:
         self.obstacle = cells
-        self.obstacle_until = until
-        self.now = 0
 
     def cell_blocked(self, cell: CellIndex) -> bool:
-        if self.obstacle_until is not None and self.now > self.obstacle_until:
-            return False
         return cell in self.obstacle
 
     def sample_obstacle(self, rng: np.random.Generator) -> frozenset[CellIndex]:
@@ -376,54 +350,53 @@ class CorridorEnv:
                      min(self.grid.nrows - 1, center + half) + 1)
         return frozenset(CellIndex(r, col) for r in rows)
 
-    def blocked_column(self) -> int:
-        return next(iter(self.obstacle)).col
-
 
 def _run_episode(
     env: CorridorEnv,
     q: np.ndarray,
-    weights: RewardWeights,
-    params: LearningParams,
-    rng: np.random.Generator,
-    *,
-    epsilon: float,
-    learn: bool,
-    full_route: bool,
-    step_cap: int,
+    learning: tuple[RewardWeights, LearningParams, float,
+                    np.random.Generator] | None = None,
 ) -> tuple[float, bool, bool, int, float]:
-    """Returns (return, success, collided, steps, elapsed seconds)."""
+    """One episode on the current bar of ``env``.
+
+    With ``learning = (weights, params, epsilon, rng)`` it is a training
+    episode: it starts on the cell before the bar, so the agent is bypassing
+    from its first step; every step is rewarded and backed up into ``q``,
+    and the episode ends on rejoin, collision or
+    ``params.max_steps_per_episode`` steps. With ``learning=None`` it is a
+    greedy rollout of the whole route, which computes no reward and ends at
+    the goal, on collision or after 6 steps per waypoint.
+
+    Returns (return, success, collided, steps, elapsed seconds); a rollout's
+    return is 0.0.
+    """
     grid = env.grid
     plan = env.plan
     profile = env.profile
-    block_col = env.blocked_column()
-    if full_route:
+    blocked = env.cell_blocked
+    if learning:
+        weights, params, epsilon, rng = learning
+        wi = next(iter(env.obstacle)).col
+        cell = plan.waypoints[wi - 1]
+        max_steps = params.max_steps_per_episode
+        s = build_local_state(grid, blocked, cell, plan, wi)
+    else:
+        epsilon, rng = 0.0, None
         cell = plan.waypoints[0]
         wi = 1
-    else:
-        cell = plan.waypoints[block_col - 1]
-        wi = block_col
-    adapting = False
+        max_steps = 6 * len(plan.waypoints)
     total_r = 0.0
     elapsed = 0.0
     goal = plan.waypoints[-1]
 
-    blocked = env.cell_blocked
-    s = None
-    for step in range(1, step_cap + 1):
-        env.now = step
-        was_blocked = detect_block(blocked, plan, wi)
-        # learning reads every state; evaluation only a blocked step's
-        if s is None and (learn or was_blocked):
-            s = build_local_state(grid, blocked, cell, plan, wi)
-        if was_blocked:
-            adapting = True
+    for step in range(1, max_steps + 1):
+        if detect_block(blocked, plan, wi):
+            if not learning:  # a rollout reads only a blocked step's state
+                s = build_local_state(grid, blocked, cell, plan, wi)
             a = select_action(q, s, epsilon, rng)
         else:
             a = follow_route(plan, wi, grid, profile, cell)
 
-        prev_wi = wi
-        prev_dev = deviation_cells(cell, plan)
         if a == ACTION_STAY:
             dest = cell
             move_time = env.stay_time
@@ -433,45 +406,39 @@ def _run_episode(
             move_time = traversal_time(profile, grid, cell, dest)
             if not math.isfinite(move_time) or blocked(dest):
                 # walked into the bar or the corridor wall
-                r = reward("collision", 0.0, weights)
-                total_r += r
-                if learn:
+                if learning:
+                    r = reward("collision", 0.0, weights)
+                    total_r += r
                     q_update(q, s, a, r, s, params)
                 return total_r, False, True, step, elapsed
 
-        cell = dest
+        prev_cell, cell = cell, dest
         elapsed += move_time
         rejoined, k = rejoin_check(cell, plan, wi)
         if rejoined:
             wi = k + 1
-        env.now = step + 1  # the step consumed time; observe the next state
-        now_blocked = detect_block(blocked, plan, wi)
-        dev = deviation_cells(cell, plan)
+        if not learning:
+            if cell == goal:
+                return total_r, True, False, step, elapsed
+            continue
 
-        if rejoined and adapting:
+        dev = deviation_cells(cell, plan)
+        if rejoined:
             r = reward("rejoin", 0.0, weights)
-        elif was_blocked and not now_blocked and not rejoined:
-            r = reward("clear", 0.0, weights)
         elif dev > 0:
             r = reward("deviation", dev, weights)
-        elif wi == prev_wi and dev >= prev_dev:
+        elif deviation_cells(prev_cell, plan) == 0:  # on the route, no gain
             r = reward("delay", move_time, weights)
         else:
             r = reward("none", 0.0, weights)
         total_r += r
-        if learn:
-            s_next = build_local_state(grid, blocked, cell, plan, wi)
-            q_update(q, s, a, r, s_next, params)
-        s = s_next if learn else None  # same cell, wi and clock next step
-
-        if rejoined and adapting:
-            adapting = False
-            if not full_route:
-                return total_r, True, False, step, elapsed
-        if full_route and cell == goal:
+        s_next = build_local_state(grid, blocked, cell, plan, wi)
+        q_update(q, s, a, r, s_next, params)
+        s = s_next
+        if rejoined:
             return total_r, True, False, step, elapsed
 
-    return total_r, False, False, step_cap, elapsed
+    return total_r, False, False, max_steps, elapsed
 
 
 def train_bypass(
@@ -491,12 +458,7 @@ def train_bypass(
     for ep in range(params.episodes):
         env.begin_episode(env.sample_obstacle(rng))
         total_r, success, _collided, steps, _t = _run_episode(
-            env, q, weights, params, rng,
-            epsilon=params.epsilon_at(ep),
-            learn=True,
-            full_route=False,
-            step_cap=params.max_steps_per_episode,
-        )
+            env, q, (weights, params, params.epsilon_at(ep), rng))
         curve.append(EpisodeStats(ep, total_r, success, steps))
     return q, curve
 
@@ -506,7 +468,6 @@ def evaluate_bypass(
     env: CorridorEnv,
     episodes: int = 200,
     seed: int = 10_000,
-    weights: RewardWeights | None = None,
 ) -> BypassEvaluation:
     """Greedy full-route rollouts on fresh obstacle placements.
 
@@ -514,22 +475,13 @@ def evaluate_bypass(
     search on a grid with the bar punched out, so callers can compare the
     bypass detour against full replanning.
     """
-    weights = weights or RewardWeights()
-    params = LearningParams(seed=seed)
     rng = np.random.default_rng(seed)
     instances: list[BypassInstance] = []
     successes = 0
     collisions = 0
-    step_cap = 6 * len(env.plan.waypoints)
     for _ in range(episodes):
         env.begin_episode(env.sample_obstacle(rng))
-        _r, success, collided, _steps, elapsed = _run_episode(
-            env, q, weights, params, rng,
-            epsilon=0.0,
-            learn=False,
-            full_route=True,
-            step_cap=step_cap,
-        )
+        _r, success, collided, _steps, elapsed = _run_episode(env, q)
         masked = env.grid.with_nodata(env.obstacle)
         oracle_plan, _stats = planner.astar(
             masked, env.profile, env.plan.waypoints[0], env.plan.waypoints[-1]

@@ -37,9 +37,8 @@ from .planner import NoPathError, PathPlan
 from .terrain import (
     CellIndex,
     ElevationGrid,
-    grid_from_recipe,
     line_of_sight,
-    parse_ascii_grid,
+    load_grid,
 )
 
 MODE_FOLLOWING = "following"
@@ -229,6 +228,8 @@ class World:
         dt: float = 1.0,
         observer_height: float = 1.7,
     ):
+        if not dt > 0:
+            raise ValueError("dt must be positive")
         self.grid = grid
         self.agents = sorted(agents, key=lambda a: a.id)
         self.obstacles = list(obstacles)
@@ -291,10 +292,8 @@ class World:
 
     # -- one simulation step --------------------------------------------------
 
-    def step(self, dt: float | None = None) -> None:
-        dt = self.dt if dt is None else dt
-        if not dt > 0:
-            raise ValueError("dt must be positive")
+    def step(self) -> None:
+        dt = self.dt
         t0 = self.clock
         self._walls = set().union(
             *(ob.cells for ob in self.obstacles if ob.active(t0)))
@@ -689,12 +688,7 @@ class ScenarioConfig:
         return cls.from_dict(obj, base_dir=path.parent)
 
     def resolve_grid(self) -> ElevationGrid:
-        if isinstance(self.terrain, dict):
-            return grid_from_recipe(self.terrain)
-        text = str(self.terrain)
-        if text.endswith(".asc"):
-            return parse_ascii_grid((self.base_dir / text).read_text())
-        return grid_from_recipe(text)
+        return load_grid(self.terrain, self.base_dir)
 
     def profile_registry(self) -> dict[str, AgentProfile]:
         registry = {p.name: p for p in builtin_profiles()}
@@ -741,8 +735,6 @@ def _resolve_profile(spec, where: str) -> AgentProfile:
     """``profile_from_spec`` with a bad spec reported as a ConfigError."""
     try:
         return profile_from_spec(spec)
-    except KeyError as exc:  # unknown base name; str() would add quotes
-        raise ConfigError(f"{where}: {exc.args[0]}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -838,11 +830,11 @@ def build_world(config: ScenarioConfig,
     return world
 
 
-def _simulate(world: World, dt: float, max_sim_time: float) -> None:
+def _simulate(world: World, max_sim_time: float) -> None:
     for i, rule in enumerate(world.pursuit_rules):
         world._pursuit_update(i, rule, 0.0)
     while world.clock < max_sim_time - 1e-9 and world.any_active():
-        world.step(dt)
+        world.step()
 
 
 def run_scenario(
@@ -851,7 +843,7 @@ def run_scenario(
 ) -> tuple[SimReport, dict[str, list[TraceRecord]]]:
     """Simulate the configured agents to termination or the time limit."""
     world = build_world(config, grid)
-    _simulate(world, config.dt, config.max_sim_time)
+    _simulate(world, config.max_sim_time)
     agents = [_agent_row(a, world.clock) for a in world.agents]
     pursuits = []
     for rule, st in zip(world.pursuit_rules, world.pursuit_states):
@@ -903,7 +895,7 @@ def compare_transport(
                              profile, route.start, route.goal)
             world = World(grid, [agent], [], [], dt=config.dt,
                           observer_height=config.observer_height)
-            _simulate(world, config.dt, config.max_sim_time)
+            _simulate(world, config.max_sim_time)
             results[label] = (profile, _agent_row(agent, world.clock))
             traces[agent.id] = agent.trace
 

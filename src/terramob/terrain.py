@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -561,6 +562,17 @@ def grid_from_recipe(spec: str | dict) -> ElevationGrid:
         raise ValueError(f"recipe needs a {exc.args[0]!r} entry") from None
     except (TypeError, OverflowError) as exc:  # a parameter of the wrong type
         raise ValueError(f"bad recipe parameter: {exc}") from None
+
+
+def load_grid(spec: str | dict, base_dir: str | Path = ".") -> ElevationGrid:
+    """The grid a terrain spec names: a recipe dict, a path ending in
+    ``.asc`` (relative to ``base_dir``), or a compact recipe string."""
+    if isinstance(spec, dict):
+        return grid_from_recipe(spec)
+    text = str(spec)
+    if text.endswith(".asc"):
+        return parse_ascii_grid((Path(base_dir) / text).read_text())
+    return grid_from_recipe(text)
 
 
 def _coerce(val: str):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from terramob.agents import AgentProfile, traversal_time
+from terramob.local_adapt import BypassEvaluation
 from terramob.planner import PathPlan
 from terramob.terrain import DEFAULT_NODATA, ElevationGrid, step_run
 
@@ -49,6 +50,16 @@ def validate_plan(plan: PathPlan, grid: ElevationGrid, p: AgentProfile) -> None:
         dist += step_run(grid, a, b)
     if abs(total - plan.total_time) > 1e-9 or abs(dist - plan.total_distance) > 1e-9:
         raise ValueError("plan totals do not match edges")
+
+
+def success_rate(ev: BypassEvaluation) -> float:
+    """Share of an evaluation's episodes that reached the goal."""
+    return ev.successes / ev.episodes if ev.episodes else 0.0
+
+
+def collision_rate(ev: BypassEvaluation) -> float:
+    """Share of an evaluation's episodes that ended in a collision."""
+    return ev.collisions / ev.episodes if ev.episodes else 0.0
 
 
 @pytest.fixture

@@ -38,7 +38,7 @@ from terramob.terrain import (
     two_corridor_endpoints,
     viewshed,
 )
-from conftest import rough_grid
+from conftest import rough_grid, success_rate
 
 
 def _report(criterion: int, label: str, failures: list[str]) -> None:
@@ -147,8 +147,8 @@ def test_criterion_3_hybrid_contract(trained_bypass, tmp_path, monkeypatch):
 
     # (b) bypass success on held-out placements
     ev = evaluate_bypass(qtable, env, episodes=200, seed=4242)
-    if ev.success_rate < 0.95:
-        failures.append(f"held-out success {ev.success_rate:.3f} < 0.95")
+    if success_rate(ev) < 0.95:
+        failures.append(f"held-out success {success_rate(ev):.3f} < 0.95")
 
     # (c) hybrid time within 1.25x of a full-replanning oracle
     worst = 0.0
@@ -160,7 +160,7 @@ def test_criterion_3_hybrid_contract(trained_bypass, tmp_path, monkeypatch):
         if ratio > 1.25:
             failures.append(f"hybrid/oracle ratio {ratio:.3f} > 1.25")
             break
-    print(f"\n    held-out success {ev.success_rate:.3f}, "
+    print(f"\n    held-out success {success_rate(ev):.3f}, "
           f"worst hybrid/oracle ratio {worst:.3f}")
     _report(3, "hybrid contract: one plan per agent, >=95% bypass, "
                "<=1.25x replanning oracle", failures)
@@ -173,9 +173,9 @@ def test_criterion_4_q_learning_properties():
     w = RewardWeights()
     params = LearningParams(alpha=0.35, gamma=0.95)
     r_max = 0.0
-    kinds = ("collision", "delay", "deviation", "rejoin", "clear", "none")
+    kinds = ("collision", "delay", "deviation", "rejoin", "none")
     for _ in range(100_000):
-        kind = kinds[int(rng.integers(6))]
+        kind = kinds[int(rng.integers(len(kinds)))]
         amount = float(rng.uniform(0.0, 30.0)) if kind == "delay" else (
             float(rng.integers(0, 4)) if kind == "deviation" else 0.0
         )

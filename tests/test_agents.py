@@ -140,7 +140,7 @@ class TestBuiltinProfiles:
             assert all(0.0 < v <= p.s_flat for v in speeds), p.name
 
     def test_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="no built-in profile named 'centaur'"):
             builtin_profile("centaur")
 
 

@@ -131,18 +131,18 @@ class TestSimulate:
                      "--out", str(tmp_path / "out2")]) == EXIT_OK
 
     def test_asc_terrain_parsed_once(self, tmp_path, monkeypatch):
-        from terramob import sim
+        from terramob import terrain
         from terramob.terrain import make_synthetic, serialize_ascii_grid
         grid = make_synthetic("ramp", nrows=6, ncols=8, slope=5.0)
         (tmp_path / "ramp.asc").write_text(serialize_ascii_grid(grid))
-        parse = sim.parse_ascii_grid
+        parse = terrain.parse_ascii_grid
         parses = []
 
         def counting_parse(text):
             parses.append(text)
             return parse(text)
 
-        monkeypatch.setattr(sim, "parse_ascii_grid", counting_parse)
+        monkeypatch.setattr(terrain, "parse_ascii_grid", counting_parse)
         cfg = write_scenario(tmp_path, {
             "terrain": "ramp.asc",
             "agents": [{"id": "a", "profile": "mule",
@@ -290,6 +290,16 @@ class TestMalformedInput:
         assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
         assert capsys.readouterr().err == (
             "error: line 1: ncols must be a positive integer, got inf\n")
+
+    @pytest.mark.parametrize("command", ["plan", "train"])
+    def test_unknown_builtin_profile(self, tmp_path, capsys, command):
+        argv = [command, "--profile", "nope", "--out", str(tmp_path)]
+        if command == "plan":
+            argv += ["--terrain", "flat:h=0,nrows=4,ncols=4",
+                     "--start", "0,0", "--goal", "1,1"]
+        assert main(argv) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            "error: no built-in profile named 'nope'\n")
 
     def _simulate_err(self, tmp_path, capsys, obj):
         cfg = write_scenario(tmp_path, obj)

@@ -33,6 +33,8 @@ from terramob.local_adapt import (
 from terramob.planner import PathPlan
 from terramob.terrain import CellIndex, make_synthetic
 
+from conftest import collision_rate, success_rate
+
 
 def blocked_by(*cells):
     return set(cells).__contains__
@@ -114,7 +116,6 @@ class TestReward:
     def test_collision_and_clear_and_delay(self):
         w = RewardWeights()
         assert reward("collision", 0.0, w) == -10.0
-        assert reward("clear", 0.0, w) == 2.0
         assert reward("delay", 20.0, w) == pytest.approx(-2.0)
 
     def test_unknown_kind_rejected(self):
@@ -167,8 +168,8 @@ class TestQUpdate:
         params = LearningParams(alpha=0.3, gamma=0.95)
         r_max = 0.0
         for _ in range(20_000):
-            kind = ["collision", "delay", "deviation", "rejoin", "clear",
-                    "none"][int(rng.integers(6))]
+            kind = ["collision", "delay", "deviation", "rejoin",
+                    "none"][int(rng.integers(5))]
             amount = float(rng.uniform(0.0, 30.0)) if kind == "delay" else (
                 float(rng.integers(0, 4)) if kind == "deviation" else 0.0
             )
@@ -373,7 +374,7 @@ class TestTraining:
         late = curve[-300:]
         assert sum(s.success for s in late) / len(late) >= 0.9
         ev = evaluate_bypass(q, env, episodes=100, seed=777)
-        assert ev.success_rate >= 0.9
+        assert success_rate(ev) >= 0.9
         # trained argmax never walks into the bar: no collisions at eval
         assert ev.collisions == 0
 
@@ -387,33 +388,8 @@ class TestTraining:
         q_ablated, _ = train_bypass(env, RewardWeights(collision=0.0), params)
         ev_default = evaluate_bypass(q_default, env, episodes=150, seed=321)
         ev_ablated = evaluate_bypass(q_ablated, env, episodes=150, seed=321)
-        assert ev_ablated.collision_rate > ev_default.collision_rate
-        assert ev_ablated.collision_rate >= 0.2
-
-    def test_vanishing_obstacle_fires_clear_event(self):
-        from terramob.local_adapt import _run_episode
-        env = CorridorEnv(builtin_profile("fit_adults"))
-        col = 10
-        env.begin_episode(frozenset({CellIndex(env.mid, col)}), until=2)
-        # a huge clear bonus makes the event visible in the return
-        weights = RewardWeights(clear=1000.0)
-        total, success, collided, _steps, _t = _run_episode(
-            env, zeros(), weights, LearningParams(), np.random.default_rng(0),
-            epsilon=0.0, learn=False, full_route=False, step_cap=40,
-        )
-        assert success and not collided
-        assert total > 900.0  # the bonus fired exactly once
-
-    def test_persistent_obstacle_never_clears(self):
-        from terramob.local_adapt import _run_episode
-        env = CorridorEnv(builtin_profile("fit_adults"))
-        env.begin_episode(frozenset({CellIndex(env.mid, 10)}))
-        weights = RewardWeights(clear=1000.0)
-        total, success, _c, _s, _t = _run_episode(
-            env, zeros(), weights, LearningParams(), np.random.default_rng(0),
-            epsilon=0.0, learn=False, full_route=False, step_cap=40,
-        )
-        assert total < 900.0
+        assert collision_rate(ev_ablated) > collision_rate(ev_default)
+        assert collision_rate(ev_ablated) >= 0.2
 
     def test_learning_curve_csv(self):
         env = CorridorEnv(builtin_profile("fit_adults"))

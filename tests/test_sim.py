@@ -14,6 +14,7 @@ from terramob.sim import (
     Obstacle,
     PursuitRule,
     ScenarioConfig,
+    World,
     build_world,
     compare_transport,
     effort_accrual,
@@ -78,7 +79,7 @@ class TestStep:
         world = build_world(flat_cfg())
         agent = world.agents[0]
         x0 = float(agent.position[0])
-        world.step(1.0)
+        world.step()
         assert float(agent.position[0]) - x0 == pytest.approx(1.5)
         assert float(agent.position[1]) == pytest.approx(agent.position[1])
         assert agent.mode == "following"
@@ -86,7 +87,7 @@ class TestStep:
     def test_obstacle_on_next_edge_switches_to_adapting(self):
         cfg = flat_cfg(obstacles=[{"cells": [[3, 1]], "schedule": [[0, 500]]}])
         world = build_world(cfg)
-        world.step(1.0)
+        world.step()
         agent = world.agents[0]
         assert agent.last_chi is True
         assert agent.mode == "adapting"
@@ -163,7 +164,7 @@ class TestStep:
                                   agent.cell, agent.plan, agent.waypoint_index)
         agent.qtable = np.zeros((N_STATES, N_ACTIONS))
         agent.qtable[state, 3] = 4.0  # se, not the zero argmax
-        world.step(1.0)
+        world.step()
         assert agent.last_chi is True
         assert agent.last_action == "se"
 
@@ -238,15 +239,15 @@ class TestStep:
             {"id": "a", "profile": "fit_adults", "start": [0, 0],
              "goal": [3, 3]}]), grid)
         for _ in range(3):
-            world.step(1.0)
+            world.step()
         buf = io.StringIO()
         write_trace_csv(world.agents[0].trace, buf)
         assert "np." not in buf.getvalue()
 
     def test_invalid_dt(self):
-        world = build_world(flat_cfg())
-        with pytest.raises(ValueError):
-            world.step(0.0)
+        grid = build_world(flat_cfg()).grid
+        with pytest.raises(ValueError, match="dt must be positive"):
+            World(grid, [], [], [], dt=0.0)
 
     def test_no_path_agent_reported(self, tmp_path):
         from terramob.terrain import make_synthetic, serialize_ascii_grid
