@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
-from . import local_adapt, planner, sim, terrain
+from . import planner, sim, terrain
 from .agents import builtin_profile
 from .local_adapt import (
     CorridorEnv,
@@ -23,8 +25,8 @@ from .local_adapt import (
     write_learning_curve,
 )
 from .planner import NoPathError
-from .sim import ConfigError, ScenarioConfig, SCHEMA
-from .terrain import CellIndex, GridFormatError
+from .sim import ScenarioConfig, SCHEMA
+from .terrain import CellIndex
 
 EXIT_OK = 0
 EXIT_NO_PATH = 2
@@ -53,24 +55,18 @@ def _out_dir(arg: str | None) -> Path:
     return out
 
 
+def _from_flags(cls, args):
+    """A ``cls`` dataclass from the parsed flags named after its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
+
+
 def cmd_plan(args) -> int:
-    try:
-        grid = terrain.load_grid(args.terrain)
-        profile = builtin_profile(args.profile)
-        start = _parse_cell(args.start)
-        goal = _parse_cell(args.goal)
-    except (GridFormatError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        plan, stats = planner.astar(grid, profile, start, goal,
-                                    objective=args.objective)
-    except NoPathError as exc:
-        print(f"no path: {exc}", file=sys.stderr)
-        return EXIT_NO_PATH
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    grid = terrain.load_grid(args.terrain)
+    profile = builtin_profile(args.profile)
+    start = _parse_cell(args.start)
+    goal = _parse_cell(args.goal)
+    plan, stats = planner.astar(grid, profile, start, goal,
+                                objective=args.objective)
     out = _out_dir(args.out)
     with open(out / "plan.csv", "w", newline="") as f:
         planner.write_plan_csv(plan, grid, f)
@@ -82,27 +78,9 @@ def cmd_plan(args) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
-        params = LearningParams(
-            alpha=args.alpha,
-            gamma=args.gamma,
-            epsilon_start=args.epsilon_start,
-            epsilon_end=args.epsilon_end,
-            epsilon_decay_episodes=args.epsilon_decay,
-            episodes=args.episodes,
-            max_steps_per_episode=args.max_steps,
-            seed=args.seed,
-        )
-        weights = RewardWeights(
-            collision=args.r_collision,
-            delay_per_second=args.r_delay,
-            deviation_per_cell=args.r_deviation,
-            rejoin=args.r_rejoin,
-        )
-        env = CorridorEnv(builtin_profile(args.profile))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    params = _from_flags(LearningParams, args)
+    weights = _from_flags(RewardWeights, args)
+    env = CorridorEnv(builtin_profile(args.profile))
     qtable, curve = train_bypass(env, weights, params)
     out = _out_dir(args.out)
     with open(out / "qtable.txt", "w", newline="") as f:
@@ -119,23 +97,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = ScenarioConfig.load(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.dt is not None:
-            sim.check_run_length(args.dt, config.max_sim_time, "--dt")
-            config.dt = args.dt
-        grid = config.resolve_grid()
-        report, traces = sim.run_scenario(config, grid)
-        if config.transport is not None:
-            mode_rows, comparisons, extra = sim.compare_transport(config, grid)
-            report.transport_rows = mode_rows
-            report.comparisons = comparisons
-            traces.update(extra)
-    except (ConfigError, GridFormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    config = ScenarioConfig.load(args.config)
+    if args.seed is not None:
+        config.seed = args.seed
+    if args.dt is not None:
+        sim.check_run_length(args.dt, config.max_sim_time, "--dt")
+        config.dt = args.dt
+    report, traces = sim.run_scenario(config)
     out = _out_dir(args.out or config.outputs)
     (out / "traces").mkdir(exist_ok=True)
     with open(out / "report.json", "w", newline="") as f:
@@ -150,24 +118,38 @@ def cmd_simulate(args) -> int:
         print(f"agent {agent_id}: no path", file=sys.stderr)
     print(f"report={out / 'report.json'}")
     strict = args.strict or config.strict
-    if strict and no_path:
-        return EXIT_NO_PATH
-    return EXIT_OK
+    return EXIT_NO_PATH if strict and no_path else EXIT_OK
+
+
+# The fields of a comparison entry the table renders as numbers.
+_COMPARISON_NUMBERS = ("a_duration_s", "a_distance_m", "b_duration_s",
+                       "b_distance_m", "difference_s", "difference_m",
+                       "reduction_percent")
+
+
+def _finite_or_none(value) -> bool:
+    try:
+        return value is None or math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int past 1e308
+        return False
 
 
 def cmd_report(args) -> int:
-    try:
-        obj = json.loads(Path(args.report).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+    obj = json.loads(Path(args.report).read_text())
     if not isinstance(obj, dict) or obj.get("schema") != SCHEMA:
-        print(f"error: not a {SCHEMA} document", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"not a {SCHEMA} document")
     comparisons = obj.get("comparisons", [])
     if not isinstance(comparisons, list):
-        print("error: 'comparisons' must be a list", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError("'comparisons' must be a list")
+    for i, entry in enumerate(comparisons):  # only what the table can render
+        if not isinstance(entry, dict):
+            raise ValueError(f"comparisons[{i}] must be an object")
+        for key in _COMPARISON_NUMBERS:
+            if not _finite_or_none(entry.get(key)):
+                raise ValueError(f"comparisons[{i}].{key} must be a finite number")
+        for key in ("a_outcome", "b_outcome"):
+            if not isinstance(entry.get(key), (str, type(None))):
+                raise ValueError(f"comparisons[{i}].{key} must be a string")
     sys.stdout.write(sim.render_comparison_table(comparisons))
     return EXIT_OK
 
@@ -190,18 +172,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train a bypass table on the corridor env")
     t.add_argument("--profile", default="fit_adults")
-    t.add_argument("--episodes", type=int, default=5000)
-    t.add_argument("--alpha", type=float, default=0.1)
-    t.add_argument("--gamma", type=float, default=0.95)
-    t.add_argument("--epsilon-start", type=float, default=1.0)
-    t.add_argument("--epsilon-end", type=float, default=0.05)
-    t.add_argument("--epsilon-decay", type=int, default=2000)
-    t.add_argument("--max-steps", type=int, default=80)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--r-collision", type=float, default=10.0)
-    t.add_argument("--r-delay", type=float, default=0.1)
-    t.add_argument("--r-deviation", type=float, default=0.5)
-    t.add_argument("--r-rejoin", type=float, default=5.0)
+    lp, rw = LearningParams, RewardWeights
+    t.add_argument("--episodes", type=int, default=lp.episodes)
+    t.add_argument("--alpha", type=float, default=lp.alpha)
+    t.add_argument("--gamma", type=float, default=lp.gamma)
+    t.add_argument("--epsilon-start", type=float, default=lp.epsilon_start)
+    t.add_argument("--epsilon-end", type=float, default=lp.epsilon_end)
+    t.add_argument("--epsilon-decay", type=int, dest="epsilon_decay_episodes",
+                   default=lp.epsilon_decay_episodes)
+    t.add_argument("--max-steps", type=int, dest="max_steps_per_episode",
+                   default=lp.max_steps_per_episode)
+    t.add_argument("--seed", type=int, default=lp.seed)
+    t.add_argument("--r-collision", type=float, dest="collision",
+                   default=rw.collision)
+    t.add_argument("--r-delay", type=float, dest="delay_per_second",
+                   default=rw.delay_per_second)
+    t.add_argument("--r-deviation", type=float, dest="deviation_per_cell",
+                   default=rw.deviation_per_cell)
+    t.add_argument("--r-rejoin", type=float, dest="rejoin", default=rw.rejoin)
     t.add_argument("--out", help="output dir")
     t.set_defaults(func=cmd_train)
 
@@ -223,7 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NoPathError as exc:
+        print(f"no path: {exc}", file=sys.stderr)
+        return EXIT_NO_PATH
+    except (ValueError, OSError) as exc:
+        # ConfigError, GridFormatError and JSONDecodeError are ValueErrors
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -56,8 +56,8 @@ class RewardWeights:
     def __post_init__(self):
         for name in ("collision", "delay_per_second", "deviation_per_cell",
                      "rejoin"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
 def reward(kind: str, amount: float, w: RewardWeights) -> float:

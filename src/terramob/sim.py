@@ -35,6 +35,7 @@ from .local_adapt import (
 )
 from .planner import NoPathError, PathPlan
 from .terrain import (
+    DEFAULT_EYE_HEIGHT,
     CellIndex,
     ElevationGrid,
     line_of_sight,
@@ -225,8 +226,8 @@ class World:
         agents: list[AgentRuntime],
         obstacles: list[Obstacle],
         pursuit_rules: list[PursuitRule],
-        dt: float = 1.0,
-        observer_height: float = 1.7,
+        dt: float,
+        observer_height: float = DEFAULT_EYE_HEIGHT,
     ):
         if not dt > 0:
             raise ValueError("dt must be positive")
@@ -563,7 +564,7 @@ class ScenarioConfig:
     pursuit_rules: list[PursuitRule] = field(default_factory=list)
     dt: float = 1.0
     max_sim_time: float = 86400.0
-    observer_height: float = 1.7
+    observer_height: float = DEFAULT_EYE_HEIGHT
     transport: TransportSpec | None = None
     outputs: str | None = None
     strict: bool = False
@@ -584,9 +585,9 @@ class ScenarioConfig:
             raise ConfigError("config needs sim.seed (runs must be seeded)")
         try:
             seed = int(sim["seed"])
-            dt = float(sim.get("dt", 1.0))
-            max_sim_time = float(sim.get("max_sim_time", 86400.0))
-            observer_height = float(sim.get("observer_height", 1.7))
+            dt = float(sim.get("dt", cls.dt))
+            max_sim_time = float(sim.get("max_sim_time", cls.max_sim_time))
+            observer_height = float(sim.get("observer_height", cls.observer_height))
         except _ENTRY_ERRORS as exc:
             raise ConfigError(f"sim: {exc}") from None
         check_run_length(dt, max_sim_time)
@@ -716,16 +717,7 @@ class SimReport:
     comparisons: list[dict]
 
     def to_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "seed": self.seed,
-            "dt": self.dt,
-            "sim_time_s": self.sim_time_s,
-            "agents": self.agents,
-            "pursuits": self.pursuits,
-            "transport_rows": self.transport_rows,
-            "comparisons": self.comparisons,
-        }
+        return {"schema": SCHEMA, **vars(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -769,22 +761,23 @@ def _runtime(
     start: CellIndex,
     goal: CellIndex,
     qtable_path: Path | None = None,
+    tables: dict[Path, np.ndarray] | None = None,
 ) -> AgentRuntime:
-    """Check the endpoints, load the bypass table, and plan the route."""
+    """Check the endpoints, load the bypass table (read once into ``tables``),
+    and plan the route."""
     for label, cell in (("start", start), ("goal", goal)):
         if not grid.traversable(cell):
             raise ConfigError(
                 f"agent {agent_id!r}: {label} {tuple(cell)} is not traversable"
             )
-    qtable = None
-    if qtable_path is not None:
+    if qtable_path is not None and qtable_path not in tables:
         with open(qtable_path) as f:
-            qtable, _meta = load_qtable(f)
+            tables[qtable_path], _meta = load_qtable(f)
     runtime = AgentRuntime(
         id=agent_id,
         profile=profile,
         plan=None,
-        qtable=qtable,
+        qtable=None if qtable_path is None else tables[qtable_path],
         cell=start,
         position=grid.cell_center(start),
     )
@@ -805,11 +798,12 @@ def build_world(config: ScenarioConfig,
     grid = config.resolve_grid() if grid is None else grid
     registry = config.profile_registry()
     runtimes = []
+    tables: dict[Path, np.ndarray] = {}
     for i, spec in enumerate(config.agents):
         profile = _profile_ref(spec.profile, registry, f"agents[{i}].profile")
         runtimes.append(_runtime(
             grid, spec.id, profile, spec.start, spec.goal,
-            config.base_dir / spec.qtable if spec.qtable else None,
+            config.base_dir / spec.qtable if spec.qtable else None, tables,
         ))
 
     for ob in config.obstacles:
@@ -841,28 +835,26 @@ def run_scenario(
     config: ScenarioConfig,
     grid: ElevationGrid | None = None,
 ) -> tuple[SimReport, dict[str, list[TraceRecord]]]:
-    """Simulate the configured agents to termination or the time limit."""
+    """Simulate the configured agents to termination or the time limit, then
+    the transport comparison if the config has a transport section."""
+    grid = config.resolve_grid() if grid is None else grid
     world = build_world(config, grid)
     _simulate(world, config.max_sim_time)
     agents = [_agent_row(a, world.clock) for a in world.agents]
-    pursuits = []
-    for rule, st in zip(world.pursuit_rules, world.pursuit_states):
-        pursuits.append({
-            "pursuer": rule.pursuer,
-            "target": rule.target,
-            "outcome": st.outcome or PURSUIT_TIMEOUT,
-            "time_s": st.time_s if st.time_s is not None else world.clock,
-        })
-    report = SimReport(
-        seed=config.seed,
-        dt=config.dt,
-        sim_time_s=world.clock,
-        agents=agents,
-        pursuits=pursuits,
-        transport_rows=[],
-        comparisons=[],
-    )
+    pursuits = [{
+        "pursuer": rule.pursuer,
+        "target": rule.target,
+        "outcome": st.outcome or PURSUIT_TIMEOUT,
+        "time_s": st.time_s if st.time_s is not None else world.clock,
+    } for rule, st in zip(world.pursuit_rules, world.pursuit_states)]
     traces = {a.id: a.trace for a in world.agents}
+    transport_rows, comparisons = [], []
+    if config.transport is not None:
+        transport_rows, comparisons, extra = compare_transport(config, grid)
+        traces.update(extra)
+    report = SimReport(seed=config.seed, dt=config.dt, sim_time_s=world.clock,
+                       agents=agents, pursuits=pursuits,
+                       transport_rows=transport_rows, comparisons=comparisons)
     return report, traces
 
 
@@ -889,45 +881,39 @@ def compare_transport(
     comparisons: list[dict] = []
     traces: dict[str, list[TraceRecord]] = {}
     for route in config.transport.routes:
-        results = {}
+        comparison = {
+            "route": route.name,
+            "start": f"({route.start.row}, {route.start.col})",
+            "end": f"({route.goal.row}, {route.goal.col})",
+        }
+        rows = []
         for label, profile in sides:
             agent = _runtime(grid, f"{route.name}__{label}_{profile.name}",
                              profile, route.start, route.goal)
             world = World(grid, [agent], [], [], dt=config.dt,
                           observer_height=config.observer_height)
             _simulate(world, config.max_sim_time)
-            results[label] = (profile, _agent_row(agent, world.clock))
+            row = _agent_row(agent, world.clock)
+            rows.append(row)
             traces[agent.id] = agent.trace
+            planned = row["outcome"] != OUTCOME_NO_PATH
+            comparison.update({
+                f"{label}_name": profile.name,
+                f"{label}_outcome": row["outcome"],
+                f"{label}_duration_s": row["duration_s"] if planned else None,
+                f"{label}_distance_m": row["distance_m"] if planned else None,
+            })
 
-        (pa, row_a), (pb, row_b) = results["a"], results["b"]
-        both_arrived = (
-            row_a["outcome"] == MODE_ARRIVED
-            and row_b["outcome"] == MODE_ARRIVED
-        )
-        reduction = None
-        difference_s = None
-        difference_m = None
-        if both_arrived:
+        row_a, row_b = rows
+        reduction = difference_s = difference_m = None
+        if row_a["outcome"] == MODE_ARRIVED == row_b["outcome"]:
             difference_s = row_a["duration_s"] - row_b["duration_s"]
             difference_m = row_a["distance_m"] - row_b["distance_m"]
             reduction = difference_s / row_a["duration_s"] * 100.0
-        comparisons.append({
-            "route": route.name,
-            "start": f"({route.start.row}, {route.start.col})",
-            "end": f"({route.goal.row}, {route.goal.col})",
-            "a_name": pa.name,
-            "a_outcome": row_a["outcome"],
-            "a_duration_s": row_a["duration_s"] if row_a["outcome"] != OUTCOME_NO_PATH else None,
-            "a_distance_m": row_a["distance_m"] if row_a["outcome"] != OUTCOME_NO_PATH else None,
-            "b_name": pb.name,
-            "b_outcome": row_b["outcome"],
-            "b_duration_s": row_b["duration_s"] if row_b["outcome"] != OUTCOME_NO_PATH else None,
-            "b_distance_m": row_b["distance_m"] if row_b["outcome"] != OUTCOME_NO_PATH else None,
-            "difference_s": difference_s,
-            "difference_m": difference_m,
-            "reduction_percent": reduction,
-        })
-        for (prof, row) in (results["a"], results["b"]):
+        comparison.update(difference_s=difference_s, difference_m=difference_m,
+                          reduction_percent=reduction)
+        comparisons.append(comparison)
+        for (_label, prof), row in zip(sides, rows):
             mode_rows.append({
                 "route": route.name,
                 "mode": prof.name,

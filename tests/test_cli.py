@@ -155,6 +155,28 @@ class TestSimulate:
                      "--out", str(tmp_path / "out")]) == EXIT_OK
         assert len(parses) == 1
 
+    def test_shared_qtable_read_once(self, tmp_path, monkeypatch):
+        from terramob import sim
+        (tmp_path / "q.txt").write_text(
+            "terramob-qtable 1\nstates 8192\nactions 9\ngamma 0.95\n"
+            "alpha 0.1\nseed 0\nepisodes 0\nentries 1\n0 0 1.0\n")
+        load = sim.load_qtable
+        loads = []
+
+        def counting_load(f):
+            loads.append(f.name)
+            return load(f)
+
+        monkeypatch.setattr(sim, "load_qtable", counting_load)
+        obj = json.loads(json.dumps(SCENARIO))
+        obj["agents"] = [{"id": f"w{i}", "profile": "fit_adults",
+                          "start": [6, i], "goal": [6, 20], "qtable": "q.txt"}
+                         for i in range(3)]
+        cfg = write_scenario(tmp_path, obj)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert loads == [str(tmp_path / "q.txt")]
+
     def test_ridge_pursuit_outcome_recorded(self, tmp_path):
         cfg = write_scenario(tmp_path, {
             "terrain": {"recipe": "ridge", "nrows": 21, "ncols": 31,
@@ -407,6 +429,24 @@ class TestReport:
         path.write_text(json.dumps({"schema": "something/else"}))
         assert main(["report", str(path)]) == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("comparisons", [
+        [1],
+        [{"a_duration_s": float("inf")}],  # written as JSON Infinity
+        [{"reduction_percent": [1]}],
+        [{"a_outcome": 5}],
+    ], ids=["not_an_object", "infinite_duration", "list_reduction",
+            "number_outcome"])
+    def test_malformed_comparison_is_exit_3(self, tmp_path, capsys,
+                                            comparisons):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"schema": "terramob.simreport/1",
+                                    "comparisons": comparisons}))
+        assert main(["report", str(path)]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: comparisons[0]")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
 
 class TestTrain:
     def test_small_run_outputs(self, tmp_path, capsys):
@@ -430,3 +470,31 @@ class TestTrain:
         rc = main(["train", "--alpha", "1.5", "--out", str(tmp_path)])
         assert rc == EXIT_BAD_INPUT
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--r-delay", "nan", "delay_per_second"),
+        ("--r-collision", "inf", "collision"),
+    ])
+    def test_non_finite_reward_weight_is_exit_3(self, tmp_path, capsys, flag,
+                                                value, field):
+        rc = main(["train", "--episodes", "20", "--seed", "1", flag, value,
+                   "--out", str(tmp_path / "out")])
+        assert rc == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            f"error: {field} must be finite and non-negative\n")
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["plan", "train", "simulate"])
+def test_unwritable_out_is_exit_3(tmp_path, capsys, command):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = {
+        "plan": ["plan", "--terrain", "flat:h=0,nrows=4,ncols=4",
+                 "--profile", "mule", "--start", "0,0", "--goal", "3,3"],
+        "train": ["train", "--episodes", "5", "--seed", "1"],
+        "simulate": ["simulate", "--config", str(write_scenario(tmp_path))],
+    }[command]
+    assert main(argv + ["--out", str(blocker / "out")]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

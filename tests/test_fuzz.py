@@ -4,14 +4,17 @@ Whatever a scenario file, an ``.asc`` grid, a recipe or a q-table holds,
 the parser either returns or raises ValueError (ConfigError and
 GridFormatError are ValueErrors), which the CLI turns into exit 3 with one
 ``error:`` line. Any other exception would be a traceback. Grid sizes are
-drawn small so that no case allocates a large grid.
+drawn small so that no case allocates a large grid. ``terramob report`` is
+fuzzed end to end: it exits 0 or 3 on any document.
 """
 
 import io
 import json
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from terramob.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from terramob.local_adapt import load_qtable
 from terramob.sim import ScenarioConfig
 from terramob.terrain import RECIPES, grid_from_recipe, parse_ascii_grid
@@ -179,3 +182,21 @@ qtables = st.tuples(
 @given(st.one_of(qtables, st.text(max_size=80)))
 def test_load_qtable(text):
     _rejects_cleanly(load_qtable, io.StringIO(text))
+
+
+REPORT_FIXTURE = json.loads(
+    (Path(__file__).parent / "data" / "transport_report_fixture.json")
+    .read_text())
+
+
+@FUZZ
+@given(st.one_of(
+    st.lists(st.tuples(st.sampled_from(list(_paths(REPORT_FIXTURE))),
+                       values | st.just(DELETE)), min_size=1, max_size=3)
+    .map(lambda edits: _mutate(REPORT_FIXTURE, edits)),
+    values,
+))
+def test_report_exits_0_or_3(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_report.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", str(path)]) in (EXIT_OK, EXIT_BAD_INPUT)
