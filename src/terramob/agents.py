@@ -5,6 +5,8 @@ reduction factor; transport animals multiply in a constant load factor as
 well. Each profile anchors its reduction at one reference slope and the
 curve is linear in slope from r(0) = 1 through that anchor, floored at
 MIN_SLOPE_REDUCTION, with a hard impassability cutoff at ``max_slope``.
+A profile derives the two constants of its curve, ``slope_drop`` and
+``load_factor``, once, so the law itself has no per-kind branch.
 ``edge`` is the one edge rule built on it, and ``traversal_time`` its
 time in seconds.
 """
@@ -12,7 +14,7 @@ time in seconds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .terrain import OFFSET_TO_ACTION, SQRT2, CellIndex, ElevationGrid
 
@@ -32,6 +34,8 @@ class AgentProfile:
 
     ``reduction_at_ref`` (percent) applies to human profiles only;
     ``r_slope_at_ref`` and ``r_load`` (fractions) to animal profiles only.
+    ``slope_drop`` (1 minus the reduction factor at ``ref_slope``) and
+    ``load_factor`` are derived from them and cannot be set.
     """
 
     name: str
@@ -46,6 +50,8 @@ class AgentProfile:
     max_slope: float = 35.0
     body_radius: float = 0.3
     role: str = "civilian"
+    slope_drop: float = field(init=False, repr=False, compare=False)
+    load_factor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (KIND_HUMAN, KIND_ANIMAL):
@@ -69,6 +75,11 @@ class AgentProfile:
                 raise ValueError("reduction_at_ref must be in [0, 100]")
             if self.r_slope_at_ref is not None or self.r_load is not None:
                 raise ValueError("human profile takes no load/slope fractions")
+            # 1 - (1 - x) rounds differently from x: the factor at the
+            # reference slope is 1 - reduction/100, and the drop is its
+            # complement.
+            slope_drop = 1.0 - (1.0 - self.reduction_at_ref / 100.0)
+            load_factor = 1.0
         else:
             if self.r_slope_at_ref is None or self.r_load is None:
                 raise ValueError("animal profile needs r_slope_at_ref and r_load")
@@ -78,31 +89,29 @@ class AgentProfile:
                     raise ValueError(f"{label} must be in (0, 1]")
             if self.reduction_at_ref is not None:
                 raise ValueError("animal profile takes no reduction_at_ref")
-
-
-def _slope_curve(r_at_ref: float, ref_slope: float, slope: float) -> float:
-    """Linear reduction in slope through (0, 1) and (ref_slope, r_at_ref)."""
-    r = 1.0 - (1.0 - r_at_ref) * (slope / ref_slope)
-    return max(MIN_SLOPE_REDUCTION, min(1.0, r))
+            slope_drop = 1.0 - self.r_slope_at_ref
+            load_factor = self.r_load
+        object.__setattr__(self, "slope_drop", slope_drop)
+        object.__setattr__(self, "load_factor", load_factor)
 
 
 def speed(p: AgentProfile, slope: float) -> float:
     """Walking speed in m/s on a ``slope`` percent grade; 0.0 above max_slope.
 
-    Humans scale ``s_flat`` by the slope curve anchored at
-    ``1 - reduction_at_ref / 100``; animals anchor it at ``r_slope_at_ref``
-    and multiply in ``r_load``. This is the package's one speed law;
-    ``planner.astar`` repeats its arithmetic inline.
+    The reduction factor falls linearly from 1 by ``slope_drop`` per
+    ``ref_slope`` of grade, floored at MIN_SLOPE_REDUCTION; it never exceeds
+    1, since the slope is non-negative and ``slope_drop`` is too. This is
+    the package's one speed law; ``planner.astar`` repeats its arithmetic
+    inline.
     """
     if slope < 0:
         raise ValueError("slope must be non-negative")
     if slope > p.max_slope:
         return 0.0
-    if p.kind == KIND_HUMAN:
-        return p.s_flat * _slope_curve(1.0 - p.reduction_at_ref / 100.0,
-                                       p.ref_slope, slope)
-    return p.s_flat * (_slope_curve(p.r_slope_at_ref, p.ref_slope, slope)
-                       * p.r_load)
+    r = 1.0 - p.slope_drop * (slope / p.ref_slope)
+    if r < MIN_SLOPE_REDUCTION:
+        r = MIN_SLOPE_REDUCTION
+    return p.s_flat * (r * p.load_factor)
 
 
 def builtin_profiles() -> list[AgentProfile]:
@@ -219,9 +228,8 @@ def traversal_time(
     """Seconds to walk one grid edge: ``run / speed`` of ``edge``, IMPASSABLE
     (inf) where its speed is 0.0.
 
-    Callers: the Dijkstra oracle (``planner.dijkstra_all``), plan building,
-    the local step rules (``local_adapt.follow_route`` and ``greedy_step``)
-    and the training episodes.
+    Callers: the local step rules (``local_adapt.follow_route`` and
+    ``greedy_step``) and the training episodes.
     """
     run, _slope, v = edge(p, grid, a, b)
     return run / v if v > 0.0 else IMPASSABLE

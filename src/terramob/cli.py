@@ -216,8 +216,9 @@ def main(argv: list[str] | None = None) -> int:
     except NoPathError as exc:
         print(f"no path: {exc}", file=sys.stderr)
         return EXIT_NO_PATH
-    except (ValueError, OSError) as exc:
-        # ConfigError, GridFormatError and JSONDecodeError are ValueErrors
+    except (ValueError, OSError, RecursionError) as exc:
+        # ConfigError, GridFormatError and JSONDecodeError are ValueErrors;
+        # json.loads raises RecursionError on deeply nested input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -320,15 +320,11 @@ class CorridorEnv:
         self.grid = make_synthetic("flat", nrows=7, ncols=30, cellsize=30.0,
                                    h=0.0)
         self.mid = self.grid.nrows // 2
-        cells = [CellIndex(self.mid, c) for c in range(self.grid.ncols)]
-        self.stay_time = self.grid.cellsize / profile.s_flat  # one flat edge
-        self.plan = PathPlan(
-            waypoints=cells,
-            edge_times=[self.stay_time] * (len(cells) - 1),
-            total_time=self.stay_time * (len(cells) - 1),
-            total_distance=self.grid.cellsize * (len(cells) - 1),
-            profile_name=profile.name,
-        )
+        # straight down the middle row, the unique optimum on flat ground
+        self.plan, _stats = planner.astar(
+            self.grid, profile, CellIndex(self.mid, 0),
+            CellIndex(self.mid, self.grid.ncols - 1))
+        self.stay_time = self.plan.edge_times[0]  # one flat edge
         self.obstacle: frozenset[CellIndex] = frozenset()
 
     def begin_episode(self, cells: frozenset[CellIndex]) -> None:

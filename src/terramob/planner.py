@@ -9,8 +9,8 @@ A* carries its own inlined copy of the edge rule (``agents.edge``:
 bounds, nodata, sealed corners, slope limit) and of the speed law
 (``agents.speed``) over flat node ids, which is faster than calling them
 per edge. The uniform-cost oracle (``dijkstra_all``) weighs each edge with
-``traversal_time`` itself (``terrain.step_run`` meters in distance mode), so
-the optimality tests compare two separately written kernels.
+``agents.edge`` itself (its run in meters in distance mode), so the
+optimality tests compare two separately written kernels.
 """
 
 from __future__ import annotations
@@ -20,14 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import IO
 
-from .agents import KIND_HUMAN, MIN_SLOPE_REDUCTION, AgentProfile, traversal_time
-from .terrain import (
-    CellIndex,
-    ElevationGrid,
-    NEIGHBOR_OFFSETS,
-    SQRT2,
-    step_run,
-)
+from .agents import MIN_SLOPE_REDUCTION, AgentProfile, edge
+from .terrain import CellIndex, ElevationGrid, NEIGHBOR_OFFSETS, SQRT2
 
 
 class NoPathError(Exception):
@@ -99,9 +93,9 @@ def astar(
     Nodes are flat ids ``row * ncols + col`` and grid values are read one
     at a time, so a search costs nothing proportional to the grid size. The
     edge cost and the heuristic are inlined: they repeat the arithmetic of
-    ``traversal_time`` and ``heuristic`` operation for operation, so every
-    edge weight is bit-identical to ``agents.speed``, and every edge
-    ``traversal_time`` refuses is skipped.
+    ``agents.edge`` and ``heuristic`` operation for operation, so every
+    edge weight is bit-identical to ``agents.traversal_time``, and every
+    edge ``agents.edge`` refuses is skipped.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -125,19 +119,12 @@ def astar(
               cellsize * (SQRT2 if dr != 0 and dc != 0 else 1.0))
              for dr, dc in NEIGHBOR_OFFSETS]
 
-    # Speed-law constants. r_drop is 1 - r_at_ref with r_at_ref computed as
-    # agents.speed computes it (1 - reduction/100 rounds differently from
-    # reduction/100). Humans carry no load factor; multiplying by 1.0 is exact.
     timed = objective == "time"
     s_flat = p.s_flat
     ref_slope = p.ref_slope
     max_slope = p.max_slope
-    if p.kind == KIND_HUMAN:
-        r_drop = 1.0 - (1.0 - p.reduction_at_ref / 100.0)
-        r_load = 1.0
-    else:
-        r_drop = 1.0 - p.r_slope_at_ref
-        r_load = p.r_load
+    slope_drop = p.slope_drop
+    load_factor = p.load_factor
     # Heuristic: octile meters, over the flat speed in time mode (x / 1.0 is
     # exact, so distance mode shares the expression).
     h_speed = s_flat if timed else 1.0
@@ -189,11 +176,10 @@ def astar(
             if slope > max_slope:
                 continue
             if timed:
-                # r <= 1 already: the slope is non-negative and r_drop >= 0.
-                r = 1.0 - r_drop * (slope / ref_slope)
+                r = 1.0 - slope_drop * (slope / ref_slope)
                 if r < MIN_SLOPE_REDUCTION:
                     r = MIN_SLOPE_REDUCTION
-                ng = g + run / (s_flat * (r * r_load))
+                ng = g + run / (s_flat * (r * load_factor))
             else:
                 ng = g + run
             if ng < g_best.get(nb, math.inf):
@@ -223,8 +209,12 @@ def _build_plan(
         ids.append(parent[ids[-1]])
     ids.reverse()
     cells = [CellIndex(*divmod(i, grid.ncols)) for i in ids]
-    edge_times = [traversal_time(p, grid, a, b) for a, b in zip(cells, cells[1:])]
-    distance = sum(step_run(grid, a, b) for a, b in zip(cells, cells[1:]))
+    edge_times = []
+    distance = 0.0
+    for a, b in zip(cells, cells[1:]):
+        run, _slope, v = edge(p, grid, a, b)
+        edge_times.append(run / v)
+        distance += run
     return PathPlan(cells, edge_times, sum(edge_times), distance, p.name)
 
 
@@ -237,7 +227,7 @@ def dijkstra_all(
     """Uniform-cost distances from ``source`` to every reachable cell.
 
     Written independently of the A* code path so it can serve as an oracle.
-    Impassability (``traversal_time``: bounds, nodata, sealed corners, slope
+    Impassability (``agents.edge``: bounds, nodata, sealed corners, slope
     limit) is the same under both objectives; only the minimized quantity
     changes.
     """
@@ -246,6 +236,7 @@ def dijkstra_all(
     source = CellIndex(int(source[0]), int(source[1]))
     if not grid.traversable(source):
         raise ValueError(f"source cell {tuple(source)} is not traversable")
+    timed = objective == "time"
     dist: dict[CellIndex, float] = {source: 0.0}
     done: set[CellIndex] = set()
     heap: list[tuple[float, int, int]] = [(0.0, source.row, source.col)]
@@ -259,12 +250,10 @@ def dijkstra_all(
             nb = CellIndex(row + dr, col + dc)
             if not grid.in_bounds(nb) or nb in done:
                 continue
-            cost = traversal_time(p, grid, cell, nb)
-            if not math.isfinite(cost):
+            run, _slope, v = edge(p, grid, cell, nb)
+            if v <= 0.0:
                 continue
-            if objective == "distance":
-                cost = step_run(grid, cell, nb)
-            nd = d + cost
+            nd = d + (run / v if timed else run)
             if nd < dist.get(nb, math.inf):
                 dist[nb] = nd
                 heapq.heappush(heap, (nd, nb.row, nb.col))

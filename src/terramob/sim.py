@@ -637,10 +637,14 @@ class ScenarioConfig:
                 ))
             except _ENTRY_ERRORS as exc:
                 raise ConfigError(f"pursuit_rules[{i}]: {exc}") from None
+        pursuers = set()
         for r in rules:
             for label, aid in (("pursuer", r.pursuer), ("target", r.target)):
                 if aid not in seen_ids:
                     raise ConfigError(f"pursuit {label} {aid!r} is not an agent")
+            if r.pursuer in pursuers:
+                raise ConfigError(f"pursuer {r.pursuer!r} is named by two rules")
+            pursuers.add(r.pursuer)
 
         outputs = obj.get("outputs")
         if not isinstance(outputs, (str, type(None))):

@@ -1,9 +1,9 @@
 """Elevation rasters and the geometry queries the rest of the package builds on.
 
-Grids are immutable row-major arrays with ESRI ASCII text I/O, a
-step-length query, exact line-of-sight / viewshed tests, and a handful of
-synthetic terrain generators for desk-scale scenarios. Which steps can be
-walked, and at what slope, is decided by ``agents.edge``.
+Grids are immutable row-major arrays with ESRI ASCII text I/O, exact
+line-of-sight / viewshed tests, and a handful of synthetic terrain
+generators for desk-scale scenarios. Which steps can be walked, how long
+they are, and at what slope, is decided by ``agents.edge``.
 """
 
 from __future__ import annotations
@@ -139,29 +139,17 @@ class ElevationGrid:
 # ESRI ASCII grid I/O
 # ---------------------------------------------------------------------------
 
-_HEADER_KEYS = {
-    "ncols": "ncols",
-    "nrows": "nrows",
-    "xllcorner": "xll",
-    "yllcorner": "yll",
-    "cellsize": "cellsize",
-    "nodata_value": "nodata",
-}
 _REQUIRED_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
+_HEADER_KEYS = _REQUIRED_KEYS + ("nodata_value",)
 
 
-def parse_ascii_grid(text: str | Iterable[str]) -> ElevationGrid:
+def parse_ascii_grid(text: str) -> ElevationGrid:
     """Parse an ESRI ASCII grid.
 
     Header lines are ``key value`` pairs (case-insensitive keys, any
     whitespace); the optional ``NODATA_value`` defaults to -9999. Data rows
     follow, row 0 being the northernmost. Errors report 1-based line numbers.
     """
-    if isinstance(text, str):
-        lines = text.splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in text]
-
     header: dict[str, float] = {}
     header_lines: dict[str, int] = {}
     data: list[float] = []
@@ -169,7 +157,7 @@ def parse_ascii_grid(text: str | Iterable[str]) -> ElevationGrid:
     lineno = 0
     in_header = True
 
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens:
             continue
@@ -281,18 +269,6 @@ def serialize_ascii_grid(grid: ElevationGrid) -> str:
 
 def _num(x: float) -> str:
     return repr(float(x))
-
-
-# ---------------------------------------------------------------------------
-# Adjacency
-# ---------------------------------------------------------------------------
-
-def step_run(grid: ElevationGrid, a: CellIndex, b: CellIndex) -> float:
-    """Horizontal run (meters) of one 8-connected move; raises if not adjacent."""
-    dr, dc = b[0] - a[0], b[1] - a[1]
-    if (dr, dc) not in OFFSET_TO_ACTION:
-        raise ValueError(f"cells {tuple(a)} and {tuple(b)} are not adjacent")
-    return grid.cellsize * (SQRT2 if dr != 0 and dc != 0 else 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from terramob.agents import AgentProfile, traversal_time
+from terramob.agents import AgentProfile, edge, traversal_time
 from terramob.local_adapt import BypassEvaluation
 from terramob.planner import PathPlan
-from terramob.terrain import DEFAULT_NODATA, ElevationGrid, step_run
+from terramob.terrain import DEFAULT_NODATA, ElevationGrid
 
 
 def rough_grid(seed: int, nrows: int = 32, ncols: int = 32,
@@ -47,7 +47,7 @@ def validate_plan(plan: PathPlan, grid: ElevationGrid, p: AgentProfile) -> None:
         if cost != t:
             raise ValueError(f"edge {tuple(a)} -> {tuple(b)} time mismatch")
         total += t
-        dist += step_run(grid, a, b)
+        dist += edge(p, grid, a, b)[0]
     if abs(total - plan.total_time) > 1e-9 or abs(dist - plan.total_distance) > 1e-9:
         raise ValueError("plan totals do not match edges")
 

@@ -164,6 +164,13 @@ class TestProfileValidation:
         assert override.max_slope == 28.0
         assert builtin_profile("mule").max_slope == 30.0
 
+    @pytest.mark.parametrize("spec, slope, want", [
+        ({"base": "elderly", "reduction_at_ref": 65.0}, 15.0, 0.35),
+        ({"base": "mule", "r_load": 0.5}, 0.0, 0.85),
+    ], ids=["reduction_at_ref", "r_load"])
+    def test_override_rederives_speed_law(self, spec, slope, want):
+        assert speed(profile_from_spec(spec), slope) == pytest.approx(want)
+
     def test_inline_profile(self):
         p = profile_from_spec({
             "name": "scout", "kind": "human", "s_flat": 2.0,

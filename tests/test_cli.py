@@ -216,6 +216,10 @@ class TestSimulate:
         {"base": "ox_cart", "speed": 2},
         {"base": "nosuch"},
         {"name": "x"},
+        # derived speed-law constants cannot be set
+        {"base": "mule", "slope_drop": 0.5},
+        {"name": "runner", "kind": "human", "s_flat": 3.0, "ref_slope": 15.0,
+         "reduction_at_ref": 10.0, "load_factor": 0.5},
     ])
     @pytest.mark.parametrize("where", ["profiles[0]", "agents[0].profile",
                                        "transport.a"])
@@ -352,6 +356,17 @@ class TestMalformedInput:
             obj["transport"]["routes"][0]["goal"] = [6, float("-inf")]
         err = self._simulate_err(tmp_path, capsys, obj)
         assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["report", "simulate"])
+    def test_deeply_nested_json(self, tmp_path, capsys, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        argv = (["report", str(deep)] if command == "report" else
+                ["simulate", "--config", str(deep),
+                 "--out", str(tmp_path / "out")])
+        assert main(argv) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_qtable_entry_out_of_range(self, tmp_path, capsys):
         (tmp_path / "q.txt").write_text(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from terramob.agents import builtin_profile
+from terramob.agents import builtin_profile, builtin_profiles, traversal_time
 from terramob.local_adapt import (
     ACTION_STAY,
     ACTIONS,
@@ -348,6 +348,15 @@ class TestGreedyStep:
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
+
+class TestCorridorEnv:
+    @pytest.mark.parametrize("name", [p.name for p in builtin_profiles()])
+    def test_stay_time_is_one_flat_edge(self, name):
+        p = builtin_profile(name)
+        env = CorridorEnv(p)
+        a, b = CellIndex(env.mid, 0), CellIndex(env.mid, 1)
+        assert env.stay_time == traversal_time(p, env.grid, a, b)
+
 
 class TestTraining:
     def test_zero_episodes_zero_table(self):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from terramob.agents import builtin_profile, builtin_profiles
+from terramob.agents import builtin_profile, builtin_profiles, profile_from_spec
 from terramob.planner import (
     NoPathError,
     PathPlan,
@@ -129,10 +129,15 @@ class TestAstar:
 
 
 class TestOptimality:
-    @pytest.mark.parametrize("profile_name",
-                             [p.name for p in builtin_profiles()])
-    def test_matches_dijkstra_on_random_grids(self, profile_name):
-        p = builtin_profile(profile_name)
+    # plus two overrides, built by dataclasses.replace, which re-derives
+    # the speed-law constants A* reads
+    @pytest.mark.parametrize("spec", [p.name for p in builtin_profiles()] + [
+        {"base": "elderly", "reduction_at_ref": 65.0},
+        {"base": "mule", "r_load": 0.5},
+    ], ids=lambda s: s if isinstance(s, str) else
+       ",".join(f"{k}={v}" for k, v in s.items()))
+    def test_matches_dijkstra_on_random_grids(self, spec):
+        p = profile_from_spec(spec)
         solved = 0
         for seed in range(25):
             grid = rough_grid(1000 + seed, nrows=24, ncols=24)

@@ -568,6 +568,26 @@ class TestConfigValidation:
                 "sim": {"seed": 1},
             })
 
+    def test_pursuer_named_by_two_rules(self):
+        rule = {"pursuer": "p", "los_loss_limit": 1e6, "effort_budget": 1e9,
+                "capture_radius": 2.0}
+        with pytest.raises(ConfigError,
+                           match="pursuer 'p' is named by two rules"):
+            ScenarioConfig.from_dict({
+                "terrain": "flat:h=0,nrows=12,ncols=12",
+                "agents": [
+                    {"id": "p", "profile": "hostile",
+                     "start": [6, 0], "goal": [6, 11]},
+                    {"id": "t1", "profile": "elderly",
+                     "start": [0, 11], "goal": [11, 11]},
+                    {"id": "t2", "profile": "elderly",
+                     "start": [11, 11], "goal": [11, 0]},
+                ],
+                "pursuit_rules": [dict(rule, target="t1"),
+                                  dict(rule, target="t2")],
+                "sim": {"seed": 1, "max_sim_time": 3000},
+            })
+
     def test_out_of_bounds_start(self):
         cfg = ScenarioConfig.from_dict({
             "terrain": "flat:h=0,nrows=5,ncols=5",
