@@ -271,10 +271,14 @@ class World:
         """
         g = self.grid
         walls = self._walls
-        skip = (agent.id, agent.chase_partner)
-        discs = [(x, y, r2) for aid, x, y, r2 in self._discs
-                 if aid not in skip and not (lower_ids_only and aid > agent.id)]
+        discs = self._discs
+        me = agent.id
+        skip = (me, agent.chase_partner)
 
+        # No per-decision copy of the snapshot: most decisions (the walk-back
+        # test) ask about one cell. The exemptions are read only for a disc
+        # that touches the cell. dx, dy equal x - min(max(x, x0), x1) and its
+        # y twin up to a sign, which squaring drops.
         def blocked(cell: CellIndex) -> bool:
             if cell in walls:
                 return True
@@ -282,10 +286,11 @@ class World:
             y1 = g.yll + (g.nrows - cell.row) * g.cellsize
             x1 = x0 + g.cellsize
             y0 = y1 - g.cellsize
-            for x, y, r2 in discs:
-                cx = min(max(x, x0), x1)
-                cy = min(max(y, y0), y1)
-                if (x - cx) ** 2 + (y - cy) ** 2 <= r2:
+            for aid, x, y, r2 in discs:
+                dx = x0 - x if x < x0 else (x - x1 if x > x1 else 0.0)
+                dy = y0 - y if y < y0 else (y - y1 if y > y1 else 0.0)
+                if (dx ** 2 + dy ** 2 <= r2 and aid not in skip
+                        and not (lower_ids_only and aid > me)):
                     return True
             return False
 

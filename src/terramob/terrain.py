@@ -17,6 +17,8 @@ import numpy as np
 
 DEFAULT_NODATA = -9999.0
 DEFAULT_EYE_HEIGHT = 1.7  # meters above ground for sight queries
+# bound on recipe grids and .asc headers alike: 80 MB of float64 elevations
+MAX_GRID_CELLS = 10**7
 
 SQRT2 = math.sqrt(2.0)
 
@@ -148,20 +150,19 @@ def parse_ascii_grid(text: str) -> ElevationGrid:
 
     Header lines are ``key value`` pairs (case-insensitive keys, any
     whitespace); the optional ``NODATA_value`` defaults to -9999. Data rows
-    follow, row 0 being the northernmost. Errors report 1-based line numbers.
+    follow, row 0 being the northernmost; data tokens are read as Python
+    ``float()`` reads them, and rows may wrap over any number of lines.
+    Errors report 1-based line numbers.
     """
+    lines = text.splitlines()
     header: dict[str, float] = {}
     header_lines: dict[str, int] = {}
-    data: list[float] = []
-    expected: int | None = None
-    lineno = 0
-    in_header = True
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if not tokens:
             continue
-        if in_header and not _looks_numeric(tokens[0]):
+        if not _looks_numeric(tokens[0]):
             if len(tokens) != 2:
                 raise GridFormatError(
                     f"header line must be 'key value', got {raw!r}", lineno
@@ -178,41 +179,38 @@ def parse_ascii_grid(text: str) -> ElevationGrid:
             header_lines[key] = lineno
             continue
 
-        if in_header:
-            missing = [k for k in _REQUIRED_KEYS if k not in header]
-            if missing:
-                raise GridFormatError(
-                    "missing header key(s): " + ", ".join(missing), lineno
-                )
-            _check_header(header, header_lines)
-            expected = int(header["ncols"]) * int(header["nrows"])
-            in_header = False
-
-        for tok in tokens:
-            try:
-                v = float(tok)
-            except ValueError:
-                raise GridFormatError(f"non-numeric token {tok!r}", lineno) from None
-            nodata = header.get("nodata_value", DEFAULT_NODATA)
-            if not math.isfinite(v) and v != nodata:
-                raise GridFormatError(f"non-finite value {tok!r}", lineno)
-            data.append(v)
-            if expected is not None and len(data) > expected:
-                raise GridFormatError(
-                    f"too many values: expected {expected}", lineno
-                )
-
-    if in_header:
+        missing = [k for k in _REQUIRED_KEYS if k not in header]
+        if missing:
+            raise GridFormatError(
+                "missing header key(s): " + ", ".join(missing), lineno
+            )
+        _check_header(header, header_lines)
+        break
+    else:
         missing = [k for k in _REQUIRED_KEYS if k not in header]
         raise GridFormatError(
             "missing header key(s): " + ", ".join(missing) if missing
             else "no data rows",
-            max(lineno, 1),
+            max(len(lines), 1),
         )
-    assert expected is not None
-    if len(data) < expected:
+
+    nodata = header.get("nodata_value", DEFAULT_NODATA)
+    expected = int(header["ncols"]) * int(header["nrows"])
+    data = lines[lineno - 1:]
+    # numpy reads each str token with float(); the token loop below it runs
+    # only to word an error
+    try:
+        values = np.concatenate([np.array(raw.split(), dtype=float)
+                                 for raw in data])
+    except ValueError:
+        values = None
+    if (values is None or values.size > expected
+            or not np.all(np.isfinite(values) | (values == nodata))):
+        values = np.array(_scan_data(data, lineno, nodata, expected),
+                          dtype=float)
+    if values.size < expected:
         raise GridFormatError(
-            f"too few values: expected {expected}, got {len(data)}", max(lineno, 1)
+            f"too few values: expected {expected}, got {values.size}", len(lines)
         )
 
     return ElevationGrid(
@@ -221,9 +219,35 @@ def parse_ascii_grid(text: str) -> ElevationGrid:
         xll=header["xllcorner"],
         yll=header["yllcorner"],
         cellsize=header["cellsize"],
-        nodata=header.get("nodata_value", DEFAULT_NODATA),
-        values=np.array(data, dtype=float),
+        nodata=nodata,
+        values=values,
     )
+
+
+def _scan_data(lines: list[str], first_lineno: int, nodata: float,
+               expected: int) -> list[float]:
+    """Token-by-token reading of the data lines, in file order.
+
+    The bulk conversion in ``parse_ascii_grid`` falls back to this when it
+    fails, so that the first bad token in file order is the one reported,
+    with its line. It raises unless numpy rejected a token that ``float()``
+    reads, in which case it returns the checked values.
+    """
+    data: list[float] = []
+    for lineno, raw in enumerate(lines, start=first_lineno):
+        for tok in raw.split():
+            try:
+                v = float(tok)
+            except ValueError:
+                raise GridFormatError(f"non-numeric token {tok!r}", lineno) from None
+            if not math.isfinite(v) and v != nodata:
+                raise GridFormatError(f"non-finite value {tok!r}", lineno)
+            data.append(v)
+            if len(data) > expected:
+                raise GridFormatError(
+                    f"too many values: expected {expected}", lineno
+                )
+    return data
 
 
 def _looks_numeric(token: str) -> bool:
@@ -249,6 +273,13 @@ def _check_header(header: dict[str, float], lines: dict[str, int]) -> None:
         raise GridFormatError(
             f"cellsize must be positive, got {header['cellsize']}",
             lines["cellsize"],
+        )
+    ncols, nrows = int(header["ncols"]), int(header["nrows"])
+    if ncols * nrows > MAX_GRID_CELLS:
+        raise GridFormatError(
+            f"grid of {nrows} x {ncols} cells exceeds "
+            f"MAX_GRID_CELLS = {MAX_GRID_CELLS}",
+            max(lines["ncols"], lines["nrows"]),
         )
 
 
@@ -400,7 +431,6 @@ def viewshed(
 # ---------------------------------------------------------------------------
 
 RECIPES = ("flat", "ramp", "ridge", "cone", "two_corridor")
-MAX_GRID_CELLS = 10**7  # 80 MB of float64 elevations
 
 
 def make_synthetic(

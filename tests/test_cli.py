@@ -408,6 +408,18 @@ class TestMalformedInput:
         assert capsys.readouterr().err == (
             "error: cellsize must be positive and finite\n")
 
+    def test_oversized_asc_header_is_exit_3(self, tmp_path, capsys):
+        asc = tmp_path / "huge.asc"
+        asc.write_text("ncols 100000\nnrows 100000\nxllcorner 0\n"
+                       "yllcorner 0\ncellsize 30\n1 2\n")
+        assert main(["plan", "--terrain", str(asc), "--profile", "mule",
+                     "--start", "0,0", "--goal", "0,1",
+                     "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            "error: line 2: grid of 100000 x 100000 cells exceeds "
+            "MAX_GRID_CELLS = 10000000\n")
+        assert not (tmp_path / "out").exists()
+
     def test_oversized_recipe_is_refused_before_allocating(self, tmp_path,
                                                           capsys):
         obj = json.loads(json.dumps(SCENARIO))

@@ -5,19 +5,27 @@ the parser either returns or raises ValueError (ConfigError and
 GridFormatError are ValueErrors), which the CLI turns into exit 3 with one
 ``error:`` line. Any other exception would be a traceback. Grid sizes are
 drawn small so that no case allocates a large grid. ``terramob report`` is
-fuzzed end to end: it exits 0 or 3 on any document.
+fuzzed end to end: it exits 0 or 3 on any document. The bulk ``.asc``
+reader is also checked against the token-at-a-time reader it replaced:
+same grid bytes or the same error, whichever numpy is installed.
 """
 
 import io
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from terramob.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from terramob.local_adapt import load_qtable
 from terramob.sim import ScenarioConfig
-from terramob.terrain import RECIPES, grid_from_recipe, parse_ascii_grid
+from terramob.terrain import (
+    DEFAULT_NODATA, RECIPES, ElevationGrid, GridFormatError, _HEADER_KEYS,
+    _REQUIRED_KEYS, _check_header, _looks_numeric, grid_from_recipe,
+    parse_ascii_grid,
+)
 
 FUZZ = settings(max_examples=300, deadline=None)
 
@@ -127,6 +135,122 @@ data_lines = st.lists(st.lists(numbers, max_size=4).map(" ".join), max_size=4)
 ))
 def test_parse_ascii_grid(text):
     _rejects_cleanly(parse_ascii_grid, text)
+
+
+def _reference_parse(text):
+    """The token-at-a-time ``.asc`` reader that the bulk reader replaced."""
+    header = {}
+    header_lines = {}
+    data = []
+    expected = None
+    lineno = 0
+    in_header = True
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if in_header and not _looks_numeric(tokens[0]):
+            if len(tokens) != 2:
+                raise GridFormatError(
+                    f"header line must be 'key value', got {raw!r}", lineno
+                )
+            key = tokens[0].lower()
+            if key not in _HEADER_KEYS:
+                raise GridFormatError(f"unknown header key {tokens[0]!r}", lineno)
+            try:
+                header[key] = float(tokens[1])
+            except ValueError:
+                raise GridFormatError(
+                    f"non-numeric value for {tokens[0]!r}: {tokens[1]!r}", lineno
+                ) from None
+            header_lines[key] = lineno
+            continue
+
+        if in_header:
+            missing = [k for k in _REQUIRED_KEYS if k not in header]
+            if missing:
+                raise GridFormatError(
+                    "missing header key(s): " + ", ".join(missing), lineno
+                )
+            _check_header(header, header_lines)
+            expected = int(header["ncols"]) * int(header["nrows"])
+            in_header = False
+
+        for tok in tokens:
+            try:
+                v = float(tok)
+            except ValueError:
+                raise GridFormatError(f"non-numeric token {tok!r}", lineno) from None
+            nodata = header.get("nodata_value", DEFAULT_NODATA)
+            if not math.isfinite(v) and v != nodata:
+                raise GridFormatError(f"non-finite value {tok!r}", lineno)
+            data.append(v)
+            if expected is not None and len(data) > expected:
+                raise GridFormatError(
+                    f"too many values: expected {expected}", lineno
+                )
+
+    if in_header:
+        missing = [k for k in _REQUIRED_KEYS if k not in header]
+        raise GridFormatError(
+            "missing header key(s): " + ", ".join(missing) if missing
+            else "no data rows",
+            max(lineno, 1),
+        )
+    if len(data) < expected:
+        raise GridFormatError(
+            f"too few values: expected {expected}, got {len(data)}", max(lineno, 1)
+        )
+
+    return ElevationGrid(
+        ncols=int(header["ncols"]),
+        nrows=int(header["nrows"]),
+        xll=header["xllcorner"],
+        yll=header["yllcorner"],
+        cellsize=header["cellsize"],
+        nodata=header.get("nodata_value", DEFAULT_NODATA),
+        values=np.array(data, dtype=float),
+    )
+
+
+def _outcome(parse, text):
+    try:
+        grid = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return (grid.ncols, grid.nrows, grid.xll, grid.yll, grid.cellsize,
+            grid.nodata, grid.values.tobytes())
+
+
+FINITE_TOKENS = ["1", "2.5", "-9999", "1_0", "\u0661\u0662"]
+# tokens numpy and float() might read differently
+ODD_TOKENS = ["1__0", "nan", "inf", "-inf", "1e400", "0x1", "x"]
+
+
+@st.composite
+def asc_texts(draw):
+    """A small header, one required key perhaps dropped, in any order, then
+    about as many tokens as it asks for, wrapped and spaced at random."""
+    ncols, nrows = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    keys = [("ncols", ncols), ("nrows", nrows), ("xllcorner", 0),
+            ("yllcorner", 0), ("cellsize", 30)]
+    keys += [("NODATA_value", v) for v in draw(st.lists(
+        st.sampled_from(["-9999", "inf", "-inf", "nan", "0"]), max_size=1))]
+    drop = draw(st.sampled_from((None,) * 10 + _REQUIRED_KEYS))
+    header = draw(st.permutations([f"{k} {v}" for k, v in keys if k != drop]))
+    n = draw(st.integers(0, 2 * ncols * nrows) | st.just(ncols * nrows))
+    pool = draw(st.sampled_from([FINITE_TOKENS, FINITE_TOKENS + ODD_TOKENS]))
+    tokens = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    seps = draw(st.lists(st.sampled_from([" ", "\t", "\n", "\n\n", "\n \n"]),
+                         min_size=n, max_size=n))
+    return "\n".join(header) + "\n" + "".join(t + sep for t, sep in zip(tokens, seps))
+
+
+@settings(max_examples=200, deadline=None)
+@given(asc_texts())
+def test_bulk_parser_matches_token_reader(text):
+    assert _outcome(parse_ascii_grid, text) == _outcome(_reference_parse, text)
 
 
 small = st.one_of(st.integers(-2, 6), st.sampled_from(

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from terramob.agents import builtin_profile
 from terramob.local_adapt import N_ACTIONS, N_STATES, build_local_state
@@ -279,6 +280,57 @@ class TestStep:
         }, base_dir=tmp_path)
         report, _ = run_scenario(cfg)
         assert report.agents[0]["outcome"] == "no_path"
+
+
+class TestBlocker:
+    """``World._blocker`` against its rule written with min/max clamps."""
+
+    @staticmethod
+    def reference(world, agent, lower_ids_only, cell):
+        if cell in world._walls:
+            return True
+        g = world.grid
+        x0 = g.xll + cell.col * g.cellsize
+        y1 = g.yll + (g.nrows - cell.row) * g.cellsize
+        x1, y0 = x0 + g.cellsize, y1 - g.cellsize
+        for aid, x, y, r2 in world._discs:
+            if aid in (agent.id, agent.chase_partner) or (
+                    lower_ids_only and aid > agent.id):
+                continue
+            cx, cy = min(max(x, x0), x1), min(max(y, y0), y1)
+            if (x - cx) ** 2 + (y - cy) ** 2 <= r2:
+                return True
+        return False
+
+    # disc centres on, just off and inside the 30 m cell lines, radii that
+    # make some of them touch a rectangle exactly
+    coords = st.tuples(st.integers(0, 4), st.sampled_from(
+        [-0.5, -0.25, -0.1, 0.0, 0.1, 0.25, 15.0, 29.75, 30.0]))
+    discs = st.lists(st.tuples(
+        st.sampled_from(["a", "b", "c", "d"]), coords, coords,
+        st.sampled_from([0.25, 0.5, 20.0])), max_size=4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(discs, st.sets(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                          max_size=2))
+    def test_matches_closed_rectangle_rule(self, discs, walls):
+        cfg = flat_cfg(
+            terrain={"recipe": "flat", "nrows": 4, "ncols": 4, "h": 0.0},
+            agents=[{"id": i, "profile": "fit_adults", "start": [0, k],
+                     "goal": [3, k]} for k, i in enumerate("abcd")],
+            sim={"dt": 1.0, "max_sim_time": 600, "seed": 1})
+        world = build_world(cfg)
+        world.agent("c").chase_partner = "a"
+        world._walls = {CellIndex(*w) for w in walls}
+        world._discs = [(aid, c * 30.0 + dx, r * 30.0 + dy, rad ** 2)
+                        for aid, (c, dx), (r, dy), rad in discs]
+        for agent in world.agents:
+            for lower in (False, True):
+                blocked = world._blocker(agent, lower_ids_only=lower)
+                for cell in np.ndindex(4, 4):
+                    cell = CellIndex(*cell)
+                    assert blocked(cell) == self.reference(
+                        world, agent, lower, cell)
 
 
 class TestPursuit:

@@ -98,6 +98,42 @@ class TestParseAsciiGrid:
         with pytest.raises(GridFormatError, match="missing header"):
             parse_ascii_grid("ncols 2\nnrows 1\ncellsize 30\n1 2\n")
 
+    # 2 x 3 grid, header on lines 1-5, data rows on lines 6-8
+    @pytest.mark.parametrize("rows, message", [
+        (["1 2", "3 oops", "5 6"], "line 7: non-numeric token 'oops'"),
+        (["1 2", "3 4", "oops 6"], "line 8: non-numeric token 'oops'"),
+        (["1 2", "3 nan", "5 6"], "line 7: non-finite value 'nan'"),
+        (["1 2", "3 4", "5 -inf"], "line 8: non-finite value '-inf'"),
+        (["1 2 3 4", "5 6 7", "8"], "line 7: too many values: expected 6"),
+        (["1 2", "3 4", "5 6 7"], "line 8: too many values: expected 6"),
+    ])
+    def test_bad_data_token_names_its_line(self, rows, message):
+        text = ("ncols 2\nnrows 3\nxllcorner 0\nyllcorner 0\ncellsize 30\n"
+                + "\n".join(rows) + "\n")
+        with pytest.raises(GridFormatError) as exc:
+            parse_ascii_grid(text)
+        assert str(exc.value) == message
+
+    def test_first_bad_token_in_file_order_is_reported(self):
+        text = ("ncols 1\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 30\n"
+                "1\n\n2 3\nx\n")
+        with pytest.raises(GridFormatError) as exc:
+            parse_ascii_grid(text)
+        assert str(exc.value) == "line 8: too many values: expected 2"
+
+    def test_tokens_read_as_python_float(self):
+        text = ("ncols 3\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 30\n"
+                "1_0\n\u0661\u0662 1e2\n")
+        assert parse_ascii_grid(text).values.tolist() == [[10.0, 12.0, 100.0]]
+
+    def test_oversized_header_is_refused_before_the_data(self):
+        text = ("nrows 100000\nncols 100001\nxllcorner 0\nyllcorner 0\n"
+                "cellsize 30\n1 x\n")
+        with pytest.raises(GridFormatError) as exc:
+            parse_ascii_grid(text)
+        assert str(exc.value) == ("line 2: grid of 100000 x 100001 cells "
+                                  "exceeds MAX_GRID_CELLS = 10000000")
+
     def test_round_trip_is_canonical(self):
         grid = parse_ascii_grid(ASC_3X3)
         text = serialize_ascii_grid(grid)
