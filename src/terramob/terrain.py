@@ -143,6 +143,8 @@ class ElevationGrid:
 
 _REQUIRED_KEYS = ("ncols", "nrows", "xllcorner", "yllcorner", "cellsize")
 _HEADER_KEYS = _REQUIRED_KEYS + ("nodata_value",)
+# lines of wrapped .asc data that numpy's text reader takes as one line
+_JOIN_LINES = 128
 
 
 def parse_ascii_grid(text: str) -> ElevationGrid:
@@ -195,27 +197,30 @@ def parse_ascii_grid(text: str) -> ElevationGrid:
         )
 
     nodata = header.get("nodata_value", DEFAULT_NODATA)
-    expected = int(header["ncols"]) * int(header["nrows"])
+    ncols, nrows = int(header["ncols"]), int(header["nrows"])
+    expected = ncols * nrows
     data = lines[lineno - 1:]
-    # numpy reads each str token with float(); the token loop below it runs
-    # only to word an error
-    try:
-        values = np.concatenate([np.array(raw.split(), dtype=float)
-                                 for raw in data])
-    except ValueError:
-        values = None
+    # numpy's C reader parses a field as float() parses ASCII and refuses the
+    # rest (1_0, non-ASCII digits). Rows written one per line are read as
+    # they stand, which is faster than joining them; wrapped or ragged rows,
+    # _JOIN_LINES lines joined at a time. The token loop runs only for
+    # float()-only spellings or to word an error.
+    values = None
+    if len(data[0].split()) == ncols:
+        values = _read_rows(data)
+    if values is None:
+        values = _read_joined(data)
     if (values is None or values.size > expected
-            or not np.all(np.isfinite(values) | (values == nodata))):
-        values = np.array(_scan_data(data, lineno, nodata, expected),
-                          dtype=float)
+            or not np.all(np.isfinite(values))):
+        values = np.array(_scan_data(data, lineno, expected), dtype=float)
     if values.size < expected:
         raise GridFormatError(
             f"too few values: expected {expected}, got {values.size}", len(lines)
         )
 
     return ElevationGrid(
-        ncols=int(header["ncols"]),
-        nrows=int(header["nrows"]),
+        ncols=ncols,
+        nrows=nrows,
         xll=header["xllcorner"],
         yll=header["yllcorner"],
         cellsize=header["cellsize"],
@@ -224,7 +229,36 @@ def parse_ascii_grid(text: str) -> ElevationGrid:
     )
 
 
-def _scan_data(lines: list[str], first_lineno: int, nodata: float,
+def _read_rows(rows: list[str]) -> np.ndarray | None:
+    """The values of whitespace-separated rows of equal length, in order, or
+    None where numpy's text reader refuses them."""
+    try:
+        return np.loadtxt(rows, dtype=float, comments=None, ndmin=2).ravel()
+    except ValueError:
+        return None
+
+
+def _read_joined(lines: list[str]) -> np.ndarray | None:
+    """The values of whitespace-separated lines of any length, in order, or
+    None where numpy's text reader refuses them.
+
+    Each run of ``_JOIN_LINES`` lines is read as one line: the reader holds
+    a whole line in its buffers, so one line for the whole section would
+    cost memory in proportion to the file. Blank runs are skipped, as the
+    reader warns on them.
+    """
+    parts = []
+    for i in range(0, len(lines), _JOIN_LINES):
+        chunk = " ".join(lines[i:i + _JOIN_LINES])
+        if chunk and not chunk.isspace():
+            part = _read_rows([chunk])
+            if part is None:
+                return None
+            parts.append(part)
+    return np.concatenate(parts)
+
+
+def _scan_data(lines: list[str], first_lineno: int,
                expected: int) -> list[float]:
     """Token-by-token reading of the data lines, in file order.
 
@@ -240,7 +274,7 @@ def _scan_data(lines: list[str], first_lineno: int, nodata: float,
                 v = float(tok)
             except ValueError:
                 raise GridFormatError(f"non-numeric token {tok!r}", lineno) from None
-            if not math.isfinite(v) and v != nodata:
+            if not math.isfinite(v):
                 raise GridFormatError(f"non-finite value {tok!r}", lineno)
             data.append(v)
             if len(data) > expected:
@@ -265,8 +299,10 @@ def _check_header(header: dict[str, float], lines: dict[str, int]) -> None:
             raise GridFormatError(
                 f"{key} must be a positive integer, got {v}", lines[key]
             )
-    for key in ("xllcorner", "yllcorner", "cellsize"):
-        if not math.isfinite(header[key]):
+    # the optional nodata_value too: a non-finite sentinel would let an
+    # inf or nan data token pass as a hole
+    for key in ("xllcorner", "yllcorner", "cellsize", "nodata_value"):
+        if key in header and not math.isfinite(header[key]):
             raise GridFormatError(f"{key} must be finite, got {header[key]}",
                                   lines[key])
     if not header["cellsize"] > 0:

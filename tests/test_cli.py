@@ -391,6 +391,10 @@ class TestMalformedInput:
          "line 5: cellsize must be finite, got inf"),
         ("xllcorner inf\nyllcorner 0\ncellsize 30\n",
          "line 3: xllcorner must be finite, got inf"),
+        ("xllcorner 0\nyllcorner 0\ncellsize 30\nNODATA_value nan\n",
+         "line 6: nodata_value must be finite, got nan"),
+        ("xllcorner 0\nyllcorner 0\ncellsize 30\nNODATA_value inf\n",
+         "line 6: nodata_value must be finite, got inf"),
     ])
     def test_non_finite_asc_header(self, tmp_path, capsys, header, message):
         asc = tmp_path / "bad.asc"

@@ -16,6 +16,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from terramob.cli import EXIT_BAD_INPUT, EXIT_OK, main
@@ -138,7 +139,9 @@ def test_parse_ascii_grid(text):
 
 
 def _reference_parse(text):
-    """The token-at-a-time ``.asc`` reader that the bulk reader replaced."""
+    """The token-at-a-time ``.asc`` reader that the bulk reader replaced.
+    It shares ``_check_header``, so both refuse the same headers (a
+    non-finite NODATA_value among them)."""
     header = {}
     header_lines = {}
     data = []
@@ -223,15 +226,20 @@ def _outcome(parse, text):
             grid.nodata, grid.values.tobytes())
 
 
-FINITE_TOKENS = ["1", "2.5", "-9999", "1_0", "\u0661\u0662"]
-# tokens numpy and float() might read differently
-ODD_TOKENS = ["1__0", "nan", "inf", "-inf", "1e400", "0x1", "x"]
+# float() and numpy's C text reader both read these; bytes are compared, so
+# a -0.0 read as 0.0 would show
+C_TOKENS = ["1", "2.5", "-9999", "-0", "-0.0", "1e-400", ".5", "5."]
+FINITE_TOKENS = C_TOKENS + ["1_0", "\u0661\u0662"]  # float() reads, C refuses
+# tokens the two readers might read differently; \x1c and \xa0 separate
+ODD_TOKENS = ["1__0", "nan", "inf", "-inf", "+nan", "Infinity", "1e400",
+              "0x1", "x", "#", '"1"', "1,2", "\x1c", "\xa0", "\x00"]
 
 
 @st.composite
 def asc_texts(draw):
     """A small header, one required key perhaps dropped, in any order, then
-    about as many tokens as it asks for, wrapped and spaced at random."""
+    data tokens: about as many as it asks for, wrapped and spaced at random,
+    or a block of equal rows, one per line, as numpy's fast path reads."""
     ncols, nrows = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     keys = [("ncols", ncols), ("nrows", nrows), ("xllcorner", 0),
             ("yllcorner", 0), ("cellsize", 30)]
@@ -239,17 +247,39 @@ def asc_texts(draw):
         st.sampled_from(["-9999", "inf", "-inf", "nan", "0"]), max_size=1))]
     drop = draw(st.sampled_from((None,) * 10 + _REQUIRED_KEYS))
     header = draw(st.permutations([f"{k} {v}" for k, v in keys if k != drop]))
-    n = draw(st.integers(0, 2 * ncols * nrows) | st.just(ncols * nrows))
-    pool = draw(st.sampled_from([FINITE_TOKENS, FINITE_TOKENS + ODD_TOKENS]))
-    tokens = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
-    seps = draw(st.lists(st.sampled_from([" ", "\t", "\n", "\n\n", "\n \n"]),
-                         min_size=n, max_size=n))
-    return "\n".join(header) + "\n" + "".join(t + sep for t, sep in zip(tokens, seps))
+    # one other token among the C-readable ones reaches the fast path often
+    odd = draw(st.sampled_from(FINITE_TOKENS[len(C_TOKENS):] + ODD_TOKENS))
+    pool = st.sampled_from(draw(st.sampled_from(
+        [C_TOKENS, C_TOKENS + [odd], FINITE_TOKENS + ODD_TOKENS])))
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 2 * ncols * nrows) | st.just(ncols * nrows))
+        tokens = draw(st.lists(pool, min_size=n, max_size=n))
+        seps = draw(st.lists(st.sampled_from([" ", "\t", "\n", "\n\n", "\n \n"]),
+                             min_size=n, max_size=n))
+        data = "".join(t + sep for t, sep in zip(tokens, seps))
+    else:
+        width = draw(st.sampled_from([ncols] * 4 + [ncols + 1, max(ncols - 1, 1)]))
+        height = draw(st.sampled_from([nrows] * 4 + [nrows + 1, max(nrows - 1, 1)]))
+        sep = draw(st.sampled_from([" ", "\t", "  \t"]))
+        end = draw(st.sampled_from(["\n", "\r\n", " \n", "\n\n"]))
+        data = "".join(sep.join(draw(st.lists(pool, min_size=width,
+                                              max_size=width))) + end
+                       for _ in range(height))
+    return "\n".join(header) + "\n" + data
 
 
 @settings(max_examples=200, deadline=None)
 @given(asc_texts())
 def test_bulk_parser_matches_token_reader(text):
+    assert _outcome(parse_ascii_grid, text) == _outcome(_reference_parse, text)
+
+
+@pytest.mark.parametrize("token", FINITE_TOKENS + ODD_TOKENS)
+def test_token_in_equal_rows_matches_token_reader(token):
+    """Each token amid C-readable rows written one per line, the layout
+    numpy's reader takes first."""
+    text = ("ncols 3\nnrows 3\nxllcorner 0\nyllcorner 0\ncellsize 30\n"
+            f"1 2 3\n4 {token} 6\n7 8 9\n")
     assert _outcome(parse_ascii_grid, text) == _outcome(_reference_parse, text)
 
 

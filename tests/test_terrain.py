@@ -134,6 +134,39 @@ class TestParseAsciiGrid:
         assert str(exc.value) == ("line 2: grid of 100000 x 100001 cells "
                                   "exceeds MAX_GRID_CELLS = 10000000")
 
+    @pytest.mark.parametrize("nodata", ["nan", "inf", "-inf"])
+    def test_non_finite_nodata_is_refused_on_its_line(self, nodata):
+        text = ("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 30\n"
+                f"NODATA_value {nodata}\n1 inf\n")
+        with pytest.raises(GridFormatError) as exc:
+            parse_ascii_grid(text)
+        assert str(exc.value) == f"line 6: nodata_value must be finite, got {nodata}"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("layout", ["rows wrapped", "values wrapped",
+                                        "one value per line", "ragged",
+                                        "blank runs"])
+    def test_any_row_layout_reads_like_one_row_per_line(self, layout):
+        # 300 values, so one to a line they span several joined runs
+        grid = rough_grid(5, nrows=20, ncols=15)
+        lines = serialize_ascii_grid(grid).splitlines()
+        header, rows = lines[:6], lines[6:]
+        tokens = " ".join(rows).split()
+        if layout == "rows wrapped":
+            rows = [" ".join(part) for row in rows
+                    for part in (row.split()[:4], row.split()[4:])]
+        elif layout == "values wrapped":
+            rows = [" ".join(tokens[i:i + 5]) for i in range(0, len(tokens), 5)]
+        elif layout == "one value per line":
+            rows = tokens
+        elif layout == "ragged":
+            rows = [" ".join(tokens[:3]), " ".join(tokens[3:])]
+        else:
+            # a joined run of blank lines only, on which numpy's reader warns
+            rows = [tok + "\n" * 300 for tok in tokens[:2]] + tokens[2:]
+        again = parse_ascii_grid("\n".join(header + rows) + "\n")
+        assert again.values.tobytes() == grid.values.tobytes()
+
     def test_round_trip_is_canonical(self):
         grid = parse_ascii_grid(ASC_3X3)
         text = serialize_ascii_grid(grid)
