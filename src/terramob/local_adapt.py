@@ -11,7 +11,11 @@ randomized corridor episodes and frozen for simulation.
 "Obstructed" is decided by one blocking predicate, a ``Callable[[CellIndex],
 bool]`` that ``detect_block``, ``build_local_state`` and ``greedy_step``
 take: the simulation passes ``World._blocker(agent)`` and training passes
-``CorridorEnv.cell_blocked``.
+``CorridorEnv.cell_blocked``. Both local step rules read a cell's neighbors
+from ``ElevationGrid.neighborhood``, which each grid computes once per cell:
+the state code starts from its off-grid/nodata bits and asks the predicate
+only about the open neighbors, which are also the only moves
+``greedy_step`` scores.
 """
 
 from __future__ import annotations
@@ -43,6 +47,12 @@ N_OCCUPANCY = 256  # 2^8 neighbor patterns
 N_DIRECTIONS = 8
 N_DEVIATION_BUCKETS = 4
 N_STATES = N_OCCUPANCY * N_DIRECTIONS * N_DEVIATION_BUCKETS  # 8192
+
+# Upper bound on the steps one run may request: a simulation's
+# max_sim_time / dt (86400 s at dt 0.01 is 8.64 M steps) and a training
+# run's episodes * max_steps_per_episode.
+MAX_SIM_STEPS = 10**7
+
 
 @dataclass(frozen=True)
 class RewardWeights:
@@ -101,6 +111,11 @@ class LearningParams:
             raise ValueError("episodes must be non-negative")
         if self.max_steps_per_episode <= 0:
             raise ValueError("max_steps_per_episode must be positive")
+        steps = self.episodes * self.max_steps_per_episode
+        if steps > MAX_SIM_STEPS:
+            raise ValueError(
+                f"episodes * max_steps_per_episode (--episodes * --max-steps)"
+                f" is {steps:.3g} steps; at most {MAX_SIM_STEPS} are allowed")
 
     def epsilon_at(self, episode: int) -> float:
         if self.epsilon_decay_episodes == 0 or episode >= self.epsilon_decay_episodes:
@@ -121,7 +136,7 @@ def q_update(
     if not 0 <= a < N_ACTIONS:
         raise ValueError(f"action {a} out of range")
     current = q[s, a]
-    target = r + p.gamma * float(np.max(q[s_next]))
+    target = r + p.gamma * float(q[s_next].max())
     q[s, a] = current + p.alpha * (target - current)
     return q
 
@@ -141,7 +156,7 @@ def select_action(
         raise ValueError("epsilon must be in [0, 1]")
     if epsilon > 0 and rng.random() < epsilon:
         return int(rng.integers(N_ACTIONS))
-    return int(np.argmax(q[s]))
+    return int(q[s].argmax())
 
 
 # ---------------------------------------------------------------------------
@@ -188,10 +203,9 @@ def build_local_state(
     nodata hole, or ``blocked``; bits 8-10 hold the waypoint direction and
     bits 11-12 the deviation bucket (0, 1, 2 cells off-route, 3 for more).
     """
-    code = 0
-    for i, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
-        nb = CellIndex(cell[0] + dr, cell[1] + dc)
-        if not grid.traversable(nb) or blocked(nb):
+    code, open_cells = grid.neighborhood(cell)
+    for i, nb in open_cells:
+        if blocked(nb):
             code |= 1 << i
     wp = plan.waypoints[min(waypoint_index, len(plan.waypoints) - 1)]
     dev = min(deviation_cells(cell, plan), N_DEVIATION_BUCKETS - 1)
@@ -231,16 +245,13 @@ def greedy_step(
 ) -> int:
     """Cheapest feasible move toward ``target``: edge time plus time bound.
 
-    Moves are scored in action order and the first strict minimum wins.
-    Off-grid, impassable and ``blocked`` cells are skipped; ACTION_STAY
-    when no move is feasible.
+    Moves to the grid's open neighbors of ``at`` are scored in action
+    order and the first strict minimum wins. Impassable and ``blocked``
+    cells are skipped; ACTION_STAY when no move is feasible.
     """
     best_action = ACTION_STAY
     best_cost = math.inf
-    for a, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
-        dest = CellIndex(at[0] + dr, at[1] + dc)
-        if not grid.in_bounds(dest):
-            continue
+    for a, dest in grid.neighborhood(at)[1]:
         step = traversal_time(profile, grid, at, dest)
         if not math.isfinite(step):
             continue
@@ -521,28 +532,45 @@ def save_qtable(
 
 
 def load_qtable(f: IO[str]) -> tuple[np.ndarray, dict]:
+    """Read a ``save_qtable`` file: exactly ``entries`` distinct entry lines,
+    then nothing but blank lines."""
     header = f.readline().rstrip("\n")
     if header != _QTABLE_MAGIC:
         raise ValueError(f"not a qtable file (header {header!r})")
     meta: dict = {}
-    for key, cast in (("states", int), ("actions", int), ("gamma", float),
-                      ("alpha", float), ("seed", int), ("episodes", int),
-                      ("entries", int)):
+    header_fields = (("states", int), ("actions", int), ("gamma", float),
+                     ("alpha", float), ("seed", int), ("episodes", int),
+                     ("entries", int))
+    for key, cast in header_fields:
         name, _, value = f.readline().rstrip("\n").partition(" ")
         if name != key:
             raise ValueError(f"expected header field {key!r}, got {name!r}")
         meta[key] = cast(value)
     if meta["states"] != N_STATES or meta["actions"] != N_ACTIONS:
         raise ValueError("state-space descriptor does not match this build")
+    lineno = 1 + len(header_fields)  # the entries line
+    if meta["entries"] < 0:
+        raise ValueError(f"qtable line {lineno}: entries must be"
+                         f" non-negative, got {meta['entries']}")
     q = np.zeros((N_STATES, N_ACTIONS))
+    seen: set[tuple[int, int]] = set()
     for _ in range(meta["entries"]):
+        lineno += 1
         s_str, a_str, v_str = f.readline().split()
         si, ai = int(s_str), int(a_str)
         if not (0 <= si < N_STATES and 0 <= ai < N_ACTIONS):
             raise ValueError(f"qtable entry ({si}, {ai}) out of range")
+        if (si, ai) in seen:
+            raise ValueError(
+                f"qtable line {lineno}: entry ({si}, {ai}) is repeated")
+        seen.add((si, ai))
         q[si, ai] = float(v_str)
         if not math.isfinite(q[si, ai]):
             raise ValueError(f"qtable entry ({si}, {ai}) is not finite")
+    for lineno, line in enumerate(f, start=lineno + 1):
+        if line.strip():
+            raise ValueError(f"qtable line {lineno}: more entries than the"
+                             f" {meta['entries']} declared")
     return q, meta
 
 

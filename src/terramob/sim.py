@@ -24,6 +24,7 @@ from .local_adapt import (
     ACTION_NAMES,
     ACTION_STAY,
     ACTIONS,
+    MAX_SIM_STEPS,
     build_local_state,
     detect_block,
     deviation_cells,
@@ -62,10 +63,6 @@ PURSUIT_TIMEOUT = "max_sim_time"
 
 class ConfigError(ValueError):
     """Invalid scenario configuration."""
-
-
-# Upper bound on max_sim_time / dt: 86400 s at dt 0.01 is 8.64 M steps.
-MAX_SIM_STEPS = 10**7
 
 
 def check_run_length(dt: float, max_sim_time: float,

@@ -386,6 +386,23 @@ class TestMalformedInput:
         err = self._simulate_err(tmp_path, capsys, obj)
         assert err == "error: qtable entry (0, 0) is not finite\n"
 
+    @pytest.mark.parametrize("entries, message", [
+        ("entries -3\n", "line 8: entries must be non-negative, got -3"),
+        ("entries 2\n0 0 1.0\n0 0 2.0\n",
+         "line 10: entry (0, 0) is repeated"),
+        ("entries 1\n0 0 1.0\n0 1 2.0\n",
+         "line 10: more entries than the 1 declared"),
+    ])
+    def test_malformed_qtable_names_its_line(self, tmp_path, capsys, entries,
+                                             message):
+        (tmp_path / "q.txt").write_text(
+            "terramob-qtable 1\nstates 8192\nactions 9\ngamma 0.95\n"
+            "alpha 0.1\nseed 0\nepisodes 0\n" + entries)
+        obj = json.loads(json.dumps(SCENARIO))
+        obj["agents"][0]["qtable"] = "q.txt"
+        err = self._simulate_err(tmp_path, capsys, obj)
+        assert err == f"error: qtable {message}\n"
+
     @pytest.mark.parametrize("header, message", [
         ("xllcorner 0\nyllcorner 0\ncellsize inf\n",
          "line 5: cellsize must be finite, got inf"),
@@ -513,6 +530,19 @@ class TestTrain:
         assert rc == EXIT_BAD_INPUT
         assert capsys.readouterr().err == (
             f"error: {field} must be finite and non-negative\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--episodes", "1000000000"],
+        ["--episodes", "2", "--max-steps", "5000001"],
+    ])
+    def test_training_work_is_capped(self, tmp_path, capsys, flags):
+        rc = main(["train", *flags, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--episodes" in err and "--max-steps" in err
+        assert "at most 10000000" in err
         assert not (tmp_path / "out").exists()
 
 

@@ -7,7 +7,9 @@ GridFormatError are ValueErrors), which the CLI turns into exit 3 with one
 drawn small so that no case allocates a large grid. ``terramob report`` is
 fuzzed end to end: it exits 0 or 3 on any document. The bulk ``.asc``
 reader is also checked against the token-at-a-time reader it replaced:
-same grid bytes or the same error, whichever numpy is installed.
+same grid bytes or the same error, whichever numpy is installed. The local
+step rules, which read a grid's memoized neighborhoods, are checked against
+the per-neighbor loops they replaced on random small grids.
 """
 
 import io
@@ -19,13 +21,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from terramob.agents import builtin_profiles, traversal_time
 from terramob.cli import EXIT_BAD_INPUT, EXIT_OK, main
-from terramob.local_adapt import load_qtable
+from terramob.local_adapt import (
+    ACTION_STAY, N_DEVIATION_BUCKETS, build_local_state, deviation_cells,
+    greedy_step, load_qtable, waypoint_direction,
+)
+from terramob.planner import PathPlan, heuristic
 from terramob.sim import ScenarioConfig
 from terramob.terrain import (
-    DEFAULT_NODATA, RECIPES, ElevationGrid, GridFormatError, _HEADER_KEYS,
-    _REQUIRED_KEYS, _check_header, _looks_numeric, grid_from_recipe,
-    parse_ascii_grid,
+    DEFAULT_NODATA, NEIGHBOR_OFFSETS, RECIPES, CellIndex, ElevationGrid,
+    GridFormatError, _HEADER_KEYS, _REQUIRED_KEYS, _check_header,
+    _looks_numeric, grid_from_recipe, parse_ascii_grid,
 )
 
 FUZZ = settings(max_examples=300, deadline=None)
@@ -354,3 +361,84 @@ def test_report_exits_0_or_3(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "fuzzed_report.json"
     path.write_text(json.dumps(doc))
     assert main(["report", str(path)]) in (EXIT_OK, EXIT_BAD_INPUT)
+
+
+def _reference_state(grid, blocked, cell, plan, waypoint_index):
+    """``build_local_state`` as a loop over the 8 offsets, without the
+    grid's neighborhood memo."""
+    code = 0
+    for i, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
+        nb = CellIndex(cell[0] + dr, cell[1] + dc)
+        if not grid.traversable(nb) or blocked(nb):
+            code |= 1 << i
+    wp = plan.waypoints[min(waypoint_index, len(plan.waypoints) - 1)]
+    dev = min(deviation_cells(cell, plan), N_DEVIATION_BUCKETS - 1)
+    return code | (waypoint_direction(cell, wp) << 8) | (dev << 11)
+
+
+def _reference_greedy(grid, profile, at, target, blocked):
+    """``greedy_step`` as a loop over the 8 offsets, without the memo."""
+    best_action, best_cost = ACTION_STAY, math.inf
+    for a, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
+        dest = CellIndex(at[0] + dr, at[1] + dc)
+        if not grid.in_bounds(dest):
+            continue
+        step = traversal_time(profile, grid, at, dest)
+        if not math.isfinite(step):
+            continue
+        if blocked is not None and blocked(dest):
+            continue
+        cost = step + heuristic(dest, target, profile, grid.cellsize)
+        if cost < best_cost:
+            best_cost, best_action = cost, a
+    return best_action
+
+
+@st.composite
+def local_cases(draw):
+    """A grid of up to 5 x 5 cells of 30 m with nodata holes and heights
+    that make some steps too steep, a route over any of its cells, and
+    queries from any cell (border cells and holes included), each with its
+    own blocked set and target. Queries repeat cells, so the memo is hit."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    heights = draw(st.lists(st.sampled_from([0.0, 1.0, 5.0, 12.0,
+                                             DEFAULT_NODATA]),
+                            min_size=nrows * ncols, max_size=nrows * ncols))
+    grid = ElevationGrid(ncols, nrows, 0.0, 0.0, 30.0, DEFAULT_NODATA,
+                         np.array(heights))
+    cells = st.sampled_from([CellIndex(r, c) for r in range(nrows)
+                             for c in range(ncols)])
+    route = draw(st.lists(cells, min_size=1, max_size=6, unique=True))
+    plan = PathPlan(route, [], 0.0, 0.0, "fuzz")
+    profile = draw(st.sampled_from(builtin_profiles()))
+    queries = draw(st.lists(st.tuples(
+        cells, st.frozensets(cells), st.integers(0, len(route)), cells),
+        min_size=1, max_size=8))
+    return grid, plan, profile, queries
+
+
+def _asking(cells, log):
+    """A blocking predicate over ``cells`` that logs each cell asked about."""
+    def blocked(c):
+        log.append(c)
+        return c in cells
+    return blocked
+
+
+@settings(max_examples=300, deadline=None)
+@given(local_cases())
+def test_local_step_rules_match_per_neighbor_loops(case):
+    grid, plan, profile, queries = case
+    for cell, blocked_cells, wi, target in queries:
+        asked, ref_asked = [], []
+        assert (build_local_state(grid, _asking(blocked_cells, asked), cell,
+                                  plan, wi)
+                == _reference_state(grid, _asking(blocked_cells, ref_asked),
+                                    cell, plan, wi))
+        assert (greedy_step(grid, profile, cell, target,
+                            _asking(blocked_cells, asked))
+                == _reference_greedy(grid, profile, cell, target,
+                                     _asking(blocked_cells, ref_asked)))
+        assert asked == ref_asked
+        assert (greedy_step(grid, profile, cell, target)
+                == _reference_greedy(grid, profile, cell, target, None))

@@ -11,6 +11,7 @@ from terramob.local_adapt import (
     ACTIONS,
     CorridorEnv,
     LearningParams,
+    MAX_SIM_STEPS,
     N_ACTIONS,
     N_STATES,
     RewardWeights,
@@ -331,6 +332,20 @@ class TestBuildLocalState:
         # blocked; the waypoint is due east (2 << 8); on the route (0 << 11)
         assert s == 0b111 | 1 << 7 | 2 << 8 == 647
 
+    def test_hole_punched_after_a_query_shows_only_on_the_copy(self):
+        grid = make_synthetic("flat", nrows=5, ncols=5, h=0.0)
+        plan = straight_plan(row=2, ncols=5)
+        cell, north = CellIndex(2, 2), CellIndex(1, 2)
+        p = builtin_profile("fit_adults")
+        before = build_local_state(grid, blocked_by(), cell, plan, 3)
+        assert greedy_step(grid, p, cell, CellIndex(0, 2)) == 0  # north
+        holed = grid.with_nodata([north])
+        assert build_local_state(grid, blocked_by(), cell, plan, 3) == before
+        assert greedy_step(grid, p, cell, CellIndex(0, 2)) == 0
+        assert build_local_state(holed, blocked_by(), cell, plan, 3) == (
+            before | 1)  # bit 0: the north neighbor is now a hole
+        assert greedy_step(holed, p, cell, CellIndex(0, 2)) == 1  # NE
+
 
 class TestGreedyStep:
     def test_blocked_cells_are_skipped(self):
@@ -417,6 +432,14 @@ class TestTraining:
         assert p.epsilon_at(50) == pytest.approx(0.525)
         assert p.epsilon_at(100) == 0.05
         assert p.epsilon_at(5000) == 0.05
+
+    def test_training_steps_are_capped(self):
+        # the cap is on requested work: episodes * max_steps_per_episode
+        assert LearningParams(episodes=MAX_SIM_STEPS // 80).episodes == 125_000
+        with pytest.raises(ValueError, match="at most 10000000"):
+            LearningParams(episodes=MAX_SIM_STEPS // 80 + 1)
+        with pytest.raises(ValueError, match="--max-steps"):
+            LearningParams(episodes=10**12, max_steps_per_episode=10**9)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):
