@@ -533,44 +533,64 @@ def save_qtable(
 
 def load_qtable(f: IO[str]) -> tuple[np.ndarray, dict]:
     """Read a ``save_qtable`` file: exactly ``entries`` distinct entry lines,
-    then nothing but blank lines."""
+    then nothing but blank lines. Every refusal names the line at fault."""
+    def refuse(lineno: int, message: str) -> ValueError:
+        return ValueError(f"qtable line {lineno}: {message}")
+
     header = f.readline().rstrip("\n")
     if header != _QTABLE_MAGIC:
-        raise ValueError(f"not a qtable file (header {header!r})")
+        raise refuse(1, f"not a qtable file (header {header!r})")
     meta: dict = {}
     header_fields = (("states", int), ("actions", int), ("gamma", float),
                      ("alpha", float), ("seed", int), ("episodes", int),
                      ("entries", int))
-    for key, cast in header_fields:
+    this_build = {"states": N_STATES, "actions": N_ACTIONS}
+    for lineno, (key, cast) in enumerate(header_fields, start=2):
         name, _, value = f.readline().rstrip("\n").partition(" ")
         if name != key:
-            raise ValueError(f"expected header field {key!r}, got {name!r}")
-        meta[key] = cast(value)
-    if meta["states"] != N_STATES or meta["actions"] != N_ACTIONS:
-        raise ValueError("state-space descriptor does not match this build")
-    lineno = 1 + len(header_fields)  # the entries line
+            raise refuse(lineno, f"expected header field {key!r}, got {name!r}")
+        try:
+            meta[key] = cast(value)
+        except ValueError:
+            kind = "an integer" if cast is int else "a number"
+            raise refuse(lineno, f"{key} must be {kind}, got {value!r}") from None
+        if key in this_build and meta[key] != this_build[key]:
+            raise refuse(lineno, "state-space descriptor does not match this"
+                                 f" build ({key} {meta[key]}, expected"
+                                 f" {this_build[key]})")
     if meta["entries"] < 0:
-        raise ValueError(f"qtable line {lineno}: entries must be"
-                         f" non-negative, got {meta['entries']}")
+        raise refuse(lineno, f"entries must be non-negative, got"
+                             f" {meta['entries']}")
     q = np.zeros((N_STATES, N_ACTIONS))
     seen: set[tuple[int, int]] = set()
-    for _ in range(meta["entries"]):
-        lineno += 1
-        s_str, a_str, v_str = f.readline().split()
-        si, ai = int(s_str), int(a_str)
+    for lineno in range(lineno + 1, lineno + 1 + meta["entries"]):
+        fields = f.readline().split()
+        if len(fields) != 3:
+            raise refuse(lineno, "expected an entry 'state action value',"
+                                 f" got {len(fields)} fields")
+        s_str, a_str, v_str = fields
+        try:
+            si, ai = int(s_str), int(a_str)
+        except ValueError:
+            raise refuse(lineno, "state and action must be integers, got"
+                                 f" {s_str!r} {a_str!r}") from None
         if not (0 <= si < N_STATES and 0 <= ai < N_ACTIONS):
-            raise ValueError(f"qtable entry ({si}, {ai}) out of range")
+            raise refuse(lineno, f"entry ({si}, {ai}) out of range")
         if (si, ai) in seen:
-            raise ValueError(
-                f"qtable line {lineno}: entry ({si}, {ai}) is repeated")
+            raise refuse(lineno, f"entry ({si}, {ai}) is repeated")
         seen.add((si, ai))
-        q[si, ai] = float(v_str)
-        if not math.isfinite(q[si, ai]):
-            raise ValueError(f"qtable entry ({si}, {ai}) is not finite")
+        try:
+            value = float(v_str)
+        except ValueError:
+            raise refuse(lineno, f"value must be a number, got {v_str!r}"
+                         ) from None
+        if not math.isfinite(value):
+            raise refuse(lineno, f"entry ({si}, {ai}) is not finite")
+        q[si, ai] = value
     for lineno, line in enumerate(f, start=lineno + 1):
         if line.strip():
-            raise ValueError(f"qtable line {lineno}: more entries than the"
-                             f" {meta['entries']} declared")
+            raise refuse(lineno, f"more entries than the {meta['entries']}"
+                                 " declared")
     return q, meta
 
 

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable
+from typing import IO, Callable, NamedTuple
 
 import numpy as np
 
@@ -144,8 +144,9 @@ class PursuitState:
     los_visible: bool = False
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
+    """One trace row; the fields are the CSV's columns, in order."""
+
     t_s: float
     row: int
     col: int
@@ -161,16 +162,34 @@ class TraceRecord:
 
 
 def write_trace_csv(records: list[TraceRecord], f: IO[str]) -> None:
-    f.write(
-        "t_s,row,col,easting,northing,elevation_m,mode,chi,action,"
-        "speed_mps,d_t_cells,effort\n"
-    )
-    for r in records:
-        f.write(
-            f"{r.t_s!r},{r.row},{r.col},{r.easting!r},{r.northing!r},"
-            f"{r.elevation_m!r},{r.mode},{int(r.chi)},{r.action},"
-            f"{r.speed_mps!r},{r.d_t_cells},{r.effort!r}\n"
-        )
+    """Write the header and one line per record, each float as its repr.
+
+    Consecutive rows mostly repeat their cell and float objects (an agent
+    standing, or walking one edge), so a cell's ``row,col`` text and a
+    float's repr are formatted again only when they change: the cell by
+    value, a float when it is a new object. Floats are never matched by
+    value, since ``0.0 == -0.0`` but their reprs differ.
+    """
+    lines = ["t_s,row,col,easting,northing,elevation_m,mode,chi,action,"
+             "speed_mps,d_t_cells,effort\n"]
+    cell = z = x = y = v = e = object()  # matches nothing a row holds
+    for t, row, col, ex, ny, ez, mode, chi, action, sp, dev, ef in records:
+        if cell != (row, col):
+            cell = (row, col)
+            cell_text = f"{row},{col}"
+        if ez is not z:
+            z, z_text = ez, repr(ez)
+        if ex is not x:
+            x, x_text = ex, repr(ex)
+        if ny is not y:
+            y, y_text = ny, repr(ny)
+        if sp is not v:
+            v, v_text = sp, repr(sp)
+        if ef is not e:
+            e, e_text = ef, repr(ef)
+        lines.append(f"{t!r},{cell_text},{x_text},{y_text},{z_text},{mode},"
+                     f"{int(chi)},{action},{v_text},{dev},{e_text}\n")
+    f.write("".join(lines))
 
 
 @dataclass
@@ -241,6 +260,15 @@ class World:
         # (id, x, y, radius**2) per agent disc
         self._walls: set[CellIndex] = set()
         self._discs: list[tuple[str, float, float, float]] = []
+        # the active obstacles change only where a schedule interval starts
+        # or ends, so _walls is rebuilt only once t0 reaches the next of
+        # these boundaries after its last rebuild
+        self._bounds = sorted({b for ob in self.obstacles
+                               for interval in ob.schedule for b in interval})
+        self._walls_until = -math.inf
+        # one float object per cell, so the trace writer formats a cell's
+        # elevation once per stay in it
+        self._elevations: dict[CellIndex, float] = {}
         for a in self.agents:
             a.trace.append(self._trace_record(a, 0.0))
 
@@ -298,8 +326,11 @@ class World:
     def step(self) -> None:
         dt = self.dt
         t0 = self.clock
-        self._walls = set().union(
-            *(ob.cells for ob in self.obstacles if ob.active(t0)))
+        if t0 >= self._walls_until:
+            self._walls = set().union(
+                *(ob.cells for ob in self.obstacles if ob.active(t0)))
+            self._walls_until = next((b for b in self._bounds if b > t0),
+                                     math.inf)
         self._discs = [
             (a.id, *a.position, a.profile.body_radius * a.profile.body_radius)
             for a in self.agents if a.mode not in TERMINAL_MODES
@@ -495,24 +526,17 @@ class World:
             _finish(pu, MODE_ABANDONED, self.clock)
 
     def _trace_record(self, agent: AgentRuntime, t: float) -> TraceRecord:
+        cell = agent.cell
         if agent.chase_cell is not None or agent.plan is None:
             dev = 0
         else:
-            dev = deviation_cells(agent.cell, agent.plan)
-        return TraceRecord(
-            t_s=t,
-            row=agent.cell.row,
-            col=agent.cell.col,
-            easting=agent.position[0],
-            northing=agent.position[1],
-            elevation_m=self.grid.elevation(agent.cell),
-            mode=agent.mode,
-            chi=agent.last_chi,
-            action=agent.last_action,
-            speed_mps=agent.edge_speed,
-            d_t_cells=dev,
-            effort=agent.effort_spent,
-        )
+            dev = deviation_cells(cell, agent.plan)
+        z = self._elevations.get(cell)
+        if z is None:
+            z = self._elevations[cell] = self.grid.elevation(cell)
+        return TraceRecord(t, cell.row, cell.col, *agent.position, z,
+                           agent.mode, agent.last_chi, agent.last_action,
+                           agent.edge_speed, dev, agent.effort_spent)
 
 
 # ---------------------------------------------------------------------------

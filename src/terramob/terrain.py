@@ -150,8 +150,8 @@ class ElevationGrid:
         return x, y
 
     def cell_of_point(self, x: float, y: float) -> CellIndex:
-        col = int(math.floor((x - self.xll) / self.cellsize))
-        row = self.nrows - 1 - int(math.floor((y - self.yll) / self.cellsize))
+        col = math.floor((x - self.xll) / self.cellsize)
+        row = self.nrows - 1 - math.floor((y - self.yll) / self.cellsize)
         return CellIndex(row, col)
 
     def with_nodata(self, cells: Iterable[CellIndex]) -> "ElevationGrid":

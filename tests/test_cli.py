@@ -375,7 +375,7 @@ class TestMalformedInput:
         obj = json.loads(json.dumps(SCENARIO))
         obj["agents"][0]["qtable"] = "q.txt"
         err = self._simulate_err(tmp_path, capsys, obj)
-        assert err == "error: qtable entry (99999, 0) out of range\n"
+        assert err == "error: qtable line 9: entry (99999, 0) out of range\n"
 
     def test_qtable_entry_not_finite(self, tmp_path, capsys):
         (tmp_path / "q.txt").write_text(
@@ -384,7 +384,7 @@ class TestMalformedInput:
         obj = json.loads(json.dumps(SCENARIO))
         obj["agents"][0]["qtable"] = "q.txt"
         err = self._simulate_err(tmp_path, capsys, obj)
-        assert err == "error: qtable entry (0, 0) is not finite\n"
+        assert err == "error: qtable line 9: entry (0, 0) is not finite\n"
 
     @pytest.mark.parametrize("entries, message", [
         ("entries -3\n", "line 8: entries must be non-negative, got -3"),

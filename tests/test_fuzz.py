@@ -9,7 +9,8 @@ fuzzed end to end: it exits 0 or 3 on any document. The bulk ``.asc``
 reader is also checked against the token-at-a-time reader it replaced:
 same grid bytes or the same error, whichever numpy is installed. The local
 step rules, which read a grid's memoized neighborhoods, are checked against
-the per-neighbor loops they replaced on random small grids.
+the per-neighbor loops they replaced on random small grids, and the trace
+writer against the per-row writer it replaced.
 """
 
 import io
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from terramob.agents import builtin_profiles, traversal_time
 from terramob.cli import EXIT_BAD_INPUT, EXIT_OK, main
@@ -28,7 +29,7 @@ from terramob.local_adapt import (
     greedy_step, load_qtable, waypoint_direction,
 )
 from terramob.planner import PathPlan, heuristic
-from terramob.sim import ScenarioConfig
+from terramob.sim import ScenarioConfig, TraceRecord, write_trace_csv
 from terramob.terrain import (
     DEFAULT_NODATA, NEIGHBOR_OFFSETS, RECIPES, CellIndex, ElevationGrid,
     GridFormatError, _HEADER_KEYS, _REQUIRED_KEYS, _check_header,
@@ -442,3 +443,56 @@ def test_local_step_rules_match_per_neighbor_loops(case):
         assert asked == ref_asked
         assert (greedy_step(grid, profile, cell, target)
                 == _reference_greedy(grid, profile, cell, target, None))
+
+
+def _reference_write_trace_csv(records, f):
+    """``write_trace_csv`` as one formatted write per row."""
+    f.write(
+        "t_s,row,col,easting,northing,elevation_m,mode,chi,action,"
+        "speed_mps,d_t_cells,effort\n"
+    )
+    for r in records:
+        f.write(
+            f"{r.t_s!r},{r.row},{r.col},{r.easting!r},{r.northing!r},"
+            f"{r.elevation_m!r},{r.mode},{int(r.chi)},{r.action},"
+            f"{r.speed_mps!r},{r.d_t_cells},{r.effort!r}\n"
+        )
+
+
+@st.composite
+def trace_records(draw):
+    """Rows whose floats come from a small pool, each used as the pool's
+    own object or as a new object equal to it, so rows repeat objects,
+    repeat values in distinct objects, and put 0.0 and -0.0 at the same
+    place. Cells are revisited, mostly with their first elevation."""
+    pool = draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, 0.1 + 0.2, 1e-300,
+                                          5e300, math.inf, math.nan])
+                         | st.floats(), min_size=1, max_size=5))
+
+    def value():
+        v = draw(st.sampled_from(pool))
+        return float(repr(v)) if draw(st.booleans()) else v
+
+    elevations = {}
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        row, col = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        if (row, col) not in elevations or draw(st.booleans()):
+            elevations[row, col] = value()
+        rows.append(TraceRecord(
+            value(), row, col, value(), value(), elevations[row, col],
+            draw(st.sampled_from(["following", "adapting", "arrived"])),
+            draw(st.booleans()), draw(st.sampled_from(["none", "n", "stay"])),
+            value(), draw(st.integers(0, 3)), value()))
+    return rows
+
+
+@FUZZ
+@given(trace_records())
+@example([TraceRecord(t, 1, 1, z, -z, z, "following", False, "stay", z, 0, -z)
+          for t, z in ((0.0, 0.0), (1.0, -0.0), (2.0, 0.0))])
+def test_trace_writer_matches_per_row_writer(records):
+    buf, ref = io.StringIO(), io.StringIO()
+    write_trace_csv(records, buf)
+    _reference_write_trace_csv(records, ref)
+    assert buf.getvalue() == ref.getvalue()

@@ -495,3 +495,39 @@ class TestPersistence:
         text = buf.getvalue().replace("entries 0", "entries 1") + entry + "\n"
         with pytest.raises(ValueError, match="not finite"):
             load_qtable(io.StringIO(text))
+
+    HEADER = ("terramob-qtable 1\nstates 8192\nactions 9\ngamma 0.95\n"
+              "alpha 0.1\nseed 0\nepisodes 0\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("not a table\n", "line 1: not a qtable file (header 'not a table')"),
+        (HEADER.replace("gamma", "gama"),
+         "line 4: expected header field 'gamma', got 'gama'"),
+        (HEADER.replace("seed 0", "seed x"),
+         "line 6: seed must be an integer, got 'x'"),
+        (HEADER.replace("alpha 0.1", "alpha fast"),
+         "line 5: alpha must be a number, got 'fast'"),
+        (HEADER.replace("actions 9", "actions 8"),
+         "line 3: state-space descriptor does not match this build"
+         " (actions 8, expected 9)"),
+        (HEADER + "entries -3\n", "line 8: entries must be non-negative,"
+         " got -3"),
+        (HEADER + "entries 2\n0 0 1.0\n",
+         "line 10: expected an entry 'state action value', got 0 fields"),
+        (HEADER + "entries 1\n0 1\n",
+         "line 9: expected an entry 'state action value', got 2 fields"),
+        (HEADER + "entries 1\n0 x 1\n",
+         "line 9: state and action must be integers, got '0' 'x'"),
+        (HEADER + "entries 1\n0 9 1.0\n", "line 9: entry (0, 9) out of range"),
+        (HEADER + "entries 2\n0 0 1.0\n0 0 2.0\n",
+         "line 10: entry (0, 0) is repeated"),
+        (HEADER + "entries 1\n0 0 high\n",
+         "line 9: value must be a number, got 'high'"),
+        (HEADER + "entries 1\n0 1 inf\n", "line 9: entry (0, 1) is not finite"),
+        (HEADER + "entries 1\n0 0 1.0\n\n0 1 2.0\n",
+         "line 11: more entries than the 1 declared"),
+    ])
+    def test_every_refusal_names_its_line(self, text, message):
+        with pytest.raises(ValueError) as excinfo:
+            load_qtable(io.StringIO(text))
+        assert str(excinfo.value) == "qtable " + message

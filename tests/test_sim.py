@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -280,6 +281,62 @@ class TestStep:
         }, base_dir=tmp_path)
         report, _ = run_scenario(cfg)
         assert report.agents[0]["outcome"] == "no_path"
+
+
+def walls_cfg(seed: int, dt: float) -> ScenarioConfig:
+    """Two agents crossing bars whose schedules start at 0, run back to
+    back, end off the ``dt`` grid and share a cell, plus seeded bars."""
+    rng = random.Random(seed)
+    obstacles = [
+        {"cells": [[3, 1], [2, 1]], "schedule": [[0.0, 2.5], [2.5, 7.25]]},
+        {"cells": [[3, 1]], "schedule": [[7.25, 31.5], [40.0, 52.75]]},
+    ]
+    for _ in range(rng.randint(1, 3)):
+        cells = [[rng.randint(0, 6), rng.randint(1, 8)]
+                 for _ in range(rng.randint(1, 3))]
+        t = 0.0 if rng.random() < 0.3 else rng.uniform(0.0, 20.0)
+        schedule = []
+        for _ in range(rng.randint(1, 3)):
+            end = t + rng.choice([0.25, 2.5, rng.uniform(0.1, 40.0)])
+            schedule.append([t, end])
+            t = end if rng.random() < 0.5 else end + rng.uniform(0.1, 10.0)
+        obstacles.append({"cells": cells, "schedule": schedule})
+    return flat_cfg(
+        agents=[{"id": "a1", "profile": "fit_adults", "start": [3, 0],
+                 "goal": [3, 9]},
+                {"id": "a2", "profile": "elderly", "start": [0, 5],
+                 "goal": [6, 5]}],
+        obstacles=obstacles,
+        sim={"dt": dt, "max_sim_time": 600, "seed": seed})
+
+
+class TestWallsSnapshot:
+    """``World.step`` rebuilds its obstacle snapshot only at schedule
+    boundaries; the snapshot must still be the obstacles active at t0."""
+
+    @pytest.mark.parametrize("dt", [1.0, 0.75])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_walls_are_the_obstacles_active_at_step_start(self, seed, dt):
+        world = build_world(walls_cfg(seed, dt))
+        for _ in range(int(80 / dt)):
+            t0 = world.clock
+            world.step()
+            assert world._walls == set().union(
+                *(ob.cells for ob in world.obstacles if ob.active(t0)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_blocked_run_repeats_and_matches_a_rebuild_every_step(self, seed):
+        cfg = walls_cfg(seed, 1.0)
+        report, traces = run_scenario(cfg)
+        again, traces_again = run_scenario(cfg)
+        assert report.to_json() == again.to_json()
+        assert traces == traces_again
+        assert any(row.chi for row in traces["a1"])
+        world = build_world(cfg)
+        while world.clock < cfg.max_sim_time - 1e-9 and world.any_active():
+            world._walls_until = -math.inf
+            world.step()
+        assert {a.id: a.trace for a in world.agents} == traces
 
 
 class TestBlocker:
