@@ -102,7 +102,7 @@ def speed(p: AgentProfile, slope: float) -> float:
     ``ref_slope`` of grade, floored at MIN_SLOPE_REDUCTION; it never exceeds
     1, since the slope is non-negative and ``slope_drop`` is too. This is
     the package's one speed law; ``planner.astar`` repeats its arithmetic
-    inline.
+    inline, operation for operation.
     """
     if slope < 0:
         raise ValueError("slope must be non-negative")
@@ -191,10 +191,12 @@ def edge(
         ``(a.row, b.col)``, are both nodata (a sealed corner, which
         ``terrain.line_of_sight`` also treats as opaque; slope reads 0.0);
       - its slope exceeds the profile's ``max_slope``.
-    Non-adjacent cells are a caller error (ValueError).
+    Non-adjacent cells are a caller error (ValueError). Elevations are
+    read through ``grid.flat``.
 
     ``planner.astar`` carries an inlined copy of this rule and of ``speed``
-    that must stay bit-identical to it.
+    that must stay bit-identical to it. It reads the same flat view, and
+    tests bounds once per expanded node instead of once per edge.
     """
     ar, ac = a[0], a[1]
     br, bc = b[0], b[1]
@@ -204,16 +206,17 @@ def edge(
         raise ValueError(f"cells {(ar, ac)} and {(br, bc)} are not adjacent")
     diagonal = dr != 0 and dc != 0
     run = grid.cellsize * (SQRT2 if diagonal else 1.0)
-    values = grid.values
-    nrows, ncols = values.shape
+    nrows, ncols = grid.nrows, grid.ncols
     if not (0 <= ar < nrows and 0 <= ac < ncols
             and 0 <= br < nrows and 0 <= bc < ncols):
         return run, 0.0, 0.0
-    va = float(values[ar, ac])
-    vb = float(values[br, bc])
+    flat = grid.flat
+    va = flat[ar * ncols + ac]
+    vb = flat[br * ncols + bc]
     nodata = grid.nodata
     if va == nodata or vb == nodata or (
-            diagonal and values[br, ac] == nodata and values[ar, bc] == nodata):
+            diagonal and flat[br * ncols + ac] == nodata
+            and flat[ar * ncols + bc] == nodata):
         return run, 0.0, 0.0
     slope = abs(vb - va) / run * 100.0
     return run, slope, speed(p, slope)

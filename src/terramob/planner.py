@@ -6,11 +6,16 @@ edge can be walked faster), and ties are broken deterministically: larger g
 first, then (row, col) order.
 
 A* carries its own inlined copy of the edge rule (``agents.edge``:
-bounds, nodata, sealed corners, slope limit) and of the speed law
-(``agents.speed``) over flat node ids, which is faster than calling them
-per edge. The uniform-cost oracle (``dijkstra_all``) weighs each edge with
-``agents.edge`` itself (its run in meters in distance mode), so the
-optimality tests compare two separately written kernels.
+bounds, nodata, sealed corners, slope limit), of the speed law
+(``agents.speed``) and of the heuristic over flat node ids
+``row * ncols + col``, which is faster than calling them per edge. It
+reads elevations through the grid's zero-copy flat view
+(``ElevationGrid.flat``), and a node off the grid's border, whose eight
+neighbors are all on the grid, skips the bounds test; a border node
+walks only the steps that stay on the grid. The uniform-cost oracle
+(``dijkstra_all``) weighs each edge with ``agents.edge`` itself (its run
+in meters in distance mode), so the optimality tests compare two
+separately written kernels.
 """
 
 from __future__ import annotations
@@ -90,12 +95,16 @@ def astar(
     Raises NoPathError when the goal cannot be reached, ValueError when an
     endpoint is not traversable. start == goal yields the trivial plan.
 
-    Nodes are flat ids ``row * ncols + col`` and grid values are read one
-    at a time, so a search costs nothing proportional to the grid size. The
-    edge cost and the heuristic are inlined: they repeat the arithmetic of
+    Nodes are flat ids ``row * ncols + col``, and grid values are read one
+    at a time from ``grid.flat``, the grid's zero-copy view built with the
+    grid, so a search costs nothing proportional to the grid size: its
+    heap, maps and closed set hold only the nodes it reaches. The edge
+    cost and the heuristic are inlined: they repeat the arithmetic of
     ``agents.edge`` and ``heuristic`` operation for operation, so every
     edge weight is bit-identical to ``agents.traversal_time``, and every
-    edge ``agents.edge`` refuses is skipped.
+    edge ``agents.edge`` refuses is skipped. The bounds part of that rule
+    is decided once per expansion: an interior node walks all eight
+    steps unchecked, a border node only those that stay on the grid.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -110,13 +119,16 @@ def astar(
         return PathPlan([start], [], 0.0, 0.0, p.name), SearchStats(1, 0)
 
     nrows, ncols = grid.nrows, grid.ncols
+    last_row, last_col = nrows - 1, ncols - 1
     cellsize = grid.cellsize
     nodata = grid.nodata
-    value = grid.values.item
-    # (dr, dc, id offset, run) in NEIGHBOR_OFFSETS order, which fixes the
-    # order neighbors are pushed and so the search's tie-breaking.
-    steps = [(dr, dc, dr * ncols + dc,
-              cellsize * (SQRT2 if dr != 0 and dc != 0 else 1.0))
+    flat = grid.flat
+    # (id offset, run, dr, dc, seal) in NEIGHBOR_OFFSETS order, which fixes
+    # the order neighbors are pushed and so the search's tie-breaking. seal
+    # holds the id offsets of a diagonal's two flanking cells, else None.
+    steps = [(dr * ncols + dc,
+              cellsize * (SQRT2 if dr != 0 and dc != 0 else 1.0), dr, dc,
+              (dr * ncols, dc) if dr != 0 and dc != 0 else None)
              for dr, dc in NEIGHBOR_OFFSETS]
 
     timed = objective == "time"
@@ -125,26 +137,24 @@ def astar(
     max_slope = p.max_slope
     slope_drop = p.slope_drop
     load_factor = p.load_factor
+    min_r = MIN_SLOPE_REDUCTION
+    inf = math.inf
     # Heuristic: octile meters, over the flat speed in time mode (x / 1.0 is
-    # exact, so distance mode shares the expression).
+    # exact, so distance mode shares the expression). The push below
+    # inlines ``octile_distance_m`` operation for operation.
     h_speed = s_flat if timed else 1.0
     goal_row, goal_col = goal
-
-    def bound(row: int, col: int) -> float:
-        dr = abs(row - goal_row)
-        dc = abs(col - goal_col)
-        if dr < dc:
-            return (dr * SQRT2 + (dc - dr)) * cellsize / h_speed
-        return (dc * SQRT2 + (dr - dc)) * cellsize / h_speed
 
     start_id = start.row * ncols + start.col
     goal_id = goal.row * ncols + goal.col
     g_best: dict[int, float] = {start_id: 0.0}
+    best = g_best.get
     parent: dict[int, int] = {}
     closed: set[int] = set()
     # Heap key (f, -g, id): equal f prefers deeper nodes, then row-major
     # cell order (the id order), so the search is fully deterministic.
-    open_heap = [(bound(start.row, start.col), 0.0, start_id)]
+    open_heap = [(octile_distance_m(start, goal, cellsize) / h_speed, 0.0,
+                  start_id)]
     heappush, heappop = heapq.heappush, heapq.heappop
     expanded = 0
     open_peak = 1
@@ -160,16 +170,19 @@ def astar(
             plan = _build_plan(grid, p, parent, start_id, goal_id)
             return plan, SearchStats(expanded, open_peak)
         row, col = divmod(node, ncols)
-        va = value(node)
-        for dr, dc, offset, run in steps:
-            nrow = row + dr
-            ncol = col + dc
-            if not (0 <= nrow < nrows and 0 <= ncol < ncols):
-                continue
+        # An interior node has all 8 neighbors on the grid; a border node
+        # walks only the steps that stay on it.
+        if 0 < row < last_row and 0 < col < last_col:
+            around = steps
+        else:
+            around = [s for s in steps
+                      if 0 <= row + s[2] < nrows and 0 <= col + s[3] < ncols]
+        va = flat[node]
+        for offset, run, dr, dc, seal in around:
             nb = node + offset
             if nb in closed:
                 continue
-            vb = value(nb)
+            vb = flat[nb]
             if vb == nodata:
                 continue
             slope = abs(vb - va) / run * 100.0
@@ -177,20 +190,26 @@ def astar(
                 continue
             if timed:
                 r = 1.0 - slope_drop * (slope / ref_slope)
-                if r < MIN_SLOPE_REDUCTION:
-                    r = MIN_SLOPE_REDUCTION
+                if r < min_r:
+                    r = min_r
                 ng = g + run / (s_flat * (r * load_factor))
             else:
                 ng = g + run
-            if ng < g_best.get(nb, math.inf):
+            if ng < best(nb, inf):
                 # sealed corner: both flanks of a diagonal are nodata; tested
                 # only on relaxing edges, where it is cheapest
-                if (dr and dc and value(node + dr * ncols) == nodata
-                        and value(node + dc) == nodata):
+                if (seal is not None and flat[node + seal[0]] == nodata
+                        and flat[node + seal[1]] == nodata):
                     continue
                 g_best[nb] = ng
                 parent[nb] = node
-                heappush(open_heap, (ng + bound(nrow, ncol), -ng, nb))
+                hr = abs(row + dr - goal_row)
+                hc = abs(col + dc - goal_col)
+                if hr < hc:
+                    h = (hr * SQRT2 + (hc - hr)) * cellsize / h_speed
+                else:
+                    h = (hc * SQRT2 + (hr - hc)) * cellsize / h_speed
+                heappush(open_heap, (ng + h, -ng, nb))
         if len(open_heap) > open_peak:
             open_peak = len(open_heap)
 

@@ -10,7 +10,10 @@ reader is also checked against the token-at-a-time reader it replaced:
 same grid bytes or the same error, whichever numpy is installed. The local
 step rules, which read a grid's memoized neighborhoods, are checked against
 the per-neighbor loops they replaced on random small grids, and the trace
-writer against the per-row writer it replaced.
+writer against the per-row writer it replaced. A* is checked against the
+Dijkstra oracle on grids of up to 6 x 6 cells, strips included, where
+most nodes are border nodes, so both its bounds-checked border path and
+its unchecked interior path run.
 """
 
 import io
@@ -22,13 +25,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from terramob.agents import builtin_profiles, traversal_time
+from terramob.agents import builtin_profiles, edge, traversal_time
 from terramob.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from terramob.local_adapt import (
     ACTION_STAY, N_DEVIATION_BUCKETS, build_local_state, deviation_cells,
     greedy_step, load_qtable, waypoint_direction,
 )
-from terramob.planner import PathPlan, heuristic
+from terramob.planner import (
+    OBJECTIVES, NoPathError, PathPlan, astar, dijkstra_oracle, heuristic,
+)
 from terramob.sim import ScenarioConfig, TraceRecord, write_trace_csv
 from terramob.terrain import (
     DEFAULT_NODATA, NEIGHBOR_OFFSETS, RECIPES, CellIndex, ElevationGrid,
@@ -496,3 +501,49 @@ def test_trace_writer_matches_per_row_writer(records):
     write_trace_csv(records, buf)
     _reference_write_trace_csv(records, ref)
     assert buf.getvalue() == ref.getvalue()
+
+
+@st.composite
+def search_cases(draw):
+    """A grid of 1 x 1 to 6 x 6 cells of 30 m (1 x N and N x 1 strips
+    included) with rough heights, nodata holes and slopes on both sides of
+    every profile's limit; two endpoints, mostly in a corner or on the
+    border; a profile and an objective."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    heights = draw(st.lists(
+        st.floats(0.0, 16.0) | st.sampled_from([0.0, 4.5, 10.5,
+                                                DEFAULT_NODATA,
+                                                DEFAULT_NODATA]),
+        min_size=nrows * ncols, max_size=nrows * ncols))
+    cells = [CellIndex(r, c) for r in range(nrows) for c in range(ncols)]
+    corners = [CellIndex(r, c) for r in {0, nrows - 1} for c in {0, ncols - 1}]
+    border = [c for c in cells
+              if c.row in (0, nrows - 1) or c.col in (0, ncols - 1)]
+    endpoint = (st.sampled_from(corners) | st.sampled_from(border)
+                | st.sampled_from(cells))
+    start, goal = draw(endpoint), draw(endpoint)
+    for r, c in (start, goal):
+        if heights[r * ncols + c] == DEFAULT_NODATA:
+            heights[r * ncols + c] = 0.0
+    grid = ElevationGrid(ncols, nrows, 0.0, 0.0, 30.0, DEFAULT_NODATA,
+                         np.array(heights))
+    return (grid, start, goal, draw(st.sampled_from(builtin_profiles())),
+            draw(st.sampled_from(OBJECTIVES)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(search_cases())
+def test_astar_matches_oracle_on_border_and_interior_nodes(case):
+    grid, start, goal, profile, objective = case
+    try:
+        want = dijkstra_oracle(grid, profile, start, goal, objective)
+    except NoPathError:
+        with pytest.raises(NoPathError):
+            astar(grid, profile, start, goal, objective)
+        return
+    plan, _ = astar(grid, profile, start, goal, objective)
+    assert (plan.total_time if objective == "time"
+            else plan.total_distance) == want
+    for a, b, t in zip(plan.waypoints, plan.waypoints[1:], plan.edge_times):
+        run, _slope, v = edge(profile, grid, a, b)
+        assert v > 0.0 and t == run / v

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -539,6 +541,27 @@ class TestElevationGrid:
     def test_values_are_read_only(self, flat10):
         with pytest.raises(ValueError):
             flat10.values[0, 0] = 1.0
+
+    def test_flat_view_is_a_read_only_row_major_copy(self):
+        source = rough_grid(5, nrows=4, ncols=6).values.copy()
+        source[1, 2] = -9999.0
+        grid = ElevationGrid(6, 4, 0, 0, 30.0, -9999.0, source)
+        source[0, 0] = 1e6  # the grid holds its own copy
+        assert grid.flat.readonly
+        assert grid.flat.tolist() == grid.values.ravel().tolist()
+        assert grid.flat[1 * 6 + 2] == -9999.0
+        with pytest.raises(TypeError):
+            grid.flat[0] = 1.0
+
+    def test_pickle_and_deepcopy_rebuild_the_grid(self):
+        grid = rough_grid(6, nrows=3, ncols=5)
+        for again in (pickle.loads(pickle.dumps(grid)), copy.deepcopy(grid)):
+            assert again.values.tobytes() == grid.values.tobytes()
+            assert again.flat.tolist() == grid.flat.tolist()
+            assert ((again.ncols, again.nrows, again.xll, again.yll,
+                     again.cellsize, again.nodata)
+                    == (grid.ncols, grid.nrows, grid.xll, grid.yll,
+                        grid.cellsize, grid.nodata))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="expected"):
