@@ -110,9 +110,10 @@ def cmd_simulate(args) -> int:
         f.write(report.to_json())
     with open(out / "report.txt", "w", newline="") as f:
         f.write(sim.render_comparison_table(report.comparisons))
+    t_texts: dict[float, str] = {}  # every agent of a step shares its clock
     for agent_id, records in sorted(traces.items()):
         with open(out / "traces" / f"{agent_id}.csv", "w", newline="") as f:
-            sim.write_trace_csv(records, f)
+            sim.write_trace_csv(records, f, t_texts)
     no_path = [a["id"] for a in report.agents if a["outcome"] == "no_path"]
     for agent_id in no_path:
         print(f"agent {agent_id}: no path", file=sys.stderr)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import IO, Callable, NamedTuple
 
@@ -83,7 +84,10 @@ def check_run_length(dt: float, max_sim_time: float,
 
 
 def effort_accrual(edge_time: float, slope: float) -> float:
-    """Exertion proxy for time spent on a slope: time * (1 + slope/100)."""
+    """Exertion proxy for time spent on a slope: time * (1 + slope/100).
+
+    ``World`` steps carry an inlined copy that must stay bit-identical.
+    """
     if edge_time < 0:
         raise ValueError("edge_time must be non-negative")
     if slope < 0:
@@ -161,38 +165,46 @@ class TraceRecord(NamedTuple):
     effort: float
 
 
-def write_trace_csv(records: list[TraceRecord], f: IO[str]) -> None:
+def write_trace_csv(records: list[TraceRecord], f: IO[str],
+                    t_texts: dict[float, str] | None = None) -> None:
     """Write the header and one line per record, each float as its repr.
 
-    Consecutive rows mostly repeat their cell and float objects (an agent
-    standing, or walking one edge), so a cell's ``row,col`` text and a
-    float's repr are formatted again only when they change: the cell by
-    value, a float when it is a new object. Floats are never matched by
-    value, since ``0.0 == -0.0`` but their reprs differ.
+    Consecutive rows mostly repeat their cell and objects (an agent
+    standing, or walking one edge), so a field is formatted again only when
+    it changes: the cell by value, the rest when a new object (``0.0 ==
+    -0.0``, but their reprs differ). ``t_s`` text is kept by value in
+    ``t_texts``, which the files of one run may share, as the rows of a
+    step hold one clock; zeros are formatted afresh.
     """
+    t_texts = {} if t_texts is None else t_texts
     lines = ["t_s,row,col,easting,northing,elevation_m,mode,chi,action,"
              "speed_mps,d_t_cells,effort\n"]
-    cell = z = x = y = v = e = object()  # matches nothing a row holds
+    r = c = z = x = y = m = k = a = v = e = object()  # matches nothing
     for t, row, col, ex, ny, ez, mode, chi, action, sp, dev, ef in records:
-        if cell != (row, col):
-            cell = (row, col)
-            cell_text = f"{row},{col}"
+        t_text = t_texts.get(t)
+        if t_text is None:
+            t_text = repr(t)
+            if t:
+                t_texts[t] = t_text
+        if row != r or col != c:
+            r, c, cell_text = row, col, f"{row},{col}"
         if ez is not z:
             z, z_text = ez, repr(ez)
         if ex is not x:
             x, x_text = ex, repr(ex)
         if ny is not y:
             y, y_text = ny, repr(ny)
-        if sp is not v:
-            v, v_text = sp, repr(sp)
+        if mode is not m or chi is not k or action is not a or sp is not v:
+            m, k, a, v = mode, chi, action, sp
+            mid_text = f"{mode},{int(chi)},{action},{sp!r}"
         if ef is not e:
             e, e_text = ef, repr(ef)
-        lines.append(f"{t!r},{cell_text},{x_text},{y_text},{z_text},{mode},"
-                     f"{int(chi)},{action},{v_text},{dev},{e_text}\n")
+        lines.append(f"{t_text},{cell_text},{x_text},{y_text},{z_text},"
+                     f"{mid_text},{dev},{e_text}\n")
     f.write("".join(lines))
 
 
-@dataclass
+@dataclass(slots=True)
 class AgentRuntime:
     """Mutable per-agent simulation state."""
 
@@ -256,10 +268,14 @@ class World:
         self.observer_height = observer_height
         self.clock = 0.0
         self._by_id = {a.id: a for a in self.agents}
-        # step-start snapshot read by _blocker: active obstacle cells and
+        # step-start snapshot read by _blocks: active obstacle cells and
         # (id, x, y, radius**2) per agent disc
         self._walls: set[CellIndex] = set()
         self._discs: list[tuple[str, float, float, float]] = []
+        self._radii2 = [(a, a.profile.body_radius * a.profile.body_radius)
+                        for a in self.agents]
+        # agents not in a terminal mode, as of the end of the last step
+        self.active = sum(a.mode not in TERMINAL_MODES for a in self.agents)
         # the active obstacles change only where a schedule interval starts
         # or ends, so _walls is rebuilt only once t0 reaches the next of
         # these boundaries after its last rebuild
@@ -280,46 +296,42 @@ class World:
 
     # -- blocking query -------------------------------------------------------
 
-    def _blocker(self, agent: AgentRuntime,
-                 lower_ids_only: bool = False) -> Callable[[CellIndex], bool]:
-        """The blocked-cell test of every step rule, for one decision.
+    def _blocks(self, me: str, partner: str | None, lower_ids_only: bool,
+                cell: CellIndex) -> bool:
+        """The one blocked-cell rule, for agent ``me`` chasing ``partner``.
 
         A cell is blocked by an obstacle active at the step's start time or
-        by the step-start disc of any agent other than ``agent`` and its
-        chase partner (with ``lower_ids_only``, only of agents whose id
-        sorts before ``agent.id``): a disc blocks the cells whose closed
-        rectangle it touches. Agents in a terminal mode at the step's start
-        (arrived, intercepted, abandoned, ``no_path`` included) have left
-        the scene and have no disc. Both come from the snapshot ``step``
-        takes once per step, so every decision of a step sees the same
-        scene. Only valid inside ``step``.
+        by the step-start disc of any agent other than ``me`` and its chase
+        partner (with ``lower_ids_only``, only of agents whose id sorts
+        before ``me``): a disc blocks the cells whose closed rectangle it
+        touches. Agents in a terminal mode at the step's start (arrived,
+        intercepted, abandoned, ``no_path`` included) have left the scene
+        and have no disc. Both come from the snapshot ``step`` takes once
+        per step, so every decision of a step sees the same scene. A disc's
+        id is checked before its geometry. Only valid inside ``step``.
         """
+        if cell in self._walls:
+            return True
         g = self.grid
-        walls = self._walls
-        discs = self._discs
-        me = agent.id
-        skip = (me, agent.chase_partner)
-
-        # No per-decision copy of the snapshot: most decisions (the walk-back
-        # test) ask about one cell. The exemptions are read only for a disc
-        # that touches the cell. dx, dy equal x - min(max(x, x0), x1) and its
-        # y twin up to a sign, which squaring drops.
-        def blocked(cell: CellIndex) -> bool:
-            if cell in walls:
+        x0 = g.xll + cell.col * g.cellsize
+        y1 = g.yll + (g.nrows - cell.row) * g.cellsize
+        x1 = x0 + g.cellsize
+        y0 = y1 - g.cellsize
+        # dx, dy equal x - min(max(x, x0), x1) and its y twin up to a sign,
+        # which squaring drops
+        for aid, x, y, r2 in self._discs:
+            if aid == partner or (aid >= me if lower_ids_only else aid == me):
+                continue
+            dx = x0 - x if x < x0 else (x - x1 if x > x1 else 0.0)
+            dy = y0 - y if y < y0 else (y - y1 if y > y1 else 0.0)
+            if dx ** 2 + dy ** 2 <= r2:
                 return True
-            x0 = g.xll + cell.col * g.cellsize
-            y1 = g.yll + (g.nrows - cell.row) * g.cellsize
-            x1 = x0 + g.cellsize
-            y0 = y1 - g.cellsize
-            for aid, x, y, r2 in discs:
-                dx = x0 - x if x < x0 else (x - x1 if x > x1 else 0.0)
-                dy = y0 - y if y < y0 else (y - y1 if y > y1 else 0.0)
-                if (dx ** 2 + dy ** 2 <= r2 and aid not in skip
-                        and not (lower_ids_only and aid > me)):
-                    return True
-            return False
+        return False
 
-        return blocked
+    def _blocker(self, agent: AgentRuntime) -> Callable[[CellIndex], bool]:
+        """``_blocks`` for one decision of ``agent``, as the step rules'
+        predicate."""
+        return partial(self._blocks, agent.id, agent.chase_partner, False)
 
     # -- one simulation step --------------------------------------------------
 
@@ -331,23 +343,24 @@ class World:
                 *(ob.cells for ob in self.obstacles if ob.active(t0)))
             self._walls_until = next((b for b in self._bounds if b > t0),
                                      math.inf)
-        self._discs = [
-            (a.id, *a.position, a.profile.body_radius * a.profile.body_radius)
-            for a in self.agents if a.mode not in TERMINAL_MODES
-        ]
+        self._discs = [(a.id, *a.position, r2) for a, r2 in self._radii2
+                       if a.mode not in TERMINAL_MODES]
         for agent in self.agents:
-            if agent.mode in TERMINAL_MODES:
-                continue
-            self._advance_agent(agent, dt, t0)
-        self.clock = t0 + dt
+            if agent.mode not in TERMINAL_MODES:
+                self._advance_agent(agent, dt, t0)
+        self.clock = clock = t0 + dt
         for i, rule in enumerate(self.pursuit_rules):
             self._pursuit_update(i, rule, dt)
+        active = 0
         for agent in self.agents:
             if agent.done_traced:
                 continue
-            agent.trace.append(self._trace_record(agent, self.clock))
+            agent.trace.append(self._trace_record(agent, clock))
             if agent.mode in TERMINAL_MODES:
                 agent.done_traced = True
+            else:
+                active += 1
+        self.active = active
 
     def _advance_agent(self, agent: AgentRuntime, dt: float, t0: float) -> None:
         # a committed edge whose destination got blocked is walked back once.
@@ -356,7 +369,8 @@ class World:
         if (
             agent.edge_source is not None
             and agent.cell == agent.edge_source
-            and self._blocker(agent, lower_ids_only=True)(agent.edge_target)
+            and self._blocks(agent.id, agent.chase_partner, True,
+                             agent.edge_target)
         ):
             back = agent.edge_source
             agent.edge_target = back
@@ -372,24 +386,33 @@ class World:
             dy = ty - y
             dist = math.hypot(dx, dy)
             t_need = dist / agent.edge_speed if agent.edge_speed > 0 else math.inf
+            # effort_accrual and cell_of_point inlined, op for op
             if t_need <= remaining:
                 agent.position = (tx, ty)
                 agent.cell = agent.edge_target
                 agent.distance_m += dist
-                agent.effort_spent += effort_accrual(t_need, agent.edge_slope)
+                agent.effort_spent += t_need * (1.0 + agent.edge_slope / 100.0)
                 remaining -= t_need
                 agent.edge_target = None
                 agent.edge_source = None
                 self._at_center(agent, t0, dt, remaining)
             else:
                 moved = agent.edge_speed * remaining
-                x += dx / dist * moved
-                y += dy / dist * moved
+                # a zero step keeps its coordinate's object: x + 0.0 is x but
+                # for x = -0.0, and no position is -0.0 (a cell centre and any
+                # exactly zero sum round to +0.0)
+                if dx:
+                    x += dx / dist * moved
+                if dy:
+                    y += dy / dist * moved
                 agent.position = (x, y)
                 agent.distance_m += moved
-                agent.effort_spent += effort_accrual(remaining,
-                                                     agent.edge_slope)
-                agent.cell = self.grid.cell_of_point(x, y)
+                agent.effort_spent += remaining * (1.0 + agent.edge_slope / 100.0)
+                g = self.grid
+                row = g.nrows - 1 - math.floor((y - g.yll) / g.cellsize)
+                col = math.floor((x - g.xll) / g.cellsize)
+                if (row, col) != agent.cell:
+                    agent.cell = CellIndex(row, col)
                 remaining = 0.0
 
     def _decide(self, agent: AgentRuntime) -> bool:
@@ -857,8 +880,10 @@ def build_world(config: ScenarioConfig,
 def _simulate(world: World, max_sim_time: float) -> None:
     for i, rule in enumerate(world.pursuit_rules):
         world._pursuit_update(i, rule, 0.0)
-    while world.clock < max_sim_time - 1e-9 and world.any_active():
+    active = world.any_active()
+    while active and world.clock < max_sim_time - 1e-9:
         world.step()
+        active = world.active
 
 
 def run_scenario(

@@ -10,7 +10,8 @@ reader is also checked against the token-at-a-time reader it replaced:
 same grid bytes or the same error, whichever numpy is installed. The local
 step rules, which read a grid's memoized neighborhoods, are checked against
 the per-neighbor loops they replaced on random small grids, and the trace
-writer against the per-row writer it replaced. A* is checked against the
+writer against the per-row writer it replaced, also with one ``t_s``
+text memo shared by several files. A* is checked against the
 Dijkstra oracle on grids of up to 6 x 6 cells, strips included, where
 most nodes are border nodes, so both its bounds-checked border path and
 its unchecked interior path run.
@@ -490,6 +491,41 @@ def trace_records(draw):
             draw(st.booleans()), draw(st.sampled_from(["none", "n", "stay"])),
             value(), draw(st.integers(0, 3)), value()))
     return rows
+
+
+@st.composite
+def trace_files(draw):
+    """Several files' rows whose ``t_s`` come from one pool shared across
+    the files: the same object in several files, equal values in distinct
+    objects, and 0.0 next to -0.0."""
+    pool = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, 0.1 + 0.2, 5e-324])
+                         | st.floats(), min_size=1, max_size=4))
+    files = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = []
+        for _ in range(draw(st.integers(0, 6))):
+            t = draw(st.sampled_from(pool))
+            if draw(st.booleans()):
+                t = float(repr(t))
+            z = draw(st.sampled_from([0.0, -0.0, 2.5]))
+            rows.append(TraceRecord(t, 0, 1, z, -z, 2.5, "following", False,
+                                    "e", z, 0, -z))
+        files.append(rows)
+    return files
+
+
+@FUZZ
+@given(trace_files())
+@example([[TraceRecord(t, 0, 0, 1.0, 1.0, 1.0, "arrived", True, "stay",
+                       0.0, 0, 0.0) for t in ts]
+          for ts in ((0.0, 1.0), (-0.0, 1.0), (0.0, -0.0))])
+def test_trace_writer_shares_t_s_text_across_files(files):
+    t_texts = {}
+    for records in files:
+        buf, ref = io.StringIO(), io.StringIO()
+        write_trace_csv(records, buf, t_texts)
+        _reference_write_trace_csv(records, ref)
+        assert buf.getvalue() == ref.getvalue()
 
 
 @FUZZ

@@ -12,6 +12,7 @@ from terramob.local_adapt import N_ACTIONS, N_STATES, build_local_state
 from terramob.planner import astar
 from terramob.sim import (
     MAX_SIM_STEPS,
+    AgentRuntime,
     ConfigError,
     Obstacle,
     PursuitRule,
@@ -340,7 +341,10 @@ class TestWallsSnapshot:
 
 
 class TestBlocker:
-    """``World._blocker`` against its rule written with min/max clamps."""
+    """``World._blocker`` (every decision) and the walk-back query
+    (``World._blocks`` with ``lower_ids_only``) against their rule written
+    with min/max clamps, on snapshots with unsorted and repeated ids, a
+    chase partner and walls."""
 
     @staticmethod
     def reference(world, agent, lower_ids_only, cell):
@@ -382,12 +386,146 @@ class TestBlocker:
         world._discs = [(aid, c * 30.0 + dx, r * 30.0 + dy, rad ** 2)
                         for aid, (c, dx), (r, dy), rad in discs]
         for agent in world.agents:
-            for lower in (False, True):
-                blocked = world._blocker(agent, lower_ids_only=lower)
-                for cell in np.ndindex(4, 4):
-                    cell = CellIndex(*cell)
-                    assert blocked(cell) == self.reference(
-                        world, agent, lower, cell)
+            blocked = world._blocker(agent)
+            for cell in np.ndindex(4, 4):
+                cell = CellIndex(*cell)
+                assert blocked(cell) == self.reference(
+                    world, agent, False, cell)
+                walked_back = world._blocks(agent.id, agent.chase_partner,
+                                            True, cell)
+                assert walked_back == self.reference(world, agent, True, cell)
+
+
+class TestInlinedStepArithmetic:
+    """``World.step`` inlines ``effort_accrual`` and
+    ``ElevationGrid.cell_of_point``; both branches of a move must agree
+    with them bit for bit."""
+
+    origins = st.floats(-1e6, 1e6)
+    cellsizes = st.sampled_from([0.5, 1.0, 30.0]) | st.floats(0.01, 500.0)
+    targets = st.tuples(st.integers(0, 5), st.integers(0, 5))
+    speeds = st.sampled_from([1.5]) | st.floats(0.05, 3.0)
+    slopes = st.sampled_from([0.0, 7.5]) | st.floats(0, 60)
+    dts = st.sampled_from([10.0, 1.0, 0.25]) | st.floats(1e-3, 200.0)
+
+    @staticmethod
+    def grid(xll, yll, cellsize):
+        return ElevationGrid(6, 6, xll, yll, cellsize, -9999.0,
+                             np.zeros((6, 6)))
+
+    @staticmethod
+    def check_step(grid, start, target, speed, slope, dt):
+        target = CellIndex(*target)
+        tx, ty = grid.cell_center(target)
+        # a chase on the target cell with sight lost: after arriving there
+        # the agent stands, so the step's effort is one accrual
+        agent = AgentRuntime(
+            id="a", profile=builtin_profile("fit_adults"), plan=None,
+            position=start, cell=target, chase_cell=target,
+            edge_target=target, edge_target_xy=(tx, ty), edge_speed=speed,
+            edge_slope=slope)
+        world = World(grid, [agent], [], [], dt=dt)
+        world.step()
+        dx, dy = tx - start[0], ty - start[1]
+        dist = math.hypot(dx, dy)
+        if dist / speed <= dt:
+            assert agent.position == (tx, ty) and agent.cell == target
+            want = effort_accrual(dist / speed, slope)
+        else:
+            moved = speed * dt
+            assert agent.position == (start[0] + dx / dist * moved,
+                                      start[1] + dy / dist * moved)
+            assert agent.cell == grid.cell_of_point(*agent.position)
+            want = effort_accrual(dt, slope)
+        assert agent.effort_spent.hex() == want.hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(origins, origins, cellsizes,
+           st.tuples(st.floats(0.01, 0.99), st.floats(0.01, 0.99)),
+           targets, speeds, slopes, dts)
+    def test_matches_effort_accrual_and_cell_of_point(
+            self, xll, yll, cellsize, at, target, speed, slope, dt):
+        start = (xll + at[0] * 6 * cellsize, yll + at[1] * 6 * cellsize)
+        self.check_step(self.grid(xll, yll, cellsize), start, target, speed,
+                        slope, dt)
+
+    @settings(max_examples=300, deadline=None)
+    @given(origins, origins, cellsizes, st.integers(1, 5), targets,
+           st.booleans(), speeds, slopes, dts)
+    def test_axis_aligned_move_ending_on_a_cell_line(
+            self, xll, yll, cellsize, line, target, along_x, speed, slope,
+            dt):
+        # where floor() of the cell arithmetic is most sensitive to rounding
+        grid = self.grid(xll, yll, cellsize)
+        tx, ty = grid.cell_center(CellIndex(*target))
+        moved = speed * dt
+        if along_x:
+            b = xll + line * cellsize
+            start = (b - moved if b < tx else b + moved, ty)
+        else:
+            b = yll + line * cellsize
+            start = (tx, b - moved if b < ty else b + moved)
+        self.check_step(grid, start, target, speed, slope, dt)
+
+
+@st.composite
+def origin_crossings(draw):
+    """Agents crossing, both ways, the lines x = 0 and y = 0 of a grid whose
+    origin puts a cell centre (odd k) or an edge midpoint (even k) on each
+    of them, with a bar that may force walk-backs."""
+    nrows, ncols = draw(st.integers(3, 7)), draw(st.integers(3, 7))
+    kx = draw(st.integers(1, 2 * ncols - 1))
+    ky = draw(st.integers(1, 2 * nrows - 1))
+    terrain = draw(st.sampled_from([
+        {"recipe": "flat", "h": 0.0},
+        {"recipe": "cone", "peak": 20.0, "radius": 120.0}]))
+    terrain.update(nrows=nrows, ncols=ncols, cellsize=30.0,
+                   xll=-15.0 * kx, yll=-15.0 * ky)
+    agents = []
+    for i in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):  # west-east or east-west
+            ends = [[draw(st.integers(0, nrows - 1)), 0],
+                    [draw(st.integers(0, nrows - 1)), ncols - 1]]
+        else:  # north-south or south-north
+            ends = [[0, draw(st.integers(0, ncols - 1))],
+                    [nrows - 1, draw(st.integers(0, ncols - 1))]]
+        start, goal = ends[::-1] if draw(st.booleans()) else ends
+        agents.append({"id": f"a{i}", "start": start, "goal": goal,
+                       "profile": draw(st.sampled_from(
+                           ["fit_adults", "elderly", "families"]))})
+    bar = [draw(st.integers(0, nrows - 1)), draw(st.integers(0, ncols - 1))]
+    t0 = draw(st.sampled_from([5.0, 20.0, 45.0]))
+    return flat_cfg(terrain=terrain, agents=agents,
+                    obstacles=[{"cells": [bar], "schedule": [[t0, t0 + 60]]}],
+                    sim={"dt": draw(st.sampled_from([1.0, 0.5, 2.5])),
+                         "max_sim_time": 400, "seed": 1})
+
+
+class TestZeroCoordinates:
+    """The step keeps the object of a coordinate whose step is zero, which
+    writes the same trace bytes only if no position is ever -0.0."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(origin_crossings())
+    def test_no_position_is_negative_zero(self, cfg):
+        world = build_world(cfg)
+        while world.clock < cfg.max_sim_time - 1e-9 and world.any_active():
+            before = [(a.edge_source, a.edge_target) for a in world.agents]
+            world.step()
+            for a, (source, target) in zip(world.agents, before):
+                # the step moved the agent along one edge, forward or walked
+                # back, without reaching a cell centre
+                if a.edge_target is None or (a.edge_target is not target
+                                             and a.edge_target is not source):
+                    continue
+                row, prev = a.trace[-1], a.trace[-2]
+                for field in ("easting", "northing"):
+                    if getattr(row, field) == getattr(prev, field):
+                        assert getattr(row, field) is getattr(prev, field)
+        for a in world.agents:
+            for row in a.trace:
+                for v in (row.easting, row.northing):
+                    assert math.copysign(1.0, v) == 1.0 or v != 0.0
 
 
 class TestPursuit:

@@ -15,7 +15,15 @@ simulation:
 - ``p1`` chases ``t1`` in sight and intercepts it (the chase greedy step);
 - the transport section compares ``ox_cart`` and ``mule`` on two routes.
 
-Regenerate the file only from a commit whose simulation is known good:
+``data/sim_golden_origin.json`` does the same for a flat 8x8 grid whose
+origin (-105, -120) puts column 3's cell centres on x = 0 and the edge
+midpoints between rows 3 and 4 on y = 0. Agents cross both lines both ways
+at exactly representable speeds, so positions of exactly 0.0 are written,
+and three agents walk an edge back (``x2`` yields to ``x1`` on crossing
+diagonals). The step keeps a coordinate's object when its step is zero;
+this golden pins that a position is never ``-0.0``.
+
+Regenerate the files only from a commit whose simulation is known good:
 
     PYTHONPATH=src:tests python tests/test_sim_golden.py
 """
@@ -28,6 +36,7 @@ from pathlib import Path
 from terramob.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "sim_golden.json"
+ORIGIN_GOLDEN = Path(__file__).parent / "data" / "sim_golden_origin.json"
 
 SCENARIO = {
     "terrain": {"recipe": "cone", "nrows": 16, "ncols": 16, "cellsize": 30.0,
@@ -58,12 +67,29 @@ SCENARIO = {
     "sim": {"dt": 1.0, "max_sim_time": 900, "seed": 7},
 }
 
+ORIGIN_SCENARIO = {
+    "terrain": {"recipe": "flat", "nrows": 8, "ncols": 8, "cellsize": 30.0,
+                "h": 0.0, "xll": -105.0, "yll": -120.0},
+    "agents": [
+        {"id": "e1", "profile": "fit_adults", "start": [4, 0], "goal": [4, 7]},
+        {"id": "n1", "profile": "fit_adults", "start": [0, 3], "goal": [7, 3]},
+        {"id": "s1", "profile": "elderly", "start": [7, 4], "goal": [0, 4]},
+        {"id": "w1", "profile": "fit_adults", "start": [7, 7], "goal": [7, 0]},
+        {"id": "x1", "profile": "fit_adults", "start": [1, 5], "goal": [2, 6]},
+        {"id": "x2", "profile": "fit_adults", "start": [1, 6], "goal": [2, 5]},
+    ],
+    "obstacles": [{"cells": [[5, 3]], "schedule": [[40.0, 120.0]]}],
+    "sim": {"dt": 1.0, "max_sim_time": 900, "seed": 3},
+}
 
-def simulate_digests(work: Path) -> dict[str, str]:
-    """Train the table, run ``simulate`` in ``work``, hash what it wrote."""
-    assert main(["train", "--episodes", "400", "--seed", "3",
-                 "--out", str(work / "qt")]) == 0
-    (work / "scenario.json").write_text(json.dumps(SCENARIO))
+
+def simulate_digests(work: Path, scenario: dict = SCENARIO) -> dict[str, str]:
+    """Train the table (for ``SCENARIO``), run ``simulate`` in ``work``,
+    hash what it wrote."""
+    if scenario is SCENARIO:
+        assert main(["train", "--episodes", "400", "--seed", "3",
+                     "--out", str(work / "qt")]) == 0
+    (work / "scenario.json").write_text(json.dumps(scenario))
     out = work / "out"
     assert main(["simulate", "--config", str(work / "scenario.json"),
                  "--out", str(out)]) == 0
@@ -78,8 +104,15 @@ def test_simulate_matches_golden(tmp_path):
     assert simulate_digests(tmp_path) == json.loads(GOLDEN.read_text())
 
 
+def test_simulate_across_the_origin_matches_golden(tmp_path):
+    assert (simulate_digests(tmp_path, ORIGIN_SCENARIO)
+            == json.loads(ORIGIN_GOLDEN.read_text()))
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        digests = simulate_digests(Path(tmp))
-    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {GOLDEN}")
+    for scenario, golden in ((SCENARIO, GOLDEN),
+                             (ORIGIN_SCENARIO, ORIGIN_GOLDEN)):
+        with tempfile.TemporaryDirectory() as tmp:
+            digests = simulate_digests(Path(tmp), scenario)
+        golden.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(digests)} digests to {golden}")
