@@ -136,18 +136,6 @@ class PursuitRule:
             raise ValueError("capture_radius must be positive")
 
 
-@dataclass
-class PursuitState:
-    last_seen: CellIndex | None = None
-    los_down_s: float = 0.0
-    outcome: str | None = None
-    time_s: float | None = None
-    # last (pursuer cell, target cell) asked and its line_of_sight answer;
-    # exact because the grid and observer height are fixed for a World
-    los_cells: tuple[CellIndex, CellIndex] | None = None
-    los_visible: bool = False
-
-
 class TraceRecord(NamedTuple):
     """One trace row; the fields are the CSV's columns, in order."""
 
@@ -220,7 +208,7 @@ class AgentRuntime:
     effort_spent: float = 0.0
     distance_m: float = 0.0
     end_clock: float | None = None
-    chase_partner: str | None = None   # pursuit target id, when this is a pursuer
+    chase_partner: str | None = None   # target id of this pursuer's Pursuit
     chase_cell: CellIndex | None = None
     chase_xy: tuple[float, float] | None = None  # live position while in sight
     edge_source: CellIndex | None = None
@@ -239,6 +227,33 @@ def _finish(agent: AgentRuntime, mode: str, clock: float) -> None:
     agent.mode = mode
     agent.outcome = mode
     agent.end_clock = clock
+
+
+@dataclass
+class Pursuit:
+    """One pursuit of a World: its rule, both agents and the chase state.
+
+    A pursuer is named by at most one rule (``ScenarioConfig.from_dict``
+    enforces it), so the pursuer's ``chase_cell`` is its target's last
+    seen cell and the record need not keep a copy.
+    """
+
+    rule: PursuitRule
+    pursuer: AgentRuntime
+    target: AgentRuntime
+    los_down_s: float = 0.0
+    outcome: str | None = None
+    time_s: float | None = None
+    # last (pursuer cell, target cell) asked and its line_of_sight answer;
+    # exact because the grid and observer height are fixed for a World
+    los_cells: tuple[CellIndex, CellIndex] | None = None
+    los_visible: bool = False
+
+    def end(self, outcome: str, clock: float, pursuer_mode: str) -> None:
+        """Decide the pursuit at ``clock``; the pursuer ends in a mode."""
+        self.outcome = outcome
+        self.time_s = clock
+        _finish(self.pursuer, pursuer_mode, clock)
 
 
 # ---------------------------------------------------------------------------
@@ -262,20 +277,20 @@ class World:
         self.grid = grid
         self.agents = sorted(agents, key=lambda a: a.id)
         self.obstacles = list(obstacles)
-        self.pursuit_rules = list(pursuit_rules)
-        self.pursuit_states = [PursuitState() for _ in pursuit_rules]
+        by_id = {a.id: a for a in self.agents}
+        self.pursuits = [Pursuit(rule, by_id[rule.pursuer], by_id[rule.target])
+                         for rule in pursuit_rules]
+        for p in self.pursuits:
+            p.pursuer.chase_partner = p.target.id
         self.dt = dt
         self.observer_height = observer_height
         self.clock = 0.0
-        self._by_id = {a.id: a for a in self.agents}
         # step-start snapshot read by _blocks: active obstacle cells and
         # (id, x, y, radius**2) per agent disc
         self._walls: set[CellIndex] = set()
         self._discs: list[tuple[str, float, float, float]] = []
         self._radii2 = [(a, a.profile.body_radius * a.profile.body_radius)
                         for a in self.agents]
-        # agents not in a terminal mode, as of the end of the last step
-        self.active = sum(a.mode not in TERMINAL_MODES for a in self.agents)
         # the active obstacles change only where a schedule interval starts
         # or ends, so _walls is rebuilt only once t0 reaches the next of
         # these boundaries after its last rebuild
@@ -287,12 +302,11 @@ class World:
         self._elevations: dict[CellIndex, float] = {}
         for a in self.agents:
             a.trace.append(self._trace_record(a, 0.0))
-
-    def agent(self, agent_id: str) -> AgentRuntime:
-        return self._by_id[agent_id]
-
-    def any_active(self) -> bool:
-        return any(a.mode not in TERMINAL_MODES for a in self.agents)
+        # a pursuit may be decided before the first step
+        for p in self.pursuits:
+            self._pursuit_update(p, 0.0)
+        # agents not in a terminal mode, as of the end of the last step
+        self.active = sum(a.mode not in TERMINAL_MODES for a in self.agents)
 
     # -- blocking query -------------------------------------------------------
 
@@ -349,8 +363,8 @@ class World:
             if agent.mode not in TERMINAL_MODES:
                 self._advance_agent(agent, dt, t0)
         self.clock = clock = t0 + dt
-        for i, rule in enumerate(self.pursuit_rules):
-            self._pursuit_update(i, rule, dt)
+        for p in self.pursuits:
+            self._pursuit_update(p, dt)
         active = 0
         for agent in self.agents:
             if agent.done_traced:
@@ -504,49 +518,39 @@ class World:
 
     # -- pursuit ---------------------------------------------------------------
 
-    def _pursuit_update(self, index: int, rule: PursuitRule, dt: float) -> None:
-        st = self.pursuit_states[index]
-        if st.outcome is not None:
+    def _pursuit_update(self, p: Pursuit, dt: float) -> None:
+        if p.outcome is not None:
             return
-        pu = self.agent(rule.pursuer)
-        tg = self.agent(rule.target)
+        pu, tg, rule = p.pursuer, p.target, p.rule
         gap = math.hypot(
             pu.position[0] - tg.position[0], pu.position[1] - tg.position[1]
         )
         if gap <= rule.capture_radius:
-            st.outcome = PURSUIT_INTERCEPTION
-            st.time_s = self.clock
             _finish(tg, MODE_INTERCEPTED, self.clock)
-            _finish(pu, MODE_ARRIVED, self.clock)
+            p.end(PURSUIT_INTERCEPTION, self.clock, MODE_ARRIVED)
             return
         if pu.mode in TERMINAL_MODES:
             return
         cells = (pu.cell, tg.cell)
-        if cells != st.los_cells:
+        if cells != p.los_cells:
             h = self.observer_height
-            st.los_cells = cells
-            st.los_visible = line_of_sight(self.grid, pu.cell, tg.cell, h, h)
-        if st.los_visible:
-            st.last_seen = tg.cell
-            st.los_down_s = 0.0
+            p.los_cells = cells
+            p.los_visible = line_of_sight(self.grid, pu.cell, tg.cell, h, h)
+        if p.los_visible:
+            p.los_down_s = 0.0
             pu.chase_cell = tg.cell
             pu.chase_xy = tg.position
             # a pursuer that sees its target never walks its edge back
             pu.edge_source = None
         else:
-            st.los_down_s += dt
+            # chase_cell stays on the cell where the target was last seen
+            p.los_down_s += dt
             pu.chase_xy = None
-            if st.last_seen is not None:
-                pu.chase_cell = st.last_seen
-            if st.los_down_s >= rule.los_loss_limit:
-                st.outcome = PURSUIT_ABANDONED_LOS
-                st.time_s = self.clock
-                _finish(pu, MODE_ABANDONED, self.clock)
+            if p.los_down_s >= rule.los_loss_limit:
+                p.end(PURSUIT_ABANDONED_LOS, self.clock, MODE_ABANDONED)
                 return
         if pu.effort_spent > rule.effort_budget:
-            st.outcome = PURSUIT_ABANDONED_EFFORT
-            st.time_s = self.clock
-            _finish(pu, MODE_ABANDONED, self.clock)
+            p.end(PURSUIT_ABANDONED_EFFORT, self.clock, MODE_ABANDONED)
 
     def _trace_record(self, agent: AgentRuntime, t: float) -> TraceRecord:
         cell = agent.cell
@@ -864,44 +868,30 @@ def build_world(config: ScenarioConfig,
             if not grid.in_bounds(cell):
                 raise ConfigError(f"obstacle cell {tuple(cell)} out of bounds")
 
-    world = World(
-        grid,
-        runtimes,
-        config.obstacles,
-        config.pursuit_rules,
-        dt=config.dt,
-        observer_height=config.observer_height,
-    )
-    for rule in config.pursuit_rules:
-        world.agent(rule.pursuer).chase_partner = rule.target
-    return world
+    return World(grid, runtimes, config.obstacles, config.pursuit_rules,
+                 dt=config.dt, observer_height=config.observer_height)
 
 
 def _simulate(world: World, max_sim_time: float) -> None:
-    for i, rule in enumerate(world.pursuit_rules):
-        world._pursuit_update(i, rule, 0.0)
-    active = world.any_active()
-    while active and world.clock < max_sim_time - 1e-9:
+    while world.active and world.clock < max_sim_time - 1e-9:
         world.step()
-        active = world.active
 
 
 def run_scenario(
     config: ScenarioConfig,
-    grid: ElevationGrid | None = None,
 ) -> tuple[SimReport, dict[str, list[TraceRecord]]]:
     """Simulate the configured agents to termination or the time limit, then
     the transport comparison if the config has a transport section."""
-    grid = config.resolve_grid() if grid is None else grid
+    grid = config.resolve_grid()
     world = build_world(config, grid)
     _simulate(world, config.max_sim_time)
     agents = [_agent_row(a, world.clock) for a in world.agents]
     pursuits = [{
-        "pursuer": rule.pursuer,
-        "target": rule.target,
-        "outcome": st.outcome or PURSUIT_TIMEOUT,
-        "time_s": st.time_s if st.time_s is not None else world.clock,
-    } for rule, st in zip(world.pursuit_rules, world.pursuit_states)]
+        "pursuer": p.rule.pursuer,
+        "target": p.rule.target,
+        "outcome": p.outcome or PURSUIT_TIMEOUT,
+        "time_s": p.time_s if p.time_s is not None else world.clock,
+    } for p in world.pursuits]
     traces = {a.id: a.trace for a in world.agents}
     transport_rows, comparisons = [], []
     if config.transport is not None:

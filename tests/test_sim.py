@@ -18,6 +18,8 @@ from terramob.sim import (
     PursuitRule,
     ScenarioConfig,
     World,
+    _runtime,
+    _simulate,
     build_world,
     compare_transport,
     effort_accrual,
@@ -334,7 +336,7 @@ class TestWallsSnapshot:
         assert traces == traces_again
         assert any(row.chi for row in traces["a1"])
         world = build_world(cfg)
-        while world.clock < cfg.max_sim_time - 1e-9 and world.any_active():
+        while world.clock < cfg.max_sim_time - 1e-9 and world.active:
             world._walls_until = -math.inf
             world.step()
         assert {a.id: a.trace for a in world.agents} == traces
@@ -381,7 +383,7 @@ class TestBlocker:
                      "goal": [3, k]} for k, i in enumerate("abcd")],
             sim={"dt": 1.0, "max_sim_time": 600, "seed": 1})
         world = build_world(cfg)
-        world.agent("c").chase_partner = "a"
+        world.agents[2].chase_partner = "a"  # agent "c"
         world._walls = {CellIndex(*w) for w in walls}
         world._discs = [(aid, c * 30.0 + dx, r * 30.0 + dy, rad ** 2)
                         for aid, (c, dx), (r, dy), rad in discs]
@@ -509,7 +511,7 @@ class TestZeroCoordinates:
     @given(origin_crossings())
     def test_no_position_is_negative_zero(self, cfg):
         world = build_world(cfg)
-        while world.clock < cfg.max_sim_time - 1e-9 and world.any_active():
+        while world.clock < cfg.max_sim_time - 1e-9 and world.active:
             before = [(a.edge_source, a.edge_target) for a in world.agents]
             world.step()
             for a, (source, target) in zip(world.agents, before):
@@ -529,8 +531,9 @@ class TestZeroCoordinates:
 
 
 class TestPursuit:
-    def test_flat_interception_closed_form(self):
-        cfg = ScenarioConfig.from_dict({
+    @staticmethod
+    def flat_chase_cfg():
+        return ScenarioConfig.from_dict({
             "terrain": {"recipe": "flat", "nrows": 5, "ncols": 40,
                         "cellsize": 30.0, "h": 0.0},
             "agents": [
@@ -542,13 +545,86 @@ class TestPursuit:
                                "capture_radius": 2.0}],
             "sim": {"dt": 1.0, "max_sim_time": 2000, "seed": 3},
         })
-        report, _ = run_scenario(cfg)
+
+    def test_flat_interception_closed_form(self):
+        report, _ = run_scenario(self.flat_chase_cfg())
         pu = report.pursuits[0]
         assert pu["outcome"] == "interception"
         predicted = (10 * 30.0 - 2.0) / (1.8 - 1.0)
         assert abs(pu["time_s"] - predicted) / predicted < 0.05
         outcomes = {a["id"]: a["outcome"] for a in report.agents}
         assert outcomes == {"p": "arrived", "t": "intercepted"}
+
+    def test_directly_built_world_chases_as_build_world_does(self):
+        # the World itself makes the target its pursuer's chase partner, so
+        # the target's disc does not block the pursuer's greedy steps
+        cfg = self.flat_chase_cfg()
+        grid = cfg.resolve_grid()
+        agents = [
+            _runtime(grid, "p", builtin_profile("hostile"),
+                     CellIndex(2, 2), CellIndex(2, 12)),
+            _runtime(grid, "t", builtin_profile("elderly"),
+                     CellIndex(2, 12), CellIndex(2, 32)),
+        ]
+        direct = World(grid, agents, [], cfg.pursuit_rules, dt=cfg.dt)
+        assert agents[0].chase_partner == "t"
+        _simulate(direct, cfg.max_sim_time)
+        built = build_world(cfg)
+        _simulate(built, cfg.max_sim_time)
+        (d,), (b,) = direct.pursuits, built.pursuits
+        assert d.outcome == b.outcome == "interception"
+        assert d.time_s == b.time_s == 373.0
+
+    def test_chase_cell_holds_the_last_seen_cell_while_hidden(self):
+        # the target walks behind the ridge and on to its goal; the pursuer
+        # keeps aiming at the cell where it last saw it
+        cfg = ScenarioConfig.from_dict({
+            "terrain": {"recipe": "ridge", "nrows": 21, "ncols": 31,
+                        "cellsize": 30.0, "height": 60.0, "position": 15},
+            "agents": [
+                {"id": "p", "profile": "hostile", "start": [2, 2], "goal": [2, 16]},
+                {"id": "t", "profile": "fit_adults", "start": [2, 16],
+                 "goal": [18, 17]},
+            ],
+            "pursuit_rules": [{"pursuer": "p", "target": "t",
+                               "los_loss_limit": 120.0, "effort_budget": 1e6,
+                               "capture_radius": 2.0}],
+            "sim": {"dt": 1.0, "max_sim_time": 3600, "seed": 5},
+        })
+        world = build_world(cfg)
+        (p,) = world.pursuits
+        seen, hidden_cells = None, set()
+        while p.outcome is None:
+            world.step()
+            if p.los_visible:
+                seen = p.target.cell
+                assert p.pursuer.chase_cell == seen
+            elif p.outcome is None:
+                assert seen is not None
+                assert p.pursuer.chase_cell == seen
+                assert p.pursuer.chase_xy is None
+                hidden_cells.add(p.target.cell)
+        assert p.outcome == "abandonment_los"
+        assert len(hidden_cells - {seen}) >= 3
+
+    @pytest.mark.xfail(strict=True, reason="a pursuit can still capture a "
+                       "target that has arrived (ROADMAP item 2)")
+    def test_an_arrived_target_is_not_intercepted(self):
+        cfg = ScenarioConfig.from_dict({
+            "terrain": {"recipe": "flat", "nrows": 8, "ncols": 8, "h": 0.0},
+            "agents": [
+                {"id": "p", "profile": "elderly", "start": [6, 0], "goal": [0, 3]},
+                {"id": "t", "profile": "fit_adults", "start": [0, 0],
+                 "goal": [0, 3]},
+            ],
+            "pursuit_rules": [{"pursuer": "p", "target": "t",
+                               "los_loss_limit": 1e6, "effort_budget": 1e6,
+                               "capture_radius": 2.0}],
+            "sim": {"dt": 1.0, "max_sim_time": 3000, "seed": 1},
+        })
+        report, traces = run_scenario(cfg)
+        outcomes = {a["id"]: a["outcome"] for a in report.agents}
+        assert outcomes["t"] == traces["t"][-1].mode
 
     def test_line_of_sight_asked_once_per_cell_pair_change(self, monkeypatch):
         from terramob import sim
