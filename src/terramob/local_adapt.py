@@ -6,22 +6,34 @@ whenever the next step of an agent's committed global route is obstructed;
 otherwise a cost-greedy rule keeps the agent on the route. A table is a
 plain ``(N_STATES, N_ACTIONS)`` float array whose rows are indexed by the
 state code of ``build_local_state``; tables are trained offline on
-randomized corridor episodes and frozen for simulation.
+randomized corridor episodes and frozen for simulation. While it trains,
+``train_bypass`` holds the table as plain float lists, one per state
+visited, made on first read, and returns them as that array.
+``q_update`` (the temporal-difference backup) and ``select_action`` (the
+first maximum of a row, or an exploring draw) are the one definition of
+each rule for training and simulation alike, and read a row of either
+kind. Both refuse what would otherwise fail late or silently:
+``q_update`` an action or a state outside the table (a negative state
+would wrap around), ``select_action`` an exploring ``epsilon > 0``
+without a generator ``rng``.
 
 "Obstructed" is decided by one blocking predicate, a ``Callable[[CellIndex],
 bool]`` that ``detect_block``, ``build_local_state`` and ``greedy_step``
 take: the simulation passes ``World._blocker(agent)`` and training passes
-``CorridorEnv.cell_blocked``. Both local step rules read a cell's neighbors
-from ``ElevationGrid.neighborhood``, which each grid computes once per cell:
-the state code starts from its off-grid/nodata bits and asks the predicate
-only about the open neighbors, which are also the only moves
-``greedy_step`` scores.
+``CorridorEnv.cell_blocked``, the bar's own ``frozenset`` membership test,
+so no Python frame runs per query. Both local step rules read a cell's
+neighbors from ``ElevationGrid.neighborhood``, which each grid computes
+once per cell: the state code starts from its off-grid/nodata bits and
+asks the predicate only about the open neighbors, which are also the only
+moves ``greedy_step`` scores.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import IO, Callable
 
 import numpy as np
@@ -124,25 +136,41 @@ class LearningParams:
         return self.epsilon_start + (self.epsilon_end - self.epsilon_start) * frac
 
 
+# A value table: anything whose row ``q[s]`` is N_ACTIONS floats that can be
+# assigned in place. Frozen tables are (N_STATES, N_ACTIONS) arrays;
+# training backs up into plain float lists, one per visited state.
+QRows = np.ndarray | dict[int, list[float]]
+
+
 def q_update(
-    q: np.ndarray,
+    q: QRows,
     s: int,
     a: int,
     r: float,
     s_next: int,
     p: LearningParams,
-) -> np.ndarray:
-    """One temporal-difference backup on the (s, a) entry; returns ``q``."""
+) -> QRows:
+    """One temporal-difference backup on the (s, a) entry; returns ``q``.
+
+    Refuses an action or a state outside the table rather than letting a
+    negative index wrap around.
+    """
     if not 0 <= a < N_ACTIONS:
         raise ValueError(f"action {a} out of range")
-    current = q[s, a]
-    target = r + p.gamma * float(q[s_next].max())
-    q[s, a] = current + p.alpha * (target - current)
+    if not (0 <= s < N_STATES and 0 <= s_next < N_STATES):
+        raise ValueError(f"state {s} or {s_next} out of range")
+    row = q[s]
+    current = row[a]
+    successor = q[s_next]
+    if isinstance(successor, np.ndarray):
+        successor = successor.tolist()
+    target = r + p.gamma * max(successor)
+    row[a] = current + p.alpha * (target - current)
     return q
 
 
 def select_action(
-    q: np.ndarray,
+    q: QRows,
     s: int,
     epsilon: float = 0.0,
     rng: np.random.Generator | None = None,
@@ -150,13 +178,19 @@ def select_action(
     """The table's move in state ``s``: the first maximum of its row.
 
     With probability ``epsilon`` a uniform random action drawn from ``rng``
-    instead; ``rng`` is read only when ``epsilon > 0``.
+    instead; ``rng`` is read only when ``epsilon > 0``, and is then required.
     """
     if not 0 <= epsilon <= 1:
         raise ValueError("epsilon must be in [0, 1]")
-    if epsilon > 0 and rng.random() < epsilon:
-        return int(rng.integers(N_ACTIONS))
-    return int(q[s].argmax())
+    if epsilon > 0:
+        if rng is None:
+            raise ValueError("epsilon > 0 needs a generator rng")
+        if rng.random() < epsilon:
+            return int(rng.integers(N_ACTIONS))
+    row = q[s]
+    if isinstance(row, np.ndarray):
+        row = row.tolist()
+    return row.index(max(row))
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +199,13 @@ def select_action(
 
 def waypoint_direction(at: CellIndex, waypoint: CellIndex) -> int:
     """Compass bucket (action-index order) from a cell toward its waypoint."""
-    dr = waypoint[0] - at[0]
-    dc = waypoint[1] - at[1]
+    return _offset_direction(waypoint[0] - at[0], waypoint[1] - at[1])
+
+
+@lru_cache(maxsize=4096)
+def _offset_direction(dr: int, dc: int) -> int:
+    """``waypoint_direction`` of a row/column offset, memoized: a pure
+    function of the offset, and the offsets an agent sees are few."""
     if dr == 0 and dc == 0:
         return 0
     ang = math.degrees(math.atan2(-dr, dc))  # grid north is -row
@@ -209,7 +248,8 @@ def build_local_state(
             code |= 1 << i
     wp = plan.waypoints[min(waypoint_index, len(plan.waypoints) - 1)]
     dev = min(deviation_cells(cell, plan), N_DEVIATION_BUCKETS - 1)
-    return code | (waypoint_direction(cell, wp) << 8) | (dev << 11)
+    direction = _offset_direction(wp[0] - cell[0], wp[1] - cell[1])
+    return code | (direction << 8) | (dev << 11)
 
 
 def detect_block(blocked: Callable[[CellIndex], bool], plan: PathPlan,
@@ -323,7 +363,7 @@ class CorridorEnv:
     runs straight down the middle row; each episode drops a vertical bar of
     1, 3, or 5 cells across it at a random column, which stays for the
     whole episode. ``cell_blocked`` is the episode's blocking predicate:
-    membership in the bar.
+    the bar's own membership test, so a query runs no Python frame.
     """
 
     def __init__(self, profile: AgentProfile):
@@ -336,13 +376,11 @@ class CorridorEnv:
             self.grid, profile, CellIndex(self.mid, 0),
             CellIndex(self.mid, self.grid.ncols - 1))
         self.stay_time = self.plan.edge_times[0]  # one flat edge
-        self.obstacle: frozenset[CellIndex] = frozenset()
+        self.begin_episode(frozenset())
 
     def begin_episode(self, cells: frozenset[CellIndex]) -> None:
         self.obstacle = cells
-
-    def cell_blocked(self, cell: CellIndex) -> bool:
-        return cell in self.obstacle
+        self.cell_blocked: Callable[[CellIndex], bool] = cells.__contains__
 
     def sample_obstacle(self, rng: np.random.Generator) -> frozenset[CellIndex]:
         """Vertical bar across the route, always leaving a gap on both sides."""
@@ -360,7 +398,7 @@ class CorridorEnv:
 
 def _run_episode(
     env: CorridorEnv,
-    q: np.ndarray,
+    q: QRows,
     learning: tuple[RewardWeights, LearningParams, float,
                     np.random.Generator] | None = None,
 ) -> tuple[float, bool, bool, int, float]:
@@ -457,9 +495,11 @@ def train_bypass(
 
     Episodes start just before the blockage and end on rejoin, collision,
     or the step cap; the per-episode return/success series doubles as the
-    learning curve.
+    learning curve. Backups go into plain float rows, made when a state is
+    first read; the returned table is an array with those rows and zeros
+    elsewhere.
     """
-    q = np.zeros((N_STATES, N_ACTIONS))
+    q: QRows = defaultdict(lambda: [0.0] * N_ACTIONS)
     rng = np.random.default_rng(params.seed)
     curve: list[EpisodeStats] = []
     for ep in range(params.episodes):
@@ -467,7 +507,10 @@ def train_bypass(
         total_r, success, _collided, steps, _t = _run_episode(
             env, q, (weights, params, params.epsilon_at(ep), rng))
         curve.append(EpisodeStats(ep, total_r, success, steps))
-    return q, curve
+    table = np.zeros((N_STATES, N_ACTIONS))
+    for s, row in q.items():
+        table[s] = row
+    return table, curve
 
 
 def evaluate_bypass(

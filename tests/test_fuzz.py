@@ -11,7 +11,9 @@ same grid bytes or the same error, whichever numpy is installed. The local
 step rules, which read a grid's memoized neighborhoods, are checked against
 the per-neighbor loops they replaced on random small grids, and the trace
 writer against the per-row writer it replaced, also with one ``t_s``
-text memo shared by several files. A* is checked against the
+text memo shared by several files. Training, which backs up plain float
+rows, is checked against the numpy-scalar loop it replaced: the same
+table bytes and the same learning curve. A* is checked against the
 Dijkstra oracle on grids of up to 6 x 6 cells, strips included, where
 most nodes are border nodes, so both its bounds-checked border path and
 its unchecked interior path run.
@@ -26,11 +28,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from terramob.agents import builtin_profiles, edge, traversal_time
+from terramob.agents import (
+    builtin_profile, builtin_profiles, edge, traversal_time,
+)
 from terramob.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from terramob.local_adapt import (
-    ACTION_STAY, N_DEVIATION_BUCKETS, build_local_state, deviation_cells,
-    greedy_step, load_qtable, waypoint_direction,
+    ACTION_STAY, ACTIONS, N_ACTIONS, N_DEVIATION_BUCKETS, N_STATES,
+    CorridorEnv, EpisodeStats, LearningParams, RewardWeights,
+    build_local_state, detect_block, deviation_cells, follow_route,
+    greedy_step, load_qtable, rejoin_check, reward, train_bypass,
+    waypoint_direction, write_learning_curve,
 )
 from terramob.planner import (
     OBJECTIVES, NoPathError, PathPlan, astar, dijkstra_oracle, heuristic,
@@ -583,3 +590,122 @@ def test_astar_matches_oracle_on_border_and_interior_nodes(case):
     for a, b, t in zip(plan.waypoints, plan.waypoints[1:], plan.edge_times):
         run, _slope, v = edge(profile, grid, a, b)
         assert v > 0.0 and t == run / v
+
+
+def _reference_q_update(q, s, a, r, s_next, p):
+    """``q_update`` on numpy scalars, as it was before training kept its
+    table in plain float rows."""
+    current = q[s, a]
+    target = r + p.gamma * float(q[s_next].max())
+    q[s, a] = current + p.alpha * (target - current)
+
+
+def _reference_select_action(q, s, epsilon, rng):
+    """``select_action`` on numpy scalars: the row's ``argmax``."""
+    if epsilon > 0 and rng.random() < epsilon:
+        return int(rng.integers(N_ACTIONS))
+    return int(q[s].argmax())
+
+
+def _reference_train(env, weights, params):
+    """``train_bypass`` and its training episodes over a dense array,
+    with the bar's predicate a Python function and the state code built
+    neighbor by neighbor."""
+    q = np.zeros((N_STATES, N_ACTIONS))
+    rng = np.random.default_rng(params.seed)
+    curve = []
+    grid, plan, profile = env.grid, env.plan, env.profile
+    for ep in range(params.episodes):
+        env.begin_episode(env.sample_obstacle(rng))
+        epsilon = params.epsilon_at(ep)
+        blocked = lambda cell, bar=env.obstacle: cell in bar  # noqa: E731
+        wi = next(iter(env.obstacle)).col
+        cell = plan.waypoints[wi - 1]
+        s = _reference_state(grid, blocked, cell, plan, wi)
+        total_r, success, steps = 0.0, False, params.max_steps_per_episode
+        for step in range(1, params.max_steps_per_episode + 1):
+            if detect_block(blocked, plan, wi):
+                a = _reference_select_action(q, s, epsilon, rng)
+            else:
+                a = follow_route(plan, wi, grid, profile, cell)
+            if a == ACTION_STAY:
+                dest, move_time = cell, env.stay_time
+            else:
+                dr, dc = ACTIONS[a]
+                dest = CellIndex(cell[0] + dr, cell[1] + dc)
+                move_time = traversal_time(profile, grid, cell, dest)
+                if not math.isfinite(move_time) or blocked(dest):
+                    r = reward("collision", 0.0, weights)
+                    total_r += r
+                    _reference_q_update(q, s, a, r, s, params)
+                    steps = step
+                    break
+            prev_cell, cell = cell, dest
+            rejoined, k = rejoin_check(cell, plan, wi)
+            if rejoined:
+                wi = k + 1
+            dev = deviation_cells(cell, plan)
+            if rejoined:
+                r = reward("rejoin", 0.0, weights)
+            elif dev > 0:
+                r = reward("deviation", dev, weights)
+            elif deviation_cells(prev_cell, plan) == 0:
+                r = reward("delay", move_time, weights)
+            else:
+                r = reward("none", 0.0, weights)
+            total_r += r
+            s_next = _reference_state(grid, blocked, cell, plan, wi)
+            _reference_q_update(q, s, a, r, s_next, params)
+            s = s_next
+            if rejoined:
+                success, steps = True, step
+                break
+        curve.append(EpisodeStats(ep, total_r, success, steps))
+    return q, curve
+
+
+_CORRIDORS: dict[str, CorridorEnv] = {}
+
+
+def _corridor(name):
+    if name not in _CORRIDORS:
+        _CORRIDORS[name] = CorridorEnv(builtin_profile(name))
+    return _CORRIDORS[name]
+
+
+weights_terms = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 20.0)
+unit = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def training_cases(draw):
+    """Short training runs of every kind the CLI can ask for: zero and
+    full step sizes, zero reward terms, any exploration schedule, and the
+    three profiles whose corridors differ (a load factor, a slower edge)."""
+    weights = RewardWeights(*(draw(weights_terms) for _ in range(4)))
+    params = LearningParams(
+        alpha=draw(unit), gamma=draw(st.floats(0.0, 0.99)),
+        epsilon_start=draw(unit), epsilon_end=draw(unit),
+        epsilon_decay_episodes=draw(st.integers(0, 20)),
+        episodes=draw(st.integers(0, 25)),
+        max_steps_per_episode=draw(st.integers(1, 20)),
+        seed=draw(st.integers(0, 2**32 - 1)))
+    profile = draw(st.sampled_from(["fit_adults", "mule", "ox_cart"]))
+    return profile, weights, params
+
+
+def _curve_csv(curve):
+    buf = io.StringIO()
+    write_learning_curve(curve, buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(training_cases())
+def test_training_matches_numpy_scalar_reference(case):
+    name, weights, params = case
+    env = _corridor(name)
+    q, curve = train_bypass(env, weights, params)
+    want_q, want_curve = _reference_train(env, weights, params)
+    assert q.tobytes() == want_q.tobytes()
+    assert _curve_csv(curve) == _curve_csv(want_curve)

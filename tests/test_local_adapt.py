@@ -186,6 +186,30 @@ class TestQUpdate:
         with pytest.raises(ValueError):
             q_update(zeros(), 0, 9, 0.0, 0, LearningParams())
 
+    @pytest.mark.parametrize("s, s_next", [(-1, 0), (0, -1)])
+    def test_state_below_range_rejected(self, s, s_next):
+        # a negative index would otherwise back up row N_STATES - 1
+        q = zeros()
+        with pytest.raises(ValueError, match="out of range"):
+            q_update(q, s, 0, 1.0, s_next, LearningParams(alpha=1.0))
+        assert not q.any()
+
+    @pytest.mark.parametrize("s, s_next", [(N_STATES, 0), (0, N_STATES)])
+    def test_state_above_range_rejected(self, s, s_next):
+        with pytest.raises(ValueError, match="out of range"):
+            q_update(zeros(), s, 0, 1.0, s_next, LearningParams())
+
+    def test_list_rows_back_up_like_array_rows(self):
+        params = LearningParams(alpha=0.3, gamma=0.9)
+        q = zeros()
+        q[4] = np.arange(9.0) - 3.0
+        rows = {s: q[s].tolist() for s in (2, 4)}
+        for table in (q, rows):
+            q_update(table, 2, 5, -1.25, 4, params)
+            q_update(table, 2, 1, 0.5, 2, params)
+        assert rows[2] == q[2].tolist()
+        assert all(type(v) is float for v in rows[2])
+
 
 # ---------------------------------------------------------------------------
 # Action selection
@@ -208,6 +232,14 @@ class TestSelectAction:
         b = [select_action(q, 0, 1.0, rng_b) for _ in range(20)]
         assert a == b
         assert len(set(a)) > 1
+
+    def test_exploring_without_a_generator_rejected(self):
+        with pytest.raises(ValueError, match="rng"):
+            select_action(zeros(), 0, 0.5)
+
+    def test_list_row_picks_first_maximum(self):
+        rows = {7: [0.0, 2.0, -1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0]}
+        assert select_action(rows, 7) == 1
 
     def test_all_equal_row_ties_to_index_zero(self):
         q = zeros()
@@ -372,6 +404,16 @@ class TestCorridorEnv:
         a, b = CellIndex(env.mid, 0), CellIndex(env.mid, 1)
         assert env.stay_time == traversal_time(p, env.grid, a, b)
 
+    def test_cell_blocked_is_membership_in_the_bar(self):
+        env = CorridorEnv(builtin_profile("fit_adults"))
+        on_route = CellIndex(env.mid, 5)
+        assert not env.cell_blocked(on_route)  # no bar before an episode
+        bar = env.sample_obstacle(np.random.default_rng(2))
+        env.begin_episode(bar)
+        cells = [CellIndex(r, c) for r in range(env.grid.nrows)
+                 for c in range(env.grid.ncols)]
+        assert {c for c in cells if env.cell_blocked(c)} == bar
+
 
 class TestTraining:
     def test_zero_episodes_zero_table(self):
@@ -380,6 +422,13 @@ class TestTraining:
                                 LearningParams(episodes=0))
         assert not q.any()
         assert curve == []
+
+    def test_table_is_a_full_float_array(self):
+        env = CorridorEnv(builtin_profile("fit_adults"))
+        q, _ = train_bypass(env, RewardWeights(), LearningParams(episodes=20))
+        assert type(q) is np.ndarray
+        assert q.shape == (N_STATES, N_ACTIONS) and q.dtype == np.float64
+        assert q.any()
 
     def test_seeded_determinism(self):
         env = CorridorEnv(builtin_profile("fit_adults"))

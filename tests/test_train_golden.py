@@ -6,9 +6,10 @@ writes (``qtable.txt`` and ``curve.csv``) for
 ``--episodes 1500 --seed 7 --epsilon-decay 600``, and the sha256 of the
 ``repr`` of the instances of ``evaluate_bypass`` with that table on 200
 held-out bars (seed 4242): each instance's hybrid time, oracle time,
-success and collision flag.
+success and collision flag. ``data/train_golden_mule.json`` holds the same
+for ``--profile mule``, whose stays and moves carry a load factor.
 
-Regenerate the file only from a commit whose learning path is known good:
+Regenerate the files only from a commit whose learning path is known good:
 
     PYTHONPATH=src:tests python tests/test_train_golden.py
 """
@@ -18,38 +19,46 @@ import json
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from terramob.agents import builtin_profile
 from terramob.cli import main
 from terramob.local_adapt import CorridorEnv, evaluate_bypass, load_qtable
 
-GOLDEN = Path(__file__).parent / "data" / "train_golden.json"
+DATA = Path(__file__).parent / "data"
+GOLDENS = {"fit_adults": DATA / "train_golden.json",
+           "mule": DATA / "train_golden_mule.json"}
 
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def train_digests(work: Path) -> dict[str, str]:
+def train_digests(work: Path, profile: str) -> dict[str, str]:
     """Train in ``work``, evaluate the table, hash what both produced."""
     out = work / "train"
-    assert main(["train", "--episodes", "1500", "--seed", "7",
-                 "--epsilon-decay", "600", "--out", str(out)]) == 0
+    assert main(["train", "--profile", profile, "--episodes", "1500",
+                 "--seed", "7", "--epsilon-decay", "600",
+                 "--out", str(out)]) == 0
     digests = {name: _sha256((out / name).read_bytes())
                for name in ("curve.csv", "qtable.txt")}
     with open(out / "qtable.txt") as f:
         q, _meta = load_qtable(f)
-    ev = evaluate_bypass(q, CorridorEnv(builtin_profile("fit_adults")),
+    ev = evaluate_bypass(q, CorridorEnv(builtin_profile(profile)),
                          episodes=200, seed=4242)
     digests["evaluate_bypass"] = _sha256(repr(ev.instances).encode())
     return digests
 
 
-def test_train_matches_golden(tmp_path):
-    assert train_digests(tmp_path) == json.loads(GOLDEN.read_text())
+@pytest.mark.parametrize("profile", GOLDENS)
+def test_train_matches_golden(tmp_path, profile):
+    assert (train_digests(tmp_path, profile)
+            == json.loads(GOLDENS[profile].read_text()))
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
-        digests = train_digests(Path(tmp))
-    GOLDEN.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {GOLDEN}")
+    for profile, golden in GOLDENS.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            digests = train_digests(Path(tmp), profile)
+        golden.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
+        print(f"wrote {len(digests)} digests to {golden}")
