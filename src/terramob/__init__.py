@@ -7,11 +7,11 @@ pursuit / transport scenario runs.
 
 from .agents import (
     AgentProfile,
+    EdgeTable,
     builtin_profile,
     builtin_profiles,
     edge,
     speed,
-    traversal_time,
 )
 from .local_adapt import (
     CorridorEnv,

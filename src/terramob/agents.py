@@ -7,8 +7,9 @@ curve is linear in slope from r(0) = 1 through that anchor, floored at
 MIN_SLOPE_REDUCTION, with a hard impassability cutoff at ``max_slope``.
 A profile derives the two constants of its curve, ``slope_drop`` and
 ``load_factor``, once, so the law itself has no per-kind branch.
-``edge`` is the one edge rule built on it, and ``traversal_time`` its
-time in seconds.
+``edge`` is the one edge rule built on it. ``EdgeTable`` holds its
+answers for the 8 moves out of each cell of one grid for one profile; the
+local step rules and the simulation read every move from it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .terrain import OFFSET_TO_ACTION, SQRT2, CellIndex, ElevationGrid
+from .terrain import (
+    NEIGHBOR_OFFSETS, OFFSET_TO_ACTION, SQRT2, CellIndex, ElevationGrid,
+)
 
 KIND_HUMAN = "human"
 KIND_ANIMAL = "animal"
@@ -222,17 +225,39 @@ def edge(
     return run, slope, speed(p, slope)
 
 
-def traversal_time(
-    p: AgentProfile,
-    grid: ElevationGrid,
-    a: CellIndex,
-    b: CellIndex,
-) -> float:
-    """Seconds to walk one grid edge: ``run / speed`` of ``edge``, IMPASSABLE
-    (inf) where its speed is 0.0.
+class EdgeTable(dict):
+    """The moves out of each cell of ``grid`` for ``profile``: ``edge``,
+    asked once per edge.
 
-    Callers: the local step rules (``local_adapt.follow_route`` and
-    ``greedy_step``) and the training episodes.
+    ``table[cell]`` is a tuple of 8 entries in action (``NEIGHBOR_OFFSETS``)
+    order. An entry is None where the neighbor is off the grid or nodata,
+    and otherwise ``(dest, time, speed, slope)``: the neighbor, the seconds
+    to walk there (``run / speed``, IMPASSABLE where ``speed`` is 0.0) and
+    ``edge``'s speed and slope. A cell's row is filled on its first read and
+    kept, which is exact because grids and profiles never change; a later
+    read is one dict lookup.
     """
-    run, _slope, v = edge(p, grid, a, b)
-    return run / v if v > 0.0 else IMPASSABLE
+
+    __slots__ = ("grid", "profile")
+
+    def __init__(self, grid: ElevationGrid, profile: AgentProfile):
+        self.grid = grid
+        self.profile = profile
+
+    def __missing__(self, cell: CellIndex) -> tuple:
+        grid, p = self.grid, self.profile
+        nrows, ncols = grid.nrows, grid.ncols
+        flat, nodata = grid.flat, grid.nodata
+        r, c = cell
+        row = []
+        for dr, dc in NEIGHBOR_OFFSETS:
+            rr, cc = r + dr, c + dc
+            if not (0 <= rr < nrows and 0 <= cc < ncols
+                    and flat[rr * ncols + cc] != nodata):
+                row.append(None)
+                continue
+            dest = CellIndex(rr, cc)
+            run, slope, v = edge(p, grid, cell, dest)
+            row.append((dest, run / v if v > 0.0 else IMPASSABLE, v, slope))
+        row = self[cell] = tuple(row)
+        return row

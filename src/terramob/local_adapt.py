@@ -21,11 +21,11 @@ without a generator ``rng``.
 bool]`` that ``detect_block``, ``build_local_state`` and ``greedy_step``
 take: the simulation passes ``World._blocker(agent)`` and training passes
 ``CorridorEnv.cell_blocked``, the bar's own ``frozenset`` membership test,
-so no Python frame runs per query. Both local step rules read a cell's
-neighbors from ``ElevationGrid.neighborhood``, which each grid computes
-once per cell: the state code starts from its off-grid/nodata bits and
-asks the predicate only about the open neighbors, which are also the only
-moves ``greedy_step`` scores.
+so no Python frame runs per query. The local step rules read a cell's 8
+moves from an ``agents.EdgeTable`` of the grid and profile, which carries
+both: the state code sets the bits of the off-grid/nodata (None) entries
+and asks the predicate only about the others, and ``greedy_step`` scores
+only the entries with a non-zero speed.
 """
 
 from __future__ import annotations
@@ -39,12 +39,11 @@ from typing import IO, Callable
 import numpy as np
 
 from . import planner
-from .agents import AgentProfile, traversal_time
+from .agents import AgentProfile, EdgeTable
 from .planner import PathPlan, heuristic
 from .terrain import (
     CellIndex,
     DIRECTION_NAMES,
-    ElevationGrid,
     NEIGHBOR_OFFSETS,
     OFFSET_TO_ACTION,
     make_synthetic,
@@ -197,15 +196,10 @@ def select_action(
 # Route tracking
 # ---------------------------------------------------------------------------
 
-def waypoint_direction(at: CellIndex, waypoint: CellIndex) -> int:
-    """Compass bucket (action-index order) from a cell toward its waypoint."""
-    return _offset_direction(waypoint[0] - at[0], waypoint[1] - at[1])
-
-
 @lru_cache(maxsize=4096)
 def _offset_direction(dr: int, dc: int) -> int:
-    """``waypoint_direction`` of a row/column offset, memoized: a pure
-    function of the offset, and the offsets an agent sees are few."""
+    """Compass bucket (action-index order) of the row/column offset from a
+    cell to its waypoint; memoized, since the offsets an agent sees are few."""
     if dr == 0 and dc == 0:
         return 0
     ang = math.degrees(math.atan2(-dr, dc))  # grid north is -row
@@ -230,7 +224,7 @@ def deviation_cells(cell: CellIndex, plan: PathPlan) -> int:
 
 
 def build_local_state(
-    grid: ElevationGrid,
+    edges: EdgeTable,
     blocked: Callable[[CellIndex], bool],
     cell: CellIndex,
     plan: PathPlan,
@@ -242,9 +236,9 @@ def build_local_state(
     nodata hole, or ``blocked``; bits 8-10 hold the waypoint direction and
     bits 11-12 the deviation bucket (0, 1, 2 cells off-route, 3 for more).
     """
-    code, open_cells = grid.neighborhood(cell)
-    for i, nb in open_cells:
-        if blocked(nb):
+    code = 0
+    for i, e in enumerate(edges[cell]):
+        if e is None or blocked(e[0]):
             code |= 1 << i
     wp = plan.waypoints[min(waypoint_index, len(plan.waypoints) - 1)]
     dev = min(deviation_cells(cell, plan), N_DEVIATION_BUCKETS - 1)
@@ -277,27 +271,28 @@ def rejoin_check(
 
 
 def greedy_step(
-    grid: ElevationGrid,
-    profile: AgentProfile,
+    edges: EdgeTable,
     at: CellIndex,
     target: CellIndex,
     blocked: Callable[[CellIndex], bool] | None = None,
 ) -> int:
     """Cheapest feasible move toward ``target``: edge time plus time bound.
 
-    Moves to the grid's open neighbors of ``at`` are scored in action
-    order and the first strict minimum wins. Impassable and ``blocked``
-    cells are skipped; ACTION_STAY when no move is feasible.
+    The moves out of ``at`` are scored in action order and the first strict
+    minimum wins. Impassable moves (speed 0.0 or off the grid) and
+    ``blocked`` cells are skipped; ACTION_STAY when no move is feasible.
     """
+    profile = edges.profile
+    cellsize = edges.grid.cellsize
     best_action = ACTION_STAY
     best_cost = math.inf
-    for a, dest in grid.neighborhood(at)[1]:
-        step = traversal_time(profile, grid, at, dest)
-        if not math.isfinite(step):
+    for a, e in enumerate(edges[at]):
+        if e is None:
             continue
-        if blocked is not None and blocked(dest):
+        dest, step, v, _slope = e
+        if not v or (blocked is not None and blocked(dest)):
             continue
-        cost = step + heuristic(dest, target, profile, grid.cellsize)
+        cost = step + heuristic(dest, target, profile, cellsize)
         if cost < best_cost:
             best_cost = cost
             best_action = a
@@ -307,15 +302,14 @@ def greedy_step(
 def follow_route(
     plan: PathPlan,
     waypoint_index: int,
-    grid: ElevationGrid,
-    profile: AgentProfile,
+    edges: EdgeTable,
     at: CellIndex,
 ) -> int:
     """Unblocked move along the committed route.
 
     On the route: take the plan edge (the true local cost minimum by
-    sub-path optimality of the global search). Off the route: the greedy
-    step toward the tracked waypoint.
+    sub-path optimality of the global search) while its speed is non-zero.
+    Off the route: the greedy step toward the tracked waypoint.
     """
     if waypoint_index >= len(plan.waypoints):
         return ACTION_STAY
@@ -323,9 +317,11 @@ def follow_route(
     if at == wp:
         return ACTION_STAY
     if waypoint_index >= 1 and at == plan.waypoints[waypoint_index - 1]:
-        if math.isfinite(traversal_time(profile, grid, at, wp)):
-            return OFFSET_TO_ACTION[(wp[0] - at[0], wp[1] - at[1])]
-    return greedy_step(grid, profile, at, wp)
+        a = OFFSET_TO_ACTION[(wp[0] - at[0], wp[1] - at[1])]
+        e = edges[at][a]
+        if e is not None and e[2]:
+            return a
+    return greedy_step(edges, at, wp)
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +360,14 @@ class CorridorEnv:
     1, 3, or 5 cells across it at a random column, which stays for the
     whole episode. ``cell_blocked`` is the episode's blocking predicate:
     the bar's own membership test, so a query runs no Python frame.
+    ``edges`` is the corridor's edge table for ``profile``.
     """
 
     def __init__(self, profile: AgentProfile):
         self.profile = profile
         self.grid = make_synthetic("flat", nrows=7, ncols=30, cellsize=30.0,
                                    h=0.0)
+        self.edges = EdgeTable(self.grid, profile)
         self.mid = self.grid.nrows // 2
         # straight down the middle row, the unique optimum on flat ground
         self.plan, _stats = planner.astar(
@@ -415,16 +413,15 @@ def _run_episode(
     Returns (return, success, collided, steps, elapsed seconds); a rollout's
     return is 0.0.
     """
-    grid = env.grid
+    edges = env.edges
     plan = env.plan
-    profile = env.profile
     blocked = env.cell_blocked
     if learning:
         weights, params, epsilon, rng = learning
         wi = next(iter(env.obstacle)).col
         cell = plan.waypoints[wi - 1]
         max_steps = params.max_steps_per_episode
-        s = build_local_state(grid, blocked, cell, plan, wi)
+        s = build_local_state(edges, blocked, cell, plan, wi)
     else:
         epsilon, rng = 0.0, None
         cell = plan.waypoints[0]
@@ -437,25 +434,24 @@ def _run_episode(
     for step in range(1, max_steps + 1):
         if detect_block(blocked, plan, wi):
             if not learning:  # a rollout reads only a blocked step's state
-                s = build_local_state(grid, blocked, cell, plan, wi)
+                s = build_local_state(edges, blocked, cell, plan, wi)
             a = select_action(q, s, epsilon, rng)
         else:
-            a = follow_route(plan, wi, grid, profile, cell)
+            a = follow_route(plan, wi, edges, cell)
 
         if a == ACTION_STAY:
             dest = cell
             move_time = env.stay_time
         else:
-            dr, dc = ACTIONS[a]
-            dest = CellIndex(cell[0] + dr, cell[1] + dc)
-            move_time = traversal_time(profile, grid, cell, dest)
-            if not math.isfinite(move_time) or blocked(dest):
+            e = edges[cell][a]
+            if e is None or not e[2] or blocked(e[0]):
                 # walked into the bar or the corridor wall
                 if learning:
                     r = reward("collision", 0.0, weights)
                     total_r += r
                     q_update(q, s, a, r, s, params)
                 return total_r, False, True, step, elapsed
+            dest, move_time = e[0], e[1]
 
         prev_cell, cell = cell, dest
         elapsed += move_time
@@ -477,7 +473,7 @@ def _run_episode(
         else:
             r = reward("none", 0.0, weights)
         total_r += r
-        s_next = build_local_state(grid, blocked, cell, plan, wi)
+        s_next = build_local_state(edges, blocked, cell, plan, wi)
         q_update(q, s, a, r, s_next, params)
         s = s_next
         if rejoined:

@@ -101,9 +101,9 @@ def astar(
     heap, maps and closed set hold only the nodes it reaches. The edge
     cost and the heuristic are inlined: they repeat the arithmetic of
     ``agents.edge`` and ``heuristic`` operation for operation, so every
-    edge weight is bit-identical to ``agents.traversal_time``, and every
-    edge ``agents.edge`` refuses is skipped. The bounds part of that rule
-    is decided once per expansion: an interior node walks all eight
+    edge weight is bit-identical to ``run / speed`` of ``agents.edge``, and
+    every edge ``agents.edge`` refuses is skipped. The bounds part of that
+    rule is decided once per expansion: an interior node walks all eight
     steps unchecked, a border node only those that stay on the grid.
     """
     if objective not in OBJECTIVES:

@@ -20,11 +20,12 @@ from typing import IO, Callable, NamedTuple
 import numpy as np
 
 from . import planner
-from .agents import AgentProfile, builtin_profiles, edge, profile_from_spec, speed
+from .agents import (
+    AgentProfile, EdgeTable, builtin_profiles, profile_from_spec, speed,
+)
 from .local_adapt import (
     ACTION_NAMES,
     ACTION_STAY,
-    ACTIONS,
     MAX_SIM_STEPS,
     build_local_state,
     detect_block,
@@ -200,6 +201,7 @@ class AgentRuntime:
     profile: AgentProfile
     plan: PathPlan | None
     qtable: np.ndarray | None = None
+    edges: EdgeTable | None = None  # the World sets its profile's table
     waypoint_index: int = 0
     mode: str = MODE_FOLLOWING
     outcome: str | None = None
@@ -276,6 +278,10 @@ class World:
             raise ValueError("dt must be positive")
         self.grid = grid
         self.agents = sorted(agents, key=lambda a: a.id)
+        # one edge table per profile, shared by the agents that have it
+        tables = {a.profile: EdgeTable(grid, a.profile) for a in self.agents}
+        for a in self.agents:
+            a.edges = tables[a.profile]
         self.obstacles = list(obstacles)
         by_id = {a.id: a for a in self.agents}
         self.pursuits = [Pursuit(rule, by_id[rule.pursuer], by_id[rule.target])
@@ -448,7 +454,7 @@ class World:
                 agent.last_action = "close"
                 return True
             return self._commit(agent, greedy_step(
-                self.grid, agent.profile, agent.cell, agent.chase_cell,
+                agent.edges, agent.cell, agent.chase_cell,
                 self._blocker(agent)))
 
         plan = agent.plan
@@ -466,16 +472,16 @@ class World:
                 aim = next((w for w in plan.waypoints[wi:] if not blocked(w)),
                            plan.waypoints[-1])
                 return self._commit(agent, greedy_step(
-                    self.grid, agent.profile, agent.cell, aim, blocked))
+                    agent.edges, agent.cell, aim, blocked))
             action = select_action(agent.qtable, build_local_state(
-                self.grid, blocked, agent.cell, plan, wi))
+                agent.edges, blocked, agent.cell, plan, wi))
         else:
             agent.mode = (
                 MODE_FOLLOWING
                 if deviation_cells(agent.cell, plan) == 0
                 else MODE_ADAPTING
             )
-            action = follow_route(plan, wi, self.grid, agent.profile, agent.cell)
+            action = follow_route(plan, wi, agent.edges, agent.cell)
         return self._commit(agent, action, blocked)
 
     def _commit(self, agent: AgentRuntime, action: int,
@@ -486,11 +492,10 @@ class World:
         ``blocked`` destination (the later-ordered mover yields). Moves from
         ``greedy_step`` pass no ``blocked``: it has skipped blocked cells.
         """
-        if action != ACTION_STAY:
-            dr, dc = ACTIONS[action]
-            dest = CellIndex(agent.cell[0] + dr, agent.cell[1] + dc)
-            _run, slope, v = edge(agent.profile, self.grid, agent.cell, dest)
-            if v > 0.0 and (blocked is None or not blocked(dest)):
+        e = None if action == ACTION_STAY else agent.edges[agent.cell][action]
+        if e is not None:
+            dest, _time, v, slope = e
+            if v and (blocked is None or not blocked(dest)):
                 agent.edge_source = agent.cell
                 agent.edge_target = dest
                 agent.edge_target_xy = self.grid.cell_center(dest)

@@ -3,7 +3,8 @@
 Grids are immutable row-major arrays with ESRI ASCII text I/O, exact
 line-of-sight / viewshed tests, and a handful of synthetic terrain
 generators for desk-scale scenarios. Which steps can be walked, how long
-they are, and at what slope, is decided by ``agents.edge``.
+they are, and at what slope, is decided by ``agents.edge``, and
+``agents.EdgeTable`` keeps its answers per grid and profile.
 """
 
 from __future__ import annotations
@@ -77,8 +78,6 @@ class ElevationGrid:
     cellsize: float
     nodata: float
     values: np.ndarray
-    # neighborhood() memo; exact because the grid never changes
-    _neighborhoods: dict = field(init=False, repr=False, default_factory=dict)
     flat: memoryview = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -117,32 +116,6 @@ class ElevationGrid:
 
     def traversable(self, c: CellIndex) -> bool:
         return self.in_bounds(c) and not self.is_nodata(c)
-
-    def neighborhood(
-        self, c: CellIndex,
-    ) -> tuple[int, tuple[tuple[int, CellIndex], ...]]:
-        """``(closed_bits, open)`` of the 8 neighbors of ``c``.
-
-        Bit i of ``closed_bits`` is set when neighbor i (``NEIGHBOR_OFFSETS``
-        order) is off the grid or nodata; ``open`` lists ``(i, cell)`` for
-        the others in that order. Computed once per cell and kept on the
-        grid.
-        """
-        nb = self._neighborhoods.get(c)
-        if nb is None:
-            r, col = c
-            values, nodata = self.values, self.nodata
-            closed = 0
-            open_cells = []
-            for i, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
-                rr, cc = r + dr, col + dc
-                if (0 <= rr < self.nrows and 0 <= cc < self.ncols
-                        and values[rr, cc] != nodata):
-                    open_cells.append((i, CellIndex(rr, cc)))
-                else:
-                    closed |= 1 << i
-            nb = self._neighborhoods[c] = (closed, tuple(open_cells))
-        return nb
 
     def elevation(self, c: CellIndex) -> float:
         z = float(self.values[c[0], c[1]])

@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from terramob.agents import AgentProfile, edge, traversal_time
+from terramob.agents import AgentProfile, edge
 from terramob.local_adapt import BypassEvaluation
 from terramob.planner import PathPlan
 from terramob.terrain import DEFAULT_NODATA, ElevationGrid
@@ -41,13 +39,13 @@ def validate_plan(plan: PathPlan, grid: ElevationGrid, p: AgentProfile) -> None:
     total = 0.0
     dist = 0.0
     for a, b, t in zip(plan.waypoints, plan.waypoints[1:], plan.edge_times):
-        cost = traversal_time(p, grid, a, b)  # raises if not adjacent
-        if not math.isfinite(cost):
+        run, _slope, v = edge(p, grid, a, b)  # raises if not adjacent
+        if not v > 0.0:
             raise ValueError(f"edge {tuple(a)} -> {tuple(b)} is impassable")
-        if cost != t:
+        if run / v != t:
             raise ValueError(f"edge {tuple(a)} -> {tuple(b)} time mismatch")
         total += t
-        dist += edge(p, grid, a, b)[0]
+        dist += run
     if abs(total - plan.total_time) > 1e-9 or abs(dist - plan.total_distance) > 1e-9:
         raise ValueError("plan totals do not match edges")
 

@@ -8,12 +8,12 @@ from terramob.agents import (
     IMPASSABLE,
     MIN_SLOPE_REDUCTION,
     AgentProfile,
+    EdgeTable,
     builtin_profile,
     builtin_profiles,
     edge,
     profile_from_spec,
     speed,
-    traversal_time,
 )
 from terramob.terrain import NEIGHBOR_OFFSETS, CellIndex, make_synthetic
 from conftest import rough_grid
@@ -179,51 +179,71 @@ class TestProfileValidation:
         assert p.name == "scout" and p.role == "hostile"
 
 
-class TestTraversalTime:
+def edge_time(p, grid, a, b):
+    """Seconds to walk the edge a -> b: ``run / speed`` of ``edge``,
+    IMPASSABLE where its speed is 0.0."""
+    run, _slope, v = edge(p, grid, a, b)
+    return run / v if v > 0.0 else IMPASSABLE
+
+
+class TestEdgeTime:
     def test_flat_orthogonal_step(self, flat10):
         p = builtin_profile("fit_adults")
-        t = traversal_time(p, flat10, CellIndex(0, 0), CellIndex(0, 1))
+        t = edge_time(p, flat10, CellIndex(0, 0), CellIndex(0, 1))
         assert t == pytest.approx(20.0)
 
     def test_15_percent_step(self):
         grid = make_synthetic("ramp", nrows=3, ncols=5, cellsize=30.0, slope=15.0)
         p = builtin_profile("fit_adults")
-        t = traversal_time(p, grid, CellIndex(1, 0), CellIndex(1, 1))
+        t = edge_time(p, grid, CellIndex(1, 0), CellIndex(1, 1))
         assert t == pytest.approx(26.667, abs=1e-3)
 
     def test_ox_cart_blocked_on_steep_step(self):
         grid = make_synthetic("ramp", nrows=3, ncols=5, cellsize=30.0, slope=25.0)
         p = builtin_profile("ox_cart")  # max_slope 15
-        assert traversal_time(p, grid, CellIndex(1, 0), CellIndex(1, 1)) == IMPASSABLE
+        assert edge_time(p, grid, CellIndex(1, 0), CellIndex(1, 1)) == IMPASSABLE
 
     def test_nodata_endpoint_impassable(self, flat10):
         grid = flat10.with_nodata([CellIndex(0, 1)])
         p = builtin_profile("fit_adults")
-        assert traversal_time(p, grid, CellIndex(0, 0), CellIndex(0, 1)) == IMPASSABLE
+        assert edge_time(p, grid, CellIndex(0, 0), CellIndex(0, 1)) == IMPASSABLE
 
     def test_non_adjacent_is_an_error(self, flat10):
         with pytest.raises(ValueError):
-            traversal_time(builtin_profile("mule"), flat10,
-                           CellIndex(0, 0), CellIndex(5, 5))
+            edge(builtin_profile("mule"), flat10,
+                 CellIndex(0, 0), CellIndex(5, 5))
 
     def test_symmetric_up_down(self):
         grid = make_synthetic("ramp", nrows=3, ncols=5, cellsize=30.0, slope=12.0)
         p = builtin_profile("families")
-        up = traversal_time(p, grid, CellIndex(1, 1), CellIndex(1, 2))
-        down = traversal_time(p, grid, CellIndex(1, 2), CellIndex(1, 1))
+        up = edge_time(p, grid, CellIndex(1, 1), CellIndex(1, 2))
+        down = edge_time(p, grid, CellIndex(1, 2), CellIndex(1, 1))
         assert up == down
 
-    def test_time_is_run_over_edge_speed(self):
+
+class TestEdgeTable:
+    def test_entries_are_edge(self):
+        """Off the grid too: a source outside it has speed 0 everywhere."""
         grid = rough_grid(5, nrows=12, ncols=12, nodata_frac=0.15, relief=120.0)
         seen = set()
         for p in builtin_profiles():
+            table = EdgeTable(grid, p)
             for r in range(-1, 13):
                 for c in range(-1, 13):
                     a = CellIndex(r, c)
-                    for dr, dc in NEIGHBOR_OFFSETS:
+                    for e, (dr, dc) in zip(table[a], NEIGHBOR_OFFSETS):
                         b = CellIndex(r + dr, c + dc)
-                        run, _slope, v = edge(p, grid, a, b)
+                        if not grid.traversable(b):
+                            assert e is None
+                            continue
+                        run, slope, v = edge(p, grid, a, b)
                         want = run / v if v > 0.0 else IMPASSABLE
-                        assert traversal_time(p, grid, a, b) == want
+                        assert e == (b, want, v, slope)
                         seen.add(v > 0.0)
         assert seen == {True, False}
+
+    def test_rows_are_kept(self, flat10):
+        table = EdgeTable(flat10, builtin_profile("mule"))
+        row = table[CellIndex(4, 4)]
+        assert table[(4, 4)] is row and len(table) == 1
+        assert table.grid is flat10 and table.profile.name == "mule"

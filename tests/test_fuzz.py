@@ -8,8 +8,9 @@ drawn small so that no case allocates a large grid. ``terramob report`` is
 fuzzed end to end: it exits 0 or 3 on any document. The bulk ``.asc``
 reader is also checked against the token-at-a-time reader it replaced:
 same grid bytes or the same error, whichever numpy is installed. The local
-step rules, which read a grid's memoized neighborhoods, are checked against
-the per-neighbor loops they replaced on random small grids, and the trace
+step rules, which read an edge table, are checked against per-neighbor
+loops over ``agents.edge`` on random small grids, and every entry of the
+table against ``agents.edge`` itself; the trace
 writer against the per-row writer it replaced, also with one ``t_s``
 text memo shared by several files. Training, which backs up plain float
 rows, is checked against the numpy-scalar loop it replaced: the same
@@ -29,15 +30,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from terramob.agents import (
-    builtin_profile, builtin_profiles, edge, traversal_time,
+    IMPASSABLE, EdgeTable, builtin_profile, builtin_profiles, edge,
 )
 from terramob.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from terramob.local_adapt import (
     ACTION_STAY, ACTIONS, N_ACTIONS, N_DEVIATION_BUCKETS, N_STATES,
     CorridorEnv, EpisodeStats, LearningParams, RewardWeights,
-    build_local_state, detect_block, deviation_cells, follow_route,
-    greedy_step, load_qtable, rejoin_check, reward, train_bypass,
-    waypoint_direction, write_learning_curve,
+    _offset_direction, build_local_state, detect_block, deviation_cells,
+    follow_route, greedy_step, load_qtable, rejoin_check, reward,
+    train_bypass, write_learning_curve,
 )
 from terramob.planner import (
     OBJECTIVES, NoPathError, PathPlan, astar, dijkstra_oracle, heuristic,
@@ -377,9 +378,16 @@ def test_report_exits_0_or_3(tmp_path_factory, doc):
     assert main(["report", str(path)]) in (EXIT_OK, EXIT_BAD_INPUT)
 
 
+def _edge_time(profile, grid, a, b):
+    """Seconds to walk a -> b: ``run / speed`` of ``edge``, IMPASSABLE
+    where its speed is 0.0."""
+    run, _slope, v = edge(profile, grid, a, b)
+    return run / v if v > 0.0 else IMPASSABLE
+
+
 def _reference_state(grid, blocked, cell, plan, waypoint_index):
-    """``build_local_state`` as a loop over the 8 offsets, without the
-    grid's neighborhood memo."""
+    """``build_local_state`` as a loop over the 8 offsets, without an edge
+    table."""
     code = 0
     for i, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
         nb = CellIndex(cell[0] + dr, cell[1] + dc)
@@ -387,18 +395,19 @@ def _reference_state(grid, blocked, cell, plan, waypoint_index):
             code |= 1 << i
     wp = plan.waypoints[min(waypoint_index, len(plan.waypoints) - 1)]
     dev = min(deviation_cells(cell, plan), N_DEVIATION_BUCKETS - 1)
-    return code | (waypoint_direction(cell, wp) << 8) | (dev << 11)
+    direction = _offset_direction(wp[0] - cell[0], wp[1] - cell[1])
+    return code | (direction << 8) | (dev << 11)
 
 
 def _reference_greedy(grid, profile, at, target, blocked):
-    """``greedy_step`` as a loop over the 8 offsets, without the memo."""
+    """``greedy_step`` as a loop over the 8 offsets, on ``edge``."""
     best_action, best_cost = ACTION_STAY, math.inf
     for a, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
         dest = CellIndex(at[0] + dr, at[1] + dc)
         if not grid.in_bounds(dest):
             continue
-        step = traversal_time(profile, grid, at, dest)
-        if not math.isfinite(step):
+        step = _edge_time(profile, grid, at, dest)
+        if step == IMPASSABLE:
             continue
         if blocked is not None and blocked(dest):
             continue
@@ -413,7 +422,8 @@ def local_cases(draw):
     """A grid of up to 5 x 5 cells of 30 m with nodata holes and heights
     that make some steps too steep, a route over any of its cells, and
     queries from any cell (border cells and holes included), each with its
-    own blocked set and target. Queries repeat cells, so the memo is hit."""
+    own blocked set and target. Queries repeat cells, so table rows are
+    read again."""
     nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     heights = draw(st.lists(st.sampled_from([0.0, 1.0, 5.0, 12.0,
                                              DEFAULT_NODATA]),
@@ -443,19 +453,36 @@ def _asking(cells, log):
 @given(local_cases())
 def test_local_step_rules_match_per_neighbor_loops(case):
     grid, plan, profile, queries = case
+    edges = EdgeTable(grid, profile)
     for cell, blocked_cells, wi, target in queries:
         asked, ref_asked = [], []
-        assert (build_local_state(grid, _asking(blocked_cells, asked), cell,
+        assert (build_local_state(edges, _asking(blocked_cells, asked), cell,
                                   plan, wi)
                 == _reference_state(grid, _asking(blocked_cells, ref_asked),
                                     cell, plan, wi))
-        assert (greedy_step(grid, profile, cell, target,
+        assert (greedy_step(edges, cell, target,
                             _asking(blocked_cells, asked))
                 == _reference_greedy(grid, profile, cell, target,
                                      _asking(blocked_cells, ref_asked)))
         assert asked == ref_asked
-        assert (greedy_step(grid, profile, cell, target)
+        assert (greedy_step(edges, cell, target)
                 == _reference_greedy(grid, profile, cell, target, None))
+    # every entry of every profile's table is agents.edge, and None exactly
+    # where the neighbor is off the grid or nodata
+    for p in builtin_profiles():
+        table = EdgeTable(grid, p)
+        for r in range(grid.nrows):
+            for c in range(grid.ncols):
+                a = CellIndex(r, c)
+                assert len(table[a]) == len(NEIGHBOR_OFFSETS)
+                for e, (dr, dc) in zip(table[a], NEIGHBOR_OFFSETS):
+                    b = CellIndex(r + dr, c + dc)
+                    if not grid.traversable(b):
+                        assert e is None
+                        continue
+                    run, slope, v = edge(p, grid, a, b)
+                    assert e == (b, run / v if v > 0.0 else IMPASSABLE, v,
+                                 slope)
 
 
 def _reference_write_trace_csv(records, f):
@@ -627,14 +654,14 @@ def _reference_train(env, weights, params):
             if detect_block(blocked, plan, wi):
                 a = _reference_select_action(q, s, epsilon, rng)
             else:
-                a = follow_route(plan, wi, grid, profile, cell)
+                a = follow_route(plan, wi, env.edges, cell)
             if a == ACTION_STAY:
                 dest, move_time = cell, env.stay_time
             else:
                 dr, dc = ACTIONS[a]
                 dest = CellIndex(cell[0] + dr, cell[1] + dc)
-                move_time = traversal_time(profile, grid, cell, dest)
-                if not math.isfinite(move_time) or blocked(dest):
+                move_time = _edge_time(profile, grid, cell, dest)
+                if move_time == IMPASSABLE or blocked(dest):
                     r = reward("collision", 0.0, weights)
                     total_r += r
                     _reference_q_update(q, s, a, r, s, params)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from terramob.agents import builtin_profile, builtin_profiles, traversal_time
+from terramob.agents import EdgeTable, builtin_profile, builtin_profiles, edge
 from terramob.local_adapt import (
     ACTION_STAY,
     ACTIONS,
@@ -27,8 +27,8 @@ from terramob.local_adapt import (
     reward,
     save_qtable,
     select_action,
+    _offset_direction,
     train_bypass,
-    waypoint_direction,
     write_learning_curve,
 )
 from terramob.planner import PathPlan
@@ -39,6 +39,11 @@ from conftest import collision_rate, success_rate
 
 def blocked_by(*cells):
     return set(cells).__contains__
+
+
+def fit_edges(grid):
+    """A fit adult's edge table of ``grid``."""
+    return EdgeTable(grid, builtin_profile("fit_adults"))
 
 
 def straight_plan(row=3, ncols=10, cellsize=30.0, speed=1.5):
@@ -67,9 +72,11 @@ class TestLocalState:
             blocked = blocked_by(*(CellIndex(cell.row + dr, cell.col + dc)
                                    for (dr, dc), b in zip(ACTIONS, occ) if b))
             wi = int(rng.integers(12))
-            s = build_local_state(grid, blocked, cell, plan, wi)
+            s = build_local_state(fit_edges(grid), blocked, cell, plan, wi)
             assert [(s >> i) & 1 for i in range(8)] == occ.tolist()
-            assert (s >> 8) & 0x7 == waypoint_direction(cell, plan.waypoints[wi])
+            wp = plan.waypoints[wi]
+            assert (s >> 8) & 0x7 == _offset_direction(wp.row - cell.row,
+                                                       wp.col - cell.col)
             assert s >> 11 == min(abs(cell.col - 5), 3)
 
     def test_codes_cover_range(self):
@@ -77,20 +84,21 @@ class TestLocalState:
         plan = PathPlan([CellIndex(r, 5) for r in range(9, -1, -1)],
                         [20.0] * 9, 180.0, 270.0, "fit_adults")
         # on the route, nothing blocked, next waypoint due north
-        lo = build_local_state(grid, blocked_by(), CellIndex(5, 5), plan, 5)
+        edges = fit_edges(grid)
+        lo = build_local_state(edges, blocked_by(), CellIndex(5, 5), plan, 5)
         # four cells off the route, all blocked, next waypoint to the NW
-        hi = build_local_state(grid, lambda c: True, CellIndex(8, 9), plan, 9)
+        hi = build_local_state(edges, lambda c: True, CellIndex(8, 9), plan, 9)
         assert lo == 0 and hi == N_STATES - 1
 
     def test_waypoint_direction_buckets(self):
-        at = CellIndex(5, 5)
         cases = {
-            (4, 5): 0, (4, 6): 1, (5, 6): 2, (6, 6): 3,
-            (6, 5): 4, (6, 4): 5, (5, 4): 6, (4, 4): 7,
+            (-1, 0): 0, (-1, 1): 1, (0, 1): 2, (1, 1): 3,
+            (1, 0): 4, (1, -1): 5, (0, -1): 6, (-1, -1): 7,
         }
-        for target, expected in cases.items():
-            assert waypoint_direction(at, CellIndex(*target)) == expected
-        assert waypoint_direction(at, CellIndex(1, 6)) == 0  # nearly due north
+        for offset, expected in cases.items():
+            assert _offset_direction(*offset) == expected
+        assert _offset_direction(-4, 1) == 0  # nearly due north
+        assert _offset_direction(0, 0) == 0  # on the waypoint
 
     def test_deviation_cells(self):
         plan = straight_plan()
@@ -340,16 +348,14 @@ class TestRouteLookups:
 class TestFollowRoute:
     def test_clear_straight_plan_takes_plan_edge(self):
         env = CorridorEnv(builtin_profile("fit_adults"))
-        action = follow_route(env.plan, 5, env.grid, env.profile,
-                              CellIndex(3, 4))
+        action = follow_route(env.plan, 5, env.edges, CellIndex(3, 4))
         assert ACTIONS[action] == (0, 1)  # east along the route
 
     def test_off_route_equal_cost_tie_breaks_low_index(self):
         grid = make_synthetic("flat", nrows=10, ncols=10, h=0.0)
         grid = grid.with_nodata([CellIndex(4, 6)])
         plan = PathPlan([CellIndex(3, 7)], [], 0.0, 0.0, "fit_adults")
-        action = follow_route(plan, 0, grid, builtin_profile("fit_adults"),
-                              CellIndex(5, 5))
+        action = follow_route(plan, 0, fit_edges(grid), CellIndex(5, 5))
         # N and E tie once the direct NE step is a hole; N has the lower index
         assert action == 0
 
@@ -357,9 +363,9 @@ class TestFollowRoute:
 class TestBuildLocalState:
     def test_blocked_and_off_grid_neighbors_are_occupied(self):
         plan = straight_plan(row=0)
-        s = build_local_state(make_synthetic("flat", nrows=4, ncols=10, h=0.0),
-                              blocked_by(CellIndex(0, 5)), CellIndex(0, 4),
-                              plan, 5)
+        grid = make_synthetic("flat", nrows=4, ncols=10, h=0.0)
+        s = build_local_state(fit_edges(grid), blocked_by(CellIndex(0, 5)),
+                              CellIndex(0, 4), plan, 5)
         # N, NE and NW (bits 0, 1, 7) are off the grid; E (bit 2) is
         # blocked; the waypoint is due east (2 << 8); on the route (0 << 11)
         assert s == 0b111 | 1 << 7 | 2 << 8 == 647
@@ -368,27 +374,27 @@ class TestBuildLocalState:
         grid = make_synthetic("flat", nrows=5, ncols=5, h=0.0)
         plan = straight_plan(row=2, ncols=5)
         cell, north = CellIndex(2, 2), CellIndex(1, 2)
-        p = builtin_profile("fit_adults")
-        before = build_local_state(grid, blocked_by(), cell, plan, 3)
-        assert greedy_step(grid, p, cell, CellIndex(0, 2)) == 0  # north
-        holed = grid.with_nodata([north])
-        assert build_local_state(grid, blocked_by(), cell, plan, 3) == before
-        assert greedy_step(grid, p, cell, CellIndex(0, 2)) == 0
+        edges = fit_edges(grid)
+        before = build_local_state(edges, blocked_by(), cell, plan, 3)
+        assert greedy_step(edges, cell, CellIndex(0, 2)) == 0  # north
+        holed = fit_edges(grid.with_nodata([north]))
+        assert build_local_state(edges, blocked_by(), cell, plan, 3) == before
+        assert greedy_step(edges, cell, CellIndex(0, 2)) == 0
         assert build_local_state(holed, blocked_by(), cell, plan, 3) == (
             before | 1)  # bit 0: the north neighbor is now a hole
-        assert greedy_step(holed, p, cell, CellIndex(0, 2)) == 1  # NE
+        assert greedy_step(holed, cell, CellIndex(0, 2)) == 1  # NE
 
 
 class TestGreedyStep:
     def test_blocked_cells_are_skipped(self):
         grid = make_synthetic("flat", nrows=10, ncols=10, h=0.0)
-        p = builtin_profile("fit_adults")
+        edges = fit_edges(grid)
         at, target = CellIndex(5, 5), CellIndex(5, 9)
-        assert greedy_step(grid, p, at, target) == 2  # east
+        assert greedy_step(edges, at, target) == 2  # east
         # NE and SE tie once east is blocked; NE has the lower index
-        assert greedy_step(grid, p, at, target,
+        assert greedy_step(edges, at, target,
                            blocked=lambda c: c == CellIndex(5, 6)) == 1
-        assert greedy_step(grid, p, at, target,
+        assert greedy_step(edges, at, target,
                            blocked=lambda c: True) == ACTION_STAY
 
 
@@ -402,7 +408,8 @@ class TestCorridorEnv:
         p = builtin_profile(name)
         env = CorridorEnv(p)
         a, b = CellIndex(env.mid, 0), CellIndex(env.mid, 1)
-        assert env.stay_time == traversal_time(p, env.grid, a, b)
+        run, _slope, v = edge(p, env.grid, a, b)
+        assert env.stay_time == run / v
 
     def test_cell_blocked_is_membership_in_the_bar(self):
         env = CorridorEnv(builtin_profile("fit_adults"))

@@ -23,6 +23,21 @@ and three agents walk an edge back (``x2`` yields to ``x1`` on crossing
 diagonals). The step keeps a coordinate's object when its step is zero;
 this golden pins that a position is never ``-0.0``.
 
+``data/sim_golden_holes.json`` does the same for a 12x16 ``.asc`` grid
+with nodata holes, two sealed diagonal corners and three cells raised far
+steeper than any ``max_slope``, so the local step rules meet neighbours
+that are off the grid, nodata, or walkable at speed 0:
+
+- ``q1`` carries a table and is blocked beside a hole; its table picks the
+  step into the hole, so it stands until the bar goes;
+- ``q2`` carries the same table and walks north from its bar to the foot
+  of a raised cell; its table picks the step up, which has speed 0, so it
+  stands there until the bar goes;
+- ``u1`` has no table and sidesteps a timed bar that has a hole on one
+  side and the steep cell on the other;
+- ``p1`` chases ``t1`` around a hole pair whose sealed corner lies beside
+  both of their cells.
+
 Regenerate the files only from a commit whose simulation is known good:
 
     PYTHONPATH=src:tests python tests/test_sim_golden.py
@@ -37,6 +52,7 @@ from terramob.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "sim_golden.json"
 ORIGIN_GOLDEN = Path(__file__).parent / "data" / "sim_golden_origin.json"
+HOLES_GOLDEN = Path(__file__).parent / "data" / "sim_golden_holes.json"
 
 SCENARIO = {
     "terrain": {"recipe": "cone", "nrows": 16, "ncols": 16, "cellsize": 30.0,
@@ -83,12 +99,65 @@ ORIGIN_SCENARIO = {
 }
 
 
+# elevation 2 m per column plus 1 m per row; -9999 holes at (1,7), (4,6),
+# (5,5), (9,4), (9,9), (10,10) and (11,6), so the diagonals (4,5)-(5,6) and
+# (9,10)-(10,9) are sealed corners; (3,7), (7,8) and (9,8) stand 30 m
+# above their rows
+HOLES_ASC = """\
+ncols 16
+nrows 12
+xllcorner 0
+yllcorner 0
+cellsize 30
+NODATA_value -9999
+0 2 4 6 8 10 12 14 16 18 20 22 24 26 28 30
+1 3 5 7 9 11 13 -9999 17 19 21 23 25 27 29 31
+2 4 6 8 10 12 14 16 18 20 22 24 26 28 30 32
+3 5 7 9 11 13 15 47 19 21 23 25 27 29 31 33
+4 6 8 10 12 14 -9999 18 20 22 24 26 28 30 32 34
+5 7 9 11 13 -9999 17 19 21 23 25 27 29 31 33 35
+6 8 10 12 14 16 18 20 22 24 26 28 30 32 34 36
+7 9 11 13 15 17 19 21 53 25 27 29 31 33 35 37
+8 10 12 14 16 18 20 22 24 26 28 30 32 34 36 38
+9 11 13 15 -9999 19 21 23 55 -9999 29 31 33 35 37 39
+10 12 14 16 18 20 22 24 26 28 -9999 32 34 36 38 40
+11 13 15 17 19 21 -9999 25 27 29 31 33 35 37 39 41
+"""
+
+HOLES_SCENARIO = {
+    "terrain": "holes.asc",
+    "agents": [
+        {"id": "q1", "profile": "fit_adults", "start": [6, 0], "goal": [6, 15],
+         "qtable": "qt/qtable.txt"},
+        {"id": "q2", "profile": "fit_adults", "start": [8, 0], "goal": [8, 15],
+         "qtable": "qt/qtable.txt"},
+        {"id": "u1", "profile": "elderly", "start": [2, 0], "goal": [2, 15]},
+        {"id": "p1", "profile": "hostile", "start": [10, 0], "goal": [10, 3]},
+        {"id": "t1", "profile": "fit_adults", "start": [10, 5],
+         "goal": [10, 15]},
+    ],
+    "obstacles": [
+        {"cells": [[2, 7]], "schedule": [[10.0, 400.0]]},
+        {"cells": [[5, 6], [6, 6], [7, 6]], "schedule": [[5.0, 500.0]]},
+        {"cells": [[8, 8]], "schedule": [[5.0, 300.0]]},
+    ],
+    "pursuit_rules": [
+        {"pursuer": "p1", "target": "t1", "los_loss_limit": 200.0,
+         "effort_budget": 1e6, "capture_radius": 2.0},
+    ],
+    "sim": {"dt": 1.0, "max_sim_time": 900, "seed": 5},
+}
+
+
 def simulate_digests(work: Path, scenario: dict = SCENARIO) -> dict[str, str]:
-    """Train the table (for ``SCENARIO``), run ``simulate`` in ``work``,
-    hash what it wrote."""
-    if scenario is SCENARIO:
+    """Train the table (when an agent names one) and write the ``.asc``
+    grid (for ``HOLES_SCENARIO``), run ``simulate`` in ``work``, hash what
+    it wrote."""
+    if any("qtable" in a for a in scenario["agents"]):
         assert main(["train", "--episodes", "400", "--seed", "3",
                      "--out", str(work / "qt")]) == 0
+    if scenario is HOLES_SCENARIO:
+        (work / "holes.asc").write_text(HOLES_ASC)
     (work / "scenario.json").write_text(json.dumps(scenario))
     out = work / "out"
     assert main(["simulate", "--config", str(work / "scenario.json"),
@@ -109,9 +178,15 @@ def test_simulate_across_the_origin_matches_golden(tmp_path):
             == json.loads(ORIGIN_GOLDEN.read_text()))
 
 
+def test_simulate_among_holes_matches_golden(tmp_path):
+    assert (simulate_digests(tmp_path, HOLES_SCENARIO)
+            == json.loads(HOLES_GOLDEN.read_text()))
+
+
 if __name__ == "__main__":
     for scenario, golden in ((SCENARIO, GOLDEN),
-                             (ORIGIN_SCENARIO, ORIGIN_GOLDEN)):
+                             (ORIGIN_SCENARIO, ORIGIN_GOLDEN),
+                             (HOLES_SCENARIO, HOLES_GOLDEN)):
         with tempfile.TemporaryDirectory() as tmp:
             digests = simulate_digests(Path(tmp), scenario)
         golden.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from terramob.agents import builtin_profile, edge, traversal_time
+from terramob.agents import builtin_profile, edge
 from terramob.terrain import (
     CellIndex,
     ElevationGrid,
@@ -241,12 +241,12 @@ class TestSlope:
 # ---------------------------------------------------------------------------
 
 def neighbors(grid, c):
-    """The 8-neighbors ``traversal_time`` lets a fit adult step to from c."""
+    """The 8-neighbors ``edge`` lets a fit adult step to from c."""
     p = builtin_profile("fit_adults")
     out = []
     for dr, dc in NEIGHBOR_OFFSETS:
         nb = CellIndex(c[0] + dr, c[1] + dc)
-        if math.isfinite(traversal_time(p, grid, c, nb)):
+        if edge(p, grid, c, nb)[2] > 0.0:
             out.append(nb)
     return out
 
