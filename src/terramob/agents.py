@@ -9,7 +9,11 @@ A profile derives the two constants of its curve, ``slope_drop`` and
 ``load_factor``, once, so the law itself has no per-kind branch.
 ``edge`` is the one edge rule built on it. ``EdgeTable`` holds its
 answers for the 8 moves out of each cell of one grid for one profile; the
-local step rules and the simulation read every move from it.
+local step rules and the simulation read every move from it. Two inlined
+copies repeat ``edge`` and ``speed`` operation for operation, each pinned
+bit for bit by a differential test: ``planner.astar``'s, against the
+Dijkstra oracle (tests/test_planner.py), and ``EdgeTable``'s row fill,
+against ``edge`` entry by entry (tests/test_agents.py, tests/test_fuzz.py).
 """
 
 from __future__ import annotations
@@ -104,8 +108,8 @@ def speed(p: AgentProfile, slope: float) -> float:
     The reduction factor falls linearly from 1 by ``slope_drop`` per
     ``ref_slope`` of grade, floored at MIN_SLOPE_REDUCTION; it never exceeds
     1, since the slope is non-negative and ``slope_drop`` is too. This is
-    the package's one speed law; ``planner.astar`` repeats its arithmetic
-    inline, operation for operation.
+    the package's one speed law; ``planner.astar`` and ``EdgeTable``
+    repeat its arithmetic inline, operation for operation.
     """
     if slope < 0:
         raise ValueError("slope must be non-negative")
@@ -197,9 +201,9 @@ def edge(
     Non-adjacent cells are a caller error (ValueError). Elevations are
     read through ``grid.flat``.
 
-    ``planner.astar`` carries an inlined copy of this rule and of ``speed``
-    that must stay bit-identical to it. It reads the same flat view, and
-    tests bounds once per expanded node instead of once per edge.
+    ``planner.astar`` and ``EdgeTable`` carry inlined copies of this rule
+    and of ``speed`` that must stay bit-identical to it. Both read the same
+    flat view; A* tests bounds once per expanded node instead of per edge.
     """
     ar, ac = a[0], a[1]
     br, bc = b[0], b[1]
@@ -226,8 +230,8 @@ def edge(
 
 
 class EdgeTable(dict):
-    """The moves out of each cell of ``grid`` for ``profile``: ``edge``,
-    asked once per edge.
+    """The moves out of each cell of ``grid`` for ``profile``: ``edge``'s
+    answers, a row at a time, from an inlined copy of ``edge`` and ``speed``.
 
     ``table[cell]`` is a tuple of 8 entries in action (``NEIGHBOR_OFFSETS``)
     order. An entry is None where the neighbor is off the grid or nodata,
@@ -238,26 +242,44 @@ class EdgeTable(dict):
     read is one dict lookup.
     """
 
-    __slots__ = ("grid", "profile")
+    __slots__ = ("grid", "profile", "steps")
 
     def __init__(self, grid: ElevationGrid, profile: AgentProfile):
         self.grid = grid
         self.profile = profile
+        # (dr, dc, run) per action: edge's runs, made once per table
+        self.steps = [(dr, dc, grid.cellsize * (SQRT2 if dr and dc else 1.0))
+                      for dr, dc in NEIGHBOR_OFFSETS]
 
     def __missing__(self, cell: CellIndex) -> tuple:
         grid, p = self.grid, self.profile
         nrows, ncols = grid.nrows, grid.ncols
         flat, nodata = grid.flat, grid.nodata
+        max_slope, s_flat, ref_slope = p.max_slope, p.s_flat, p.ref_slope
+        slope_drop, load_factor = p.slope_drop, p.load_factor
+        new = tuple.__new__  # a CellIndex without namedtuple's Python __new__
         r, c = cell
+        # edge refuses every step out of an off-grid or nodata source
+        refused = not (0 <= r < nrows and 0 <= c < ncols
+                       and (va := flat[r * ncols + c]) != nodata)
         row = []
-        for dr, dc in NEIGHBOR_OFFSETS:
+        for dr, dc, run in self.steps:
             rr, cc = r + dr, c + dc
             if not (0 <= rr < nrows and 0 <= cc < ncols
-                    and flat[rr * ncols + cc] != nodata):
+                    and (vb := flat[rr * ncols + cc]) != nodata):
                 row.append(None)
                 continue
-            dest = CellIndex(rr, cc)
-            run, slope, v = edge(p, grid, cell, dest)
-            row.append((dest, run / v if v > 0.0 else IMPASSABLE, v, slope))
+            if refused or (dr and dc and flat[rr * ncols + c] == nodata
+                           and flat[r * ncols + cc] == nodata):
+                slope = v = 0.0
+            elif (slope := abs(vb - va) / run * 100.0) > max_slope:
+                v = 0.0
+            else:
+                f = 1.0 - slope_drop * (slope / ref_slope)
+                if f < MIN_SLOPE_REDUCTION:
+                    f = MIN_SLOPE_REDUCTION
+                v = s_flat * (f * load_factor)
+            row.append((new(CellIndex, (rr, cc)),
+                        run / v if v > 0.0 else IMPASSABLE, v, slope))
         row = self[cell] = tuple(row)
         return row

@@ -31,6 +31,7 @@ only the entries with a non-zero speed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -209,17 +210,26 @@ def _offset_direction(dr: int, dc: int) -> int:
 def deviation_cells(cell: CellIndex, plan: PathPlan) -> int:
     """Chebyshev distance (king moves) from a cell to the nearest waypoint.
 
-    0 for a waypoint; other cells scan the route once and are memoized on
-    the plan.
+    0 for a waypoint; other cells are memoized on the plan. A new cell walks
+    ``PathPlan.rows`` outward from its own row, bisecting each row's columns,
+    until the row offset reaches the best distance found.
     """
     if cell in plan.index:
         return 0
     dev = plan.deviations.get(cell)
     if dev is None:
-        dev = plan.deviations[cell] = int(min(
-            max(abs(cell[0] - wp[0]), abs(cell[1] - wp[1]))
-            for wp in plan.waypoints
-        ))
+        rows, (r, c) = plan.rows, cell
+        lo, hi = min(rows), max(rows)
+        k, far, dev = max(lo - r, r - hi, 0), max(r - lo, hi - r), math.inf
+        while k < dev and k <= far:
+            for cols in map(rows.get, (r - k, r + k) if k else (r,)):
+                if cols:
+                    j = bisect_left(cols, c)
+                    near = min(cols[j] - c if j < len(cols) else math.inf,
+                               c - cols[j - 1] if j else math.inf)
+                    dev = min(dev, max(k, near))
+            k += 1
+        plan.deviations[cell] = dev
     return dev
 
 

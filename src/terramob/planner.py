@@ -15,7 +15,8 @@ neighbors are all on the grid, skips the bounds test; a border node
 walks only the steps that stay on the grid. The uniform-cost oracle
 (``dijkstra_all``) weighs each edge with ``agents.edge`` itself (its run
 in meters in distance mode), so the optimality tests compare two
-separately written kernels.
+separately written kernels. ``agents.EdgeTable``'s row fill is the rule's
+other inlined copy; a test compares it with ``agents.edge`` entry by entry.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO
 
 from .agents import MIN_SLOPE_REDUCTION, AgentProfile, edge
@@ -40,8 +42,8 @@ class PathPlan:
     An optimal route visits no cell twice, so a plan refuses a repeated
     cell (ValueError) and keeps ``index``, each waypoint's position in the
     route. ``deviations`` memoizes ``local_adapt.deviation_cells`` for
-    off-route cells. Both are derived from ``waypoints``, which must not
-    change after construction.
+    off-route cells, which looks new ones up in ``rows`` (built on first
+    use). All three are derived from ``waypoints``, which must not change.
     """
 
     waypoints: list[CellIndex]
@@ -58,6 +60,14 @@ class PathPlan:
         if len(self.index) != len(self.waypoints):
             raise ValueError("plan visits a cell more than once")
         self.deviations = {}
+
+    @cached_property
+    def rows(self) -> dict[int, list[int]]:
+        """Each row the route crosses -> its waypoints' columns, sorted."""
+        rows: dict[int, list[int]] = {}
+        for r, c in sorted(self.waypoints):
+            rows.setdefault(r, []).append(c)
+        return rows
 
 
 @dataclass

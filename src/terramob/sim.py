@@ -262,6 +262,19 @@ class Pursuit:
 # World
 # ---------------------------------------------------------------------------
 
+class _Asked(dict):
+    """A decision's blocking query: ``_blocks`` asked once per cell."""
+
+    __slots__ = ("ask",)
+
+    def __init__(self, ask: Callable[[CellIndex], bool]):
+        self.ask = ask
+
+    def __missing__(self, cell: CellIndex) -> bool:
+        hit = self[cell] = self.ask(cell)
+        return hit
+
+
 class World:
     """Single-writer simulation state; agents are updated in id order."""
 
@@ -350,8 +363,9 @@ class World:
 
     def _blocker(self, agent: AgentRuntime) -> Callable[[CellIndex], bool]:
         """``_blocks`` for one decision of ``agent``, as the step rules'
-        predicate."""
-        return partial(self._blocks, agent.id, agent.chase_partner, False)
+        predicate, asked once per cell: a decision reads one snapshot."""
+        return _Asked(partial(self._blocks, agent.id, agent.chase_partner,
+                              False)).__getitem__
 
     # -- one simulation step --------------------------------------------------
 

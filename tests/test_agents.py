@@ -221,13 +221,24 @@ class TestEdgeTime:
         assert up == down
 
 
+def entry_bits(e):
+    """An edge-table entry with its floats as ``float.hex`` text, so that
+    0.0 and -0.0 (or any two floats that ``==`` calls equal) differ."""
+    return e if e is None else (e[0], *(x.hex() for x in e[1:]))
+
+
 class TestEdgeTable:
-    def test_entries_are_edge(self):
-        """Off the grid too: a source outside it has speed 0 everywhere."""
-        grid = rough_grid(5, nrows=12, ncols=12, nodata_frac=0.15, relief=120.0)
-        seen = set()
+    @pytest.mark.parametrize("cellsize", [0.5, 7.3, 30.0, 1000.0])
+    def test_entries_are_edge(self, cellsize):
+        """Bit for bit, for all six profiles, on grids whose relief scales
+        with the cellsize: passable steps, over-limit slopes, holes, sealed
+        corners and sources off the grid or on a hole (speed 0 everywhere)
+        all occur."""
+        grid = rough_grid(5, nrows=12, ncols=12, cellsize=cellsize,
+                          nodata_frac=0.15, relief=6.0 * cellsize)
         for p in builtin_profiles():
             table = EdgeTable(grid, p)
+            seen = set()
             for r in range(-1, 13):
                 for c in range(-1, 13):
                     a = CellIndex(r, c)
@@ -238,9 +249,19 @@ class TestEdgeTable:
                             continue
                         run, slope, v = edge(p, grid, a, b)
                         want = run / v if v > 0.0 else IMPASSABLE
-                        assert e == (b, want, v, slope)
-                        seen.add(v > 0.0)
-        assert seen == {True, False}
+                        assert type(e[0]) is CellIndex
+                        assert entry_bits(e) == entry_bits((b, want, v, slope))
+                        if not grid.traversable(a):
+                            seen.add("off-grid source" if not grid.in_bounds(a)
+                                     else "hole source")
+                        elif v > 0.0:
+                            seen.add("passable")
+                        elif slope > p.max_slope:
+                            seen.add("over limit")
+                        else:
+                            seen.add("sealed corner")
+            assert seen == {"off-grid source", "hole source", "passable",
+                            "over limit", "sealed corner"}, p.name
 
     def test_rows_are_kept(self, flat10):
         table = EdgeTable(flat10, builtin_profile("mule"))

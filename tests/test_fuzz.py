@@ -419,16 +419,18 @@ def _reference_greedy(grid, profile, at, target, blocked):
 
 @st.composite
 def local_cases(draw):
-    """A grid of up to 5 x 5 cells of 30 m with nodata holes and heights
-    that make some steps too steep, a route over any of its cells, and
-    queries from any cell (border cells and holes included), each with its
-    own blocked set and target. Queries repeat cells, so table rows are
-    read again."""
+    """A grid of up to 5 x 5 cells of 30 m (or 0.5, 7.3 or 1000 m) with
+    nodata holes and heights, scaled with the cellsize, that make some
+    steps too steep, a route over any of its cells, and queries from any
+    cell (border cells and holes included), each with its own blocked set
+    and target. Queries repeat cells, so table rows are read again."""
     nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    heights = draw(st.lists(st.sampled_from([0.0, 1.0, 5.0, 12.0,
-                                             DEFAULT_NODATA]),
+    cellsize = draw(st.sampled_from([30.0, 0.5, 7.3, 1000.0]))
+    heights = draw(st.lists(st.sampled_from([0.0, 1.0, 5.0, 12.0, None]),
                             min_size=nrows * ncols, max_size=nrows * ncols))
-    grid = ElevationGrid(ncols, nrows, 0.0, 0.0, 30.0, DEFAULT_NODATA,
+    heights = [DEFAULT_NODATA if h is None else h * cellsize / 30.0
+               for h in heights]
+    grid = ElevationGrid(ncols, nrows, 0.0, 0.0, cellsize, DEFAULT_NODATA,
                          np.array(heights))
     cells = st.sampled_from([CellIndex(r, c) for r in range(nrows)
                              for c in range(ncols)])
@@ -467,12 +469,13 @@ def test_local_step_rules_match_per_neighbor_loops(case):
         assert asked == ref_asked
         assert (greedy_step(edges, cell, target)
                 == _reference_greedy(grid, profile, cell, target, None))
-    # every entry of every profile's table is agents.edge, and None exactly
-    # where the neighbor is off the grid or nodata
+    # every entry of every profile's table is agents.edge bit for bit
+    # (float.hex tells 0.0 from -0.0), and None exactly where the neighbor
+    # is off the grid or nodata; sources include the cells around the grid
     for p in builtin_profiles():
         table = EdgeTable(grid, p)
-        for r in range(grid.nrows):
-            for c in range(grid.ncols):
+        for r in range(-1, grid.nrows + 1):
+            for c in range(-1, grid.ncols + 1):
                 a = CellIndex(r, c)
                 assert len(table[a]) == len(NEIGHBOR_OFFSETS)
                 for e, (dr, dc) in zip(table[a], NEIGHBOR_OFFSETS):
@@ -481,8 +484,10 @@ def test_local_step_rules_match_per_neighbor_loops(case):
                         assert e is None
                         continue
                     run, slope, v = edge(p, grid, a, b)
-                    assert e == (b, run / v if v > 0.0 else IMPASSABLE, v,
-                                 slope)
+                    time = run / v if v > 0.0 else IMPASSABLE
+                    assert e[0] == b and type(e[0]) is CellIndex
+                    assert [x.hex() for x in e[1:]] == [
+                        x.hex() for x in (time, v, slope)]
 
 
 def _reference_write_trace_csv(records, f):

@@ -307,11 +307,25 @@ class TestRejoinCheck:
 
 @st.composite
 def route_and_cells(draw):
-    """A non-repeating route (one straight leg or several bent ones), cells
-    to query, each asked twice, and a waypoint index."""
+    """A non-repeating route, cells to query, each asked twice, and a
+    waypoint index.
+
+    The route is one straight leg, several bent ones, or a serpentine: runs
+    of up to 9 cells along rows (or columns) joined by short steps across,
+    so the route returns to the same columns (or rows) many times. Queried
+    cells are waypoints, cells near the route, and cells up to 1000 rows
+    and columns away from it."""
     cells = [CellIndex(draw(st.integers(-4, 4)), draw(st.integers(-4, 4)))]
-    legs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(1, 8)),
-                         min_size=1, max_size=5))
+    if draw(st.booleans()):
+        legs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(1, 8)),
+                             min_size=1, max_size=5))
+    else:
+        along, across = draw(st.sampled_from([(2, 4), (4, 2)]))  # E or S
+        run = draw(st.integers(1, 9))
+        legs = []
+        for turn in range(draw(st.integers(1, 8))):
+            legs += [(along if turn % 2 == 0 else (along + 4) % 8, run),
+                     (across, draw(st.integers(1, 2)))]
     for action, run in legs:
         dr, dc = ACTIONS[action]
         for _ in range(run):
@@ -321,10 +335,11 @@ def route_and_cells(draw):
             cells.append(nxt)
     n = len(cells)
     plan = PathPlan(cells, [1.0] * (n - 1), float(n - 1), float(n - 1), "x")
+    near = st.integers(-15, 15)
+    far = st.integers(-1000, 1000)
     queries = draw(st.lists(
-        st.one_of(st.sampled_from(cells),
-                  st.builds(CellIndex, st.integers(-15, 15),
-                            st.integers(-15, 15))),
+        st.one_of(st.sampled_from(cells), st.builds(CellIndex, near, near),
+                  st.builds(CellIndex, near | far, near | far)),
         min_size=1, max_size=12))
     wi = draw(st.integers(0, n + 1))
     return plan, queries + queries[::-1], wi
@@ -335,6 +350,7 @@ class TestRouteLookups:
     @given(route_and_cells())
     def test_match_brute_force_scans(self, case):
         plan, queries, wi = case
+        assert "rows" not in vars(plan)  # the row index is built lazily
         for cell in queries:
             dev = min(max(abs(cell.row - w.row), abs(cell.col - w.col))
                       for w in plan.waypoints)
@@ -343,6 +359,16 @@ class TestRouteLookups:
                        if plan.waypoints[k] == cell]
             expected = (True, forward[0]) if forward else (False, wi)
             assert rejoin_check(cell, plan, wi) == expected
+        off_route = {c for c in queries if c not in plan.index}
+        assert set(plan.deviations) == off_route
+        assert ("rows" in vars(plan)) == bool(off_route)
+        # asking again reads the memo: with the row index emptied, every
+        # answer still holds, so no cell was looked up in it twice
+        vars(plan)["rows"] = {}
+        for cell in queries:
+            assert deviation_cells(cell, plan) == min(
+                max(abs(cell.row - w.row), abs(cell.col - w.col))
+                for w in plan.waypoints)
 
 
 class TestFollowRoute:

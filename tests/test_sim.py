@@ -397,6 +397,56 @@ class TestBlocker:
                                             True, cell)
                 assert walked_back == self.reference(world, agent, True, cell)
 
+    def test_a_decision_asks_about_each_cell_once(self, monkeypatch):
+        """A crowd crossing a cone through two timed bars, half the walkers
+        carrying a table and the others sidestepping by cost: no decision
+        asks ``_blocks`` about one cell twice."""
+        n = 20
+        lanes = [2, 6, 10, 13, 17]
+        agents = [{"id": f"we{i}", "profile": "fit_adults",
+                   "start": [r, 0], "goal": [r, n - 1]}
+                  for i, r in enumerate(lanes)]
+        agents += [{"id": f"ns{i}", "profile": "families",
+                    "start": [0, c], "goal": [n - 1, c]}
+                   for i, c in enumerate(lanes)]
+        cfg = flat_cfg(
+            terrain={"recipe": "cone", "nrows": n, "ncols": n,
+                     "peak": 15.0, "radius": 300.0},
+            agents=agents,
+            obstacles=[{"cells": [[r, 8] for r in range(7, 13)],
+                        "schedule": [[21.0, 621.0]]},
+                       {"cells": [[12, c] for c in range(7, 13)],
+                        "schedule": [[113.0, 713.0]]}],
+            sim={"dt": 1.0, "max_sim_time": 900, "seed": 1})
+        world = build_world(cfg)
+        rng = np.random.default_rng(5)
+        for agent in world.agents[::2]:
+            agent.qtable = rng.random((N_STATES, N_ACTIONS))
+        asked, decisions = [], []
+        blocks, decide = World._blocks, World._decide
+
+        def counting_blocks(self, me, partner, lower_ids_only, cell):
+            if asked:
+                asked[-1].append(cell)
+            return blocks(self, me, partner, lower_ids_only, cell)
+
+        def counting_decide(self, agent):
+            asked.append([])
+            try:
+                return decide(self, agent)
+            finally:
+                decisions.append((agent.qtable is not None, agent.last_chi,
+                                  asked.pop()))
+
+        monkeypatch.setattr(World, "_blocks", counting_blocks)
+        monkeypatch.setattr(World, "_decide", counting_decide)
+        _simulate(world, 900)
+        for _trained, _chi, cells in decisions:
+            assert len(cells) == len(set(cells))
+        # blocked decisions of both kinds ran, and asked about neighbors
+        assert {(t, len(c) > 1) for t, chi, c in decisions if chi} == {
+            (True, True), (False, True)}
+
 
 class TestInlinedStepArithmetic:
     """``World.step`` inlines ``effort_accrual`` and
