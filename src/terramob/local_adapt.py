@@ -527,26 +527,37 @@ def evaluate_bypass(
 ) -> BypassEvaluation:
     """Greedy full-route rollouts on fresh obstacle placements.
 
-    Each instance also solves a reference plan by re-running the global
-    search on a grid with the bar punched out, so callers can compare the
-    bypass detour against full replanning.
+    Each instance also solves a reference plan by A* on a grid with the bar
+    punched out, so callers can compare the bypass detour against full
+    replanning. A rollout is a pure function of ``q`` and the bar, and the
+    reference plan of the bar, so each distinct bar is rolled out and
+    replanned once per call; a bar drawn again gets a new instance with
+    the first one's values. Every episode still draws its bar and begins
+    it on ``env``, so the draws and ``env``'s last bar are unchanged.
+    Nothing is kept between calls. ``episodes`` must be non-negative.
     """
+    if episodes < 0:
+        raise ValueError("episodes must be non-negative")
     rng = np.random.default_rng(seed)
     instances: list[BypassInstance] = []
     successes = 0
     collisions = 0
+    # bar -> (elapsed, oracle time, success, collided)
+    scored: dict[frozenset[CellIndex], tuple[float, float, bool, bool]] = {}
     for _ in range(episodes):
         env.begin_episode(env.sample_obstacle(rng))
-        _r, success, collided, _steps, elapsed = _run_episode(env, q)
-        masked = env.grid.with_nodata(env.obstacle)
-        oracle_plan, _stats = planner.astar(
-            masked, env.profile, env.plan.waypoints[0], env.plan.waypoints[-1]
-        )
-        successes += success
-        collisions += collided
-        instances.append(
-            BypassInstance(elapsed, oracle_plan.total_time, success, collided)
-        )
+        values = scored.get(env.obstacle)
+        if values is None:
+            _r, success, collided, _steps, elapsed = _run_episode(env, q)
+            masked = env.grid.with_nodata(env.obstacle)
+            oracle_plan, _stats = planner.astar(
+                masked, env.profile, env.plan.waypoints[0],
+                env.plan.waypoints[-1])
+            values = scored[env.obstacle] = (
+                elapsed, oracle_plan.total_time, success, collided)
+        instances.append(BypassInstance(*values))
+        successes += values[2]
+        collisions += values[3]
     return BypassEvaluation(episodes, successes, collisions, instances)
 
 

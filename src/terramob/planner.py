@@ -12,9 +12,13 @@ bounds, nodata, sealed corners, slope limit), of the speed law
 reads elevations through the grid's zero-copy flat view
 (``ElevationGrid.flat``), and a node off the grid's border, whose eight
 neighbors are all on the grid, skips the bounds test; a border node
-walks only the steps that stay on the grid. The uniform-cost oracle
-(``dijkstra_all``) weighs each edge with ``agents.edge`` itself (its run
-in meters in distance mode), so the optimality tests compare two
+walks only the steps that stay on the grid. A* keeps the time of the
+edge it relaxes a node along, next to the node's parent, and a plan's edge
+times are those: a plan calls no ``agents.edge``. Its totals add the edges
+left to right, never with ``sum``, which compensates float rounding since
+Python 3.12, so they are the same on every Python version. The uniform-cost
+oracle (``dijkstra_all``) weighs each edge with ``agents.edge`` itself (its
+run in meters in distance mode), so the optimality tests compare two
 separately written kernels. ``agents.EdgeTable``'s row fill is the rule's
 other inlined copy; a test compares it with ``agents.edge`` entry by entry.
 """
@@ -115,6 +119,12 @@ def astar(
     every edge ``agents.edge`` refuses is skipped. The bounds part of that
     rule is decided once per expansion: an interior node walks all eight
     steps unchecked, a border node only those that stay on the grid.
+
+    Under both objectives the search keeps each relaxed node's edge time
+    next to its parent: these are the plan's ``edge_times``, and the
+    minimized total is the goal's g.
+    ``test_astar_matches_oracle_on_border_and_interior_nodes``
+    (tests/test_fuzz.py) pins them to ``run / speed`` of ``agents.edge``.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -160,6 +170,7 @@ def astar(
     g_best: dict[int, float] = {start_id: 0.0}
     best = g_best.get
     parent: dict[int, int] = {}
+    edge_time: dict[int, float] = {}  # node -> time of its edge from parent
     closed: set[int] = set()
     # Heap key (f, -g, id): equal f prefers deeper nodes, then row-major
     # cell order (the id order), so the search is fully deterministic.
@@ -177,7 +188,7 @@ def astar(
         closed.add(node)
         expanded += 1
         if node == goal_id:
-            plan = _build_plan(grid, p, parent, start_id, goal_id)
+            plan = _build_plan(grid, p, parent, edge_time, start_id, goal_id)
             return plan, SearchStats(expanded, open_peak)
         row, col = divmod(node, ncols)
         # An interior node has all 8 neighbors on the grid; a border node
@@ -198,13 +209,11 @@ def astar(
             slope = abs(vb - va) / run * 100.0
             if slope > max_slope:
                 continue
-            if timed:
-                r = 1.0 - slope_drop * (slope / ref_slope)
-                if r < min_r:
-                    r = min_r
-                ng = g + run / (s_flat * (r * load_factor))
-            else:
-                ng = g + run
+            r = 1.0 - slope_drop * (slope / ref_slope)
+            if r < min_r:
+                r = min_r
+            w = run / (s_flat * (r * load_factor))
+            ng = g + (w if timed else run)
             if ng < best(nb, inf):
                 # sealed corner: both flanks of a diagonal are nodata; tested
                 # only on relaxing edges, where it is cheapest
@@ -213,6 +222,7 @@ def astar(
                     continue
                 g_best[nb] = ng
                 parent[nb] = node
+                edge_time[nb] = w
                 hr = abs(row + dr - goal_row)
                 hc = abs(col + dc - goal_col)
                 if hr < hc:
@@ -230,21 +240,26 @@ def _build_plan(
     grid: ElevationGrid,
     p: AgentProfile,
     parent: dict[int, int],
+    edge_time: dict[int, float],
     start_id: int,
     goal_id: int,
 ) -> PathPlan:
+    """The route ``parent`` leads back along, with the edge times the search
+    summed (``edge_time``) and the runs of its steps. Both totals add the
+    edges left to right in path order, as the search did, so the total of
+    the minimized quantity is the goal's g bit for bit."""
     ids = [goal_id]
     while ids[-1] != start_id:
         ids.append(parent[ids[-1]])
     ids.reverse()
     cells = [CellIndex(*divmod(i, grid.ncols)) for i in ids]
-    edge_times = []
-    distance = 0.0
-    for a, b in zip(cells, cells[1:]):
-        run, _slope, v = edge(p, grid, a, b)
-        edge_times.append(run / v)
-        distance += run
-    return PathPlan(cells, edge_times, sum(edge_times), distance, p.name)
+    edge_times = [edge_time[i] for i in ids[1:]]
+    total = distance = 0.0
+    for a, b, t in zip(cells, cells[1:], edge_times):
+        total += t
+        distance += grid.cellsize * (SQRT2 if a.row != b.row and a.col != b.col
+                                     else 1.0)
+    return PathPlan(cells, edge_times, total, distance, p.name)
 
 
 def dijkstra_all(

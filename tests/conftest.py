@@ -46,7 +46,8 @@ def validate_plan(plan: PathPlan, grid: ElevationGrid, p: AgentProfile) -> None:
             raise ValueError(f"edge {tuple(a)} -> {tuple(b)} time mismatch")
         total += t
         dist += run
-    if abs(total - plan.total_time) > 1e-9 or abs(dist - plan.total_distance) > 1e-9:
+    # a plan's totals add its edges left to right, exactly as here
+    if total != plan.total_time or dist != plan.total_distance:
         raise ValueError("plan totals do not match edges")
 
 

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from terramob import planner
 from terramob.agents import EdgeTable, builtin_profile, builtin_profiles, edge
 from terramob.local_adapt import (
     ACTION_STAY,
     ACTIONS,
+    BypassInstance,
     CorridorEnv,
     LearningParams,
     MAX_SIM_STEPS,
@@ -28,6 +30,7 @@ from terramob.local_adapt import (
     save_qtable,
     select_action,
     _offset_direction,
+    _run_episode,
     train_bypass,
     write_learning_curve,
 )
@@ -530,6 +533,55 @@ class TestTraining:
             LearningParams(gamma=1.0)
         with pytest.raises(ValueError):
             LearningParams(epsilon_start=1.5)
+
+
+class TestEvaluateBypass:
+    @pytest.fixture(scope="class")
+    def trained(self):
+        env = CorridorEnv(builtin_profile("fit_adults"))
+        q, _ = train_bypass(env, RewardWeights(),
+                            LearningParams(episodes=300, seed=3,
+                                           epsilon_decay_episodes=150))
+        return q
+
+    def test_each_distinct_bar_is_scored_once(self, trained, monkeypatch):
+        env = CorridorEnv(builtin_profile("fit_adults"))
+        rng = np.random.default_rng(99)
+        bars = [env.sample_obstacle(rng) for _ in range(200)]
+        assert len(set(bars)) < len(bars) / 2  # most bars come back
+        calls = []
+        real_astar = planner.astar
+
+        def counted(grid, *args):
+            calls.append(grid)
+            return real_astar(grid, *args)
+
+        monkeypatch.setattr(planner, "astar", counted)
+        ev = evaluate_bypass(trained, env, episodes=200, seed=99)
+        assert len(calls) == len(set(bars))
+        assert env.obstacle == bars[-1]  # every episode began on env
+        # a new instance per episode, each equal to its own bar's scoring
+        assert len({id(i) for i in ev.instances}) == 200
+        monkeypatch.undo()
+        fresh = CorridorEnv(builtin_profile("fit_adults"))
+        start, goal = fresh.plan.waypoints[0], fresh.plan.waypoints[-1]
+        for bar, got in zip(bars, ev.instances, strict=True):
+            fresh.begin_episode(bar)
+            _r, success, collided, _steps, elapsed = _run_episode(fresh,
+                                                                  trained)
+            oracle, _ = planner.astar(fresh.grid.with_nodata(bar),
+                                      fresh.profile, start, goal)
+            assert got == BypassInstance(elapsed, oracle.total_time, success,
+                                         collided)
+        assert ev.successes == sum(i.success for i in ev.instances)
+        assert ev.collisions == sum(i.collided for i in ev.instances)
+        assert 0 < ev.successes < 200  # both outcomes are pinned
+
+    def test_negative_episodes_refused(self, trained):
+        env = CorridorEnv(builtin_profile("fit_adults"))
+        with pytest.raises(ValueError, match="episodes"):
+            evaluate_bypass(trained, env, episodes=-3)
+        assert evaluate_bypass(trained, env, episodes=0).instances == []
 
 
 class TestPersistence:

@@ -238,3 +238,43 @@ class TestPlanCsv:
         assert len(lines) == 1 + len(plan.waypoints)
         last = lines[-1].split(",")
         assert float(last[-1]) == pytest.approx(plan.total_time)
+
+
+class TestPlanTotals:
+    """A plan's totals are the left-to-right float accumulation of its
+    edges, the order A* summed them in."""
+
+    @pytest.mark.parametrize("objective", ["time", "distance"])
+    def test_totals_accumulate_edges_left_to_right(self, objective):
+        p = builtin_profile("families")
+        solved = 0
+        for seed in range(10):
+            grid = rough_grid(2000 + seed, nrows=24, ncols=24)
+            try:
+                plan, _ = astar(grid, p, CellIndex(0, 0), CellIndex(23, 23),
+                                objective)
+            except NoPathError:
+                continue
+            total = 0.0
+            for t in plan.edge_times:
+                total += t
+            assert total.hex() == plan.total_time.hex()
+            validate_plan(plan, grid, p)  # and the distance, exactly
+            solved += 1
+        assert solved >= 5
+
+    def test_csv_last_cum_time_is_the_printed_total(self, tmp_path, capsys):
+        from terramob.cli import EXIT_OK, main
+        from terramob.terrain import serialize_ascii_grid
+        asc = tmp_path / "rough.asc"
+        asc.write_text(serialize_ascii_grid(rough_grid(7, nrows=24, ncols=24)))
+        rc = main(["plan", "--terrain", str(asc), "--profile", "elderly",
+                   "--start", "0,0", "--goal", "23,23", "--out",
+                   str(tmp_path / "out")])
+        assert rc == EXIT_OK
+        printed = [line.split("=", 1)[1]
+                   for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("total_time_s=")]
+        rows = (tmp_path / "out" / "plan.csv").read_text().splitlines()
+        assert len(rows) > 20
+        assert printed == [rows[-1].split(",")[-1]]
