@@ -9,11 +9,13 @@ A profile derives the two constants of its curve, ``slope_drop`` and
 ``load_factor``, once, so the law itself has no per-kind branch.
 ``edge`` is the one edge rule built on it. ``EdgeTable`` holds its
 answers for the 8 moves out of each cell of one grid for one profile; the
-local step rules and the simulation read every move from it. Two inlined
-copies repeat ``edge`` and ``speed`` operation for operation, each pinned
-bit for bit by a differential test: ``planner.astar``'s, against the
-Dijkstra oracle (tests/test_planner.py), and ``EdgeTable``'s row fill,
-against ``edge`` entry by entry (tests/test_agents.py, tests/test_fuzz.py).
+local step rules and the simulation read every move from it.
+``planner.astar`` repeats ``edge`` and ``speed`` inline, operation for
+operation, pinned bit for bit against the Dijkstra oracle
+(tests/test_planner.py). ``EdgeTable``'s row fill repeats ``edge``'s
+geometry (bounds, nodata, sealed corners, run) and calls ``speed``; a
+differential test pins it against ``edge`` entry by entry
+(tests/test_agents.py, tests/test_fuzz.py).
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class AgentProfile:
             raise ValueError("max_slope must be positive")
         if not self.body_radius > 0:
             raise ValueError("body_radius must be positive")
-        if self.load_kg < 0 or self.vessels < 0:
+        if not (self.load_kg >= 0 and self.vessels >= 0):  # NaN fails too
             raise ValueError("load_kg and vessels must be non-negative")
         if self.kind == KIND_HUMAN:
             if self.reduction_at_ref is None:
@@ -108,8 +110,8 @@ def speed(p: AgentProfile, slope: float) -> float:
     The reduction factor falls linearly from 1 by ``slope_drop`` per
     ``ref_slope`` of grade, floored at MIN_SLOPE_REDUCTION; it never exceeds
     1, since the slope is non-negative and ``slope_drop`` is too. This is
-    the package's one speed law; ``planner.astar`` and ``EdgeTable``
-    repeat its arithmetic inline, operation for operation.
+    the package's one speed law; ``planner.astar`` repeats its arithmetic
+    inline, operation for operation.
     """
     if slope < 0:
         raise ValueError("slope must be non-negative")
@@ -201,9 +203,10 @@ def edge(
     Non-adjacent cells are a caller error (ValueError). Elevations are
     read through ``grid.flat``.
 
-    ``planner.astar`` and ``EdgeTable`` carry inlined copies of this rule
-    and of ``speed`` that must stay bit-identical to it. Both read the same
-    flat view; A* tests bounds once per expanded node instead of per edge.
+    ``planner.astar`` carries an inlined copy of this rule and of ``speed``,
+    and ``EdgeTable`` one of its geometry, that must stay bit-identical to
+    it. Both read the same flat view; A* tests bounds once per expanded
+    node instead of per edge.
     """
     ar, ac = a[0], a[1]
     br, bc = b[0], b[1]
@@ -231,7 +234,8 @@ def edge(
 
 class EdgeTable(dict):
     """The moves out of each cell of ``grid`` for ``profile``: ``edge``'s
-    answers, a row at a time, from an inlined copy of ``edge`` and ``speed``.
+    answers, a row at a time, from an inlined copy of ``edge``'s geometry
+    and a call of ``speed``.
 
     ``table[cell]`` is a tuple of 8 entries in action (``NEIGHBOR_OFFSETS``)
     order. An entry is None where the neighbor is off the grid or nodata,
@@ -255,8 +259,6 @@ class EdgeTable(dict):
         grid, p = self.grid, self.profile
         nrows, ncols = grid.nrows, grid.ncols
         flat, nodata = grid.flat, grid.nodata
-        max_slope, s_flat, ref_slope = p.max_slope, p.s_flat, p.ref_slope
-        slope_drop, load_factor = p.slope_drop, p.load_factor
         new = tuple.__new__  # a CellIndex without namedtuple's Python __new__
         r, c = cell
         # edge refuses every step out of an off-grid or nodata source
@@ -272,13 +274,9 @@ class EdgeTable(dict):
             if refused or (dr and dc and flat[rr * ncols + c] == nodata
                            and flat[r * ncols + cc] == nodata):
                 slope = v = 0.0
-            elif (slope := abs(vb - va) / run * 100.0) > max_slope:
-                v = 0.0
             else:
-                f = 1.0 - slope_drop * (slope / ref_slope)
-                if f < MIN_SLOPE_REDUCTION:
-                    f = MIN_SLOPE_REDUCTION
-                v = s_flat * (f * load_factor)
+                slope = abs(vb - va) / run * 100.0
+                v = speed(p, slope)
             row.append((new(CellIndex, (rr, cc)),
                         run / v if v > 0.0 else IMPASSABLE, v, slope))
         row = self[cell] = tuple(row)

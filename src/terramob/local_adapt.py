@@ -19,13 +19,13 @@ without a generator ``rng``.
 
 "Obstructed" is decided by one blocking predicate, a ``Callable[[CellIndex],
 bool]`` that ``detect_block``, ``build_local_state`` and ``greedy_step``
-take: the simulation passes ``World._blocker(agent)`` and training passes
-``CorridorEnv.cell_blocked``, the bar's own ``frozenset`` membership test,
-so no Python frame runs per query. The local step rules read a cell's 8
-moves from an ``agents.EdgeTable`` of the grid and profile, which carries
-both: the state code sets the bits of the off-grid/nodata (None) entries
-and asks the predicate only about the others, and ``greedy_step`` scores
-only the entries with a non-zero speed.
+take: the simulation passes ``World._blocker(agent)`` and a corridor
+episode its bar's own ``frozenset`` membership test, so no Python frame
+runs per query. The local step rules read a cell's 8 moves from an
+``agents.EdgeTable`` of the grid and profile, which carries both: the
+state code sets the bits of the off-grid/nodata (None) entries and asks
+the predicate only about the others, and ``greedy_step`` scores only
+the entries with a non-zero speed.
 """
 
 from __future__ import annotations
@@ -161,10 +161,7 @@ def q_update(
         raise ValueError(f"state {s} or {s_next} out of range")
     row = q[s]
     current = row[a]
-    successor = q[s_next]
-    if isinstance(successor, np.ndarray):
-        successor = successor.tolist()
-    target = r + p.gamma * max(successor)
+    target = r + p.gamma * max(q[s_next])
     row[a] = current + p.alpha * (target - current)
     return q
 
@@ -363,14 +360,15 @@ class BypassEvaluation:
 
 
 class CorridorEnv:
-    """Flat training corridor with one randomized blocking bar per episode.
+    """Flat training corridor; ``sample_obstacle`` draws an episode's bar.
 
-    The corridor is a fixed 7 x 30 grid of 30 m cells. The global route
-    runs straight down the middle row; each episode drops a vertical bar of
-    1, 3, or 5 cells across it at a random column, which stays for the
-    whole episode. ``cell_blocked`` is the episode's blocking predicate:
-    the bar's own membership test, so a query runs no Python frame.
-    ``edges`` is the corridor's edge table for ``profile``.
+    The corridor is a fixed 7 x 30 grid of 30 m cells with its edge table
+    ``edges`` for ``profile``. The global route runs straight down the
+    middle row; each episode drops a vertical bar of 1, 3, or 5 cells
+    across it at a random column, which stays for the whole episode. The
+    corridor never changes: the episode code takes the bar as an argument
+    and its blocking predicate is the bar's own membership test, so a
+    query runs no Python frame.
     """
 
     def __init__(self, profile: AgentProfile):
@@ -384,11 +382,6 @@ class CorridorEnv:
             self.grid, profile, CellIndex(self.mid, 0),
             CellIndex(self.mid, self.grid.ncols - 1))
         self.stay_time = self.plan.edge_times[0]  # one flat edge
-        self.begin_episode(frozenset())
-
-    def begin_episode(self, cells: frozenset[CellIndex]) -> None:
-        self.obstacle = cells
-        self.cell_blocked: Callable[[CellIndex], bool] = cells.__contains__
 
     def sample_obstacle(self, rng: np.random.Generator) -> frozenset[CellIndex]:
         """Vertical bar across the route, always leaving a gap on both sides."""
@@ -404,79 +397,82 @@ class CorridorEnv:
         return frozenset(CellIndex(r, col) for r in rows)
 
 
-def _run_episode(
-    env: CorridorEnv,
-    q: QRows,
-    learning: tuple[RewardWeights, LearningParams, float,
-                    np.random.Generator] | None = None,
-) -> tuple[float, bool, bool, int, float]:
-    """One episode on the current bar of ``env``.
+def _move(env: CorridorEnv, cell: CellIndex, a: int,
+          bar: frozenset[CellIndex]) -> tuple[CellIndex, float] | None:
+    """(destination, seconds) of action ``a`` out of ``cell``: a stay costs
+    ``env.stay_time``; None when the move walks into ``bar`` or the
+    corridor wall (a None or speed-0 entry)."""
+    if a == ACTION_STAY:
+        return cell, env.stay_time
+    e = env.edges[cell][a]
+    if e is None or not e[2] or e[0] in bar:
+        return None
+    return e[0], e[1]
 
-    With ``learning = (weights, params, epsilon, rng)`` it is a training
-    episode: it starts on the cell before the bar, so the agent is bypassing
-    from its first step; every step is rewarded and backed up into ``q``,
-    and the episode ends on rejoin, collision or
-    ``params.max_steps_per_episode`` steps. With ``learning=None`` it is a
-    greedy rollout of the whole route, which computes no reward and ends at
-    the goal, on collision or after 6 steps per waypoint.
 
-    Returns (return, success, collided, steps, elapsed seconds); a rollout's
-    return is 0.0.
+def _rollout(env: CorridorEnv, q: QRows,
+             bar: frozenset[CellIndex]) -> tuple[bool, bool, float]:
+    """Greedy rollout of the whole route past ``bar``, computing no reward.
+
+    Ends at the goal, on collision or after 6 steps per waypoint; returns
+    (success, collided, elapsed seconds).
     """
-    edges = env.edges
-    plan = env.plan
-    blocked = env.cell_blocked
-    if learning:
-        weights, params, epsilon, rng = learning
-        wi = next(iter(env.obstacle)).col
-        cell = plan.waypoints[wi - 1]
-        max_steps = params.max_steps_per_episode
-        s = build_local_state(edges, blocked, cell, plan, wi)
-    else:
-        epsilon, rng = 0.0, None
-        cell = plan.waypoints[0]
-        wi = 1
-        max_steps = 6 * len(plan.waypoints)
-    total_r = 0.0
-    elapsed = 0.0
+    edges, plan = env.edges, env.plan
+    blocked = bar.__contains__
+    cell, wi, elapsed = plan.waypoints[0], 1, 0.0
     goal = plan.waypoints[-1]
-
-    for step in range(1, max_steps + 1):
+    for _ in range(6 * len(plan.waypoints)):
         if detect_block(blocked, plan, wi):
-            if not learning:  # a rollout reads only a blocked step's state
-                s = build_local_state(edges, blocked, cell, plan, wi)
-            a = select_action(q, s, epsilon, rng)
+            a = select_action(
+                q, build_local_state(edges, blocked, cell, plan, wi))
         else:
             a = follow_route(plan, wi, edges, cell)
-
-        if a == ACTION_STAY:
-            dest = cell
-            move_time = env.stay_time
-        else:
-            e = edges[cell][a]
-            if e is None or not e[2] or blocked(e[0]):
-                # walked into the bar or the corridor wall
-                if learning:
-                    r = reward("collision", 0.0, weights)
-                    total_r += r
-                    q_update(q, s, a, r, s, params)
-                return total_r, False, True, step, elapsed
-            dest, move_time = e[0], e[1]
-
-        prev_cell, cell = cell, dest
+        move = _move(env, cell, a, bar)
+        if move is None:
+            return False, True, elapsed
+        cell, move_time = move
         elapsed += move_time
         rejoined, k = rejoin_check(cell, plan, wi)
         if rejoined:
             wi = k + 1
-        if not learning:
-            if cell == goal:
-                return total_r, True, False, step, elapsed
-            continue
+        if cell == goal:
+            return True, False, elapsed
+    return False, False, elapsed
 
-        dev = deviation_cells(cell, plan)
+
+def _train_episode(env: CorridorEnv, q: QRows, bar: frozenset[CellIndex],
+                   weights: RewardWeights, params: LearningParams,
+                   epsilon: float,
+                   rng: np.random.Generator) -> tuple[float, bool, int]:
+    """One training episode on ``bar``; returns (return, success, steps).
+
+    It starts on the cell before the bar, so the agent is bypassing from
+    its first step; every step is rewarded and backed up into ``q``, and
+    the episode ends on rejoin, collision or
+    ``params.max_steps_per_episode`` steps.
+    """
+    edges, plan = env.edges, env.plan
+    blocked = bar.__contains__
+    wi = next(iter(bar)).col
+    cell = plan.waypoints[wi - 1]
+    s = build_local_state(edges, blocked, cell, plan, wi)
+    total_r = 0.0
+    for step in range(1, params.max_steps_per_episode + 1):
+        if detect_block(blocked, plan, wi):
+            a = select_action(q, s, epsilon, rng)
+        else:
+            a = follow_route(plan, wi, edges, cell)
+        move = _move(env, cell, a, bar)
+        if move is None:
+            r = reward("collision", 0.0, weights)
+            q_update(q, s, a, r, s, params)
+            return total_r + r, False, step
+        prev_cell, (cell, move_time) = cell, move
+        rejoined, k = rejoin_check(cell, plan, wi)
         if rejoined:
+            wi = k + 1
             r = reward("rejoin", 0.0, weights)
-        elif dev > 0:
+        elif (dev := deviation_cells(cell, plan)) > 0:
             r = reward("deviation", dev, weights)
         elif deviation_cells(prev_cell, plan) == 0:  # on the route, no gain
             r = reward("delay", move_time, weights)
@@ -487,9 +483,8 @@ def _run_episode(
         q_update(q, s, a, r, s_next, params)
         s = s_next
         if rejoined:
-            return total_r, True, False, step, elapsed
-
-    return total_r, False, False, max_steps, elapsed
+            return total_r, True, step
+    return total_r, False, params.max_steps_per_episode
 
 
 def train_bypass(
@@ -509,9 +504,9 @@ def train_bypass(
     rng = np.random.default_rng(params.seed)
     curve: list[EpisodeStats] = []
     for ep in range(params.episodes):
-        env.begin_episode(env.sample_obstacle(rng))
-        total_r, success, _collided, steps, _t = _run_episode(
-            env, q, (weights, params, params.epsilon_at(ep), rng))
+        total_r, success, steps = _train_episode(
+            env, q, env.sample_obstacle(rng), weights, params,
+            params.epsilon_at(ep), rng)
         curve.append(EpisodeStats(ep, total_r, success, steps))
     table = np.zeros((N_STATES, N_ACTIONS))
     for s, row in q.items():
@@ -525,16 +520,15 @@ def evaluate_bypass(
     episodes: int = 200,
     seed: int = 10_000,
 ) -> BypassEvaluation:
-    """Greedy full-route rollouts on fresh obstacle placements.
+    """Greedy full-route rollouts on fresh bar placements.
 
     Each instance also solves a reference plan by A* on a grid with the bar
     punched out, so callers can compare the bypass detour against full
     replanning. A rollout is a pure function of ``q`` and the bar, and the
     reference plan of the bar, so each distinct bar is rolled out and
     replanned once per call; a bar drawn again gets a new instance with
-    the first one's values. Every episode still draws its bar and begins
-    it on ``env``, so the draws and ``env``'s last bar are unchanged.
-    Nothing is kept between calls. ``episodes`` must be non-negative.
+    the first one's values. Nothing is kept between calls. ``episodes``
+    must be non-negative.
     """
     if episodes < 0:
         raise ValueError("episodes must be non-negative")
@@ -545,15 +539,14 @@ def evaluate_bypass(
     # bar -> (elapsed, oracle time, success, collided)
     scored: dict[frozenset[CellIndex], tuple[float, float, bool, bool]] = {}
     for _ in range(episodes):
-        env.begin_episode(env.sample_obstacle(rng))
-        values = scored.get(env.obstacle)
+        bar = env.sample_obstacle(rng)
+        values = scored.get(bar)
         if values is None:
-            _r, success, collided, _steps, elapsed = _run_episode(env, q)
-            masked = env.grid.with_nodata(env.obstacle)
+            success, collided, elapsed = _rollout(env, q, bar)
             oracle_plan, _stats = planner.astar(
-                masked, env.profile, env.plan.waypoints[0],
-                env.plan.waypoints[-1])
-            values = scored[env.obstacle] = (
+                env.grid.with_nodata(bar), env.profile,
+                env.plan.waypoints[0], env.plan.waypoints[-1])
+            values = scored[bar] = (
                 elapsed, oracle_plan.total_time, success, collided)
         instances.append(BypassInstance(*values))
         successes += values[2]

@@ -19,8 +19,9 @@ left to right, never with ``sum``, which compensates float rounding since
 Python 3.12, so they are the same on every Python version. The uniform-cost
 oracle (``dijkstra_all``) weighs each edge with ``agents.edge`` itself (its
 run in meters in distance mode), so the optimality tests compare two
-separately written kernels. ``agents.EdgeTable``'s row fill is the rule's
-other inlined copy; a test compares it with ``agents.edge`` entry by entry.
+separately written kernels. ``agents.EdgeTable``'s row fill repeats the
+rule's geometry and calls ``agents.speed``; a test compares it with
+``agents.edge`` entry by entry.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ class PathPlan:
     edge_times: list[float]
     total_time: float
     total_distance: float
-    profile_name: str
     index: dict[CellIndex, int] = field(init=False, compare=False, repr=False)
     deviations: dict[CellIndex, int] = field(init=False, compare=False,
                                              repr=False)
@@ -136,7 +136,7 @@ def astar(
             raise ValueError(f"{label} cell {tuple(c)} is not traversable")
 
     if start == goal:
-        return PathPlan([start], [], 0.0, 0.0, p.name), SearchStats(1, 0)
+        return PathPlan([start], [], 0.0, 0.0), SearchStats(1, 0)
 
     nrows, ncols = grid.nrows, grid.ncols
     last_row, last_col = nrows - 1, ncols - 1
@@ -188,7 +188,7 @@ def astar(
         closed.add(node)
         expanded += 1
         if node == goal_id:
-            plan = _build_plan(grid, p, parent, edge_time, start_id, goal_id)
+            plan = _build_plan(grid, parent, edge_time, start_id, goal_id)
             return plan, SearchStats(expanded, open_peak)
         row, col = divmod(node, ncols)
         # An interior node has all 8 neighbors on the grid; a border node
@@ -238,7 +238,6 @@ def astar(
 
 def _build_plan(
     grid: ElevationGrid,
-    p: AgentProfile,
     parent: dict[int, int],
     edge_time: dict[int, float],
     start_id: int,
@@ -259,7 +258,7 @@ def _build_plan(
         total += t
         distance += grid.cellsize * (SQRT2 if a.row != b.row and a.col != b.col
                                      else 1.0)
-    return PathPlan(cells, edge_times, total, distance, p.name)
+    return PathPlan(cells, edge_times, total, distance)
 
 
 def dijkstra_all(

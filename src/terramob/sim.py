@@ -129,11 +129,11 @@ class PursuitRule:
     capture_radius: float
 
     def __post_init__(self):
-        if self.los_loss_limit <= 0:
+        if not self.los_loss_limit > 0:  # NaN fails each check
             raise ValueError("los_loss_limit must be positive")
-        if self.effort_budget < 0:
+        if not self.effort_budget >= 0:
             raise ValueError("effort_budget must be non-negative")
-        if self.capture_radius <= 0:
+        if not self.capture_radius > 0:
             raise ValueError("capture_radius must be positive")
 
 
@@ -663,6 +663,11 @@ class ScenarioConfig:
         except _ENTRY_ERRORS as exc:
             raise ConfigError(f"sim: {exc}") from None
         check_run_length(dt, max_sim_time)
+        if not math.isfinite(observer_height):
+            raise ConfigError("sim.observer_height must be finite")
+        strict = obj.get("strict", False)
+        if not isinstance(strict, bool):
+            raise ConfigError("'strict' must be true or false")
 
         agents = []
         seen_ids = set()
@@ -751,7 +756,7 @@ class ScenarioConfig:
             observer_height=observer_height,
             transport=transport,
             outputs=outputs,
-            strict=bool(obj.get("strict", False)),
+            strict=strict,
             base_dir=Path(base_dir),
         )
 

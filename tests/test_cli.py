@@ -284,6 +284,41 @@ class TestSimulate:
         assert capsys.readouterr().err == message
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("where, key", [
+        ("pursuit_rules[0]", "los_loss_limit"),
+        ("pursuit_rules[0]", "effort_budget"),
+        ("pursuit_rules[0]", "capture_radius"),
+        ("sim", "observer_height"),
+        ("profiles[0]", "load_kg"),
+    ])
+    def test_nan_number_is_exit_3(self, tmp_path, capsys, where, key):
+        obj = json.loads(json.dumps(SCENARIO))
+        obj["agents"].append({"id": "chaser", "profile": "hostile",
+                              "start": [0, 0], "goal": [12, 20]})
+        obj["pursuit_rules"] = [{"pursuer": "chaser", "target": "walker",
+                                 "los_loss_limit": 120.0,
+                                 "effort_budget": 1e5, "capture_radius": 2.0}]
+        obj["profiles"] = [{"base": "mule"}]
+        entry = {"pursuit_rules[0]": obj["pursuit_rules"][0],
+                 "sim": obj["sim"], "profiles[0]": obj["profiles"][0]}[where]
+        entry[key] = float("nan")  # json writes NaN, which json.loads reads
+        cfg = write_scenario(tmp_path, obj)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}") and key in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("strict", ["false", 0, None])
+    def test_non_boolean_strict_is_exit_3(self, tmp_path, capsys, strict):
+        obj = json.loads(json.dumps(SCENARIO))
+        obj["strict"] = strict
+        cfg = write_scenario(tmp_path, obj)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == "error: 'strict' must be true or false\n"
+
     @pytest.mark.parametrize("dt", ["1e-300", "nan"])
     def test_dt_flag_is_checked_like_sim_dt(self, tmp_path, capsys, dt):
         cfg = write_scenario(tmp_path)

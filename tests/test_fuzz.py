@@ -435,7 +435,7 @@ def local_cases(draw):
     cells = st.sampled_from([CellIndex(r, c) for r in range(nrows)
                              for c in range(ncols)])
     route = draw(st.lists(cells, min_size=1, max_size=6, unique=True))
-    plan = PathPlan(route, [], 0.0, 0.0, "fuzz")
+    plan = PathPlan(route, [], 0.0, 0.0)
     profile = draw(st.sampled_from(builtin_profiles()))
     queries = draw(st.lists(st.tuples(
         cells, st.frozensets(cells), st.integers(0, len(route)), cells),
@@ -648,10 +648,10 @@ def _reference_train(env, weights, params):
     curve = []
     grid, plan, profile = env.grid, env.plan, env.profile
     for ep in range(params.episodes):
-        env.begin_episode(env.sample_obstacle(rng))
+        bar = env.sample_obstacle(rng)
         epsilon = params.epsilon_at(ep)
-        blocked = lambda cell, bar=env.obstacle: cell in bar  # noqa: E731
-        wi = next(iter(env.obstacle)).col
+        blocked = lambda cell, bar=bar: cell in bar  # noqa: E731
+        wi = next(iter(bar)).col
         cell = plan.waypoints[wi - 1]
         s = _reference_state(grid, blocked, cell, plan, wi)
         total_r, success, steps = 0.0, False, params.max_steps_per_episode

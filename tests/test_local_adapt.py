@@ -29,8 +29,9 @@ from terramob.local_adapt import (
     reward,
     save_qtable,
     select_action,
+    _move,
     _offset_direction,
-    _run_episode,
+    _rollout,
     train_bypass,
     write_learning_curve,
 )
@@ -53,7 +54,7 @@ def straight_plan(row=3, ncols=10, cellsize=30.0, speed=1.5):
     cells = [CellIndex(row, c) for c in range(ncols)]
     edge = cellsize / speed
     return PathPlan(cells, [edge] * (ncols - 1), edge * (ncols - 1),
-                    cellsize * (ncols - 1), "fit_adults")
+                    cellsize * (ncols - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +68,7 @@ class TestLocalState:
     def test_code_bit_fields(self):
         grid = make_synthetic("flat", nrows=12, ncols=12, h=0.0)
         plan = PathPlan([CellIndex(r, 5) for r in range(11, -1, -1)],
-                        [20.0] * 11, 220.0, 330.0, "fit_adults")
+                        [20.0] * 11, 220.0, 330.0)
         rng = np.random.default_rng(0)
         for _ in range(200):
             occ = rng.integers(0, 2, 8)
@@ -85,7 +86,7 @@ class TestLocalState:
     def test_codes_cover_range(self):
         grid = make_synthetic("flat", nrows=10, ncols=10, h=0.0)
         plan = PathPlan([CellIndex(r, 5) for r in range(9, -1, -1)],
-                        [20.0] * 9, 180.0, 270.0, "fit_adults")
+                        [20.0] * 9, 180.0, 270.0)
         # on the route, nothing blocked, next waypoint due north
         edges = fit_edges(grid)
         lo = build_local_state(edges, blocked_by(), CellIndex(5, 5), plan, 5)
@@ -337,7 +338,7 @@ def route_and_cells(draw):
                 break
             cells.append(nxt)
     n = len(cells)
-    plan = PathPlan(cells, [1.0] * (n - 1), float(n - 1), float(n - 1), "x")
+    plan = PathPlan(cells, [1.0] * (n - 1), float(n - 1), float(n - 1))
     near = st.integers(-15, 15)
     far = st.integers(-1000, 1000)
     queries = draw(st.lists(
@@ -383,7 +384,7 @@ class TestFollowRoute:
     def test_off_route_equal_cost_tie_breaks_low_index(self):
         grid = make_synthetic("flat", nrows=10, ncols=10, h=0.0)
         grid = grid.with_nodata([CellIndex(4, 6)])
-        plan = PathPlan([CellIndex(3, 7)], [], 0.0, 0.0, "fit_adults")
+        plan = PathPlan([CellIndex(3, 7)], [], 0.0, 0.0)
         action = follow_route(plan, 0, fit_edges(grid), CellIndex(5, 5))
         # N and E tie once the direct NE step is a hole; N has the lower index
         assert action == 0
@@ -440,15 +441,35 @@ class TestCorridorEnv:
         run, _slope, v = edge(p, env.grid, a, b)
         assert env.stay_time == run / v
 
-    def test_cell_blocked_is_membership_in_the_bar(self):
+    def test_a_move_is_refused_into_the_bar_or_the_wall(self):
         env = CorridorEnv(builtin_profile("fit_adults"))
-        on_route = CellIndex(env.mid, 5)
-        assert not env.cell_blocked(on_route)  # no bar before an episode
         bar = env.sample_obstacle(np.random.default_rng(2))
-        env.begin_episode(bar)
         cells = [CellIndex(r, c) for r in range(env.grid.nrows)
                  for c in range(env.grid.ncols)]
-        assert {c for c in cells if env.cell_blocked(c)} == bar
+        refused = set()
+        for cell in cells:
+            assert _move(env, cell, ACTION_STAY, bar) == (cell,
+                                                          env.stay_time)
+            for a, (dr, dc) in enumerate(ACTIONS[:ACTION_STAY]):
+                dest = CellIndex(cell.row + dr, cell.col + dc)
+                move = _move(env, cell, a, bar)
+                if move is None:
+                    refused.add(dest)
+                else:
+                    assert move == (dest, env.edges[cell][a][1])
+        on_grid = {c for c in refused
+                   if 0 <= c.row < env.grid.nrows
+                   and 0 <= c.col < env.grid.ncols}
+        assert on_grid == bar
+
+    def test_episodes_leave_the_corridor_unchanged(self):
+        # the corridor is a constant: each episode's bar is an argument
+        env = CorridorEnv(builtin_profile("fit_adults"))
+        before = {name: id(value) for name, value in vars(env).items()}
+        q, _ = train_bypass(env, RewardWeights(),
+                            LearningParams(episodes=50, seed=1))
+        evaluate_bypass(q, env, episodes=50, seed=2)
+        assert {name: id(value) for name, value in vars(env).items()} == before
 
 
 class TestTraining:
@@ -559,16 +580,13 @@ class TestEvaluateBypass:
         monkeypatch.setattr(planner, "astar", counted)
         ev = evaluate_bypass(trained, env, episodes=200, seed=99)
         assert len(calls) == len(set(bars))
-        assert env.obstacle == bars[-1]  # every episode began on env
         # a new instance per episode, each equal to its own bar's scoring
         assert len({id(i) for i in ev.instances}) == 200
         monkeypatch.undo()
         fresh = CorridorEnv(builtin_profile("fit_adults"))
         start, goal = fresh.plan.waypoints[0], fresh.plan.waypoints[-1]
         for bar, got in zip(bars, ev.instances, strict=True):
-            fresh.begin_episode(bar)
-            _r, success, collided, _steps, elapsed = _run_episode(fresh,
-                                                                  trained)
+            success, collided, elapsed = _rollout(fresh, trained, bar)
             oracle, _ = planner.astar(fresh.grid.with_nodata(bar),
                                       fresh.profile, start, goal)
             assert got == BypassInstance(elapsed, oracle.total_time, success,

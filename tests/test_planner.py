@@ -217,7 +217,7 @@ class TestPathPlan:
         cells = [CellIndex(0, 0), CellIndex(0, 1), CellIndex(1, 1),
                  CellIndex(0, 1)]
         with pytest.raises(ValueError, match="more than once"):
-            PathPlan(cells, [20.0, 28.3, 28.3], 76.6, 114.9, "fit_adults")
+            PathPlan(cells, [20.0, 28.3, 28.3], 76.6, 114.9)
 
     def test_index_is_waypoint_position(self, flat10):
         plan, _ = astar(flat10, builtin_profile("mule"), CellIndex(0, 0),
