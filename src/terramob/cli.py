@@ -155,12 +155,7 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="terramob",
-                     description="terrain-aware multi-agent navigation runs")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("plan", parents=[], help="compute a global route")
+def _plan_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--terrain", required=True,
                    help=".asc file or recipe, e.g. flat:h=0,nrows=10,ncols=10")
     p.add_argument("--profile", required=True, help="built-in profile name")
@@ -169,9 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=("time", "distance"), default="time",
                    help="minimize traversal time (default) or path length")
     p.add_argument("--out", help=f"output dir (default ${OUT_ENV_VAR} or ./out)")
-    p.set_defaults(func=cmd_plan)
 
-    t = sub.add_parser("train", help="train a bypass table on the corridor env")
+
+def _train_args(t: argparse.ArgumentParser) -> None:
     t.add_argument("--profile", default="fit_adults")
     lp, rw = LearningParams, RewardWeights
     t.add_argument("--episodes", type=int, default=lp.episodes)
@@ -192,26 +187,60 @@ def build_parser() -> argparse.ArgumentParser:
                    default=rw.deviation_per_cell)
     t.add_argument("--r-rejoin", type=float, dest="rejoin", default=rw.rejoin)
     t.add_argument("--out", help="output dir")
-    t.set_defaults(func=cmd_train)
 
-    s = sub.add_parser("simulate", help="run a scenario config")
+
+def _simulate_args(s: argparse.ArgumentParser) -> None:
     s.add_argument("--config", required=True, help="scenario JSON file")
     s.add_argument("--seed", type=int, help="override sim.seed")
     s.add_argument("--dt", type=float, help="override sim.dt")
     s.add_argument("--strict", action="store_true",
                    help="exit 2 when any agent has no path")
     s.add_argument("--out", help="output dir override")
-    s.set_defaults(func=cmd_simulate)
 
-    r = sub.add_parser("report", help="render a report JSON as a text table")
+
+def _report_args(r: argparse.ArgumentParser) -> None:
     r.add_argument("report", help="report.json produced by simulate")
-    r.set_defaults(func=cmd_report)
+
+
+# name -> (help, adder of the command's arguments, handler)
+COMMANDS = {
+    "plan": ("compute a global route", _plan_args, cmd_plan),
+    "train": ("train a bypass table on the corridor env", _train_args,
+              cmd_train),
+    "simulate": ("run a scenario config", _simulate_args, cmd_simulate),
+    "report": ("render a report JSON as a text table", _report_args,
+               cmd_report),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The four-command parser: top-level help and usage errors."""
+    parser = _Parser(prog="terramob",
+                     description="terrain-aware multi-agent navigation runs")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, handler) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=handler)
     return parser
 
 
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """One command's parser alone, worded as its subparser in build_parser."""
+    _help, add_args, handler = COMMANDS[name]
+    p = _Parser(prog=f"terramob {name}")
+    add_args(p)
+    p.set_defaults(command=name, func=handler)
+    return p
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = extra = None
+    if argv and argv[0] in COMMANDS:  # a run builds only its command's parser
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or extra:  # help, a missing or unknown command, leftovers
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except NoPathError as exc:

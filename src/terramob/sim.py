@@ -580,9 +580,10 @@ class World:
         z = self._elevations.get(cell)
         if z is None:
             z = self._elevations[cell] = self.grid.elevation(cell)
-        return TraceRecord(t, cell.row, cell.col, *agent.position, z,
-                           agent.mode, agent.last_chi, agent.last_action,
-                           agent.edge_speed, dev, agent.effort_spent)
+        # one row per agent-step: skip namedtuple's Python-level __new__
+        return tuple.__new__(TraceRecord, (
+            t, *cell, *agent.position, z, agent.mode, agent.last_chi,
+            agent.last_action, agent.edge_speed, dev, agent.effort_spent))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ they are, and at what slope, is decided by ``agents.edge``, and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -111,14 +112,23 @@ class ElevationGrid:
     def in_bounds(self, c: CellIndex) -> bool:
         return 0 <= c[0] < self.nrows and 0 <= c[1] < self.ncols
 
+    def _flat_index(self, c: CellIndex) -> int:
+        """``c``'s index into ``flat``; an off-grid cell is a ValueError
+        (a negative index would read the opposite edge)."""
+        row, col = c
+        if 0 <= row < self.nrows and 0 <= col < self.ncols:
+            return row * self.ncols + col
+        raise ValueError(f"cell {tuple(c)} is outside the "
+                         f"{self.nrows} x {self.ncols} grid")
+
     def is_nodata(self, c: CellIndex) -> bool:
-        return bool(self.values[c[0], c[1]] == self.nodata)
+        return self.flat[self._flat_index(c)] == self.nodata
 
     def traversable(self, c: CellIndex) -> bool:
         return self.in_bounds(c) and not self.is_nodata(c)
 
     def elevation(self, c: CellIndex) -> float:
-        z = float(self.values[c[0], c[1]])
+        z = self.flat[self._flat_index(c)]
         if z == self.nodata:
             raise ValueError(f"cell {tuple(c)} is nodata")
         return z
@@ -383,20 +393,17 @@ def line_of_sight(
     """
     a = CellIndex(int(a[0]), int(a[1]))
     b = CellIndex(int(b[0]), int(b[1]))
-    for c in (a, b):
-        if not grid.in_bounds(c):
-            raise ValueError(f"cell {tuple(c)} out of bounds")
-        if grid.is_nodata(c):
-            raise ValueError(f"cell {tuple(c)} is nodata")
+    za = grid.elevation(a)  # refuses an off-grid or nodata endpoint
+    zb = grid.elevation(b)
     if a == b:
         return True
     # Canonical direction keeps the computation bit-identical under swap.
     if (b.row, b.col) < (a.row, a.col):
-        a, b = b, a
+        a, b, za, zb = b, a, zb, za
         observer_height, target_height = target_height, observer_height
 
-    za = grid.elevation(a) + observer_height
-    zb = grid.elevation(b) + target_height
+    za += observer_height
+    zb += target_height
     zdiff = zb - za
     dr = b.row - a.row
     dc = b.col - a.col
@@ -512,6 +519,7 @@ def make_synthetic(
                                 corridor at ``steep`` percent; everything else
                                 is nodata. ``ncols`` must be odd.
     """
+    nrows, ncols = _whole("nrows", nrows), _whole("ncols", ncols)
     if nrows <= 0 or ncols <= 0:
         raise ValueError("nrows and ncols must be positive")
     if nrows * ncols > MAX_GRID_CELLS:
@@ -537,7 +545,7 @@ def make_synthetic(
             values = np.tile(northing[:, None], (1, ncols))
     elif kind == "ridge":
         height = float(params.pop("height"))
-        position = int(params.pop("position"))
+        position = _whole("position", params.pop("position"))
         _no_extra(params)
         if height <= 0:
             raise ValueError("ridge height must be positive")
@@ -575,6 +583,19 @@ def make_synthetic(
     return ElevationGrid(ncols, nrows, xll, yll, cellsize, nodata, values)
 
 
+def _whole(key: str, value) -> int:
+    """A recipe size or column: an int, or an integral float such as 5.0
+    (as the .asc header takes); a fraction, a bool or a string is refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"recipe {key} must be an integer, got {value!r}")
+
+
 def _no_extra(params: dict) -> None:
     if params:
         raise ValueError(f"unexpected recipe parameter(s): {sorted(params)}")
@@ -605,8 +626,8 @@ def grid_from_recipe(spec: str | dict) -> ElevationGrid:
     spec = dict(spec)
     try:
         kind = str(spec.pop("recipe"))
-        nrows = int(spec.pop("nrows"))
-        ncols = int(spec.pop("ncols"))
+        nrows = spec.pop("nrows")
+        ncols = spec.pop("ncols")
         cellsize = float(spec.pop("cellsize", 30.0))
         xll = float(spec.pop("xll", 0.0))
         yll = float(spec.pop("yll", 0.0))

@@ -1,9 +1,11 @@
+import argparse
 import filecmp
 import json
 from pathlib import Path
 
 import pytest
 
+from terramob import cli
 from terramob.cli import EXIT_BAD_INPUT, EXIT_NO_PATH, EXIT_OK, main
 
 FIXTURE = Path(__file__).parent / "data" / "transport_report_fixture.json"
@@ -85,6 +87,77 @@ class TestPlan:
         with pytest.raises(SystemExit) as exc:
             main(["plan", "--nope"])
         assert exc.value.code == EXIT_BAD_INPUT
+
+
+PLAN_ARGV = ["plan", "--terrain", "flat:h=0,nrows=4,ncols=4", "--profile",
+             "mule", "--start", "0,0", "--goal", "3,3"]
+
+
+def subparser(name):
+    """The named command's subparser inside the four-command parser."""
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
+class TestCommandParsers:
+    """A run parses with its command's parser alone; it must read and word
+    everything as that command's subparser in build_parser() does."""
+
+    @pytest.mark.parametrize("columns", ["80", "52"])
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_help_and_usage_match_the_subparser(self, monkeypatch, name,
+                                                columns):
+        monkeypatch.setenv("COLUMNS", columns)
+        alone, sub = cli._command_parser(name), subparser(name)
+        assert alone.format_help() == sub.format_help()
+        assert alone.format_usage() == sub.format_usage()
+
+    @pytest.mark.parametrize("argv", [
+        PLAN_ARGV,
+        PLAN_ARGV + ["--objective", "distance", "--out", "o"],
+        ["train"],
+        ["train", "--profile", "mule", "--episodes", "7", "--alpha", "0.2",
+         "--gamma", "0.9", "--epsilon-start", "0.8", "--epsilon-end", "0.1",
+         "--epsilon-decay", "3", "--max-steps", "40", "--seed", "5",
+         "--r-collision", "-9", "--r-delay", "-0.5", "--r-deviation", "-2",
+         "--r-rejoin", "4", "--out", "o"],
+        ["simulate", "--config", "c.json"],
+        ["simulate", "--config", "c.json", "--seed", "2", "--dt", "0.5",
+         "--strict", "--out", "o"],
+        ["report", "r.json"],
+    ])
+    def test_namespace_matches_the_full_parser(self, argv):
+        args, extra = cli._command_parser(argv[0]).parse_known_args(argv[1:])
+        assert extra == []
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        full = cli.build_parser
+
+        def counted():
+            calls.append(1)
+            return full()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        return calls
+
+    def test_good_plan_never_builds_the_full_parser(self, tmp_path, builds):
+        assert main(PLAN_ARGV + ["--out", str(tmp_path)]) == EXIT_OK
+        assert builds == []
+
+    def test_leftover_argument_is_worded_by_the_full_parser(
+            self, tmp_path, capsys, builds):
+        with pytest.raises(SystemExit) as exc:
+            main(PLAN_ARGV + ["--out", str(tmp_path), "extra"])
+        assert exc.value.code == EXIT_BAD_INPUT
+        assert builds == [1]
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "usage: terramob [-h] {plan,train,simulate,report} ..."
+        assert err[-1] == "terramob: error: unrecognized arguments: extra"
+        assert not (tmp_path / "plan.csv").exists()
 
 
 class TestSimulate:
@@ -463,6 +536,27 @@ class TestMalformedInput:
                      "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
         assert capsys.readouterr().err == (
             "error: cellsize must be positive and finite\n")
+
+    @pytest.mark.parametrize("recipe, key", [
+        ("flat:h=0,nrows=5.5,ncols=5", "nrows"),
+        ("ridge:height=40,position=2.7,nrows=8,ncols=9", "position"),
+    ])
+    def test_non_integral_recipe_string_is_exit_3(self, tmp_path, capsys,
+                                                  recipe, key):
+        assert main(["plan", "--terrain", recipe, "--profile", "mule",
+                     "--start", "0,0", "--goal", "4,4",
+                     "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith(
+            f"error: recipe {key} must be an integer, got ")
+
+    @pytest.mark.parametrize("key, value", [("nrows", True), ("ncols", 21.5),
+                                            ("nrows", "13")])
+    def test_non_integral_recipe_json_is_exit_3(self, tmp_path, capsys, key,
+                                                value):
+        obj = json.loads(json.dumps(SCENARIO))
+        obj["terrain"][key] = value
+        err = self._simulate_err(tmp_path, capsys, obj)
+        assert err == f"error: recipe {key} must be an integer, got {value!r}\n"
 
     def test_oversized_asc_header_is_exit_3(self, tmp_path, capsys):
         asc = tmp_path / "huge.asc"

@@ -532,6 +532,28 @@ class TestSynthetic:
         )
         assert grid.values[7, 4] == 40.0
 
+    @pytest.mark.parametrize("spec, key", [
+        ("flat:h=0,nrows=5.5,ncols=5", "nrows"),
+        ("flat:h=0,nrows=5,ncols=4.25", "ncols"),
+        ("ridge:height=40,position=2.7,nrows=8,ncols=9", "position"),
+        ({"recipe": "flat", "nrows": True, "ncols": 5}, "nrows"),
+        ({"recipe": "flat", "nrows": 5, "ncols": "5"}, "ncols"),
+        ({"recipe": "ridge", "nrows": 8, "ncols": 9, "height": 40,
+          "position": 2.7}, "position"),
+        ({"recipe": "ridge", "nrows": 8, "ncols": 9, "height": 40,
+          "position": False}, "position"),
+    ])
+    def test_non_integral_size_is_refused(self, spec, key):
+        with pytest.raises(ValueError, match=f"recipe {key} must be an integer"):
+            grid_from_recipe(spec)
+
+    def test_integral_float_size_is_accepted(self):
+        grid = grid_from_recipe({"recipe": "ridge", "nrows": 8.0, "ncols": 9,
+                                 "height": 40, "position": 4.0})
+        assert (grid.nrows, grid.ncols) == (8, 9)
+        assert grid.values[7, 4] == 40.0
+        assert grid_from_recipe("flat:h=0,nrows=5.0,ncols=5").nrows == 5
+
 
 # ---------------------------------------------------------------------------
 # Grid invariants
@@ -562,6 +584,17 @@ class TestElevationGrid:
                      again.cellsize, again.nodata)
                     == (grid.ncols, grid.nrows, grid.xll, grid.yll,
                         grid.cellsize, grid.nodata))
+
+    @pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (4, 0), (0, 5)])
+    def test_off_grid_cell_is_refused(self, cell):
+        # a negative index would read the opposite edge of the array
+        grid = make_synthetic("ramp", nrows=4, ncols=5, slope=10.0)
+        for query in (grid.elevation, grid.is_nodata,
+                      lambda c: line_of_sight(grid, CellIndex(1, 1), c)):
+            with pytest.raises(ValueError,
+                               match=rf"cell \({cell[0]}, {cell[1]}\) is outside"):
+                query(CellIndex(*cell))
+        assert not grid.traversable(CellIndex(*cell))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="expected"):
