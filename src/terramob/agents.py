@@ -243,20 +243,28 @@ class EdgeTable(dict):
     to walk there (``run / speed``, IMPASSABLE where ``speed`` is 0.0) and
     ``edge``'s speed and slope. A cell's row is filled on its first read and
     kept, which is exact because grids and profiles never change; a later
-    read is one dict lookup.
+    read is one dict lookup. A flat step (equal heights, not a sealed
+    corner) is ``(dest, run / v0, v0, 0.0)`` with ``v0 = speed(profile,
+    0.0)`` and the step's time at it made once per table: ``edge`` computes
+    the same, its slope being ``abs(±0.0) / run * 100 = +0.0``.
     """
 
-    __slots__ = ("grid", "profile", "steps")
+    __slots__ = ("grid", "profile", "v0", "steps")
 
     def __init__(self, grid: ElevationGrid, profile: AgentProfile):
         self.grid = grid
         self.profile = profile
-        # (dr, dc, run) per action: edge's runs, made once per table
-        self.steps = [(dr, dc, grid.cellsize * (SQRT2 if dr and dc else 1.0))
-                      for dr, dc in NEIGHBOR_OFFSETS]
+        self.v0 = v0 = speed(profile, 0.0)  # the speed of every flat edge
+        # (dr, dc, run, flat time) per action, made once per table: edge's
+        # runs and their time at v0
+        self.steps = []
+        for dr, dc in NEIGHBOR_OFFSETS:
+            run = grid.cellsize * (SQRT2 if dr and dc else 1.0)
+            self.steps.append((dr, dc, run,
+                               run / v0 if v0 > 0.0 else IMPASSABLE))
 
     def __missing__(self, cell: CellIndex) -> tuple:
-        grid, p = self.grid, self.profile
+        grid, p, v0 = self.grid, self.profile, self.v0
         nrows, ncols = grid.nrows, grid.ncols
         flat, nodata = grid.flat, grid.nodata
         new = tuple.__new__  # a CellIndex without namedtuple's Python __new__
@@ -265,7 +273,7 @@ class EdgeTable(dict):
         refused = not (0 <= r < nrows and 0 <= c < ncols
                        and (va := flat[r * ncols + c]) != nodata)
         row = []
-        for dr, dc, run in self.steps:
+        for dr, dc, run, flat_time in self.steps:
             rr, cc = r + dr, c + dc
             if not (0 <= rr < nrows and 0 <= cc < ncols
                     and (vb := flat[rr * ncols + cc]) != nodata):
@@ -274,6 +282,9 @@ class EdgeTable(dict):
             if refused or (dr and dc and flat[rr * ncols + c] == nodata
                            and flat[r * ncols + cc] == nodata):
                 slope = v = 0.0
+            elif vb == va:  # a flat edge: slope +0.0, speed v0
+                row.append((new(CellIndex, (rr, cc)), flat_time, v0, 0.0))
+                continue
             else:
                 slope = abs(vb - va) / run * 100.0
                 v = speed(p, slope)

@@ -16,7 +16,10 @@ walks only the steps that stay on the grid. A* keeps the time of the
 edge it relaxes a node along, next to the node's parent, and a plan's edge
 times are those: a plan calls no ``agents.edge``. Its totals add the edges
 left to right, never with ``sum``, which compensates float rounding since
-Python 3.12, so they are the same on every Python version. The uniform-cost
+Python 3.12, so they are the same on every Python version. A flat edge
+(equal heights) takes ``run / speed(p, 0.0)``, computed once per search
+for each step; that is exact, since its slope is +0.0 (``abs(±0.0)``),
+within every profile's positive ``max_slope``. The uniform-cost
 oracle (``dijkstra_all``) weighs each edge with ``agents.edge`` itself (its
 run in meters in distance mode), so the optimality tests compare two
 separately written kernels. ``agents.EdgeTable``'s row fill repeats the
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO
 
-from .agents import MIN_SLOPE_REDUCTION, AgentProfile, edge
+from .agents import MIN_SLOPE_REDUCTION, AgentProfile, edge, speed
 from .terrain import CellIndex, ElevationGrid, NEIGHBOR_OFFSETS, SQRT2
 
 
@@ -118,7 +121,12 @@ def astar(
     edge weight is bit-identical to ``run / speed`` of ``agents.edge``, and
     every edge ``agents.edge`` refuses is skipped. The bounds part of that
     rule is decided once per expansion: an interior node walks all eight
-    steps unchecked, a border node only those that stay on the grid.
+    steps unchecked, a border node only those that stay on the grid. A
+    neighbor as high as the expanded node (never nodata) is a flat edge,
+    whose slope is +0.0 and within every profile's ``max_slope``: its time
+    is the step's ``run / speed(p, 0.0)``, computed once per search, so it
+    skips the slope and speed arithmetic; the sealed-corner test still
+    applies to it.
 
     Under both objectives the search keeps each relaxed node's edge time
     next to its parent: these are the plan's ``edge_times``, and the
@@ -143,13 +151,18 @@ def astar(
     cellsize = grid.cellsize
     nodata = grid.nodata
     flat = grid.flat
-    # (id offset, run, dr, dc, seal) in NEIGHBOR_OFFSETS order, which fixes
-    # the order neighbors are pushed and so the search's tie-breaking. seal
-    # holds the id offsets of a diagonal's two flanking cells, else None.
-    steps = [(dr * ncols + dc,
-              cellsize * (SQRT2 if dr != 0 and dc != 0 else 1.0), dr, dc,
-              (dr * ncols, dc) if dr != 0 and dc != 0 else None)
-             for dr, dc in NEIGHBOR_OFFSETS]
+    # (id offset, run, dr, dc, seal, flat time) in NEIGHBOR_OFFSETS order,
+    # which fixes the order neighbors are pushed and so the search's
+    # tie-breaking. seal holds the id offsets of a diagonal's two flanking
+    # cells, else None. flat time is the step's time between equal heights:
+    # their slope is +0.0, whose speed is speed(p, 0.0).
+    v0 = speed(p, 0.0)
+    steps = []
+    for dr, dc in NEIGHBOR_OFFSETS:
+        diagonal = dr != 0 and dc != 0
+        run = cellsize * (SQRT2 if diagonal else 1.0)
+        steps.append((dr * ncols + dc, run, dr, dc,
+                      (dr * ncols, dc) if diagonal else None, run / v0))
 
     timed = objective == "time"
     s_flat = p.s_flat
@@ -199,20 +212,25 @@ def astar(
             around = [s for s in steps
                       if 0 <= row + s[2] < nrows and 0 <= col + s[3] < ncols]
         va = flat[node]
-        for offset, run, dr, dc, seal in around:
+        for offset, run, dr, dc, seal, flat_w in around:
             nb = node + offset
             if nb in closed:
                 continue
             vb = flat[nb]
-            if vb == nodata:
+            if vb == va:
+                # a flat edge: va is not nodata, and +0.0 is within every
+                # profile's max_slope (> 0)
+                w = flat_w
+            elif vb == nodata:
                 continue
-            slope = abs(vb - va) / run * 100.0
-            if slope > max_slope:
-                continue
-            r = 1.0 - slope_drop * (slope / ref_slope)
-            if r < min_r:
-                r = min_r
-            w = run / (s_flat * (r * load_factor))
+            else:
+                slope = abs(vb - va) / run * 100.0
+                if slope > max_slope:
+                    continue
+                r = 1.0 - slope_drop * (slope / ref_slope)
+                if r < min_r:
+                    r = min_r
+                w = run / (s_flat * (r * load_factor))
             ng = g + (w if timed else run)
             if ng < best(nb, inf):
                 # sealed corner: both flanks of a diagonal are nodata; tested

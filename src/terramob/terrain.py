@@ -150,10 +150,11 @@ class ElevationGrid:
                                 self.cellsize, self.nodata, self.values))
 
     def with_nodata(self, cells: Iterable[CellIndex]) -> "ElevationGrid":
-        """Copy of the grid with the given cells punched out as nodata."""
+        """Copy of the grid with the given cells punched out as nodata; an
+        off-grid cell is a ValueError, as in ``elevation``."""
         arr = np.array(self.values, dtype=float)
-        for r, c in cells:
-            arr[r, c] = self.nodata
+        for c in cells:
+            arr.flat[self._flat_index(c)] = self.nodata
         return ElevationGrid(
             self.ncols, self.nrows, self.xll, self.yll,
             self.cellsize, self.nodata, arr,

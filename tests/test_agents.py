@@ -15,7 +15,9 @@ from terramob.agents import (
     profile_from_spec,
     speed,
 )
-from terramob.terrain import NEIGHBOR_OFFSETS, CellIndex, make_synthetic
+from terramob.terrain import (
+    DEFAULT_NODATA, NEIGHBOR_OFFSETS, CellIndex, ElevationGrid, make_synthetic,
+)
 from conftest import rough_grid
 
 
@@ -227,20 +229,44 @@ def entry_bits(e):
     return e if e is None else (e[0], *(x.hex() for x in e[1:]))
 
 
+_H = DEFAULT_NODATA
+
+
+def plateau_grid():
+    """Whole-metre heights on 30 m cells, as DEMs stored in metres have:
+    0.0 beside -0.0 at (0, 0)-(0, 1), the flat diagonal (1, 0)-(2, 1)
+    between the nodata flanks (1, 1) and (2, 0), the hole (1, 1) beside
+    flat cells, 1 m rises and a 20 m cliff over every profile's limit."""
+    values = np.array([[0.0, -0.0, 0.0, 1.0, 1.0, 20.0],
+                       [0.0, _H, 0.0, 1.0, 2.0, 20.0],
+                       [_H, 0.0, 3.0, 3.0, _H, 20.0],
+                       [2.0, 2.0, _H, 3.0, 3.0, 20.0]])
+    return ElevationGrid(6, 4, 0.0, 0.0, 30.0, _H, values)
+
+
+EDGE_CASES = {"off-grid source", "hole source", "passable", "over limit",
+              "sealed corner"}
+
+
 class TestEdgeTable:
-    @pytest.mark.parametrize("cellsize", [0.5, 7.3, 30.0, 1000.0])
-    def test_entries_are_edge(self, cellsize):
-        """Bit for bit, for all six profiles, on grids whose relief scales
-        with the cellsize: passable steps, over-limit slopes, holes, sealed
+    @pytest.mark.parametrize("grid, cases", [
+        *(pytest.param(rough_grid(5, nrows=12, ncols=12, cellsize=cellsize,
+                                  nodata_frac=0.15, relief=6.0 * cellsize),
+                       EDGE_CASES, id=str(cellsize))
+          for cellsize in (0.5, 7.3, 30.0, 1000.0)),
+        pytest.param(plateau_grid(), EDGE_CASES | {"flat"}, id="plateau"),
+    ])
+    def test_entries_are_edge(self, grid, cases):
+        """Bit for bit, for all six profiles, on rough grids whose relief
+        scales with the cellsize and on a plateau grid: passable steps
+        (flat ones on the plateau), over-limit slopes, holes, sealed
         corners and sources off the grid or on a hole (speed 0 everywhere)
         all occur."""
-        grid = rough_grid(5, nrows=12, ncols=12, cellsize=cellsize,
-                          nodata_frac=0.15, relief=6.0 * cellsize)
         for p in builtin_profiles():
             table = EdgeTable(grid, p)
             seen = set()
-            for r in range(-1, 13):
-                for c in range(-1, 13):
+            for r in range(-1, grid.nrows + 1):
+                for c in range(-1, grid.ncols + 1):
                     a = CellIndex(r, c)
                     for e, (dr, dc) in zip(table[a], NEIGHBOR_OFFSETS):
                         b = CellIndex(r + dr, c + dc)
@@ -255,13 +281,13 @@ class TestEdgeTable:
                             seen.add("off-grid source" if not grid.in_bounds(a)
                                      else "hole source")
                         elif v > 0.0:
-                            seen.add("passable")
+                            seen.add("flat" if grid.elevation(a)
+                                     == grid.elevation(b) else "passable")
                         elif slope > p.max_slope:
                             seen.add("over limit")
                         else:
                             seen.add("sealed corner")
-            assert seen == {"off-grid source", "hole source", "passable",
-                            "over limit", "sealed corner"}, p.name
+            assert cases <= seen, p.name
 
     def test_rows_are_kept(self, flat10):
         table = EdgeTable(flat10, builtin_profile("mule"))

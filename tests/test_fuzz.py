@@ -581,12 +581,12 @@ def test_trace_writer_matches_per_row_writer(records):
 @st.composite
 def search_cases(draw):
     """A grid of 1 x 1 to 6 x 6 cells of 30 m (1 x N and N x 1 strips
-    included) with rough heights, nodata holes and slopes on both sides of
-    every profile's limit; two endpoints, mostly in a corner or on the
-    border; a profile and an objective."""
+    included) with rough heights, flat edges (0.0 beside -0.0 too), nodata
+    holes and slopes on both sides of every profile's limit; two endpoints,
+    mostly in a corner or on the border; a profile and an objective."""
     nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     heights = draw(st.lists(
-        st.floats(0.0, 16.0) | st.sampled_from([0.0, 4.5, 10.5,
+        st.floats(0.0, 16.0) | st.sampled_from([0.0, -0.0, 4.5, 10.5,
                                                 DEFAULT_NODATA,
                                                 DEFAULT_NODATA]),
         min_size=nrows * ncols, max_size=nrows * ncols))

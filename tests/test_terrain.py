@@ -618,3 +618,13 @@ class TestElevationGrid:
         masked = grid.with_nodata([CellIndex(r, c)])
         assert masked.is_nodata(CellIndex(r, c))
         assert not grid.is_nodata(CellIndex(r, c))
+
+    @pytest.mark.parametrize("cell", [(-1, 0), (3, 0), (0, -1), (0, 3)])
+    def test_with_nodata_refuses_off_grid_cells(self, cell):
+        # numpy indexing would wrap (-1, 0) to (2, 0), and miss (3, 0)
+        grid = make_synthetic("flat", nrows=3, ncols=3, h=5.0)
+        with pytest.raises(ValueError,
+                           match=rf"cell \({cell[0]}, {cell[1]}\) is outside"):
+            grid.with_nodata([CellIndex(1, 1), CellIndex(*cell)])
+        assert not any(grid.is_nodata(CellIndex(r, c))
+                       for r in range(3) for c in range(3))
