@@ -9,7 +9,8 @@ A profile derives the two constants of its curve, ``slope_drop`` and
 ``load_factor``, once, so the law itself has no per-kind branch.
 ``edge`` is the one edge rule built on it. ``EdgeTable`` holds its
 answers for the 8 moves out of each cell of one grid for one profile; the
-local step rules and the simulation read every move from it.
+local step rules and the simulation read every move from it. Its entry is
+None for every move ``edge`` gives speed 0.0, so "closed" is one test.
 ``planner.astar`` repeats ``edge`` and ``speed`` inline, operation for
 operation, pinned bit for bit against the Dijkstra oracle
 (tests/test_planner.py). ``EdgeTable``'s row fill repeats ``edge``'s
@@ -20,7 +21,7 @@ differential test pins it against ``edge`` entry by entry
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field, replace
 
 from .terrain import (
@@ -34,8 +35,6 @@ ROLES = ("civilian", "hostile", "transport")
 # Floor for the linear slope curve before the max_slope cutoff applies.
 MIN_SLOPE_REDUCTION = 0.10
 
-IMPASSABLE = math.inf
-
 
 @dataclass(frozen=True)
 class AgentProfile:
@@ -44,7 +43,9 @@ class AgentProfile:
     ``reduction_at_ref`` (percent) applies to human profiles only;
     ``r_slope_at_ref`` and ``r_load`` (fractions) to animal profiles only.
     ``slope_drop`` (1 minus the reduction factor at ``ref_slope``) and
-    ``load_factor`` are derived from them and cannot be set.
+    ``load_factor`` are derived from them and cannot be set. The slowest
+    passable speed, ``speed`` at ``max_slope``, must be a normal float, so
+    every passable edge has a positive speed.
     """
 
     name: str
@@ -102,6 +103,9 @@ class AgentProfile:
             load_factor = self.r_load
         object.__setattr__(self, "slope_drop", slope_drop)
         object.__setattr__(self, "load_factor", load_factor)
+        if not speed(self, self.max_slope) >= sys.float_info.min:
+            raise ValueError(f"s_flat {self.s_flat!r} is too small: the speed"
+                             " at max_slope is 0.0 or subnormal")
 
 
 def speed(p: AgentProfile, slope: float) -> float:
@@ -238,15 +242,19 @@ class EdgeTable(dict):
     and a call of ``speed``.
 
     ``table[cell]`` is a tuple of 8 entries in action (``NEIGHBOR_OFFSETS``)
-    order. An entry is None where the neighbor is off the grid or nodata,
-    and otherwise ``(dest, time, speed, slope)``: the neighbor, the seconds
-    to walk there (``run / speed``, IMPASSABLE where ``speed`` is 0.0) and
-    ``edge``'s speed and slope. A cell's row is filled on its first read and
-    kept, which is exact because grids and profiles never change; a later
-    read is one dict lookup. A flat step (equal heights, not a sealed
-    corner) is ``(dest, run / v0, v0, 0.0)`` with ``v0 = speed(profile,
-    0.0)`` and the step's time at it made once per table: ``edge`` computes
-    the same, its slope being ``abs(±0.0) / run * 100 = +0.0``.
+    order. An entry is None for every move the agent cannot make, where
+    ``edge``'s speed is 0.0: off the grid or into nodata, out of an
+    off-grid or nodata source, across a sealed corner, or steeper than
+    ``max_slope``. Otherwise it is ``(dest, time, speed, slope)``: the
+    neighbor, the seconds to walk there (``run / speed``) and ``edge``'s
+    speed and slope; the speed is positive, as ``AgentProfile`` refuses a
+    profile whose speed at ``max_slope`` underflows. A cell's row is
+    filled on its first read and kept, which is exact because grids and
+    profiles never change; a later read is one dict lookup. A flat step
+    (equal heights, not a sealed corner) is ``(dest, run / v0, v0, 0.0)``
+    with ``v0 = speed(profile, 0.0)`` and the step's time at it made once
+    per table: ``edge`` computes the same, its slope being ``abs(±0.0) /
+    run * 100 = +0.0``.
     """
 
     __slots__ = ("grid", "profile", "v0", "steps")
@@ -260,8 +268,7 @@ class EdgeTable(dict):
         self.steps = []
         for dr, dc in NEIGHBOR_OFFSETS:
             run = grid.cellsize * (SQRT2 if dr and dc else 1.0)
-            self.steps.append((dr, dc, run,
-                               run / v0 if v0 > 0.0 else IMPASSABLE))
+            self.steps.append((dr, dc, run, run / v0))
 
     def __missing__(self, cell: CellIndex) -> tuple:
         grid, p, v0 = self.grid, self.profile, self.v0
@@ -270,25 +277,24 @@ class EdgeTable(dict):
         new = tuple.__new__  # a CellIndex without namedtuple's Python __new__
         r, c = cell
         # edge refuses every step out of an off-grid or nodata source
-        refused = not (0 <= r < nrows and 0 <= c < ncols
-                       and (va := flat[r * ncols + c]) != nodata)
+        if not (0 <= r < nrows and 0 <= c < ncols
+                and (va := flat[r * ncols + c]) != nodata):
+            row = self[cell] = (None,) * 8
+            return row
         row = []
         for dr, dc, run, flat_time in self.steps:
             rr, cc = r + dr, c + dc
             if not (0 <= rr < nrows and 0 <= cc < ncols
-                    and (vb := flat[rr * ncols + cc]) != nodata):
+                    and (vb := flat[rr * ncols + cc]) != nodata) or (
+                    dr and dc and flat[rr * ncols + c] == nodata
+                    and flat[r * ncols + cc] == nodata):
                 row.append(None)
-                continue
-            if refused or (dr and dc and flat[rr * ncols + c] == nodata
-                           and flat[r * ncols + cc] == nodata):
-                slope = v = 0.0
             elif vb == va:  # a flat edge: slope +0.0, speed v0
                 row.append((new(CellIndex, (rr, cc)), flat_time, v0, 0.0))
-                continue
             else:
                 slope = abs(vb - va) / run * 100.0
                 v = speed(p, slope)
-            row.append((new(CellIndex, (rr, cc)),
-                        run / v if v > 0.0 else IMPASSABLE, v, slope))
+                row.append((new(CellIndex, (rr, cc)), run / v, v, slope)
+                           if v else None)
         row = self[cell] = tuple(row)
         return row

@@ -22,10 +22,12 @@ bool]`` that ``detect_block``, ``build_local_state`` and ``greedy_step``
 take: the simulation passes ``World._blocker(agent)`` and a corridor
 episode its bar's own ``frozenset`` membership test, so no Python frame
 runs per query. The local step rules read a cell's 8 moves from an
-``agents.EdgeTable`` of the grid and profile, which carries both: the
-state code sets the bits of the off-grid/nodata (None) entries and asks
-the predicate only about the others, and ``greedy_step`` scores only
-the entries with a non-zero speed.
+``agents.EdgeTable`` of the grid and profile, whose entry is None for
+every move the agent cannot make (off the grid, nodata, a sealed corner,
+too steep). Every rule tests only that: the state code sets the bits of
+the None entries and asks the predicate only about the others,
+``greedy_step`` and ``follow_route`` take only open entries, and a
+corridor move into a None entry is a collision.
 """
 
 from __future__ import annotations
@@ -239,9 +241,10 @@ def build_local_state(
 ) -> int:
     """The state code around an agent, a row index of a value table.
 
-    Bit i (0-7, action order) is set when neighbor i is off the grid, a
-    nodata hole, or ``blocked``; bits 8-10 hold the waypoint direction and
-    bits 11-12 the deviation bucket (0, 1, 2 cells off-route, 3 for more).
+    Bit i (0-7, action order) is set when the move to neighbor i is closed
+    (a None entry of ``edges``) or the neighbor is ``blocked``; bits 8-10
+    hold the waypoint direction and bits 11-12 the deviation bucket (0, 1,
+    2 cells off-route, 3 for more).
     """
     code = 0
     for i, e in enumerate(edges[cell]):
@@ -286,20 +289,17 @@ def greedy_step(
     """Cheapest feasible move toward ``target``: edge time plus time bound.
 
     The moves out of ``at`` are scored in action order and the first strict
-    minimum wins. Impassable moves (speed 0.0 or off the grid) and
-    ``blocked`` cells are skipped; ACTION_STAY when no move is feasible.
+    minimum wins. Closed moves (None entries) and ``blocked`` cells are
+    skipped; ACTION_STAY when no move is feasible.
     """
     profile = edges.profile
     cellsize = edges.grid.cellsize
     best_action = ACTION_STAY
     best_cost = math.inf
     for a, e in enumerate(edges[at]):
-        if e is None:
+        if e is None or (blocked is not None and blocked(e[0])):
             continue
-        dest, step, v, _slope = e
-        if not v or (blocked is not None and blocked(dest)):
-            continue
-        cost = step + heuristic(dest, target, profile, cellsize)
+        cost = e[1] + heuristic(e[0], target, profile, cellsize)
         if cost < best_cost:
             best_cost = cost
             best_action = a
@@ -315,7 +315,7 @@ def follow_route(
     """Unblocked move along the committed route.
 
     On the route: take the plan edge (the true local cost minimum by
-    sub-path optimality of the global search) while its speed is non-zero.
+    sub-path optimality of the global search) while it is open.
     Off the route: the greedy step toward the tracked waypoint.
     """
     if waypoint_index >= len(plan.waypoints):
@@ -325,8 +325,7 @@ def follow_route(
         return ACTION_STAY
     if waypoint_index >= 1 and at == plan.waypoints[waypoint_index - 1]:
         a = OFFSET_TO_ACTION[(wp[0] - at[0], wp[1] - at[1])]
-        e = edges[at][a]
-        if e is not None and e[2]:
+        if edges[at][a] is not None:
             return a
     return greedy_step(edges, at, wp)
 
@@ -401,11 +400,11 @@ def _move(env: CorridorEnv, cell: CellIndex, a: int,
           bar: frozenset[CellIndex]) -> tuple[CellIndex, float] | None:
     """(destination, seconds) of action ``a`` out of ``cell``: a stay costs
     ``env.stay_time``; None when the move walks into ``bar`` or the
-    corridor wall (a None or speed-0 entry)."""
+    corridor wall (a None entry)."""
     if a == ACTION_STAY:
         return cell, env.stay_time
     e = env.edges[cell][a]
-    if e is None or not e[2] or e[0] in bar:
+    if e is None or e[0] in bar:
         return None
     return e[0], e[1]
 

@@ -262,19 +262,6 @@ class Pursuit:
 # World
 # ---------------------------------------------------------------------------
 
-class _Asked(dict):
-    """A decision's blocking query: ``_blocks`` asked once per cell."""
-
-    __slots__ = ("ask",)
-
-    def __init__(self, ask: Callable[[CellIndex], bool]):
-        self.ask = ask
-
-    def __missing__(self, cell: CellIndex) -> bool:
-        hit = self[cell] = self.ask(cell)
-        return hit
-
-
 class World:
     """Single-writer simulation state; agents are updated in id order."""
 
@@ -363,9 +350,8 @@ class World:
 
     def _blocker(self, agent: AgentRuntime) -> Callable[[CellIndex], bool]:
         """``_blocks`` for one decision of ``agent``, as the step rules'
-        predicate, asked once per cell: a decision reads one snapshot."""
-        return _Asked(partial(self._blocks, agent.id, agent.chase_partner,
-                              False)).__getitem__
+        predicate."""
+        return partial(self._blocks, agent.id, agent.chase_partner, False)
 
     # -- one simulation step --------------------------------------------------
 
@@ -502,21 +488,19 @@ class World:
                 blocked: Callable[[CellIndex], bool] | None = None) -> bool:
         """Start walking the edge of ``action``; False means stand instead.
 
-        The agent stands on ACTION_STAY, on an impassable edge, or on a
-        ``blocked`` destination (the later-ordered mover yields). Moves from
-        ``greedy_step`` pass no ``blocked``: it has skipped blocked cells.
+        The agent stands on ACTION_STAY, on a closed move (a None entry), or
+        on a ``blocked`` destination (the later-ordered mover yields). Moves
+        from ``greedy_step`` pass no ``blocked``: it has skipped blocked
+        cells.
         """
         e = None if action == ACTION_STAY else agent.edges[agent.cell][action]
-        if e is not None:
-            dest, _time, v, slope = e
-            if v and (blocked is None or not blocked(dest)):
-                agent.edge_source = agent.cell
-                agent.edge_target = dest
-                agent.edge_target_xy = self.grid.cell_center(dest)
-                agent.edge_speed = v
-                agent.edge_slope = slope
-                agent.last_action = ACTION_NAMES[action]
-                return True
+        if e is not None and (blocked is None or not blocked(e[0])):
+            dest, _time, agent.edge_speed, agent.edge_slope = e
+            agent.edge_source = agent.cell
+            agent.edge_target = dest
+            agent.edge_target_xy = self.grid.cell_center(dest)
+            agent.last_action = ACTION_NAMES[action]
+            return True
         agent.edge_speed = 0.0
         agent.last_action = "stay"
         return False

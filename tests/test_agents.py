@@ -1,11 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from terramob.agents import (
-    IMPASSABLE,
     MIN_SLOPE_REDUCTION,
     AgentProfile,
     EdgeTable,
@@ -180,12 +180,26 @@ class TestProfileValidation:
         })
         assert p.name == "scout" and p.role == "hostile"
 
+    @pytest.mark.parametrize("spec", [
+        {"base": "mule", "s_flat": 5e-324, "r_load": 0.5},  # speed 0.0
+        {"base": "mule", "s_flat": 5e-324, "r_load": 0.75},  # 5e-324
+        {"base": "fit_adults", "s_flat": 1e-308},  # subnormal at max_slope
+    ], ids=["zero", "smallest subnormal", "subnormal at max_slope"])
+    def test_refuses_a_speed_that_underflows(self, spec):
+        with pytest.raises(ValueError, match="s_flat"):
+            profile_from_spec(spec)
+
+    def test_every_passable_speed_is_normal(self):
+        p = profile_from_spec({"base": "fit_adults", "s_flat": 1e-300})
+        assert speed(p, p.max_slope) >= sys.float_info.min
+        assert speed(p, 0.0) == 1e-300
+
 
 def edge_time(p, grid, a, b):
     """Seconds to walk the edge a -> b: ``run / speed`` of ``edge``,
-    IMPASSABLE where its speed is 0.0."""
+    infinite where its speed is 0.0."""
     run, _slope, v = edge(p, grid, a, b)
-    return run / v if v > 0.0 else IMPASSABLE
+    return run / v if v > 0.0 else math.inf
 
 
 class TestEdgeTime:
@@ -203,12 +217,12 @@ class TestEdgeTime:
     def test_ox_cart_blocked_on_steep_step(self):
         grid = make_synthetic("ramp", nrows=3, ncols=5, cellsize=30.0, slope=25.0)
         p = builtin_profile("ox_cart")  # max_slope 15
-        assert edge_time(p, grid, CellIndex(1, 0), CellIndex(1, 1)) == IMPASSABLE
+        assert edge_time(p, grid, CellIndex(1, 0), CellIndex(1, 1)) == math.inf
 
     def test_nodata_endpoint_impassable(self, flat10):
         grid = flat10.with_nodata([CellIndex(0, 1)])
         p = builtin_profile("fit_adults")
-        assert edge_time(p, grid, CellIndex(0, 0), CellIndex(0, 1)) == IMPASSABLE
+        assert edge_time(p, grid, CellIndex(0, 0), CellIndex(0, 1)) == math.inf
 
     def test_non_adjacent_is_an_error(self, flat10):
         with pytest.raises(ValueError):
@@ -261,7 +275,8 @@ class TestEdgeTable:
         scales with the cellsize and on a plateau grid: passable steps
         (flat ones on the plateau), over-limit slopes, holes, sealed
         corners and sources off the grid or on a hole (speed 0 everywhere)
-        all occur."""
+        all occur. An entry is None exactly where the neighbor is off the
+        grid or nodata or ``edge``'s speed is 0.0."""
         for p in builtin_profiles():
             table = EdgeTable(grid, p)
             seen = set()
@@ -274,15 +289,17 @@ class TestEdgeTable:
                             assert e is None
                             continue
                         run, slope, v = edge(p, grid, a, b)
-                        want = run / v if v > 0.0 else IMPASSABLE
-                        assert type(e[0]) is CellIndex
-                        assert entry_bits(e) == entry_bits((b, want, v, slope))
+                        if v > 0.0:
+                            assert type(e[0]) is CellIndex
+                            assert entry_bits(e) == entry_bits(
+                                (b, run / v, v, slope))
+                            seen.add("flat" if grid.elevation(a)
+                                     == grid.elevation(b) else "passable")
+                            continue
+                        assert e is None
                         if not grid.traversable(a):
                             seen.add("off-grid source" if not grid.in_bounds(a)
                                      else "hole source")
-                        elif v > 0.0:
-                            seen.add("flat" if grid.elevation(a)
-                                     == grid.elevation(b) else "passable")
                         elif slope > p.max_slope:
                             seen.add("over limit")
                         else:

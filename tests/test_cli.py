@@ -293,6 +293,10 @@ class TestSimulate:
         {"base": "mule", "slope_drop": 0.5},
         {"name": "runner", "kind": "human", "s_flat": 3.0, "ref_slope": 15.0,
          "reduction_at_ref": 10.0, "load_factor": 0.5},
+        # speeds that underflow: to 0.0 on flat ground, and to the
+        # smallest subnormal
+        {"base": "mule", "s_flat": 5e-324, "r_load": 0.5},
+        {"base": "mule", "s_flat": 5e-324, "r_load": 0.75},
     ])
     @pytest.mark.parametrize("where", ["profiles[0]", "agents[0].profile",
                                        "transport.a"])

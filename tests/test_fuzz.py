@@ -29,9 +29,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from terramob.agents import (
-    IMPASSABLE, EdgeTable, builtin_profile, builtin_profiles, edge,
-)
+from terramob.agents import EdgeTable, builtin_profile, builtin_profiles, edge
 from terramob.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from terramob.local_adapt import (
     ACTION_STAY, ACTIONS, N_ACTIONS, N_DEVIATION_BUCKETS, N_STATES,
@@ -379,19 +377,20 @@ def test_report_exits_0_or_3(tmp_path_factory, doc):
 
 
 def _edge_time(profile, grid, a, b):
-    """Seconds to walk a -> b: ``run / speed`` of ``edge``, IMPASSABLE
+    """Seconds to walk a -> b: ``run / speed`` of ``edge``, infinite
     where its speed is 0.0."""
     run, _slope, v = edge(profile, grid, a, b)
-    return run / v if v > 0.0 else IMPASSABLE
+    return run / v if v > 0.0 else math.inf
 
 
-def _reference_state(grid, blocked, cell, plan, waypoint_index):
-    """``build_local_state`` as a loop over the 8 offsets, without an edge
-    table."""
+def _reference_state(grid, profile, blocked, cell, plan, waypoint_index):
+    """``build_local_state`` as a loop over the 8 offsets, on ``edge``: a
+    bit is set for a move at speed 0.0, and ``blocked`` is asked only
+    about the others."""
     code = 0
     for i, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
         nb = CellIndex(cell[0] + dr, cell[1] + dc)
-        if not grid.traversable(nb) or blocked(nb):
+        if edge(profile, grid, cell, nb)[2] == 0.0 or blocked(nb):
             code |= 1 << i
     wp = plan.waypoints[min(waypoint_index, len(plan.waypoints) - 1)]
     dev = min(deviation_cells(cell, plan), N_DEVIATION_BUCKETS - 1)
@@ -407,7 +406,7 @@ def _reference_greedy(grid, profile, at, target, blocked):
         if not grid.in_bounds(dest):
             continue
         step = _edge_time(profile, grid, at, dest)
-        if step == IMPASSABLE:
+        if step == math.inf:
             continue
         if blocked is not None and blocked(dest):
             continue
@@ -460,7 +459,8 @@ def test_local_step_rules_match_per_neighbor_loops(case):
         asked, ref_asked = [], []
         assert (build_local_state(edges, _asking(blocked_cells, asked), cell,
                                   plan, wi)
-                == _reference_state(grid, _asking(blocked_cells, ref_asked),
+                == _reference_state(grid, profile,
+                                    _asking(blocked_cells, ref_asked),
                                     cell, plan, wi))
         assert (greedy_step(edges, cell, target,
                             _asking(blocked_cells, asked))
@@ -469,9 +469,10 @@ def test_local_step_rules_match_per_neighbor_loops(case):
         assert asked == ref_asked
         assert (greedy_step(edges, cell, target)
                 == _reference_greedy(grid, profile, cell, target, None))
-    # every entry of every profile's table is agents.edge bit for bit
-    # (float.hex tells 0.0 from -0.0), and None exactly where the neighbor
-    # is off the grid or nodata; sources include the cells around the grid
+    # every entry of every profile's table is None exactly where
+    # agents.edge's speed is 0.0 (the neighbor off the grid or nodata
+    # included), and elsewhere agents.edge bit for bit (float.hex tells 0.0
+    # from -0.0); sources include the cells around the grid
     for p in builtin_profiles():
         table = EdgeTable(grid, p)
         for r in range(-1, grid.nrows + 1):
@@ -480,14 +481,13 @@ def test_local_step_rules_match_per_neighbor_loops(case):
                 assert len(table[a]) == len(NEIGHBOR_OFFSETS)
                 for e, (dr, dc) in zip(table[a], NEIGHBOR_OFFSETS):
                     b = CellIndex(r + dr, c + dc)
-                    if not grid.traversable(b):
+                    run, slope, v = edge(p, grid, a, b)
+                    if v == 0.0:
                         assert e is None
                         continue
-                    run, slope, v = edge(p, grid, a, b)
-                    time = run / v if v > 0.0 else IMPASSABLE
                     assert e[0] == b and type(e[0]) is CellIndex
                     assert [x.hex() for x in e[1:]] == [
-                        x.hex() for x in (time, v, slope)]
+                        x.hex() for x in (run / v, v, slope)]
 
 
 def _reference_write_trace_csv(records, f):
@@ -653,7 +653,7 @@ def _reference_train(env, weights, params):
         blocked = lambda cell, bar=bar: cell in bar  # noqa: E731
         wi = next(iter(bar)).col
         cell = plan.waypoints[wi - 1]
-        s = _reference_state(grid, blocked, cell, plan, wi)
+        s = _reference_state(grid, profile, blocked, cell, plan, wi)
         total_r, success, steps = 0.0, False, params.max_steps_per_episode
         for step in range(1, params.max_steps_per_episode + 1):
             if detect_block(blocked, plan, wi):
@@ -666,7 +666,7 @@ def _reference_train(env, weights, params):
                 dr, dc = ACTIONS[a]
                 dest = CellIndex(cell[0] + dr, cell[1] + dc)
                 move_time = _edge_time(profile, grid, cell, dest)
-                if move_time == IMPASSABLE or blocked(dest):
+                if move_time == math.inf or blocked(dest):
                     r = reward("collision", 0.0, weights)
                     total_r += r
                     _reference_q_update(q, s, a, r, s, params)
@@ -686,7 +686,7 @@ def _reference_train(env, weights, params):
             else:
                 r = reward("none", 0.0, weights)
             total_r += r
-            s_next = _reference_state(grid, blocked, cell, plan, wi)
+            s_next = _reference_state(grid, profile, blocked, cell, plan, wi)
             _reference_q_update(q, s, a, r, s_next, params)
             s = s_next
             if rejoined:

@@ -26,12 +26,14 @@ this golden pins that a position is never ``-0.0``.
 ``data/sim_golden_holes.json`` does the same for a 12x16 ``.asc`` grid
 with nodata holes, two sealed diagonal corners and three cells raised far
 steeper than any ``max_slope``, so the local step rules meet neighbours
-that are off the grid, nodata, or walkable at speed 0:
+that are off the grid, nodata, or too steep (all None entries of the
+edge table):
 
 - ``q1`` carries a table and is blocked beside a hole; its table picks the
   step into the hole, so it stands until the bar goes;
 - ``q2`` carries the same table and walks north from its bar to the foot
-  of a raised cell; its table picks the step up, which has speed 0, so it
+  of a raised cell; its state marks the step up closed, but that state's
+  row is all zero, so the argmax is still ``n``, the step up, and it
   stands there until the bar goes;
 - ``u1`` has no table and sidesteps a timed bar that has a hole on one
   side and the steep cell on the other;
