@@ -17,6 +17,7 @@ from .local_adapt import (
     CorridorEnv,
     LearningParams,
     RewardWeights,
+    bypass_move,
     evaluate_bypass,
     q_update,
     reward,

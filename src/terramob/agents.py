@@ -72,8 +72,8 @@ class AgentProfile:
             raise ValueError("s_flat must be positive")
         if not self.ref_slope > 0:
             raise ValueError("ref_slope must be positive")
-        if not self.max_slope > 0:
-            raise ValueError("max_slope must be positive")
+        if not 0 < self.max_slope <= sys.float_info.max:
+            raise ValueError("max_slope must be positive and finite")
         if not self.body_radius > 0:
             raise ValueError("body_radius must be positive")
         if not (self.load_kg >= 0 and self.vessels >= 0):  # NaN fails too
@@ -242,19 +242,16 @@ class EdgeTable(dict):
     and a call of ``speed``.
 
     ``table[cell]`` is a tuple of 8 entries in action (``NEIGHBOR_OFFSETS``)
-    order. An entry is None for every move the agent cannot make, where
-    ``edge``'s speed is 0.0: off the grid or into nodata, out of an
-    off-grid or nodata source, across a sealed corner, or steeper than
-    ``max_slope``. Otherwise it is ``(dest, time, speed, slope)``: the
-    neighbor, the seconds to walk there (``run / speed``) and ``edge``'s
-    speed and slope; the speed is positive, as ``AgentProfile`` refuses a
-    profile whose speed at ``max_slope`` underflows. A cell's row is
-    filled on its first read and kept, which is exact because grids and
-    profiles never change; a later read is one dict lookup. A flat step
-    (equal heights, not a sealed corner) is ``(dest, run / v0, v0, 0.0)``
-    with ``v0 = speed(profile, 0.0)`` and the step's time at it made once
-    per table: ``edge`` computes the same, its slope being ``abs(±0.0) /
-    run * 100 = +0.0``.
+    order. An entry is None where ``edge``'s speed is 0.0 (off the grid,
+    nodata, a sealed corner, steeper than ``max_slope``, or out of an
+    off-grid or nodata source), else ``(dest, run / speed, speed, slope)``
+    with ``edge``'s positive speed and slope. A cell's row is filled on its
+    first read and kept, which is exact because grids and profiles never
+    change; a later read is one dict lookup. A flat step (equal heights,
+    not a sealed corner) is ``(dest, run / v0, v0, 0.0)`` with ``v0 =
+    speed(profile, 0.0)`` and the step's time at it made once per table:
+    ``edge`` computes the same, its slope being ``abs(±0.0) / run * 100 =
+    +0.0``.
     """
 
     __slots__ = ("grid", "profile", "v0", "steps")

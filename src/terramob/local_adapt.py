@@ -10,12 +10,12 @@ randomized corridor episodes and frozen for simulation. While it trains,
 ``train_bypass`` holds the table as plain float lists, one per state
 visited, made on first read, and returns them as that array.
 ``q_update`` (the temporal-difference backup) and ``select_action`` (the
-first maximum of a row, or an exploring draw) are the one definition of
-each rule for training and simulation alike, and read a row of either
-kind. Both refuse what would otherwise fail late or silently:
-``q_update`` an action or a state outside the table (a negative state
-would wrap around), ``select_action`` an exploring ``epsilon > 0``
-without a generator ``rng``.
+first maximum of a row, or an exploring draw) are the training rules, and
+read a row of either kind. Both refuse what would otherwise fail late or
+silently: ``q_update`` an action or a state outside the table (a negative
+state would wrap around), ``select_action`` an exploring ``epsilon > 0``
+without a generator ``rng``. A simulated agent takes ``bypass_move``, the
+first maximum over the moves its state leaves open, if any is non-zero.
 
 "Obstructed" is decided by one blocking predicate, a ``Callable[[CellIndex],
 bool]`` that ``detect_block``, ``build_local_state`` and ``greedy_step``
@@ -190,6 +190,15 @@ def select_action(
     if isinstance(row, np.ndarray):
         row = row.tolist()
     return row.index(max(row))
+
+
+def bypass_move(q: np.ndarray, s: int) -> int | None:
+    """A frozen table's first maximum in state ``s`` over ACTION_STAY and
+    the moves whose bit (0-7) is clear; None if each of those is 0.0."""
+    row = q[s].tolist()
+    moves = [a for a in range(N_ACTIONS) if a == ACTION_STAY or not s >> a & 1]
+    values = [row[a] for a in moves]
+    return moves[values.index(max(values))] if any(values) else None
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,13 @@ from .local_adapt import (
     ACTION_STAY,
     MAX_SIM_STEPS,
     build_local_state,
+    bypass_move,
     detect_block,
     deviation_cells,
     follow_route,
     greedy_step,
     load_qtable,
     rejoin_check,
-    select_action,
 )
 from .planner import NoPathError, PathPlan
 from .terrain import (
@@ -466,15 +466,16 @@ class World:
         agent.last_chi = chi
         if chi:
             agent.mode = MODE_ADAPTING
-            if agent.qtable is None:
-                # untrained agents sidestep by cost instead of an all-zero
-                # row, toward the first waypoint not blocked (else the goal)
+            action = None if agent.qtable is None else bypass_move(
+                agent.qtable, build_local_state(
+                    agent.edges, blocked, agent.cell, plan, wi))
+            if action is None:
+                # with no table, or none for this state, sidestep by cost
+                # toward the first waypoint not blocked (else the goal)
                 aim = next((w for w in plan.waypoints[wi:] if not blocked(w)),
                            plan.waypoints[-1])
                 return self._commit(agent, greedy_step(
                     agent.edges, agent.cell, aim, blocked))
-            action = select_action(agent.qtable, build_local_state(
-                agent.edges, blocked, agent.cell, plan, wi))
         else:
             agent.mode = (
                 MODE_FOLLOWING
@@ -488,10 +489,9 @@ class World:
                 blocked: Callable[[CellIndex], bool] | None = None) -> bool:
         """Start walking the edge of ``action``; False means stand instead.
 
-        The agent stands on ACTION_STAY, on a closed move (a None entry), or
-        on a ``blocked`` destination (the later-ordered mover yields). Moves
-        from ``greedy_step`` pass no ``blocked``: it has skipped blocked
-        cells.
+        The agent stands on ACTION_STAY, on a None entry, or on a
+        ``blocked`` destination (the later-ordered mover yields). Moves from
+        ``greedy_step`` pass no ``blocked``: it has skipped blocked cells.
         """
         e = None if action == ACTION_STAY else agent.edges[agent.cell][action]
         if e is not None and (blocked is None or not blocked(e[0])):

@@ -189,6 +189,18 @@ class TestProfileValidation:
         with pytest.raises(ValueError, match="s_flat"):
             profile_from_spec(spec)
 
+    @pytest.mark.parametrize("spec", [
+        {"base": "elderly", "max_slope": math.inf, "reduction_at_ref": 0.0},
+        {"base": "mule", "max_slope": math.inf, "r_slope_at_ref": 1.0},
+        {"base": "mule", "max_slope": math.nan},
+    ], ids=["human", "animal", "nan"])
+    def test_refuses_a_max_slope_that_is_not_finite(self, spec):
+        # speed at an infinite max_slope is 1 - 0.0 * inf, NaN, even where
+        # the speed is s_flat on every slope
+        with pytest.raises(ValueError, match="max_slope must be positive"
+                                             " and finite"):
+            profile_from_spec(spec)
+
     def test_every_passable_speed_is_normal(self):
         p = profile_from_spec({"base": "fit_adults", "s_flat": 1e-300})
         assert speed(p, p.max_slope) >= sys.float_info.min

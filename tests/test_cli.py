@@ -297,6 +297,8 @@ class TestSimulate:
         # smallest subnormal
         {"base": "mule", "s_flat": 5e-324, "r_load": 0.5},
         {"base": "mule", "s_flat": 5e-324, "r_load": 0.75},
+        # json writes Infinity, which json.loads reads
+        {"base": "mule", "max_slope": float("inf"), "r_slope_at_ref": 1.0},
     ])
     @pytest.mark.parametrize("where", ["profiles[0]", "agents[0].profile",
                                        "transport.a"])

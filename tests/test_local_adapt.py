@@ -18,6 +18,7 @@ from terramob.local_adapt import (
     N_STATES,
     RewardWeights,
     build_local_state,
+    bypass_move,
     detect_block,
     deviation_cells,
     evaluate_bypass,
@@ -271,6 +272,47 @@ class TestSelectAction:
         q[40, :] += shift
         assert select_action(q, 40, 0.0,
                              np.random.default_rng(0)) == base
+
+
+class TestBypassMove:
+    """A frozen table's move skips the moves whose state bit is set:
+    closed or blocked."""
+
+    def test_first_maximum_among_open_moves(self):
+        q = zeros()
+        q[[0b101, 0b100], :] = [4.0, 1.0, 4.0, 1.0, 0.0, 0.0, 2.0, 0.0, -1.0]
+        assert bypass_move(q, 0b101) == 6  # n and e are closed
+        assert bypass_move(q, 0b100) == 0
+
+    def test_stay_is_never_closed(self):
+        q = zeros()
+        s = 0xFF | 5 << 8  # every move closed
+        q[s, :] = [3.0] * 8 + [-2.0]
+        assert bypass_move(q, s) == ACTION_STAY
+
+    @given(st.integers(0, N_STATES - 1),
+           st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]),
+                    min_size=N_ACTIONS, max_size=N_ACTIONS))
+    @settings(max_examples=300, deadline=None)
+    def test_never_a_move_whose_bit_is_set(self, s, values):
+        q = zeros()
+        q[s, :] = values
+        a = bypass_move(q, s)
+        open_moves = [b for b in range(N_ACTIONS)
+                      if b == ACTION_STAY or not s >> b & 1]
+        assert (a is None) == (not any(values[b] for b in open_moves))
+        if a is not None:
+            assert a in open_moves
+            assert values[a] == max(values[b] for b in open_moves)
+            assert all(values[b] < values[a] for b in open_moves if b < a)
+
+    @pytest.mark.parametrize("closed_value", [0.0, 7.0])
+    def test_none_when_every_open_entry_is_zero(self, closed_value):
+        # an untrained row, or one trained only on moves closed here
+        q = zeros()
+        s = 0b11 | 2 << 11
+        q[s, :2] = closed_value
+        assert bypass_move(q, s) is None
 
 
 # ---------------------------------------------------------------------------

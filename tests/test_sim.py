@@ -431,8 +431,9 @@ def _one_agent_outcome(work, values, cellsize, start, goal, bar, until,
 
 class TestTrainedAgentOnSteepGround:
     """A trained agent's state marks a move steeper than ``max_slope``
-    closed, as it marks a hole, so its table does not pick that move and
-    stand before it."""
+    closed, as it marks a hole; its table's move is the best open one, and
+    a state training never reached sidesteps by cost, so it does not stand
+    before a closed move."""
 
     def test_steep_rows_beside_the_bar(self, trained_dir):
         # a 7 x 20 grid of 30 m cells whose rows 4-6 stand 100 m high
@@ -455,13 +456,12 @@ class TestTrainedAgentOnSteepGround:
             [[2, 5], [3, 5], [4, 5]], 1000.0, 600)
         assert outcome == "arrived"
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 4, hole 2: south of the bar the spike's closed bit "
-        "gives a state this short training never reached; its all-zero "
-        "row picks n, into the bar, and the agent stands"))
     def test_short_table_beside_a_spike_and_a_one_cell_bar(self, tmp_path):
         # the packaging smoke test's steep scenario: the benchmark's table
-        # and a 9 m spike at (5,5)
+        # and a 9 m spike at (5,5). South of the bar the spike's closed bit
+        # gives a state this short training never reached; its row is all
+        # zero, so the agent sidesteps by cost instead of walking n into
+        # the bar.
         assert main(["train", "--episodes", "100", "--epsilon-decay", "40",
                      "--seed", "7", "--out", str(tmp_path / "qt")]) == 0
         values = np.zeros((7, 10))

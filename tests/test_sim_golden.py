@@ -29,12 +29,13 @@ steeper than any ``max_slope``, so the local step rules meet neighbours
 that are off the grid, nodata, or too steep (all None entries of the
 edge table):
 
-- ``q1`` carries a table and is blocked beside a hole; its table picks the
-  step into the hole, so it stands until the bar goes;
-- ``q2`` carries the same table and walks north from its bar to the foot
-  of a raised cell; its state marks the step up closed, but that state's
-  row is all zero, so the argmax is still ``n``, the step up, and it
-  stands there until the bar goes;
+- ``q1`` carries a table and is blocked beside a hole. Its state marks the
+  hole closed and its row is all zero, so it sidesteps by cost, south; one
+  cell off the route a trained row sends it north again, and it goes back
+  and forth until the bar goes;
+- ``q2`` carries the same table and is blocked below a raised cell; it
+  goes back and forth in the same way, one cell north and back, until its
+  bar goes;
 - ``u1`` has no table and sidesteps a timed bar that has a hole on one
   side and the steep cell on the other;
 - ``p1`` chases ``t1`` around a hole pair whose sealed corner lies beside
