@@ -14,8 +14,9 @@ first maximum of a row, or an exploring draw) are the training rules, and
 read a row of either kind. Both refuse what would otherwise fail late or
 silently: ``q_update`` an action or a state outside the table (a negative
 state would wrap around), ``select_action`` an exploring ``epsilon > 0``
-without a generator ``rng``. A simulated agent takes ``bypass_move``, the
-first maximum over the moves its state leaves open, if any is non-zero.
+without a generator ``rng``. ``local_step`` is the run-time rule of a route
+follower, simulated or held out: the route, else the table's best open
+move, else a sidestep by cost.
 
 "Obstructed" is decided by one blocking predicate, a ``Callable[[CellIndex],
 bool]`` that ``detect_block``, ``build_local_state`` and ``greedy_step``
@@ -325,18 +326,34 @@ def follow_route(
 
     On the route: take the plan edge (the true local cost minimum by
     sub-path optimality of the global search) while it is open.
-    Off the route: the greedy step toward the tracked waypoint.
+    Off the route: the greedy step toward the tracked waypoint, which is
+    never ``at``: arriving there rejoins past it (``rejoin_check``).
     """
-    if waypoint_index >= len(plan.waypoints):
-        return ACTION_STAY
     wp = plan.waypoints[waypoint_index]
-    if at == wp:
-        return ACTION_STAY
     if waypoint_index >= 1 and at == plan.waypoints[waypoint_index - 1]:
         a = OFFSET_TO_ACTION[(wp[0] - at[0], wp[1] - at[1])]
         if edges[at][a] is not None:
             return a
     return greedy_step(edges, at, wp)
+
+
+def local_step(q: np.ndarray | None, edges: EdgeTable,
+               blocked: Callable[[CellIndex], bool], cell: CellIndex,
+               plan: PathPlan, waypoint_index: int) -> tuple[bool, int]:
+    """(chi, action) of a route follower carrying the frozen table ``q``
+    (or None). chi is ``detect_block``; while it holds, the move is
+    ``bypass_move``'s, or with no table or none for this state, a
+    ``greedy_step`` sidestep toward the first waypoint not blocked (else
+    the goal). Otherwise the move is ``follow_route``'s."""
+    if not detect_block(blocked, plan, waypoint_index):
+        return False, follow_route(plan, waypoint_index, edges, cell)
+    action = None if q is None else bypass_move(
+        q, build_local_state(edges, blocked, cell, plan, waypoint_index))
+    if action is None:
+        aim = next((w for w in plan.waypoints[waypoint_index:]
+                    if not blocked(w)), plan.waypoints[-1])
+        action = greedy_step(edges, cell, aim, blocked)
+    return True, action
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +435,9 @@ def _move(env: CorridorEnv, cell: CellIndex, a: int,
     return e[0], e[1]
 
 
-def _rollout(env: CorridorEnv, q: QRows,
+def _rollout(env: CorridorEnv, q: np.ndarray,
              bar: frozenset[CellIndex]) -> tuple[bool, bool, float]:
-    """Greedy rollout of the whole route past ``bar``, computing no reward.
+    """Whole-route rollout past ``bar`` by ``local_step``, with no reward.
 
     Ends at the goal, on collision or after 6 steps per waypoint; returns
     (success, collided, elapsed seconds).
@@ -430,11 +447,7 @@ def _rollout(env: CorridorEnv, q: QRows,
     cell, wi, elapsed = plan.waypoints[0], 1, 0.0
     goal = plan.waypoints[-1]
     for _ in range(6 * len(plan.waypoints)):
-        if detect_block(blocked, plan, wi):
-            a = select_action(
-                q, build_local_state(edges, blocked, cell, plan, wi))
-        else:
-            a = follow_route(plan, wi, edges, cell)
+        _chi, a = local_step(q, edges, blocked, cell, plan, wi)
         move = _move(env, cell, a, bar)
         if move is None:
             return False, True, elapsed
@@ -457,7 +470,8 @@ def _train_episode(env: CorridorEnv, q: QRows, bar: frozenset[CellIndex],
     It starts on the cell before the bar, so the agent is bypassing from
     its first step; every step is rewarded and backed up into ``q``, and
     the episode ends on rejoin, collision or
-    ``params.max_steps_per_episode`` steps.
+    ``params.max_steps_per_episode`` steps. Every step is a table step: the
+    bar covers waypoint ``wi``, which moves only on the rejoin that ends it.
     """
     edges, plan = env.edges, env.plan
     blocked = bar.__contains__
@@ -466,10 +480,7 @@ def _train_episode(env: CorridorEnv, q: QRows, bar: frozenset[CellIndex],
     s = build_local_state(edges, blocked, cell, plan, wi)
     total_r = 0.0
     for step in range(1, params.max_steps_per_episode + 1):
-        if detect_block(blocked, plan, wi):
-            a = select_action(q, s, epsilon, rng)
-        else:
-            a = follow_route(plan, wi, edges, cell)
+        a = select_action(q, s, epsilon, rng)
         move = _move(env, cell, a, bar)
         if move is None:
             r = reward("collision", 0.0, weights)

@@ -110,7 +110,9 @@ def astar(
     The default objective minimizes total traversal time; ``"distance"``
     minimizes path length in meters instead (same impassability rules).
     Raises NoPathError when the goal cannot be reached, ValueError when an
-    endpoint is not traversable. start == goal yields the trivial plan.
+    endpoint is not traversable or when the longest route's time at the
+    slowest speed is not finite (an overflow would read as no path).
+    start == goal yields the trivial plan.
 
     Nodes are flat ids ``row * ncols + col``, and grid values are read one
     at a time from ``grid.flat``, the grid's zero-copy view built with the
@@ -136,6 +138,12 @@ def astar(
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
+    # no simple route is longer than every cell at a diagonal's run
+    longest = grid.nrows * grid.ncols * grid.cellsize * SQRT2
+    if not math.isfinite(longest / speed(p, p.max_slope)):
+        raise ValueError(f"a route over {grid.nrows}x{grid.ncols} cells of "
+                         f"{grid.cellsize!r} m for {p.name} would take "
+                         "longer than a float can hold")
 
     start = CellIndex(int(start[0]), int(start[1]))
     goal = CellIndex(int(goal[0]), int(goal[1]))

@@ -27,13 +27,10 @@ from .local_adapt import (
     ACTION_NAMES,
     ACTION_STAY,
     MAX_SIM_STEPS,
-    build_local_state,
-    bypass_move,
-    detect_block,
     deviation_cells,
-    follow_route,
     greedy_step,
     load_qtable,
+    local_step,
     rejoin_check,
 )
 from .planner import NoPathError, PathPlan
@@ -405,7 +402,8 @@ class World:
             dx = tx - x
             dy = ty - y
             dist = math.hypot(dx, dy)
-            t_need = dist / agent.edge_speed if agent.edge_speed > 0 else math.inf
+            # edge_speed > 0 with a target: _commit, "close", walk-back
+            t_need = dist / agent.edge_speed
             # effort_accrual and cell_of_point inlined, op for op
             if t_need <= remaining:
                 agent.position = (tx, ty)
@@ -457,32 +455,14 @@ class World:
                 agent.edges, agent.cell, agent.chase_cell,
                 self._blocker(agent)))
 
+        # a deciding route follower has a plan and a waypoint ahead
         plan = agent.plan
-        wi = agent.waypoint_index
-        if plan is None or wi >= len(plan.waypoints):
-            return self._commit(agent, ACTION_STAY)
         blocked = self._blocker(agent)
-        chi = detect_block(blocked, plan, wi)
+        chi, action = local_step(agent.qtable, agent.edges, blocked,
+                                 agent.cell, plan, agent.waypoint_index)
         agent.last_chi = chi
-        if chi:
-            agent.mode = MODE_ADAPTING
-            action = None if agent.qtable is None else bypass_move(
-                agent.qtable, build_local_state(
-                    agent.edges, blocked, agent.cell, plan, wi))
-            if action is None:
-                # with no table, or none for this state, sidestep by cost
-                # toward the first waypoint not blocked (else the goal)
-                aim = next((w for w in plan.waypoints[wi:] if not blocked(w)),
-                           plan.waypoints[-1])
-                return self._commit(agent, greedy_step(
-                    agent.edges, agent.cell, aim, blocked))
-        else:
-            agent.mode = (
-                MODE_FOLLOWING
-                if deviation_cells(agent.cell, plan) == 0
-                else MODE_ADAPTING
-            )
-            action = follow_route(plan, wi, agent.edges, agent.cell)
+        agent.mode = (MODE_ADAPTING if chi or deviation_cells(agent.cell, plan)
+                      else MODE_FOLLOWING)
         return self._commit(agent, action, blocked)
 
     def _commit(self, agent: AgentRuntime, action: int,
@@ -490,8 +470,8 @@ class World:
         """Start walking the edge of ``action``; False means stand instead.
 
         The agent stands on ACTION_STAY, on a None entry, or on a
-        ``blocked`` destination (the later-ordered mover yields). Moves from
-        ``greedy_step`` pass no ``blocked``: it has skipped blocked cells.
+        ``blocked`` destination (the later-ordered mover yields). A chase
+        passes no ``blocked``: its ``greedy_step`` skipped blocked cells.
         """
         e = None if action == ACTION_STAY else agent.edges[agent.cell][action]
         if e is not None and (blocked is None or not blocked(e[0])):

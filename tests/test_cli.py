@@ -406,6 +406,68 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "--dt" in err
 
+    def test_dt_flag_sets_the_step(self, tmp_path):
+        cfg = write_scenario(tmp_path)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--dt", "0.5",
+                     "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "report.json").read_text())["dt"] == 0.5
+        rows = (out / "traces" / "walker.csv").read_text().splitlines()[1:]
+        times = [float(row.split(",")[0]) for row in rows]
+        assert len(times) > 2
+        assert all(b - a == 0.5 for a, b in zip(times, times[1:]))
+
+    def test_obstacle_off_the_grid_is_exit_3(self, tmp_path, capsys):
+        obj = json.loads(json.dumps(SCENARIO))
+        obj["obstacles"] = [{"cells": [[13, 0]], "schedule": [[0, 10]]}]
+        cfg = write_scenario(tmp_path, obj)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            "error: obstacle cell (13, 0) out of bounds\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_route_time_that_overflows_is_exit_3(self, tmp_path, capsys):
+        # an open flat grid, but a route across it at this speed takes
+        # longer than a float holds: refused, not reported as no_path
+        cfg = write_scenario(tmp_path, {
+            "terrain": {"recipe": "flat", "nrows": 3, "ncols": 3,
+                        "cellsize": 1e10},
+            "agents": [{"id": "a", "profile": {"base": "fit_adults",
+                                               "s_flat": 1e-300},
+                        "start": [0, 0], "goal": [2, 2]}],
+            "sim": {"dt": 1.0, "max_sim_time": 60, "seed": 1},
+        })
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            "error: a route over 3x3 cells of 10000000000.0 m for fit_adults"
+            " would take longer than a float can hold\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"base": "fit_adults", "kind": "robot"}, "unknown kind 'robot'"),
+        ({"base": "fit_adults", "role": "pilot"}, "unknown role 'pilot'"),
+        ({"base": "fit_adults", "s_flat": 0.0}, "s_flat must be positive"),
+        ({"base": "fit_adults", "ref_slope": -15.0},
+         "ref_slope must be positive"),
+        ({"base": "fit_adults", "body_radius": 0.0},
+         "body_radius must be positive"),
+        ({"base": "mule", "r_slope_at_ref": 0.0},
+         "r_slope_at_ref must be in (0, 1]"),
+        ({"base": "mule", "r_load": 1.5}, "r_load must be in (0, 1]"),
+        ({"base": "mule", "reduction_at_ref": 20.0},
+         "animal profile takes no reduction_at_ref"),
+    ])
+    def test_profile_refusal_names_its_field(self, tmp_path, capsys, spec,
+                                             message):
+        obj = json.loads(json.dumps(SCENARIO))
+        obj["profiles"] = [spec]
+        cfg = write_scenario(tmp_path, obj)
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: profiles[0]: {message}\n"
+
     def test_bad_json_is_exit_3(self, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{nope")
@@ -543,6 +605,40 @@ class TestMalformedInput:
         assert capsys.readouterr().err == (
             "error: cellsize must be positive and finite\n")
 
+    @pytest.mark.parametrize("recipe, message", [
+        ("flat:nrows=0,ncols=3", "nrows and ncols must be positive"),
+        ("ramp:slope=-1,nrows=3,ncols=3", "ramp slope must be non-negative"),
+        ("ramp:slope=5,axis=z,nrows=3,ncols=3",
+         "ramp axis must be 'x' or 'y'"),
+        ("ridge:height=0,position=1,nrows=3,ncols=3",
+         "ridge height must be positive"),
+        ("ridge:height=5,position=3,nrows=3,ncols=3",
+         "ridge position out of range"),
+        ("cone:peak=5,radius=0,nrows=3,ncols=3",
+         "cone peak and radius must be positive"),
+        ("two_corridor:gentle=5,steep=5,nrows=3,ncols=5",
+         "need 0 <= gentle < steep"),
+        ("two_corridor:gentle=5,steep=9,nrows=3,ncols=6",
+         "two_corridor needs nrows >= 3 and odd ncols >= 5"),
+        ("dune:nrows=3,ncols=3",
+         "unknown recipe 'dune'; expected one of ('flat', 'ramp', 'ridge',"
+         " 'cone', 'two_corridor')"),
+        ("flat:h=0,slope=2,nrows=3,ncols=3",
+         "unexpected recipe parameter(s): ['slope']"),
+        ("flat:xll=inf,nrows=3,ncols=3", "grid origin must be finite"),
+        ("flat:nodata=nan,nrows=3,ncols=3", "nodata sentinel must be finite"),
+        ("flat:h=0,nrows=3,ncols=3,cellsize=1e308",
+         "a route over 3x3 cells of 1e+308 m for fit_adults would take"
+         " longer than a float can hold"),
+    ])
+    def test_recipe_refusal_is_exit_3(self, tmp_path, capsys, recipe,
+                                      message):
+        assert main(["plan", "--terrain", recipe, "--profile", "fit_adults",
+                     "--start", "0,0", "--goal", "2,2",
+                     "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("recipe, key", [
         ("flat:h=0,nrows=5.5,ncols=5", "nrows"),
         ("ridge:height=40,position=2.7,nrows=8,ncols=9", "position"),
@@ -612,6 +708,15 @@ class TestReport:
         path.write_text(json.dumps({"schema": "something/else"}))
         assert main(["report", str(path)]) == EXIT_BAD_INPUT
 
+    def test_comparisons_not_a_list_is_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps({"schema": "terramob.simreport/1",
+                                    "comparisons": {"a": 1}}))
+        assert main(["report", str(path)]) == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == "error: 'comparisons' must be a list\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("comparisons", [
         [1],
         [{"a_duration_s": float("inf")}],  # written as JSON Infinity
@@ -653,6 +758,18 @@ class TestTrain:
         rc = main(["train", "--alpha", "1.5", "--out", str(tmp_path)])
         assert rc == EXIT_BAD_INPUT
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epsilon-decay", "-1", "epsilon_decay_episodes must be non-negative"),
+        ("--episodes", "-1", "episodes must be non-negative"),
+        ("--max-steps", "0", "max_steps_per_episode must be positive"),
+    ])
+    def test_bad_episode_counts_are_exit_3(self, tmp_path, capsys, flag,
+                                           value, message):
+        rc = main(["train", flag, value, "--out", str(tmp_path / "out")])
+        assert rc == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--r-delay", "nan", "delay_per_second"),

@@ -158,6 +158,21 @@ class TestOptimality:
         assert plan.total_time == dijkstra_oracle(flat10, p, CellIndex(0, 0),
                                                   CellIndex(9, 9))
 
+    def test_oracle_refuses_bad_input(self, flat10):
+        p = builtin_profile("mule")
+        holed = flat10.with_nodata([CellIndex(4, 4)])
+        with pytest.raises(ValueError, match="objective must be one of"):
+            dijkstra_all(flat10, p, CellIndex(0, 0), objective="vibes")
+        with pytest.raises(ValueError, match=r"^source cell \(4, 4\) is not"
+                                             " traversable$"):
+            dijkstra_all(holed, p, CellIndex(4, 4))
+        with pytest.raises(ValueError, match=r"^source cell \(4, 4\) is not"
+                                             " traversable$"):
+            dijkstra_oracle(holed, p, CellIndex(4, 4), CellIndex(0, 0))
+        with pytest.raises(ValueError, match=r"^goal cell \(4, 4\) is not"
+                                             " traversable$"):
+            dijkstra_oracle(holed, p, CellIndex(0, 0), CellIndex(4, 4))
+
     def test_oracle_no_path(self, flat10):
         grid = flat10.with_nodata([CellIndex(r, 5) for r in range(10)])
         with pytest.raises(NoPathError):
@@ -205,6 +220,26 @@ class TestDistanceObjective:
         mid = grid.nrows // 2
         assert all(w.row == mid for w in by_dist.waypoints)
         assert by_time.total_time <= by_dist.total_time
+
+    def test_a_route_time_that_overflows_is_refused(self):
+        # open flat ground: a sum of edge times that reached inf would read
+        # as no path, so a grid on which one can is refused up front
+        p = builtin_profile("fit_adults")
+        start, goal = CellIndex(0, 0), CellIndex(2, 2)
+        huge = make_synthetic("flat", nrows=3, ncols=3, cellsize=1e308, h=0.0)
+        slow = profile_from_spec({"base": "fit_adults", "s_flat": 1e-300})
+        wide = make_synthetic("flat", nrows=3, ncols=3, cellsize=1e10, h=0.0)
+        for grid, profile in ((huge, p), (wide, slow)):
+            for objective in ("time", "distance"):
+                with pytest.raises(ValueError,
+                                   match="would take longer than a float"):
+                    astar(grid, profile, start, goal, objective)
+        big = make_synthetic("flat", nrows=3, ncols=3, cellsize=1e300, h=0.0)
+        plan, _ = astar(big, p, start, goal)
+        assert plan.total_time == 2 * (1e300 * SQRT2 / 1.5)
+        plan, _ = astar(wide, profile_from_spec(
+            {"base": "fit_adults", "s_flat": 1e-290}), start, goal)
+        assert math.isfinite(plan.total_time)
 
     def test_unknown_objective(self, flat10):
         with pytest.raises(ValueError, match="objective"):

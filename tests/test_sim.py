@@ -847,6 +847,12 @@ class TestPursuit:
 
 
 class TestTransport:
+    def test_needs_a_transport_section(self):
+        cfg = flat_cfg()
+        with pytest.raises(ConfigError, match="^config has no transport"
+                                              " section$"):
+            compare_transport(cfg)
+
     def test_two_corridor_comparison(self):
         cfg = ScenarioConfig.from_dict({
             "terrain": {"recipe": "two_corridor", "nrows": 13, "ncols": 21,

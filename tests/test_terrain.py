@@ -422,6 +422,19 @@ class TestLineOfSight:
 # ---------------------------------------------------------------------------
 
 class TestViewshed:
+    def test_origin_must_be_traversable(self, flat10):
+        holed = flat10.with_nodata([CellIndex(5, 5)])
+        for grid, origin in ((holed, CellIndex(5, 5)),
+                             (flat10, CellIndex(10, 0))):
+            with pytest.raises(ValueError, match="^viewshed origin must be a"
+                                                 " traversable cell$"):
+                viewshed(grid, origin, radius=100.0)
+
+    @pytest.mark.parametrize("radius", [0.0, -30.0, math.nan])
+    def test_radius_must_be_positive(self, flat10, radius):
+        with pytest.raises(ValueError, match="^radius must be positive$"):
+            viewshed(flat10, CellIndex(5, 5), radius=radius)
+
     def test_flat_grid_mask_is_radius_disc(self, flat10):
         mask = viewshed(flat10, CellIndex(5, 5), radius=100.0)
         for r in range(10):
@@ -560,6 +573,12 @@ class TestSynthetic:
 # ---------------------------------------------------------------------------
 
 class TestElevationGrid:
+    @pytest.mark.parametrize("ncols, nrows", [(0, 3), (3, -1)])
+    def test_dimensions_must_be_positive(self, ncols, nrows):
+        with pytest.raises(ValueError,
+                           match="^grid dimensions must be positive$"):
+            ElevationGrid(ncols, nrows, 0.0, 0.0, 30.0, -9999.0, np.zeros(0))
+
     def test_values_are_read_only(self, flat10):
         with pytest.raises(ValueError):
             flat10.values[0, 0] = 1.0
