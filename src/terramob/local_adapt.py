@@ -393,7 +393,9 @@ class CorridorEnv:
     across it at a random column, which stays for the whole episode. The
     corridor never changes: the episode code takes the bar as an argument
     and its blocking predicate is the bar's own membership test, so a
-    query runs no Python frame.
+    query runs no Python frame. All it keeps is ``oracle_times``, each
+    bar's replanning time once ``oracle_time`` first asks for it; at most
+    120 bars can be drawn.
     """
 
     def __init__(self, profile: AgentProfile):
@@ -407,6 +409,7 @@ class CorridorEnv:
             self.grid, profile, CellIndex(self.mid, 0),
             CellIndex(self.mid, self.grid.ncols - 1))
         self.stay_time = self.plan.edge_times[0]  # one flat edge
+        self.oracle_times: dict[frozenset[CellIndex], float] = {}
 
     def sample_obstacle(self, rng: np.random.Generator) -> frozenset[CellIndex]:
         """Vertical bar across the route, always leaving a gap on both sides."""
@@ -417,9 +420,18 @@ class CorridorEnv:
         else:
             center = self.mid
         half = height // 2
-        rows = range(max(0, center - half),
-                     min(self.grid.nrows - 1, center + half) + 1)
-        return frozenset(CellIndex(r, col) for r in rows)
+        return frozenset(CellIndex(r, col)
+                         for r in range(center - half, center + half + 1))
+
+    def oracle_time(self, bar: frozenset[CellIndex]) -> float:
+        """Route time of an A* replan with ``bar`` masked, run once per bar."""
+        t = self.oracle_times.get(bar)
+        if t is None:
+            plan, _stats = planner.astar(
+                self.grid.with_nodata(bar), self.profile,
+                self.plan.waypoints[0], self.plan.waypoints[-1])
+            t = self.oracle_times[bar] = plan.total_time
+        return t
 
 
 def _move(env: CorridorEnv, cell: CellIndex, a: int,
@@ -541,13 +553,13 @@ def evaluate_bypass(
 ) -> BypassEvaluation:
     """Greedy full-route rollouts on fresh bar placements.
 
-    Each instance also solves a reference plan by A* on a grid with the bar
-    punched out, so callers can compare the bypass detour against full
-    replanning. A rollout is a pure function of ``q`` and the bar, and the
-    reference plan of the bar, so each distinct bar is rolled out and
-    replanned once per call; a bar drawn again gets a new instance with
-    the first one's values. Nothing is kept between calls. ``episodes``
-    must be non-negative.
+    Each instance also carries the bar's replanning time,
+    ``env.oracle_time``, so callers can compare the bypass detour against
+    full replanning; ``env`` keeps that time, so each distinct bar is
+    replanned once over all calls on it. A rollout is a pure function of
+    ``q`` and the bar, so each distinct bar is rolled out once per call; a
+    bar drawn again gets a new instance with the first one's values.
+    ``episodes`` must be non-negative.
     """
     if episodes < 0:
         raise ValueError("episodes must be non-negative")
@@ -562,11 +574,8 @@ def evaluate_bypass(
         values = scored.get(bar)
         if values is None:
             success, collided, elapsed = _rollout(env, q, bar)
-            oracle_plan, _stats = planner.astar(
-                env.grid.with_nodata(bar), env.profile,
-                env.plan.waypoints[0], env.plan.waypoints[-1])
             values = scored[bar] = (
-                elapsed, oracle_plan.total_time, success, collided)
+                elapsed, env.oracle_time(bar), success, collided)
         instances.append(BypassInstance(*values))
         successes += values[2]
         collisions += values[3]

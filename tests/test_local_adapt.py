@@ -563,6 +563,30 @@ class TestCorridorEnv:
                    and 0 <= c.col < env.grid.ncols}
         assert on_grid == bar
 
+    def test_the_draws_are_the_120_bars(self):
+        # 24 columns x (one 1-cell, three 3-cell, one 5-cell placement):
+        # the bound of the corridor's oracle memo
+        env = CorridorEnv(builtin_profile("fit_adults"))
+        m = env.mid
+        spans = [(m, m), (m - 2, m), (m - 1, m + 1), (m, m + 2),
+                 (m - 2, m + 2)]
+        bars = {frozenset(CellIndex(r, col) for r in range(lo, hi + 1))
+                for col in range(3, env.grid.ncols - 3) for lo, hi in spans}
+        assert len(bars) == 120
+        rng = np.random.default_rng(0)
+        assert {env.sample_obstacle(rng) for _ in range(5000)} == bars
+
+    @pytest.mark.parametrize("name", ["fit_adults", "mule"])
+    def test_every_oracle_time_is_the_uniform_cost_optimum(self, name):
+        env = CorridorEnv(builtin_profile(name))
+        rng = np.random.default_rng(0)
+        bars = {env.sample_obstacle(rng) for _ in range(5000)}
+        start, goal = env.plan.waypoints[0], env.plan.waypoints[-1]
+        for bar in bars:
+            assert env.oracle_time(bar) == planner.dijkstra_oracle(
+                env.grid.with_nodata(bar), env.profile, start, goal)
+        assert env.oracle_times.keys() == bars
+
     def test_episodes_leave_the_corridor_unchanged(self):
         # the corridor is a constant: each episode's bar is an argument
         env = CorridorEnv(builtin_profile("fit_adults"))
@@ -668,6 +692,19 @@ class TestTraining:
             LearningParams(epsilon_start=1.5)
 
 
+def count_astar(monkeypatch):
+    """The grid of each ``planner.astar`` call made from now on."""
+    calls = []
+    real_astar = planner.astar
+
+    def counted(grid, *args):
+        calls.append(grid)
+        return real_astar(grid, *args)
+
+    monkeypatch.setattr(planner, "astar", counted)
+    return calls
+
+
 class TestEvaluateBypass:
     @pytest.fixture(scope="class")
     def trained(self):
@@ -682,14 +719,7 @@ class TestEvaluateBypass:
         rng = np.random.default_rng(99)
         bars = [env.sample_obstacle(rng) for _ in range(200)]
         assert len(set(bars)) < len(bars) / 2  # most bars come back
-        calls = []
-        real_astar = planner.astar
-
-        def counted(grid, *args):
-            calls.append(grid)
-            return real_astar(grid, *args)
-
-        monkeypatch.setattr(planner, "astar", counted)
+        calls = count_astar(monkeypatch)
         ev = evaluate_bypass(trained, env, episodes=200, seed=99)
         assert len(calls) == len(set(bars))
         # a new instance per episode, each equal to its own bar's scoring
@@ -706,6 +736,26 @@ class TestEvaluateBypass:
         assert ev.successes == sum(i.success for i in ev.instances)
         assert ev.collisions == sum(i.collided for i in ev.instances)
         assert 0 < ev.successes < 200  # both outcomes are pinned
+
+    def test_the_corridor_replans_each_bar_once_over_calls(
+            self, trained, monkeypatch):
+        env = CorridorEnv(builtin_profile("fit_adults"))
+        first, then = ({env.sample_obstacle(rng) for _ in range(60)}
+                       for rng in map(np.random.default_rng, (5, 6)))
+        assert first & then  # the two calls share bars
+        calls = count_astar(monkeypatch)
+        evaluate_bypass(trained, env, episodes=60, seed=5)
+        second = evaluate_bypass(trained, env, episodes=60, seed=6)
+        assert len(calls) == len(first | then)
+        monkeypatch.undo()
+        alone = evaluate_bypass(trained, CorridorEnv(env.profile),
+                                episodes=60, seed=6)
+
+        def hexed(ev):
+            return [(i.hybrid_time.hex(), i.oracle_time.hex(), i.success,
+                     i.collided) for i in ev.instances]
+
+        assert hexed(second) == hexed(alone)
 
     def test_a_table_that_picks_the_bar_sidesteps_it(self):
         # the row of the first blocked state holds only the step into the
