@@ -14,7 +14,9 @@ first maximum of a row, or an exploring draw) are the training rules, and
 read a row of either kind. Both refuse what would otherwise fail late or
 silently: ``q_update`` an action or a state outside the table (a negative
 state would wrap around), ``select_action`` an exploring ``epsilon > 0``
-without a generator ``rng``. ``local_step`` is the run-time rule of a route
+without a generator ``rng``. A training episode runs inlined copies of
+both and of ``reward``, and computes each cell's state code and deviation
+once per episode. ``local_step`` is the run-time rule of a route
 follower, simulated or held out: the route, else the table's best open
 move, else a sidestep by cost.
 
@@ -434,39 +436,31 @@ class CorridorEnv:
         return t
 
 
-def _move(env: CorridorEnv, cell: CellIndex, a: int,
-          bar: frozenset[CellIndex]) -> tuple[CellIndex, float] | None:
-    """(destination, seconds) of action ``a`` out of ``cell``: a stay costs
-    ``env.stay_time``; None when the move walks into ``bar`` or the
-    corridor wall (a None entry)."""
-    if a == ACTION_STAY:
-        return cell, env.stay_time
-    e = env.edges[cell][a]
-    if e is None or e[0] in bar:
-        return None
-    return e[0], e[1]
-
-
 def _rollout(env: CorridorEnv, q: np.ndarray,
              bar: frozenset[CellIndex]) -> tuple[bool, bool, float]:
     """Whole-route rollout past ``bar`` by ``local_step``, with no reward.
 
-    Ends at the goal, on collision or after 6 steps per waypoint; returns
-    (success, collided, elapsed seconds).
+    A stay costs ``env.stay_time``; a move into a None entry (the corridor
+    wall) or a bar cell is a collision. Ends at the goal, on collision or
+    after 6 steps per waypoint; returns (success, collided, elapsed
+    seconds).
     """
-    edges, plan = env.edges, env.plan
+    edges, plan, index = env.edges, env.plan, env.plan.index
     blocked = bar.__contains__
     cell, wi, elapsed = plan.waypoints[0], 1, 0.0
     goal = plan.waypoints[-1]
     for _ in range(6 * len(plan.waypoints)):
         _chi, a = local_step(q, edges, blocked, cell, plan, wi)
-        move = _move(env, cell, a, bar)
-        if move is None:
-            return False, True, elapsed
-        cell, move_time = move
-        elapsed += move_time
-        rejoined, k = rejoin_check(cell, plan, wi)
-        if rejoined:
+        if a == ACTION_STAY:
+            elapsed += env.stay_time
+        else:
+            e = edges[cell][a]
+            if e is None or e[0] in bar:
+                return False, True, elapsed
+            cell = e[0]
+            elapsed += e[1]
+        k = index.get(cell)
+        if k is not None and k >= wi:  # rejoined, as rejoin_check
             wi = k + 1
         if cell == goal:
             return True, False, elapsed
@@ -484,37 +478,60 @@ def _train_episode(env: CorridorEnv, q: QRows, bar: frozenset[CellIndex],
     the episode ends on rejoin, collision or
     ``params.max_steps_per_episode`` steps. Every step is a table step: the
     bar covers waypoint ``wi``, which moves only on the rejoin that ends it.
+    Until then a cell's state code and deviation depend on the cell alone,
+    so ``seen`` keeps them for the episode. A step moves as ``_rollout``
+    does and inlines ``select_action``, ``rejoin_check``, ``reward`` and
+    ``q_update``, with the same draws and the same float operations.
     """
-    edges, plan = env.edges, env.plan
+    edges, plan, index = env.edges, env.plan, env.plan.index
     blocked = bar.__contains__
+    alpha, gamma = params.alpha, params.gamma
     wi = next(iter(bar)).col
     cell = plan.waypoints[wi - 1]
-    s = build_local_state(edges, blocked, cell, plan, wi)
+    s, dev = build_local_state(edges, blocked, cell, plan, wi), 0
+    seen = {cell: (s, dev)}  # cell -> (state code, deviation_cells)
     total_r = 0.0
     for step in range(1, params.max_steps_per_episode + 1):
-        a = select_action(q, s, epsilon, rng)
-        move = _move(env, cell, a, bar)
-        if move is None:
-            r = reward("collision", 0.0, weights)
-            q_update(q, s, a, r, s, params)
-            return total_r + r, False, step
-        prev_cell, (cell, move_time) = cell, move
-        rejoined, k = rejoin_check(cell, plan, wi)
-        if rejoined:
-            wi = k + 1
-            r = reward("rejoin", 0.0, weights)
-        elif (dev := deviation_cells(cell, plan)) > 0:
-            r = reward("deviation", dev, weights)
-        elif deviation_cells(prev_cell, plan) == 0:  # on the route, no gain
-            r = reward("delay", move_time, weights)
+        row = q[s]
+        if epsilon > 0 and rng.random() < epsilon:
+            a = int(rng.integers(N_ACTIONS))
         else:
-            r = reward("none", 0.0, weights)
+            a = row.index(max(row))
+        current = row[a]
+        if a == ACTION_STAY:
+            dest, move_time = cell, env.stay_time
+        else:
+            e = edges[cell][a]
+            if e is None or e[0] in bar:
+                r = -weights.collision
+                row[a] = current + alpha * ((r + gamma * max(row)) - current)
+                return total_r + r, False, step
+            dest, move_time = e[0], e[1]
+        k = index.get(dest)
+        rejoined = k is not None and k >= wi
+        if rejoined:
+            r = weights.rejoin
+            # the successor state tracks the next waypoint, k + 1
+            s_next = build_local_state(edges, blocked, dest, plan, k + 1)
+        else:
+            prev_dev = dev
+            known = seen.get(dest)
+            if known is None:
+                known = seen[dest] = (
+                    build_local_state(edges, blocked, dest, plan, wi),
+                    deviation_cells(dest, plan))
+            s_next, dev = known
+            if dev > 0:
+                r = -weights.deviation_per_cell * dev
+            elif prev_dev == 0:  # on the route, no gain
+                r = -weights.delay_per_second * move_time
+            else:
+                r = 0.0
         total_r += r
-        s_next = build_local_state(edges, blocked, cell, plan, wi)
-        q_update(q, s, a, r, s_next, params)
-        s = s_next
+        row[a] = current + alpha * ((r + gamma * max(q[s_next])) - current)
         if rejoined:
             return total_r, True, step
+        s, cell = s_next, dest
     return total_r, False, params.max_steps_per_episode
 
 
@@ -598,18 +615,15 @@ def save_qtable(
     seed: int,
     episodes: int,
 ) -> None:
-    """Versioned flat text format: header, then one line per nonzero entry."""
-    f.write(_QTABLE_MAGIC + "\n")
-    f.write(f"states {N_STATES}\n")
-    f.write(f"actions {N_ACTIONS}\n")
-    f.write(f"gamma {gamma!r}\n")
-    f.write(f"alpha {alpha!r}\n")
-    f.write(f"seed {seed}\n")
-    f.write(f"episodes {episodes}\n")
+    """Versioned flat text format: header, then one line per nonzero entry.
+    The whole file is one ``write``."""
     rows, cols = np.nonzero(q)
-    f.write(f"entries {len(rows)}\n")
-    for s, a in zip(rows.tolist(), cols.tolist()):
-        f.write(f"{s} {a} {float(q[s, a])!r}\n")
+    lines = [_QTABLE_MAGIC, f"states {N_STATES}", f"actions {N_ACTIONS}",
+             f"gamma {gamma!r}", f"alpha {alpha!r}", f"seed {seed}",
+             f"episodes {episodes}", f"entries {len(rows)}"]
+    lines += [f"{s} {a} {v!r}" for s, a, v in zip(
+        rows.tolist(), cols.tolist(), q[rows, cols].tolist())]
+    f.write("\n".join(lines) + "\n")
 
 
 def load_qtable(f: IO[str]) -> tuple[np.ndarray, dict]:

@@ -734,6 +734,9 @@ def _curve_csv(curve):
 
 @settings(max_examples=100, deadline=None)
 @given(training_cases())
+# the call of the benchmark's train workload
+@example(("fit_adults", RewardWeights(),
+          LearningParams(episodes=100, epsilon_decay_episodes=40, seed=7)))
 def test_training_matches_numpy_scalar_reference(case):
     name, weights, params = case
     env = _corridor(name)

@@ -1,5 +1,6 @@
 import io
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -31,9 +32,9 @@ from terramob.local_adapt import (
     reward,
     save_qtable,
     select_action,
-    _move,
     _offset_direction,
     _rollout,
+    _train_episode,
     train_bypass,
     write_learning_curve,
 )
@@ -543,25 +544,39 @@ class TestCorridorEnv:
         assert env.stay_time == run / v
 
     def test_a_move_is_refused_into_the_bar_or_the_wall(self):
+        # the move check of both episode functions: a None entry or a bar
+        # cell is refused, and any other entry is edge()'s move
         env = CorridorEnv(builtin_profile("fit_adults"))
         bar = env.sample_obstacle(np.random.default_rng(2))
         cells = [CellIndex(r, c) for r in range(env.grid.nrows)
                  for c in range(env.grid.ncols)]
         refused = set()
         for cell in cells:
-            assert _move(env, cell, ACTION_STAY, bar) == (cell,
-                                                          env.stay_time)
             for a, (dr, dc) in enumerate(ACTIONS[:ACTION_STAY]):
                 dest = CellIndex(cell.row + dr, cell.col + dc)
-                move = _move(env, cell, a, bar)
-                if move is None:
+                e = env.edges[cell][a]
+                if e is None or e[0] in bar:
                     refused.add(dest)
                 else:
-                    assert move == (dest, env.edges[cell][a][1])
+                    run, _slope, v = edge(env.profile, env.grid, cell, dest)
+                    assert e[:2] == (dest, run / v)
         on_grid = {c for c in refused
                    if 0 <= c.row < env.grid.nrows
                    and 0 <= c.col < env.grid.ncols}
         assert on_grid == bar
+        # a one-step training episode out of the cell before the bar
+        # collides on exactly the moves into it
+        start = env.plan.waypoints[next(iter(bar)).col - 1]
+        weights = RewardWeights(collision=100.0)
+        params = LearningParams(max_steps_per_episode=1)
+        for a, (dr, dc) in enumerate(ACTIONS):
+            q = defaultdict(lambda a=a: [float(i == a)
+                                         for i in range(N_ACTIONS)])
+            ret, success, steps = _train_episode(
+                env, q, bar, weights, params, 0.0, np.random.default_rng())
+            dest = CellIndex(start.row + dr, start.col + dc)
+            assert (ret == -100.0) == (dest in bar)
+            assert not success and steps == 1
 
     def test_the_draws_are_the_120_bars(self):
         # 24 columns x (one 1-cell, three 3-cell, one 5-cell placement):

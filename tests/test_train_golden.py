@@ -8,6 +8,8 @@ writes (``qtable.txt`` and ``curve.csv``) for
 held-out bars (seed 4242): each instance's hybrid time, oracle time,
 success and collision flag. ``data/train_golden_mule.json`` holds the same
 for ``--profile mule``, whose stays and moves carry a load factor.
+``BENCHMARK_CALL`` pins the two files of the call the benchmark's train
+workload makes, ``--episodes 100 --epsilon-decay 40 --seed 7``.
 
 Regenerate the files only from a commit whose learning path is known good:
 
@@ -28,6 +30,14 @@ from terramob.local_adapt import CorridorEnv, evaluate_bypass, load_qtable
 DATA = Path(__file__).parent / "data"
 GOLDENS = {"fit_adults": DATA / "train_golden.json",
            "mule": DATA / "train_golden_mule.json"}
+
+
+BENCHMARK_CALL = {
+    "curve.csv":
+        "0c3391e88ba862f3c515a6636b98f4187da254c3ae0a1b9c4b3cf86c461da814",
+    "qtable.txt":
+        "6977b236624d7ee3cc6072f831f4270f8c275d0b21248e9509626f8a8af78918",
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -54,6 +64,13 @@ def train_digests(work: Path, profile: str) -> dict[str, str]:
 def test_train_matches_golden(tmp_path, profile):
     assert (train_digests(tmp_path, profile)
             == json.loads(GOLDENS[profile].read_text()))
+
+
+def test_the_benchmark_call_matches_its_digests(tmp_path):
+    assert main(["train", "--episodes", "100", "--epsilon-decay", "40",
+                 "--seed", "7", "--out", str(tmp_path)]) == 0
+    assert {name: _sha256((tmp_path / name).read_bytes())
+            for name in BENCHMARK_CALL} == BENCHMARK_CALL
 
 
 if __name__ == "__main__":
