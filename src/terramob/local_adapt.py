@@ -18,7 +18,8 @@ without a generator ``rng``. A training episode runs inlined copies of
 both and of ``reward``, and computes each cell's state code and deviation
 once per episode. ``local_step`` is the run-time rule of a route
 follower, simulated or held out: the route, else the table's best open
-move, else a sidestep by cost.
+move, else a sidestep by cost; a held-out rollout runs it only where a
+bar can change the move.
 
 "Obstructed" is decided by one blocking predicate, a ``Callable[[CellIndex],
 bool]`` that ``detect_block``, ``build_local_state`` and ``greedy_step``
@@ -40,6 +41,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import IO, Callable
 
 import numpy as np
@@ -395,9 +397,11 @@ class CorridorEnv:
     across it at a random column, which stays for the whole episode. The
     corridor never changes: the episode code takes the bar as an argument
     and its blocking predicate is the bar's own membership test, so a
-    query runs no Python frame. All it keeps is ``oracle_times``, each
-    bar's replanning time once ``oracle_time`` first asks for it; at most
-    120 bars can be drawn.
+    query runs no Python frame. It keeps the route's edge-table times
+    ``route_times``, ``route_elapsed[j]`` the time after the first ``j``
+    (added left to right from 0.0), and ``oracle_times``, each bar's
+    replanning time once ``oracle_time`` first asks for it; at most 120
+    bars can be drawn.
     """
 
     def __init__(self, profile: AgentProfile):
@@ -411,6 +415,11 @@ class CorridorEnv:
             self.grid, profile, CellIndex(self.mid, 0),
             CellIndex(self.mid, self.grid.ncols - 1))
         self.stay_time = self.plan.edge_times[0]  # one flat edge
+        wps = self.plan.waypoints
+        self.route_times = [
+            self.edges[a][OFFSET_TO_ACTION[(b[0] - a[0], b[1] - a[1])]][1]
+            for a, b in zip(wps, wps[1:])]
+        self.route_elapsed = list(accumulate(self.route_times, initial=0.0))
         self.oracle_times: dict[frozenset[CellIndex], float] = {}
 
     def sample_obstacle(self, rng: np.random.Generator) -> frozenset[CellIndex]:
@@ -443,13 +452,23 @@ def _rollout(env: CorridorEnv, q: np.ndarray,
     A stay costs ``env.stay_time``; a move into a None entry (the corridor
     wall) or a bar cell is a collision. Ends at the goal, on collision or
     after 6 steps per waypoint; returns (success, collided, elapsed
-    seconds).
+    seconds). From a waypoint whose next one is clear, ``local_step``
+    takes the plan edge, never None, so it runs only from the waypoint
+    before the first barred one to the rejoin past the last; the steps
+    before are ``env.route_elapsed``, those after add ``route_times``.
     """
     edges, plan, index = env.edges, env.plan, env.plan.index
+    wps = plan.waypoints
+    barred = [k for k in map(index.get, bar) if k]  # after the start
+    if not barred:
+        return True, False, env.route_elapsed[-1]
+    first, last = min(barred), max(barred)
     blocked = bar.__contains__
-    cell, wi, elapsed = plan.waypoints[0], 1, 0.0
-    goal = plan.waypoints[-1]
-    for _ in range(6 * len(plan.waypoints)):
+    cell, wi, elapsed = wps[first - 1], first, env.route_elapsed[first - 1]
+    goal, cap = wps[-1], 6 * len(wps)
+    for steps in range(first - 1, cap):
+        if wi > last:
+            break
         _chi, a = local_step(q, edges, blocked, cell, plan, wi)
         if a == ACTION_STAY:
             elapsed += env.stay_time
@@ -464,7 +483,13 @@ def _rollout(env: CorridorEnv, q: np.ndarray,
             wi = k + 1
         if cell == goal:
             return True, False, elapsed
-    return False, False, elapsed
+    else:
+        return False, False, elapsed
+    for steps, t in enumerate(env.route_times[wi - 1:], start=steps):
+        if steps == cap:
+            return False, False, elapsed
+        elapsed += t
+    return True, False, elapsed
 
 
 def _train_episode(env: CorridorEnv, q: QRows, bar: frozenset[CellIndex],

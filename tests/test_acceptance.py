@@ -14,13 +14,18 @@ import terramob.planner as planner
 from terramob.agents import builtin_profile, builtin_profiles, speed
 from terramob.cli import main
 from terramob.local_adapt import (
+    ACTION_STAY,
     CorridorEnv,
     LearningParams,
     N_ACTIONS,
     N_STATES,
     RewardWeights,
+    _train_episode,
+    build_local_state,
+    deviation_cells,
     evaluate_bypass,
     q_update,
+    rejoin_check,
     reward,
     save_qtable,
     select_action,
@@ -218,6 +223,52 @@ def test_criterion_4_q_learning_properties():
             failures.append(f"argmax changed under shift {shift}")
     _report(4, "Q-boundedness (1e5 updates), alpha=0 identity, locality, "
                "argmax shift invariance", failures)
+
+
+def test_criterion_4_training_backs_up_as_q_update():
+    # the properties above hold for the table training writes: a one-step
+    # episode's backup leaves the row q_update gives on the same
+    # (s, a, r, s_next), for each action out of the waypoint before the
+    # bar, and a collision backs up with s_next = s. The bar cell is
+    # beside the route, so the step onto the waypoint ahead rejoins.
+    failures = []
+    env = CorridorEnv(builtin_profile("fit_adults"))
+    edges, plan = env.edges, env.plan
+    bar = frozenset({CellIndex(env.mid - 1, 10)})
+    blocked, wi = bar.__contains__, 10
+    start = plan.waypoints[wi - 1]
+    w = RewardWeights(collision=7.0, delay_per_second=0.3,
+                      deviation_per_cell=0.9, rejoin=4.0)
+    params = LearningParams(alpha=0.35, gamma=0.9, max_steps_per_episode=1)
+    s = build_local_state(edges, blocked, start, plan, wi)
+    base = np.random.default_rng(4).normal(size=(N_STATES, N_ACTIONS))
+    kinds = set()
+    for a in range(N_ACTIONS):
+        table = base.copy()
+        table[s, a] = table[s].max() + 1.0  # the greedy pick
+        q = dict(enumerate(table.tolist()))
+        ret, _success, _steps = _train_episode(
+            env, q, bar, w, params, 0.0, np.random.default_rng(0))
+        e = None if a == ACTION_STAY else edges[start][a]
+        if a == ACTION_STAY:
+            kind, r, s_next = "stay", reward("delay", env.stay_time, w), s
+        elif e is None or blocked(e[0]):
+            kind, r, s_next = "collision", reward("collision", 0.0, w), s
+        else:
+            rejoined, k = rejoin_check(e[0], plan, wi)
+            dev = deviation_cells(e[0], plan)
+            kind, r = (("rejoin", reward("rejoin", 0.0, w)) if rejoined
+                       else ("move", reward("deviation", dev, w)) if dev
+                       else ("move", reward("delay", e[1], w)))
+            s_next = build_local_state(edges, blocked, e[0], plan,
+                                       k + 1 if rejoined else wi)
+        kinds.add(kind)
+        q_update(table, s, a, r, s_next, params)
+        if ret != r or q != dict(enumerate(table.tolist())):
+            failures.append(f"action {a} ({kind}) backs up otherwise")
+    if kinds != {"stay", "move", "rejoin", "collision"}:
+        failures.append(f"actions covered only {sorted(kinds)}")
+    _report(4, "each training backup is q_update's", failures)
 
 
 def test_criterion_5_transport_desk_scale():

@@ -14,7 +14,10 @@ table against ``agents.edge`` itself; the trace
 writer against the per-row writer it replaced, also with one ``t_s``
 text memo shared by several files. Training, which backs up plain float
 rows, is checked against the numpy-scalar loop it replaced: the same
-table bytes and the same learning curve. A* is checked against the
+table bytes and the same learning curve. A held-out rollout, which runs
+``local_step`` only where a bar can change the move, is checked against
+the loop that runs it on every step, on the corridor's 120 bars and
+arbitrary ones. A* is checked against the
 Dijkstra oracle on grids of up to 6 x 6 cells, strips included, where
 most nodes are border nodes, so both its bounds-checked border path and
 its unchecked interior path run.
@@ -34,9 +37,9 @@ from terramob.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from terramob.local_adapt import (
     ACTION_STAY, ACTIONS, N_ACTIONS, N_DEVIATION_BUCKETS, N_STATES,
     CorridorEnv, EpisodeStats, LearningParams, RewardWeights,
-    _offset_direction, build_local_state, detect_block, deviation_cells,
-    follow_route, greedy_step, load_qtable, rejoin_check, reward,
-    train_bypass, write_learning_curve,
+    _offset_direction, _rollout, build_local_state, detect_block,
+    deviation_cells, follow_route, greedy_step, load_qtable, local_step,
+    rejoin_check, reward, train_bypass, write_learning_curve,
 )
 from terramob.planner import (
     OBJECTIVES, NoPathError, PathPlan, astar, dijkstra_oracle, heuristic,
@@ -744,3 +747,153 @@ def test_training_matches_numpy_scalar_reference(case):
     want_q, want_curve = _reference_train(env, weights, params)
     assert q.tobytes() == want_q.tobytes()
     assert _curve_csv(curve) == _curve_csv(want_curve)
+
+
+def _reference_rollout(env, q, bar):
+    """``_rollout`` as it was before it skipped the steps that only walk
+    plan edges: every step by ``local_step``."""
+    edges, plan, index = env.edges, env.plan, env.plan.index
+    blocked = bar.__contains__
+    cell, wi, elapsed = plan.waypoints[0], 1, 0.0
+    goal = plan.waypoints[-1]
+    for _ in range(6 * len(plan.waypoints)):
+        _chi, a = local_step(q, edges, blocked, cell, plan, wi)
+        if a == ACTION_STAY:
+            elapsed += env.stay_time
+        else:
+            e = edges[cell][a]
+            if e is None or e[0] in bar:
+                return False, True, elapsed
+            cell = e[0]
+            elapsed += e[1]
+        k = index.get(cell)
+        if k is not None and k >= wi:  # rejoined, as rejoin_check
+            wi = k + 1
+        if cell == goal:
+            return True, False, elapsed
+    return False, False, elapsed
+
+
+_TRAINED: dict[str, np.ndarray] = {}
+
+
+def _rollout_table(name, kind, seed):
+    """A table of ``kind`` for the corridor of profile ``name``."""
+    q = np.zeros((N_STATES, N_ACTIONS))
+    if kind == "normal":
+        q = np.random.default_rng(seed).normal(size=q.shape)
+    elif kind == "stand":  # stands in every blocked state: the step cap
+        q[:, ACTION_STAY] = 1.0
+    elif kind == "trained":
+        if name not in _TRAINED:
+            _TRAINED[name], _ = train_bypass(
+                _corridor(name), RewardWeights(),
+                LearningParams(episodes=300, epsilon_decay_episodes=150,
+                               seed=3))
+        q = _TRAINED[name]
+    return q
+
+
+@st.composite
+def rollout_cases(draw):
+    """A profile whose corridor differs, a table, and bars: the
+    corridor's own draws, and arbitrary ones with off-route cells,
+    several route waypoints, the start cell, and cells off the grid."""
+    name = draw(st.sampled_from(["fit_adults", "mule", "ox_cart"]))
+    kind = draw(st.sampled_from(["zeros", "normal", "stand", "trained"]))
+    env = _corridor(name)
+    wps = env.plan.waypoints
+    cells = st.sampled_from(
+        [CellIndex(r, c) for r in range(-1, env.grid.nrows + 1)
+         for c in range(-1, env.grid.ncols + 1)])
+    route = st.sampled_from(wps)
+    bars = st.lists(st.one_of(
+        st.sampled_from(_corridor_bars(name)),
+        st.frozensets(cells, max_size=6),
+        st.tuples(st.frozensets(route, min_size=2, max_size=4),
+                  st.frozensets(cells, max_size=3)).map(
+                      lambda t: t[0] | t[1]),
+        st.frozensets(cells, max_size=4).map(lambda b: b | {wps[0]}),
+    ), max_size=8)
+    return name, kind, draw(st.integers(0, 2**32 - 1)), draw(bars)
+
+
+_CORRIDOR_BARS: dict[str, list] = {}
+
+
+def _corridor_bars(name):
+    """The 120 bars ``sample_obstacle`` draws on the corridor of ``name``."""
+    if name not in _CORRIDOR_BARS:
+        env, rng = _corridor(name), np.random.default_rng(0)
+        _CORRIDOR_BARS[name] = sorted(
+            {env.sample_obstacle(rng) for _ in range(5000)}, key=sorted)
+        assert len(_CORRIDOR_BARS[name]) == 120
+    return _CORRIDOR_BARS[name]
+
+
+def _assert_rollouts_match(env, q, bars):
+    for bar in bars:
+        got, want = _rollout(env, q, bar), _reference_rollout(env, q, bar)
+        assert (got[0], got[1], got[2].hex()) == (
+            want[0], want[1], want[2].hex()), sorted(bar)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rollout_cases())
+def test_rollout_matches_step_by_step_reference(case):
+    name, kind, seed, bars = case
+    _assert_rollouts_match(_corridor(name), _rollout_table(name, kind, seed),
+                           bars)
+
+
+@pytest.mark.parametrize("name", ["fit_adults", "mule", "ox_cart"])
+def test_rollout_matches_reference_on_every_corridor_bar(name):
+    for kind in ("zeros", "normal", "stand", "trained"):
+        _assert_rollouts_match(_corridor(name), _rollout_table(name, kind, 0),
+                               _corridor_bars(name))
+
+
+def _excursion_table(env, bar):
+    """A table that, from the waypoint before each barred one, walks out
+    to the north wall, west to column 0, south to the far wall, east and
+    back onto the route two waypoints past the bar: ``2 * col + 7`` steps
+    where the route takes 3. Returns the table and the number of steps
+    after which the rollout has passed the last barred waypoint."""
+    edges, plan = env.edges, env.plan
+    wps, blocked = plan.waypoints, bar.__contains__
+    last = max(k for k in map(plan.index.get, bar) if k)
+    q = np.zeros((N_STATES, N_ACTIONS))
+    cell, wi = wps[0], 1
+    for step in range(6 * len(wps)):
+        if wi > last:
+            return q, step
+        if blocked(wps[wi]):
+            r, c = cell
+            move = ((-1, -1) if r in (1, 2, 3) and c else
+                    (1, 0) if c == 0 and r < 6 else
+                    (-1, 1) if r > 3 and (r < 6 or c == wps[wi].col - 1)
+                    else (0, -1) if r == 0 else (0, 1))
+            s = build_local_state(edges, blocked, cell, plan, wi)
+            a = ACTIONS.index(move)
+            assert not q[s].any() or q[s].argmax() == a, (cell, s)
+            q[s, a] = 1.0
+        else:  # the plan edge
+            move = (wps[wi][0] - cell[0], wps[wi][1] - cell[1])
+        cell = CellIndex(cell[0] + move[0], cell[1] + move[1])
+        k = plan.index.get(cell)
+        if k is not None and k >= wi:
+            wi = k + 1
+    raise AssertionError("the step cap came before the last bar")
+
+
+@pytest.mark.parametrize("name", ["fit_adults", "mule", "ox_cart"])
+def test_rollout_matches_reference_at_the_step_cap_past_the_bars(name):
+    # five excursions take 176 steps; the 5 plan edges left would make
+    # 181, past the cap of 6 * 30: the cap ends the rollout after the bars
+    env = _corridor(name)
+    wps = env.plan.waypoints
+    bar = frozenset(wps[b] for b in (5, 9, 13, 17, 22))
+    q, passed = _excursion_table(env, bar)
+    assert passed == 176  # on waypoint 24 of 30
+    assert _reference_rollout(env, q, bar)[:2] == (False, False)
+    _assert_rollouts_match(env, q, [bar])

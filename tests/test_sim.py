@@ -703,7 +703,7 @@ class TestPursuit:
         assert len(hidden_cells - {seen}) >= 3
 
     @pytest.mark.xfail(strict=True, reason="a pursuit can still capture a "
-                       "target that has arrived (ROADMAP item 2)")
+                       "target that has arrived (ROADMAP item 5)")
     def test_an_arrived_target_is_not_intercepted(self):
         cfg = ScenarioConfig.from_dict({
             "terrain": {"recipe": "flat", "nrows": 8, "ncols": 8, "h": 0.0},
