@@ -19,7 +19,8 @@ both and of ``reward``, and computes each cell's state code and deviation
 once per episode. ``local_step`` is the run-time rule of a route
 follower, simulated or held out: the route, else the table's best open
 move, else a sidestep by cost; a held-out rollout runs it only where a
-bar can change the move.
+bar can change the move. It reads a frozen table's moves from a
+``TableMoves``, which computes each state's ``bypass_move`` once.
 
 "Obstructed" is decided by one blocking predicate, a ``Callable[[CellIndex],
 bool]`` that ``detect_block``, ``build_local_state`` and ``greedy_step``
@@ -197,13 +198,36 @@ def select_action(
     return row.index(max(row))
 
 
+# The candidate moves of each occupancy pattern (bits 0-7 of a state
+# code), in action order: the moves whose bit is clear, and ACTION_STAY.
+_OPEN_MOVES: tuple[tuple[int, ...], ...] = tuple(
+    tuple(a for a in range(N_ACTIONS) if a == ACTION_STAY or not occ >> a & 1)
+    for occ in range(N_OCCUPANCY))
+
+
 def bypass_move(q: np.ndarray, s: int) -> int | None:
     """A frozen table's first maximum in state ``s`` over ACTION_STAY and
     the moves whose bit (0-7) is clear; None if each of those is 0.0."""
     row = q[s].tolist()
-    moves = [a for a in range(N_ACTIONS) if a == ACTION_STAY or not s >> a & 1]
+    moves = _OPEN_MOVES[s & 0xFF]
     values = [row[a] for a in moves]
     return moves[values.index(max(values))] if any(values) else None
+
+
+class TableMoves(dict):
+    """The moves of the frozen table ``q``: ``moves[s]`` is
+    ``bypass_move(q, s)``, made on the first read of ``s`` and kept, so it
+    is exact only while ``q`` does not change: ``evaluate_bypass`` makes
+    one per call, ``sim.build_world`` one per table file."""
+
+    __slots__ = ("q",)
+
+    def __init__(self, q: np.ndarray):
+        self.q = q
+
+    def __missing__(self, s: int) -> int | None:
+        a = self[s] = bypass_move(self.q, s)
+        return a
 
 
 # ---------------------------------------------------------------------------
@@ -341,18 +365,18 @@ def follow_route(
     return greedy_step(edges, at, wp)
 
 
-def local_step(q: np.ndarray | None, edges: EdgeTable,
+def local_step(moves: TableMoves | None, edges: EdgeTable,
                blocked: Callable[[CellIndex], bool], cell: CellIndex,
                plan: PathPlan, waypoint_index: int) -> tuple[bool, int]:
-    """(chi, action) of a route follower carrying the frozen table ``q``
-    (or None). chi is ``detect_block``; while it holds, the move is
-    ``bypass_move``'s, or with no table or none for this state, a
-    ``greedy_step`` sidestep toward the first waypoint not blocked (else
-    the goal). Otherwise the move is ``follow_route``'s."""
+    """(chi, action) of a route follower carrying the moves of a frozen
+    table (or None). chi is ``detect_block``; while it holds, the move is
+    the table's (``bypass_move``'s), or with no table or none for this
+    state, a ``greedy_step`` sidestep toward the first waypoint not
+    blocked (else the goal). Otherwise the move is ``follow_route``'s."""
     if not detect_block(blocked, plan, waypoint_index):
         return False, follow_route(plan, waypoint_index, edges, cell)
-    action = None if q is None else bypass_move(
-        q, build_local_state(edges, blocked, cell, plan, waypoint_index))
+    action = None if moves is None else moves[
+        build_local_state(edges, blocked, cell, plan, waypoint_index)]
     if action is None:
         aim = next((w for w in plan.waypoints[waypoint_index:]
                     if not blocked(w)), plan.waypoints[-1])
@@ -399,9 +423,10 @@ class CorridorEnv:
     and its blocking predicate is the bar's own membership test, so a
     query runs no Python frame. It keeps the route's edge-table times
     ``route_times``, ``route_elapsed[j]`` the time after the first ``j``
-    (added left to right from 0.0), and ``oracle_times``, each bar's
-    replanning time once ``oracle_time`` first asks for it; at most 120
-    bars can be drawn.
+    (added left to right from 0.0), ``bars``, one ``frozenset`` per
+    distinct bar drawn, so that equal bars are one object with one cached
+    hash, and ``oracle_times``, each bar's replanning time once
+    ``oracle_time`` first asks for it; at most 120 bars can be drawn.
     """
 
     def __init__(self, profile: AgentProfile):
@@ -420,10 +445,13 @@ class CorridorEnv:
             self.edges[a][OFFSET_TO_ACTION[(b[0] - a[0], b[1] - a[1])]][1]
             for a, b in zip(wps, wps[1:])]
         self.route_elapsed = list(accumulate(self.route_times, initial=0.0))
+        # (column, first row, last row) -> the bar's one frozenset
+        self.bars: dict[tuple[int, int, int], frozenset[CellIndex]] = {}
         self.oracle_times: dict[frozenset[CellIndex], float] = {}
 
     def sample_obstacle(self, rng: np.random.Generator) -> frozenset[CellIndex]:
-        """Vertical bar across the route, always leaving a gap on both sides."""
+        """Vertical bar across the route, always leaving a gap on both
+        sides; an equal bar drawn again is the same object."""
         height = (1, 3, 5)[int(rng.integers(3))]
         col = int(rng.integers(3, self.grid.ncols - 3))
         if height == 3:
@@ -431,8 +459,12 @@ class CorridorEnv:
         else:
             center = self.mid
         half = height // 2
-        return frozenset(CellIndex(r, col)
-                         for r in range(center - half, center + half + 1))
+        key = (col, center - half, center + half)
+        bar = self.bars.get(key)
+        if bar is None:
+            bar = self.bars[key] = frozenset(
+                CellIndex(r, col) for r in range(key[1], key[2] + 1))
+        return bar
 
     def oracle_time(self, bar: frozenset[CellIndex]) -> float:
         """Route time of an A* replan with ``bar`` masked, run once per bar."""
@@ -445,9 +477,10 @@ class CorridorEnv:
         return t
 
 
-def _rollout(env: CorridorEnv, q: np.ndarray,
+def _rollout(env: CorridorEnv, moves: TableMoves | None,
              bar: frozenset[CellIndex]) -> tuple[bool, bool, float]:
-    """Whole-route rollout past ``bar`` by ``local_step``, with no reward.
+    """Whole-route rollout past ``bar`` by ``local_step`` with ``moves``,
+    with no reward.
 
     A stay costs ``env.stay_time``; a move into a None entry (the corridor
     wall) or a bar cell is a collision. Ends at the goal, on collision or
@@ -469,7 +502,7 @@ def _rollout(env: CorridorEnv, q: np.ndarray,
     for steps in range(first - 1, cap):
         if wi > last:
             break
-        _chi, a = local_step(q, edges, blocked, cell, plan, wi)
+        _chi, a = local_step(moves, edges, blocked, cell, plan, wi)
         if a == ACTION_STAY:
             elapsed += env.stay_time
         else:
@@ -598,14 +631,17 @@ def evaluate_bypass(
     Each instance also carries the bar's replanning time,
     ``env.oracle_time``, so callers can compare the bypass detour against
     full replanning; ``env`` keeps that time, so each distinct bar is
-    replanned once over all calls on it. A rollout is a pure function of
-    ``q`` and the bar, so each distinct bar is rolled out once per call; a
-    bar drawn again gets a new instance with the first one's values.
-    ``episodes`` must be non-negative.
+    replanned once over all calls on it. The moves of ``q`` are kept in
+    one ``TableMoves`` per call, never past it: a caller may change ``q``
+    between calls. A rollout is a pure function of ``q`` and the bar, so
+    each distinct bar is rolled out once per call; a bar drawn again gets
+    a new instance with the first one's values. ``episodes`` must be
+    non-negative.
     """
     if episodes < 0:
         raise ValueError("episodes must be non-negative")
     rng = np.random.default_rng(seed)
+    moves = TableMoves(q)
     instances: list[BypassInstance] = []
     successes = 0
     collisions = 0
@@ -615,7 +651,7 @@ def evaluate_bypass(
         bar = env.sample_obstacle(rng)
         values = scored.get(bar)
         if values is None:
-            success, collided, elapsed = _rollout(env, q, bar)
+            success, collided, elapsed = _rollout(env, moves, bar)
             values = scored[bar] = (
                 elapsed, env.oracle_time(bar), success, collided)
         instances.append(BypassInstance(*values))

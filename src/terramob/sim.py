@@ -17,8 +17,6 @@ from functools import partial
 from pathlib import Path
 from typing import IO, Callable, NamedTuple
 
-import numpy as np
-
 from . import planner
 from .agents import (
     AgentProfile, EdgeTable, builtin_profiles, profile_from_spec, speed,
@@ -27,6 +25,7 @@ from .local_adapt import (
     ACTION_NAMES,
     ACTION_STAY,
     MAX_SIM_STEPS,
+    TableMoves,
     deviation_cells,
     greedy_step,
     load_qtable,
@@ -197,7 +196,7 @@ class AgentRuntime:
     id: str
     profile: AgentProfile
     plan: PathPlan | None
-    qtable: np.ndarray | None = None
+    qtable: TableMoves | None = None  # shared by the agents of one file
     edges: EdgeTable | None = None  # the World sets its profile's table
     waypoint_index: int = 0
     mode: str = MODE_FOLLOWING
@@ -807,10 +806,10 @@ def _runtime(
     start: CellIndex,
     goal: CellIndex,
     qtable_path: Path | None = None,
-    tables: dict[Path, np.ndarray] | None = None,
+    tables: dict[Path, TableMoves] | None = None,
 ) -> AgentRuntime:
-    """Check the endpoints, load the bypass table (read once into ``tables``),
-    and plan the route."""
+    """Check the endpoints, load the bypass table (read once into ``tables``
+    and wrapped in one ``TableMoves``), and plan the route."""
     for label, cell in (("start", start), ("goal", goal)):
         if not grid.traversable(cell):
             raise ConfigError(
@@ -818,7 +817,7 @@ def _runtime(
             )
     if qtable_path is not None and qtable_path not in tables:
         with open(qtable_path) as f:
-            tables[qtable_path], _meta = load_qtable(f)
+            tables[qtable_path] = TableMoves(load_qtable(f)[0])
     runtime = AgentRuntime(
         id=agent_id,
         profile=profile,
@@ -844,7 +843,7 @@ def build_world(config: ScenarioConfig,
     grid = config.resolve_grid() if grid is None else grid
     registry = config.profile_registry()
     runtimes = []
-    tables: dict[Path, np.ndarray] = {}
+    tables: dict[Path, TableMoves] = {}
     for i, spec in enumerate(config.agents):
         profile = _profile_ref(spec.profile, registry, f"agents[{i}].profile")
         runtimes.append(_runtime(

@@ -17,7 +17,8 @@ rows, is checked against the numpy-scalar loop it replaced: the same
 table bytes and the same learning curve. A held-out rollout, which runs
 ``local_step`` only where a bar can change the move, is checked against
 the loop that runs it on every step, on the corridor's 120 bars and
-arbitrary ones. A* is checked against the
+arbitrary ones, and a frozen table's kept moves (``TableMoves``) against
+``bypass_move`` and the per-call rule it replaced. A* is checked against the
 Dijkstra oracle on grids of up to 6 x 6 cells, strips included, where
 most nodes are border nodes, so both its bounds-checked border path and
 its unchecked interior path run.
@@ -36,10 +37,10 @@ from terramob.agents import EdgeTable, builtin_profile, builtin_profiles, edge
 from terramob.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from terramob.local_adapt import (
     ACTION_STAY, ACTIONS, N_ACTIONS, N_DEVIATION_BUCKETS, N_STATES,
-    CorridorEnv, EpisodeStats, LearningParams, RewardWeights,
-    _offset_direction, _rollout, build_local_state, detect_block,
-    deviation_cells, follow_route, greedy_step, load_qtable, local_step,
-    rejoin_check, reward, train_bypass, write_learning_curve,
+    CorridorEnv, EpisodeStats, LearningParams, RewardWeights, TableMoves,
+    _offset_direction, _rollout, build_local_state, bypass_move,
+    detect_block, deviation_cells, follow_route, greedy_step, load_qtable,
+    local_step, rejoin_check, reward, train_bypass, write_learning_curve,
 )
 from terramob.planner import (
     OBJECTIVES, NoPathError, PathPlan, astar, dijkstra_oracle, heuristic,
@@ -751,13 +752,14 @@ def test_training_matches_numpy_scalar_reference(case):
 
 def _reference_rollout(env, q, bar):
     """``_rollout`` as it was before it skipped the steps that only walk
-    plan edges: every step by ``local_step``."""
+    plan edges: every step by ``local_step``, each with a new
+    ``TableMoves``, so no move is kept from one step to the next."""
     edges, plan, index = env.edges, env.plan, env.plan.index
     blocked = bar.__contains__
     cell, wi, elapsed = plan.waypoints[0], 1, 0.0
     goal = plan.waypoints[-1]
     for _ in range(6 * len(plan.waypoints)):
-        _chi, a = local_step(q, edges, blocked, cell, plan, wi)
+        _chi, a = local_step(TableMoves(q), edges, blocked, cell, plan, wi)
         if a == ACTION_STAY:
             elapsed += env.stay_time
         else:
@@ -772,6 +774,50 @@ def _reference_rollout(env, q, bar):
         if cell == goal:
             return True, False, elapsed
     return False, False, elapsed
+
+
+def _reference_bypass_move(q, s):
+    """``bypass_move`` as it was before it read ``_OPEN_MOVES``: the open
+    moves rebuilt from the state's bits on every call."""
+    row = q[s].tolist()
+    moves = [a for a in range(N_ACTIONS) if a == ACTION_STAY or not s >> a & 1]
+    values = [row[a] for a in moves]
+    return moves[values.index(max(values))] if any(values) else None
+
+
+@st.composite
+def bypass_tables(draw):
+    """A table of one kind, and a state code for each of the 256 occupancy
+    patterns with random direction and deviation bits."""
+    kind = draw(st.sampled_from(
+        ["normal", "zeros", "ties", "signed_zeros", "one_hot"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (N_STATES, N_ACTIONS)
+    if kind == "normal":
+        q = rng.normal(size=shape)
+    elif kind == "zeros":
+        q = np.zeros(shape)
+    elif kind == "ties":  # few values: equal maxima in most rows
+        q = rng.integers(-1, 2, size=shape).astype(float)
+    elif kind == "signed_zeros":
+        q = rng.choice([0.0, -0.0, -1.0], size=shape)
+    else:
+        q = np.zeros(shape)
+        q[np.arange(N_STATES), rng.integers(N_ACTIONS, size=N_STATES)] = 1.0
+    states = (np.arange(256) | rng.integers(N_STATES // 256, size=256) << 8)
+    return q, states.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(bypass_tables())
+def test_table_moves_match_reference_bypass_move(case):
+    q, states = case
+    moves = TableMoves(q)
+    for s in states:
+        want = _reference_bypass_move(q, s)
+        assert moves[s] == bypass_move(q, s) == want
+        assert moves[s] == want  # the kept move
+    assert len(moves) == 256
 
 
 _TRAINED: dict[str, np.ndarray] = {}
@@ -832,8 +878,9 @@ def _corridor_bars(name):
 
 
 def _assert_rollouts_match(env, q, bars):
+    moves = TableMoves(q)  # one memo over the bars, as evaluate_bypass
     for bar in bars:
-        got, want = _rollout(env, q, bar), _reference_rollout(env, q, bar)
+        got, want = _rollout(env, moves, bar), _reference_rollout(env, q, bar)
         assert (got[0], got[1], got[2].hex()) == (
             want[0], want[1], want[2].hex()), sorted(bar)
 

@@ -18,6 +18,7 @@ from terramob.local_adapt import (
     N_ACTIONS,
     N_STATES,
     RewardWeights,
+    TableMoves,
     build_local_state,
     bypass_move,
     detect_block,
@@ -496,7 +497,7 @@ class TestLocalStep:
         assert self.step(None, frozenset()) == (False, self.EAST)
         q = zeros()
         q[:, :] = 1.0  # a table is read only while the route is blocked
-        assert self.step(q, frozenset()) == (False, self.EAST)
+        assert self.step(TableMoves(q), frozenset()) == (False, self.EAST)
 
     @pytest.mark.parametrize("blocked_waypoints, aim, heading", [
         ((5,), (4, 5), (-1, 1)), ((5, 6), (3, 5), (-1, 0)),
@@ -515,9 +516,9 @@ class TestLocalStep:
         at = CellIndex(5, 4)
         move = greedy_step(edges, at, CellIndex(*aim), bar.__contains__)
         assert ACTIONS[move] == heading
-        for q in (None, zeros()):  # no table, or an all-zero row
-            assert local_step(q, edges, bar.__contains__, at, plan, 5) == (
-                True, move)
+        for moves in (None, TableMoves(zeros())):  # no table, or a zero row
+            assert local_step(moves, edges, bar.__contains__, at, plan,
+                              5) == (True, move)
 
     def test_a_table_gives_its_best_open_move(self):
         env = self.env
@@ -527,7 +528,8 @@ class TestLocalStep:
         q = zeros()
         q[s, :] = [0.0, 0.5, 2.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
         # east leads into the bar, so its bit is set and it is skipped
-        assert self.step(q, bar) == (True, bypass_move(q, s)) == (True, 4)
+        assert self.step(TableMoves(q), bar) == (True, bypass_move(q, s)) == (
+            True, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +592,21 @@ class TestCorridorEnv:
         assert len(bars) == 120
         rng = np.random.default_rng(0)
         assert {env.sample_obstacle(rng) for _ in range(5000)} == bars
+
+    def test_equal_bars_are_one_object(self):
+        # bars from any generator share one frozenset per bar, kept on the
+        # corridor: its hash is computed once for every later lookup
+        env = CorridorEnv(builtin_profile("fit_adults"))
+        first = {}
+        for bits in (np.random.PCG64, np.random.Philox, np.random.MT19937,
+                     np.random.SFC64, np.random.PCG64DXSM):
+            rng = np.random.Generator(bits(11))
+            for _ in range(2000):
+                bar = env.sample_obstacle(rng)
+                assert first.setdefault(bar, bar) is bar
+        assert len(env.bars) <= 120
+        assert set(env.bars.values()) == set(first)
+        assert all(first[bar] is bar for bar in env.bars.values())
 
     @pytest.mark.parametrize("name", ["fit_adults", "mule"])
     def test_every_oracle_time_is_the_uniform_cost_optimum(self, name):
@@ -742,8 +759,9 @@ class TestEvaluateBypass:
         monkeypatch.undo()
         fresh = CorridorEnv(builtin_profile("fit_adults"))
         start, goal = fresh.plan.waypoints[0], fresh.plan.waypoints[-1]
+        moves = TableMoves(trained)
         for bar, got in zip(bars, ev.instances, strict=True):
-            success, collided, elapsed = _rollout(fresh, trained, bar)
+            success, collided, elapsed = _rollout(fresh, moves, bar)
             oracle, _ = planner.astar(fresh.grid.with_nodata(bar),
                                       fresh.profile, start, goal)
             assert got == BypassInstance(elapsed, oracle.total_time, success,
@@ -772,6 +790,28 @@ class TestEvaluateBypass:
 
         assert hexed(second) == hexed(alone)
 
+    def test_a_table_changed_between_calls_is_read_again(self, trained):
+        # a call keeps no move past its end: after the rows its rollouts
+        # read are cleared, the same corridor scores the changed table as
+        # a fresh corridor does
+        env = CorridorEnv(builtin_profile("fit_adults"))
+        q = trained.copy()
+        before = evaluate_bypass(q, env, episodes=60, seed=5)
+        read, rng = TableMoves(q), np.random.default_rng(5)
+        for _ in range(60):
+            _rollout(env, read, env.sample_obstacle(rng))
+        assert any(a is not None for a in read.values())
+        q[list(read)] = 0.0  # every read falls back to the sidestep
+        after = evaluate_bypass(q, env, episodes=60, seed=5)
+        alone = evaluate_bypass(q, CorridorEnv(env.profile), episodes=60,
+                                seed=5)
+
+        def hexed(ev):
+            return [(i.hybrid_time.hex(), i.oracle_time.hex(), i.success,
+                     i.collided) for i in ev.instances]
+
+        assert hexed(after) == hexed(alone) != hexed(before)
+
     def test_a_table_that_picks_the_bar_sidesteps_it(self):
         # the row of the first blocked state holds only the step into the
         # bar: the rollout skips it, as a simulated agent does, and
@@ -783,9 +823,10 @@ class TestEvaluateBypass:
         q = zeros()
         q[s, ACTIONS.index((0, 1))] = 1.0
         assert ACTIONS[select_action(q, s)] == (0, 1)
-        success, collided, elapsed = _rollout(env, q, bar)
+        success, collided, elapsed = _rollout(env, TableMoves(q), bar)
         assert success and not collided
-        assert (success, collided, elapsed) == _rollout(env, zeros(), bar)
+        assert (success, collided, elapsed) == _rollout(
+            env, TableMoves(zeros()), bar)
 
     def test_negative_episodes_refused(self, trained):
         env = CorridorEnv(builtin_profile("fit_adults"))

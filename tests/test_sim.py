@@ -9,7 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from terramob.agents import builtin_profile
 from terramob.cli import main
-from terramob.local_adapt import N_ACTIONS, N_STATES, build_local_state
+from terramob.local_adapt import (
+    N_ACTIONS, N_STATES, TableMoves, build_local_state, save_qtable,
+)
 from terramob.planner import astar
 from terramob.sim import (
     MAX_SIM_STEPS,
@@ -168,11 +170,34 @@ class TestStep:
         agent = world.agents[0]
         state = build_local_state(agent.edges, {CellIndex(3, 1)}.__contains__,
                                   agent.cell, agent.plan, agent.waypoint_index)
-        agent.qtable = np.zeros((N_STATES, N_ACTIONS))
-        agent.qtable[state, 3] = 4.0  # se, not the zero argmax
+        q = np.zeros((N_STATES, N_ACTIONS))
+        q[state, 3] = 4.0  # se, not the zero argmax
+        agent.qtable = TableMoves(q)
         world.step()
         assert agent.last_chi is True
         assert agent.last_action == "se"
+
+    def test_agents_naming_one_table_file_share_its_moves(self, tmp_path):
+        q = np.zeros((N_STATES, N_ACTIONS))
+        q[7, 2] = 1.0
+        with open(tmp_path / "q.txt", "w") as f:
+            save_qtable(q, f, gamma=0.95, alpha=0.1, seed=0, episodes=0)
+        with open(tmp_path / "r.txt", "w") as f:
+            save_qtable(q, f, gamma=0.95, alpha=0.1, seed=0, episodes=0)
+        cfg = ScenarioConfig.from_dict({
+            "terrain": {"recipe": "flat", "nrows": 7, "ncols": 12,
+                        "cellsize": 30.0, "h": 0.0},
+            "agents": [{"id": f"a{r}", "profile": "fit_adults",
+                        "start": [r, 0], "goal": [r, 9], "qtable": name}
+                       for r, name in ((1, "q.txt"), (3, "q.txt"),
+                                       (5, "r.txt"))],
+            "sim": {"dt": 1.0, "max_sim_time": 100, "seed": 1},
+        }, base_dir=tmp_path)
+        a, b, c = build_world(cfg).agents
+        # one memo per file: equal tables in two files are two memos
+        assert type(a.qtable) is TableMoves and a.qtable is b.qtable
+        assert c.qtable is not a.qtable and c.qtable.q is not a.qtable.q
+        assert np.array_equal(a.qtable.q, q)
 
     @pytest.mark.parametrize("a_start, a_goal, b_duration", [
         ([2, 5], [2, 8], 160.0),  # shared goal: b timed out after 3000 m
