@@ -19,9 +19,6 @@ from .local_adapt import (
     RewardWeights,
     bypass_move,
     evaluate_bypass,
-    q_update,
-    reward,
-    select_action,
     train_bypass,
 )
 from .planner import NoPathError, PathPlan, SearchStats, astar, dijkstra_oracle

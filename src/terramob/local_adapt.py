@@ -9,18 +9,15 @@ state code of ``build_local_state``; tables are trained offline on
 randomized corridor episodes and frozen for simulation. While it trains,
 ``train_bypass`` holds the table as plain float lists, one per state
 visited, made on first read, and returns them as that array.
-``q_update`` (the temporal-difference backup) and ``select_action`` (the
-first maximum of a row, or an exploring draw) are the training rules, and
-read a row of either kind. Both refuse what would otherwise fail late or
-silently: ``q_update`` an action or a state outside the table (a negative
-state would wrap around), ``select_action`` an exploring ``epsilon > 0``
-without a generator ``rng``. A training episode runs inlined copies of
-both and of ``reward``, and computes each cell's state code and deviation
-once per episode. ``local_step`` is the run-time rule of a route
-follower, simulated or held out: the route, else the table's best open
-move, else a sidestep by cost; a held-out rollout runs it only where a
-bar can change the move. It reads a frozen table's moves from a
-``TableMoves``, which computes each state's ``bypass_move`` once.
+``_train_episode`` is the one definition of the training rules: the pick
+(the first maximum of a row, or an exploring draw), the reward of a step
+(``RewardWeights``) and the temporal-difference backup; it computes each
+cell's state code and deviation once per episode. ``local_step`` is the
+run-time rule of a route follower, simulated or held out: the route, else
+the table's best open move, else a sidestep by cost; a held-out rollout
+runs it only where a bar can change the move. It reads a frozen table's
+moves from a ``TableMoves``, which computes each state's ``bypass_move``
+once.
 
 "Obstructed" is decided by one blocking predicate, a ``Callable[[CellIndex],
 bool]`` that ``detect_block``, ``build_local_state`` and ``greedy_step``
@@ -76,7 +73,18 @@ MAX_SIM_STEPS = 10**7
 
 @dataclass(frozen=True)
 class RewardWeights:
-    """Magnitudes of the shaping terms; the reward function applies signs."""
+    """Magnitudes of the reward of one training step, which is the first
+    that applies of:
+
+    - a move into a closed entry or a bar cell: ``-collision``;
+    - a step onto the route at or past the tracked waypoint (a rejoin):
+      ``+rejoin``;
+    - a step that ends off the route: ``-deviation_per_cell`` times the
+      cells from there to the route (``deviation_cells``);
+    - a move or a stay from the route onto it: ``-delay_per_second`` times
+      the step's seconds;
+    - a step from off the route back onto it: 0.0.
+    """
 
     collision: float = 10.0
     delay_per_second: float = 0.1
@@ -88,21 +96,6 @@ class RewardWeights:
                      "rejoin"):
             if not 0 <= getattr(self, name) < math.inf:  # NaN fails too
                 raise ValueError(f"{name} must be finite and non-negative")
-
-
-def reward(kind: str, amount: float, w: RewardWeights) -> float:
-    """Scalar reward for one classified step; ``amount`` carries dt or d_t."""
-    if kind == "collision":
-        return -w.collision
-    if kind == "delay":
-        return -w.delay_per_second * amount
-    if kind == "deviation":
-        return -w.deviation_per_cell * amount
-    if kind == "rejoin":
-        return w.rejoin
-    if kind == "none":
-        return 0.0
-    raise ValueError(f"unknown event kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -144,58 +137,9 @@ class LearningParams:
         return self.epsilon_start + (self.epsilon_end - self.epsilon_start) * frac
 
 
-# A value table: anything whose row ``q[s]`` is N_ACTIONS floats that can be
-# assigned in place. Frozen tables are (N_STATES, N_ACTIONS) arrays;
-# training backs up into plain float lists, one per visited state.
-QRows = np.ndarray | dict[int, list[float]]
-
-
-def q_update(
-    q: QRows,
-    s: int,
-    a: int,
-    r: float,
-    s_next: int,
-    p: LearningParams,
-) -> QRows:
-    """One temporal-difference backup on the (s, a) entry; returns ``q``.
-
-    Refuses an action or a state outside the table rather than letting a
-    negative index wrap around.
-    """
-    if not 0 <= a < N_ACTIONS:
-        raise ValueError(f"action {a} out of range")
-    if not (0 <= s < N_STATES and 0 <= s_next < N_STATES):
-        raise ValueError(f"state {s} or {s_next} out of range")
-    row = q[s]
-    current = row[a]
-    target = r + p.gamma * max(q[s_next])
-    row[a] = current + p.alpha * (target - current)
-    return q
-
-
-def select_action(
-    q: QRows,
-    s: int,
-    epsilon: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> int:
-    """The table's move in state ``s``: the first maximum of its row.
-
-    With probability ``epsilon`` a uniform random action drawn from ``rng``
-    instead; ``rng`` is read only when ``epsilon > 0``, and is then required.
-    """
-    if not 0 <= epsilon <= 1:
-        raise ValueError("epsilon must be in [0, 1]")
-    if epsilon > 0:
-        if rng is None:
-            raise ValueError("epsilon > 0 needs a generator rng")
-        if rng.random() < epsilon:
-            return int(rng.integers(N_ACTIONS))
-    row = q[s]
-    if isinstance(row, np.ndarray):
-        row = row.tolist()
-    return row.index(max(row))
+# A training table: plain float rows, one per visited state, each
+# assigned in place.
+QRows = dict[int, list[float]]
 
 
 # The candidate moves of each occupancy pattern (bits 0-7 of a state
@@ -421,12 +365,12 @@ class CorridorEnv:
     across it at a random column, which stays for the whole episode. The
     corridor never changes: the episode code takes the bar as an argument
     and its blocking predicate is the bar's own membership test, so a
-    query runs no Python frame. It keeps the route's edge-table times
-    ``route_times``, ``route_elapsed[j]`` the time after the first ``j``
-    (added left to right from 0.0), ``bars``, one ``frozenset`` per
-    distinct bar drawn, so that equal bars are one object with one cached
-    hash, and ``oracle_times``, each bar's replanning time once
-    ``oracle_time`` first asks for it; at most 120 bars can be drawn.
+    query runs no Python frame. It keeps ``route_elapsed[j]``, the time
+    after the first ``j`` of the route's ``plan.edge_times`` (added left to
+    right from 0.0), ``bars``, one ``frozenset`` per distinct bar drawn, so
+    that equal bars are one object with one cached hash, and
+    ``oracle_times``, each bar's replanning time once ``oracle_time`` first
+    asks for it; at most 120 bars can be drawn.
     """
 
     def __init__(self, profile: AgentProfile):
@@ -440,11 +384,8 @@ class CorridorEnv:
             self.grid, profile, CellIndex(self.mid, 0),
             CellIndex(self.mid, self.grid.ncols - 1))
         self.stay_time = self.plan.edge_times[0]  # one flat edge
-        wps = self.plan.waypoints
-        self.route_times = [
-            self.edges[a][OFFSET_TO_ACTION[(b[0] - a[0], b[1] - a[1])]][1]
-            for a, b in zip(wps, wps[1:])]
-        self.route_elapsed = list(accumulate(self.route_times, initial=0.0))
+        self.route_elapsed = list(accumulate(self.plan.edge_times,
+                                             initial=0.0))
         # (column, first row, last row) -> the bar's one frozenset
         self.bars: dict[tuple[int, int, int], frozenset[CellIndex]] = {}
         self.oracle_times: dict[frozenset[CellIndex], float] = {}
@@ -488,7 +429,7 @@ def _rollout(env: CorridorEnv, moves: TableMoves | None,
     seconds). From a waypoint whose next one is clear, ``local_step``
     takes the plan edge, never None, so it runs only from the waypoint
     before the first barred one to the rejoin past the last; the steps
-    before are ``env.route_elapsed``, those after add ``route_times``.
+    before are ``env.route_elapsed``, those after add ``plan.edge_times``.
     """
     edges, plan, index = env.edges, env.plan, env.plan.index
     wps = plan.waypoints
@@ -518,7 +459,7 @@ def _rollout(env: CorridorEnv, moves: TableMoves | None,
             return True, False, elapsed
     else:
         return False, False, elapsed
-    for steps, t in enumerate(env.route_times[wi - 1:], start=steps):
+    for steps, t in enumerate(plan.edge_times[wi - 1:], start=steps):
         if steps == cap:
             return False, False, elapsed
         elapsed += t
@@ -532,14 +473,21 @@ def _train_episode(env: CorridorEnv, q: QRows, bar: frozenset[CellIndex],
     """One training episode on ``bar``; returns (return, success, steps).
 
     It starts on the cell before the bar, so the agent is bypassing from
-    its first step; every step is rewarded and backed up into ``q``, and
-    the episode ends on rejoin, collision or
+    its first step, and ends on rejoin, collision or
     ``params.max_steps_per_episode`` steps. Every step is a table step: the
     bar covers waypoint ``wi``, which moves only on the rejoin that ends it.
     Until then a cell's state code and deviation depend on the cell alone,
-    so ``seen`` keeps them for the episode. A step moves as ``_rollout``
-    does and inlines ``select_action``, ``rejoin_check``, ``reward`` and
-    ``q_update``, with the same draws and the same float operations.
+    so ``seen`` keeps them for the episode. A step is the one definition of
+    the training rules:
+
+    - the pick: with probability ``epsilon`` a uniform draw of the nine
+      actions from ``rng`` (read only when ``epsilon > 0``), else the first
+      maximum of row ``s``;
+    - the move, checked as ``_rollout`` checks it, and the rejoin test of
+      ``rejoin_check`` as one ``PathPlan.index`` lookup;
+    - the reward that ``RewardWeights`` states;
+    - the backup ``q[s][a] + alpha * ((r + gamma * max(q[s_next]))
+      - q[s][a])``, with ``s_next = s`` after a collision.
     """
     edges, plan, index = env.edges, env.plan, env.plan.index
     blocked = bar.__contains__

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from terramob.agents import AgentProfile, edge
-from terramob.local_adapt import BypassEvaluation
+from terramob.local_adapt import N_ACTIONS, BypassEvaluation, deviation_cells
 from terramob.planner import PathPlan
-from terramob.terrain import DEFAULT_NODATA, ElevationGrid
+from terramob.terrain import DEFAULT_NODATA, CellIndex, ElevationGrid
 
 
 def rough_grid(seed: int, nrows: int = 32, ncols: int = 32,
@@ -59,6 +59,51 @@ def success_rate(ev: BypassEvaluation) -> float:
 def collision_rate(ev: BypassEvaluation) -> float:
     """Share of an evaluation's episodes that ended in a collision."""
     return ev.collisions / ev.episodes if ev.episodes else 0.0
+
+
+def _reference_reward(kind, amount, w):
+    """The reward of one classified step, as ``RewardWeights`` states it;
+    ``amount`` carries the step's seconds (delay) or cells (deviation)."""
+    if kind == "collision":
+        return -w.collision
+    if kind == "delay":
+        return -w.delay_per_second * amount
+    if kind == "deviation":
+        return -w.deviation_per_cell * amount
+    if kind == "rejoin":
+        return w.rejoin
+    if kind == "none":
+        return 0.0
+    raise ValueError(f"unknown event kind {kind!r}")
+
+
+def _reward_bound(env, w):
+    """The largest |reward| a training step on ``env`` can earn: the
+    slowest step (a stay costs one route edge) and the farthest cell from
+    the route bound the delay and the deviation."""
+    grid, edges = env.grid, env.edges
+    cells = [CellIndex(r, c) for r in range(grid.nrows)
+             for c in range(grid.ncols)]
+    slowest = max([env.stay_time] + [e[1] for cell in cells
+                                     for e in edges[cell] if e is not None])
+    farthest = max(deviation_cells(cell, env.plan) for cell in cells)
+    return max(w.collision, w.rejoin, w.delay_per_second * slowest,
+               w.deviation_per_cell * farthest)
+
+
+def _reference_q_update(q, s, a, r, s_next, p):
+    """The temporal-difference backup of training on numpy scalars."""
+    current = q[s, a]
+    target = r + p.gamma * float(q[s_next].max())
+    q[s, a] = current + p.alpha * (target - current)
+
+
+def _reference_select_action(q, s, epsilon, rng):
+    """The pick of training on numpy scalars: the row's ``argmax``, or
+    with probability ``epsilon`` a uniform draw from ``rng``."""
+    if epsilon > 0 and rng.random() < epsilon:
+        return int(rng.integers(N_ACTIONS))
+    return int(q[s].argmax())
 
 
 @pytest.fixture

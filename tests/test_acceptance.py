@@ -6,6 +6,7 @@ single ``[acceptance N] ...: PASS`` line (run with ``pytest -s`` to see them).
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,13 +23,11 @@ from terramob.local_adapt import (
     RewardWeights,
     _train_episode,
     build_local_state,
+    bypass_move,
     deviation_cells,
     evaluate_bypass,
-    q_update,
     rejoin_check,
-    reward,
     save_qtable,
-    select_action,
     train_bypass,
 )
 from terramob.planner import NoPathError, astar, dijkstra_all, dijkstra_oracle, heuristic
@@ -43,7 +42,13 @@ from terramob.terrain import (
     two_corridor_endpoints,
     viewshed,
 )
-from conftest import rough_grid, success_rate
+from conftest import (
+    _reference_q_update,
+    _reference_reward,
+    _reward_bound,
+    rough_grid,
+    success_rate,
+)
 
 
 def _report(criterion: int, label: str, failures: list[str]) -> None:
@@ -171,66 +176,95 @@ def test_criterion_3_hybrid_contract(trained_bypass, tmp_path, monkeypatch):
                "<=1.25x replanning oracle", failures)
 
 
+def _one_step_backups(env, bar, row, w, params):
+    """(start state, table before, table after) of a greedy one-step
+    ``_train_episode`` from the waypoint before ``bar`` over a random table
+    whose row of the start state is ``row``."""
+    wi = next(iter(bar)).col
+    s = build_local_state(env.edges, bar.__contains__,
+                          env.plan.waypoints[wi - 1], env.plan, wi)
+    table = np.random.default_rng(4).normal(size=(N_STATES, N_ACTIONS))
+    table[s] = row
+    q = dict(enumerate(table.tolist()))
+    _train_episode(env, q, bar, w, replace(params, max_steps_per_episode=1),
+                   0.0, np.random.default_rng(0))
+    return s, table, np.array([q[i] for i in range(N_STATES)])
+
+
 def test_criterion_4_q_learning_properties():
+    # each property is asserted on the training that runs: train_bypass
+    # and the _train_episode it calls
     failures = []
     rng = np.random.default_rng(12)
-    q = np.zeros((N_STATES, N_ACTIONS))
+
+    # boundedness: from zeros, every entry stays within r_max / (1 - gamma)
+    runs = (("fit_adults", RewardWeights(), LearningParams(
+                alpha=0.35, gamma=0.95, episodes=8000,
+                epsilon_decay_episodes=8000, seed=12)),
+            ("mule", RewardWeights(collision=2.0, delay_per_second=0.5,
+                                   deviation_per_cell=3.0, rejoin=20.0),
+             LearningParams(alpha=1.0, gamma=0.9, episodes=8000,
+                            epsilon_decay_episodes=8000, seed=13)))
+    backups = 0
+    for name, w, params in runs:
+        env = CorridorEnv(builtin_profile(name))
+        q, curve = train_bypass(env, w, params)
+        backups += sum(c.steps for c in curve)
+        bound = _reward_bound(env, w) / (1.0 - params.gamma)
+        if not np.abs(q).max() <= bound:
+            failures.append(f"{name}: |Q| {np.abs(q).max():.3f} exceeds"
+                            f" {bound:.3f}")
+    if backups < 100_000:
+        failures.append(f"only {backups} training backups")
+
+    # alpha = 0 identity over whole episodes, exploring and greedy
+    env = CorridorEnv(builtin_profile("fit_adults"))
     w = RewardWeights()
-    params = LearningParams(alpha=0.35, gamma=0.95)
-    r_max = 0.0
-    kinds = ("collision", "delay", "deviation", "rejoin", "none")
-    for _ in range(100_000):
-        kind = kinds[int(rng.integers(len(kinds)))]
-        amount = float(rng.uniform(0.0, 30.0)) if kind == "delay" else (
-            float(rng.integers(0, 4)) if kind == "deviation" else 0.0
-        )
-        r = reward(kind, amount, w)
-        r_max = max(r_max, abs(r))
-        q_update(q, int(rng.integers(N_STATES)),
-                 int(rng.integers(9)), r,
-                 int(rng.integers(N_STATES)), params)
-    bound = r_max / (1.0 - params.gamma)
-    if np.abs(q).max() > bound + 1e-9:
-        failures.append(f"|Q| {np.abs(q).max():.3f} exceeds {bound:.3f}")
+    table = rng.normal(size=(N_STATES, N_ACTIONS))
+    q = dict(enumerate(table.tolist()))
+    still = LearningParams(alpha=0.0)
+    for ep in range(200):
+        _train_episode(env, q, env.sample_obstacle(rng), w, still,
+                       0.5 if ep % 2 else 0.0, rng)
+    if np.array([q[i] for i in range(N_STATES)]).tobytes() != table.tobytes():
+        failures.append("alpha=0 training changed the table")
 
-    # alpha = 0 identity
-    q2 = np.zeros((N_STATES, N_ACTIONS))
-    q2[:] = rng.normal(size=q2.shape)
-    before = q2.copy()
-    q_update(q2, 3, 1, 5.0, 4,
-             LearningParams(alpha=0.0))
-    if not np.array_equal(q2, before):
-        failures.append("alpha=0 update changed the table")
+    # locality: a one-step episode backs up only its (s, a) entry
+    bar = frozenset({CellIndex(env.mid, 10)})
+    params = LearningParams(alpha=0.5, gamma=0.9)
+    base = rng.normal(size=N_ACTIONS)
+    for a in range(N_ACTIONS):
+        row = base.copy()
+        row[a] = base.max() + 1.0  # the greedy pick
+        s, before, after = _one_step_backups(env, bar, row, w, params)
+        changed = np.argwhere(before != after).tolist()
+        if changed != [[s, a]]:
+            failures.append(f"action {a}'s step backed up {changed}")
 
-    # single-entry locality
-    q3 = np.zeros((N_STATES, N_ACTIONS))
-    q_update(q3, 100, 5, -2.0, 200,
-             LearningParams(alpha=0.5))
-    touched = list(zip(*np.nonzero(q3)))
-    if touched != [(100, 5)]:
-        failures.append(f"update touched {touched}")
-
-    # argmax invariance under constant row shifts
-    q4 = np.zeros((N_STATES, N_ACTIONS))
-    q4[50, :] = rng.normal(size=9)
-    base = select_action(q4, 50, 0.0,
-                         np.random.default_rng(0))
-    for shift in (-3.0, 0.5, 42.0):
-        q4[50, :] += shift
-        pick = select_action(q4, 50, 0.0,
-                             np.random.default_rng(0))
-        if pick != base:
-            failures.append(f"argmax changed under shift {shift}")
-    _report(4, "Q-boundedness (1e5 updates), alpha=0 identity, locality, "
-               "argmax shift invariance", failures)
+    # argmax shift invariance: the epsilon = 0 pick of training and a
+    # frozen table's bypass_move
+    picks, moves = set(), set()
+    frozen = np.zeros((N_STATES, N_ACTIONS))
+    s = 0b10100101 | 3 << 8  # four moves closed
+    for shift in (0.0, -3.0, 0.5, 42.0):
+        _s, before, after = _one_step_backups(env, bar, base + shift, w,
+                                              params)
+        picks.add(tuple(np.argwhere(before != after)[:, 1]))
+        frozen[s] = base + shift
+        moves.add(bypass_move(frozen, s))
+    if len(picks) != 1 or len(moves) != 1:
+        failures.append(f"a row shift moved the pick {picks} or the"
+                        f" bypass move {moves}")
+    _report(4, f"Q-boundedness ({backups} training backups), alpha=0"
+               " identity, locality, argmax shift invariance", failures)
 
 
 def test_criterion_4_training_backs_up_as_q_update():
-    # the properties above hold for the table training writes: a one-step
-    # episode's backup leaves the row q_update gives on the same
-    # (s, a, r, s_next), for each action out of the waypoint before the
-    # bar, and a collision backs up with s_next = s. The bar cell is
-    # beside the route, so the step onto the waypoint ahead rejoins.
+    # a one-step episode's backup leaves the row _reference_q_update
+    # gives on the same (s, a, r, s_next), with the reward of
+    # _reference_reward, for each action out of the waypoint before the
+    # bar, and a collision backs up with s_next = s. The bar cell is beside
+    # the route, so the step onto the waypoint ahead rejoins.
     failures = []
     env = CorridorEnv(builtin_profile("fit_adults"))
     edges, plan = env.edges, env.plan
@@ -251,24 +285,27 @@ def test_criterion_4_training_backs_up_as_q_update():
             env, q, bar, w, params, 0.0, np.random.default_rng(0))
         e = None if a == ACTION_STAY else edges[start][a]
         if a == ACTION_STAY:
-            kind, r, s_next = "stay", reward("delay", env.stay_time, w), s
+            kind, s_next = "stay", s
+            r = _reference_reward("delay", env.stay_time, w)
         elif e is None or blocked(e[0]):
-            kind, r, s_next = "collision", reward("collision", 0.0, w), s
+            kind, s_next = "collision", s
+            r = _reference_reward("collision", 0.0, w)
         else:
             rejoined, k = rejoin_check(e[0], plan, wi)
             dev = deviation_cells(e[0], plan)
-            kind, r = (("rejoin", reward("rejoin", 0.0, w)) if rejoined
-                       else ("move", reward("deviation", dev, w)) if dev
-                       else ("move", reward("delay", e[1], w)))
+            kind, r = (("rejoin", _reference_reward("rejoin", 0.0, w))
+                       if rejoined else
+                       ("move", _reference_reward("deviation", dev, w)) if dev
+                       else ("move", _reference_reward("delay", e[1], w)))
             s_next = build_local_state(edges, blocked, e[0], plan,
                                        k + 1 if rejoined else wi)
         kinds.add(kind)
-        q_update(table, s, a, r, s_next, params)
+        _reference_q_update(table, s, a, r, s_next, params)
         if ret != r or q != dict(enumerate(table.tolist())):
             failures.append(f"action {a} ({kind}) backs up otherwise")
     if kinds != {"stay", "move", "rejoin", "collision"}:
         failures.append(f"actions covered only {sorted(kinds)}")
-    _report(4, "each training backup is q_update's", failures)
+    _report(4, "each training backup is the reference q_update's", failures)
 
 
 def test_criterion_5_transport_desk_scale():

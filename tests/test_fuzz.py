@@ -40,7 +40,7 @@ from terramob.local_adapt import (
     CorridorEnv, EpisodeStats, LearningParams, RewardWeights, TableMoves,
     _offset_direction, _rollout, build_local_state, bypass_move,
     detect_block, deviation_cells, follow_route, greedy_step, load_qtable,
-    local_step, rejoin_check, reward, train_bypass, write_learning_curve,
+    local_step, rejoin_check, train_bypass, write_learning_curve,
 )
 from terramob.planner import (
     OBJECTIVES, NoPathError, PathPlan, astar, dijkstra_oracle, heuristic,
@@ -50,6 +50,9 @@ from terramob.terrain import (
     DEFAULT_NODATA, NEIGHBOR_OFFSETS, RECIPES, CellIndex, ElevationGrid,
     GridFormatError, _HEADER_KEYS, _REQUIRED_KEYS, _check_header,
     _looks_numeric, grid_from_recipe, parse_ascii_grid,
+)
+from conftest import (
+    _reference_q_update, _reference_reward, _reference_select_action,
 )
 
 FUZZ = settings(max_examples=300, deadline=None)
@@ -628,21 +631,6 @@ def test_astar_matches_oracle_on_border_and_interior_nodes(case):
         assert v > 0.0 and t == run / v
 
 
-def _reference_q_update(q, s, a, r, s_next, p):
-    """``q_update`` on numpy scalars, as it was before training kept its
-    table in plain float rows."""
-    current = q[s, a]
-    target = r + p.gamma * float(q[s_next].max())
-    q[s, a] = current + p.alpha * (target - current)
-
-
-def _reference_select_action(q, s, epsilon, rng):
-    """``select_action`` on numpy scalars: the row's ``argmax``."""
-    if epsilon > 0 and rng.random() < epsilon:
-        return int(rng.integers(N_ACTIONS))
-    return int(q[s].argmax())
-
-
 def _reference_train(env, weights, params):
     """``train_bypass`` and its training episodes over a dense array,
     with the bar's predicate a Python function and the state code built
@@ -671,7 +659,7 @@ def _reference_train(env, weights, params):
                 dest = CellIndex(cell[0] + dr, cell[1] + dc)
                 move_time = _edge_time(profile, grid, cell, dest)
                 if move_time == math.inf or blocked(dest):
-                    r = reward("collision", 0.0, weights)
+                    r = _reference_reward("collision", 0.0, weights)
                     total_r += r
                     _reference_q_update(q, s, a, r, s, params)
                     steps = step
@@ -682,13 +670,13 @@ def _reference_train(env, weights, params):
                 wi = k + 1
             dev = deviation_cells(cell, plan)
             if rejoined:
-                r = reward("rejoin", 0.0, weights)
+                r = _reference_reward("rejoin", 0.0, weights)
             elif dev > 0:
-                r = reward("deviation", dev, weights)
+                r = _reference_reward("deviation", dev, weights)
             elif deviation_cells(prev_cell, plan) == 0:
-                r = reward("delay", move_time, weights)
+                r = _reference_reward("delay", move_time, weights)
             else:
-                r = reward("none", 0.0, weights)
+                r = _reference_reward("none", 0.0, weights)
             total_r += r
             s_next = _reference_state(grid, profile, blocked, cell, plan, wi)
             _reference_q_update(q, s, a, r, s_next, params)

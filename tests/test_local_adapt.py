@@ -28,11 +28,8 @@ from terramob.local_adapt import (
     greedy_step,
     load_qtable,
     local_step,
-    q_update,
     rejoin_check,
-    reward,
     save_qtable,
-    select_action,
     _offset_direction,
     _rollout,
     _train_episode,
@@ -42,7 +39,12 @@ from terramob.local_adapt import (
 from terramob.planner import PathPlan
 from terramob.terrain import CellIndex, make_synthetic
 
-from conftest import collision_rate, success_rate
+from conftest import (
+    _reference_select_action,
+    _reward_bound,
+    collision_rate,
+    success_rate,
+)
 
 
 def blocked_by(*cells):
@@ -116,170 +118,211 @@ class TestLocalState:
 
 
 # ---------------------------------------------------------------------------
-# Rewards
-# ---------------------------------------------------------------------------
-
-class TestReward:
-    def test_none_is_zero(self):
-        assert reward("none", 0.0, RewardWeights()) == 0.0
-
-    def test_deviation_two_cells(self):
-        w = RewardWeights(deviation_per_cell=0.5)
-        assert reward("deviation", 2.0, w) == pytest.approx(-1.0)
-
-    def test_rejoin_positive(self):
-        assert reward("rejoin", 0.0, RewardWeights(rejoin=5.0)) == 5.0
-
-    def test_collision_and_clear_and_delay(self):
-        w = RewardWeights()
-        assert reward("collision", 0.0, w) == -10.0
-        assert reward("delay", 20.0, w) == pytest.approx(-2.0)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown event kind"):
-            reward("explosion", 0.0, RewardWeights())
-
-
-# ---------------------------------------------------------------------------
-# Q updates
+# Training rules: the reward, backup and pick of _train_episode
 # ---------------------------------------------------------------------------
 
 def zeros():
     return np.zeros((N_STATES, N_ACTIONS))
 
 
-class TestQUpdate:
-    def test_alpha_zero_is_identity(self):
-        q = zeros()
-        q[:] = np.random.default_rng(0).normal(size=q.shape)
-        before = q.copy()
-        q_update(q, 5, 2, 7.0, 9, LearningParams(alpha=0.0))
-        assert np.array_equal(q, before)
-
-    def test_single_step_from_zero(self):
-        q = zeros()
-        params = LearningParams(alpha=1.0, gamma=0.9)
-        q_update(q, 0, 3, 1.0, 1, params)
-        assert q[0, 3] == pytest.approx(1.0)
-
-    def test_update_locality(self):
-        q = zeros()
-        params = LearningParams(alpha=0.5, gamma=0.9)
-        q_update(q, 17, 4, -3.0, 42, params)
-        nz = np.nonzero(q)
-        assert list(zip(*nz)) == [(17, 4)]
-
-    def test_fixed_point_convergence(self):
-        q = zeros()
-        params = LearningParams(alpha=0.5, gamma=0.9)
-        s, s_next = 7, 9
-        q[9, :] = 2.0  # frozen successor row
-        for _ in range(200):
-            q_update(q, s, 1, 1.5, s_next, params)
-        assert q[7, 1] == pytest.approx(1.5 + 0.9 * 2.0, abs=1e-6)
-
-    def test_boundedness_random_stream(self):
-        rng = np.random.default_rng(8)
-        q = zeros()
-        w = RewardWeights()
-        params = LearningParams(alpha=0.3, gamma=0.95)
-        r_max = 0.0
-        for _ in range(20_000):
-            kind = ["collision", "delay", "deviation", "rejoin",
-                    "none"][int(rng.integers(5))]
-            amount = float(rng.uniform(0.0, 30.0)) if kind == "delay" else (
-                float(rng.integers(0, 4)) if kind == "deviation" else 0.0
-            )
-            r = reward(kind, amount, w)
-            r_max = max(r_max, abs(r))
-            q_update(q, int(rng.integers(N_STATES)),
-                     int(rng.integers(9)), r,
-                     int(rng.integers(N_STATES)), params)
-        bound = r_max / (1.0 - params.gamma)
-        assert np.abs(q).max() <= bound + 1e-9
-
-    def test_invalid_action_rejected(self):
-        with pytest.raises(ValueError):
-            q_update(zeros(), 0, 9, 0.0, 0, LearningParams())
-
-    @pytest.mark.parametrize("s, s_next", [(-1, 0), (0, -1)])
-    def test_state_below_range_rejected(self, s, s_next):
-        # a negative index would otherwise back up row N_STATES - 1
-        q = zeros()
-        with pytest.raises(ValueError, match="out of range"):
-            q_update(q, s, 0, 1.0, s_next, LearningParams(alpha=1.0))
-        assert not q.any()
-
-    @pytest.mark.parametrize("s, s_next", [(N_STATES, 0), (0, N_STATES)])
-    def test_state_above_range_rejected(self, s, s_next):
-        with pytest.raises(ValueError, match="out of range"):
-            q_update(zeros(), s, 0, 1.0, s_next, LearningParams())
-
-    def test_list_rows_back_up_like_array_rows(self):
-        params = LearningParams(alpha=0.3, gamma=0.9)
-        q = zeros()
-        q[4] = np.arange(9.0) - 3.0
-        rows = {s: q[s].tolist() for s in (2, 4)}
-        for table in (q, rows):
-            q_update(table, 2, 5, -1.25, 4, params)
-            q_update(table, 2, 1, 0.5, 2, params)
-        assert rows[2] == q[2].tolist()
-        assert all(type(v) is float for v in rows[2])
+N, E, S, W = 0, 2, 4, 6  # action indices
 
 
-# ---------------------------------------------------------------------------
-# Action selection
-# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def corridor():
+    return CorridorEnv(builtin_profile("fit_adults"))
 
-class TestSelectAction:
-    @pytest.mark.parametrize("epsilon", [-0.1, 1.5, math.nan])
-    def test_epsilon_outside_0_1_is_refused(self, epsilon):
-        with pytest.raises(ValueError, match=r"^epsilon must be in \[0, 1\]$"):
-            select_action(zeros(), 0, epsilon, np.random.default_rng(0))
 
-    def test_greedy_unique_max(self):
-        q = zeros()
-        q[0, 6] = 3.0
+# An episode on either bar starts on waypoint 9 and tracks waypoint 10.
+# The step east collides with the bar on the route and rejoins past the
+# bar beside it.
+def on_route(env):
+    return frozenset({CellIndex(env.mid, 10)})
+
+
+def beside(env):
+    return frozenset({CellIndex(env.mid - 1, 10)})
+
+
+def state_at(env, bar, cell=None, wi=10):
+    """The state code of ``cell`` (the start) in an episode on ``bar``."""
+    cell = cell or env.plan.waypoints[wi - 1]
+    return build_local_state(env.edges, bar.__contains__, cell, env.plan, wi)
+
+
+def zero_rows():
+    """A training table with no row yet; a zero row's pick is north."""
+    return defaultdict(lambda: [0.0] * N_ACTIONS)
+
+
+def run_episode(env, q, bar, weights=RewardWeights(), steps=1, alpha=0.5,
+                gamma=0.9, epsilon=0.0, rng=None):
+    params = LearningParams(alpha=alpha, gamma=gamma,
+                            max_steps_per_episode=steps)
+    return _train_episode(env, q, bar, weights, params, epsilon,
+                          rng or np.random.default_rng(0))
+
+
+def picked(env, row, epsilon=0.0, rng=None):
+    """The action a one-step episode on the route's bar picks when the
+    start state's row is ``row``: the one entry its backup changed (every
+    step out of the start earns a non-zero reward)."""
+    bar = on_route(env)
+    s = state_at(env, bar)
+    q = zero_rows()
+    q[s] = [float(v) for v in row]
+    run_episode(env, q, bar, epsilon=epsilon, rng=rng)
+    changed = [a for a in range(N_ACTIONS) if q[s][a] != row[a]]
+    assert len(changed) == 1
+    return changed[0]
+
+
+class TestTrainingReward:
+    def test_a_step_back_onto_the_route_earns_zero(self, corridor):
+        # north off the route, then south back onto waypoint 9, behind the
+        # tracked waypoint: -0.5 for the cell off, 0.0 for the return
+        bar = on_route(corridor)
+        q = zero_rows()
+        q[state_at(corridor, bar, CellIndex(corridor.mid - 1, 9))][S] = 1.0
+        w = RewardWeights(deviation_per_cell=0.5)
+        assert run_episode(corridor, q, bar, w, steps=2) == (-0.5, False, 2)
+
+    def test_deviation_one_then_two_cells(self, corridor):
+        w = RewardWeights(deviation_per_cell=0.5)
+        assert run_episode(corridor, zero_rows(), on_route(corridor), w,
+                           steps=2) == (-1.5, False, 2)
+
+    def test_rejoin_positive(self, corridor):
+        bar = beside(corridor)
+        q = zero_rows()
+        q[state_at(corridor, bar)][E] = 1.0
+        assert run_episode(corridor, q, bar,
+                           RewardWeights(rejoin=5.0)) == (5.0, True, 1)
+
+    def test_collision_and_delay(self, corridor):
+        bar, w = on_route(corridor), RewardWeights()
+        s = state_at(corridor, bar)
+        q = zero_rows()
+        q[s][E] = 1.0
+        assert run_episode(corridor, q, bar, w) == (-10.0, False, 1)
+        q = zero_rows()
+        q[s][ACTION_STAY] = 1.0  # a stay on the route is a delay
+        assert corridor.stay_time == 20.0
+        assert run_episode(corridor, q, bar, w) == (-2.0, False, 1)
+
+
+class TestTrainingBackup:
+    def test_alpha_zero_is_identity(self, corridor):
         rng = np.random.default_rng(0)
-        assert select_action(q, 0, 0.0, rng) == 6
+        table = rng.normal(size=(N_STATES, N_ACTIONS))
+        q = dict(enumerate(table.tolist()))
+        for _ in range(20):
+            _train_episode(corridor, q, corridor.sample_obstacle(rng),
+                           RewardWeights(), LearningParams(alpha=0.0), 0.3,
+                           rng)
+        assert np.array(list(q.values())).tobytes() == table.tobytes()
 
-    def test_epsilon_one_is_seeded_uniform(self):
-        q = zeros()
-        seq1 = [select_action(q, 0, 1.0, np.random.default_rng(4))
-                for _ in range(1)]
-        rng_a = np.random.default_rng(4)
-        rng_b = np.random.default_rng(4)
-        a = [select_action(q, 0, 1.0, rng_a) for _ in range(20)]
-        b = [select_action(q, 0, 1.0, rng_b) for _ in range(20)]
+    def test_single_step_from_zero(self, corridor):
+        # at alpha = 1 the entry becomes the target: the rejoin reward
+        # plus gamma times a zero successor row
+        bar = beside(corridor)
+        s = state_at(corridor, bar)
+        q = zero_rows()
+        q[s][E] = 1.0
+        run_episode(corridor, q, bar, RewardWeights(rejoin=5.0), alpha=1.0)
+        assert q[s][E] == 5.0
+
+    def test_update_locality(self, corridor):
+        bar, q = on_route(corridor), zero_rows()
+        run_episode(corridor, q, bar)
+        touched = [(s, a) for s, row in q.items()
+                   for a, v in enumerate(row) if v]
+        assert touched == [(state_at(corridor, bar), N)]
+
+    def test_fixed_point_convergence(self, corridor):
+        # rejoins from one state into a successor row that never changes
+        bar = beside(corridor)
+        s = state_at(corridor, bar)
+        s_next = state_at(corridor, bar, CellIndex(corridor.mid, 10), wi=11)
+        q = zero_rows()
+        q[s][E] = 1.0
+        q[s_next] = [2.0] * N_ACTIONS
+        for _ in range(200):
+            run_episode(corridor, q, bar, RewardWeights(rejoin=1.5))
+        assert q[s][E] == pytest.approx(1.5 + 0.9 * 2.0, abs=1e-6)
+        assert q[s_next] == [2.0] * N_ACTIONS
+
+    def test_boundedness_on_a_training_run(self):
+        env = CorridorEnv(builtin_profile("mule"))
+        w = RewardWeights(collision=3.0, delay_per_second=0.4,
+                          deviation_per_cell=1.2, rejoin=8.0)
+        params = LearningParams(alpha=0.3, gamma=0.95, episodes=1000, seed=8)
+        q, _curve = train_bypass(env, w, params)
+        assert np.abs(q).max() <= _reward_bound(env, w) / (1.0 - params.gamma)
+
+    @pytest.mark.parametrize("name", [p.name for p in builtin_profiles()])
+    def test_training_reads_only_table_states(self, name):
+        # every state a training run reads or backs up is a row of the
+        # array it returns, and that array holds exactly those rows
+        class Rows(dict):
+            def __missing__(self, s):
+                assert type(s) is int and 0 <= s < N_STATES
+                row = self[s] = [0.0] * N_ACTIONS
+                return row
+
+        env = CorridorEnv(builtin_profile(name))
+        w = RewardWeights()
+        params = LearningParams(episodes=300, epsilon_decay_episodes=150,
+                                seed=2)
+        q, rng = Rows(), np.random.default_rng(params.seed)
+        for ep in range(params.episodes):
+            _train_episode(env, q, env.sample_obstacle(rng), w, params,
+                           params.epsilon_at(ep), rng)
+        table, _curve = train_bypass(env, w, params)
+        assert all(len(row) == N_ACTIONS for row in q.values())
+        expected = np.zeros((N_STATES, N_ACTIONS))
+        expected[list(q)] = list(q.values())
+        assert table.tobytes() == expected.tobytes()
+        assert table.any()
+
+
+class TestTrainingPick:
+    @pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
+    @pytest.mark.parametrize("name", ["epsilon_start", "epsilon_end"])
+    def test_epsilon_outside_0_1_is_refused(self, name, value):
+        # training draws with probability epsilon, so the schedule's ends
+        # are refused before any episode runs
+        with pytest.raises(ValueError, match=rf"^{name} must be in \[0, 1\]$"):
+            LearningParams(**{name: value})
+
+    def test_greedy_unique_max(self, corridor):
+        row = [0.0] * N_ACTIONS
+        row[W] = 3.0
+        assert picked(corridor, row) == W
+
+    def test_epsilon_one_is_seeded_uniform(self, corridor):
+        row = [0.0] * N_ACTIONS
+        rng_a, rng_b = np.random.default_rng(4), np.random.default_rng(4)
+        a = [picked(corridor, row, 1.0, rng_a) for _ in range(20)]
+        b = [picked(corridor, row, 1.0, rng_b) for _ in range(20)]
         assert a == b
         assert len(set(a)) > 1
 
-    def test_exploring_without_a_generator_rejected(self):
-        with pytest.raises(ValueError, match="rng"):
-            select_action(zeros(), 0, 0.5)
+    def test_first_of_two_maxima(self, corridor):
+        row = [0.0, 2.0, -1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert picked(corridor, row) == 1
 
-    def test_list_row_picks_first_maximum(self):
-        rows = {7: [0.0, 2.0, -1.0, 2.0, 0.0, 0.0, 0.0, 0.0, 0.0]}
-        assert select_action(rows, 7) == 1
-
-    def test_all_equal_row_ties_to_index_zero(self):
-        q = zeros()
-        q[3, :] = 1.25
-        assert select_action(q, 3, 0.0, np.random.default_rng(0)) == 0
-        assert select_action(q, 3) == 0  # greedy: no generator needed
-        q[3, [5, 2]] = 2.0
-        assert select_action(q, 3) == 2  # the first of two maxima
+    def test_all_equal_row_ties_to_index_zero(self, corridor):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert picked(corridor, [1.25] * N_ACTIONS, 0.0, rng) == 0
+        assert rng.bit_generator.state == state  # greedy: no draw
 
     @given(st.floats(min_value=-5.0, max_value=5.0))
     @settings(max_examples=50, deadline=None)
-    def test_argmax_invariant_under_row_shift(self, shift):
-        q = zeros()
-        rng = np.random.default_rng(11)
-        q[40, :] = rng.normal(size=9)
-        base = select_action(q, 40, 0.0, np.random.default_rng(0))
-        q[40, :] += shift
-        assert select_action(q, 40, 0.0,
-                             np.random.default_rng(0)) == base
+    def test_argmax_invariant_under_row_shift(self, corridor, shift):
+        row = np.random.default_rng(11).normal(size=N_ACTIONS)
+        assert picked(corridor, row + shift) == picked(corridor, row)
 
 
 class TestBypassMove:
@@ -822,7 +865,7 @@ class TestEvaluateBypass:
                               CellIndex(env.mid, 9), env.plan, 10)
         q = zeros()
         q[s, ACTIONS.index((0, 1))] = 1.0
-        assert ACTIONS[select_action(q, s)] == (0, 1)
+        assert ACTIONS[_reference_select_action(q, s, 0.0, None)] == (0, 1)
         success, collided, elapsed = _rollout(env, TableMoves(q), bar)
         assert success and not collided
         assert (success, collided, elapsed) == _rollout(
