@@ -20,16 +20,17 @@ moves from a ``TableMoves``, which computes each state's ``bypass_move``
 once.
 
 "Obstructed" is decided by one blocking predicate, a ``Callable[[CellIndex],
-bool]`` that ``detect_block``, ``build_local_state`` and ``greedy_step``
+bool]`` that ``local_step``, ``build_local_state`` and ``greedy_step``
 take: the simulation passes ``World._blocker(agent)`` and a corridor
 episode its bar's own ``frozenset`` membership test, so no Python frame
 runs per query. The local step rules read a cell's 8 moves from an
 ``agents.EdgeTable`` of the grid and profile, whose entry is None for
 every move the agent cannot make (off the grid, nodata, a sealed corner,
 too steep). Every rule tests only that: the state code sets the bits of
-the None entries and asks the predicate only about the others,
-``greedy_step`` and ``follow_route`` take only open entries, and a
-corridor move into a None entry is a collision.
+the None entries and asks the predicate only about the others, and
+``greedy_step`` takes only open entries. ``local_step`` returns only
+ACTION_STAY or an open move onto a cell not blocked, which no caller
+checks again; only a training pick, any action, can be a collision.
 """
 
 from __future__ import annotations
@@ -238,30 +239,6 @@ def build_local_state(
     return code | (direction << 8) | (dev << 11)
 
 
-def detect_block(blocked: Callable[[CellIndex], bool], plan: PathPlan,
-                 waypoint_index: int) -> bool:
-    """True when the next routed step is obstructed by a dynamic blocker."""
-    if waypoint_index >= len(plan.waypoints):
-        return False
-    return bool(blocked(plan.waypoints[waypoint_index]))
-
-
-def rejoin_check(
-    agent_cell: CellIndex,
-    plan: PathPlan,
-    waypoint_index: int,
-) -> tuple[bool, int]:
-    """Has the agent landed back on the route at or beyond its waypoint?
-
-    Matches only forward along the plan: standing on an already-passed
-    waypoint does not count. Returns (rejoined, matched index or unchanged).
-    """
-    k = plan.index.get(agent_cell)
-    if k is not None and k >= waypoint_index:
-        return True, k
-    return False, waypoint_index
-
-
 def greedy_step(
     edges: EdgeTable,
     at: CellIndex,
@@ -288,37 +265,29 @@ def greedy_step(
     return best_action
 
 
-def follow_route(
-    plan: PathPlan,
-    waypoint_index: int,
-    edges: EdgeTable,
-    at: CellIndex,
-) -> int:
-    """Unblocked move along the committed route.
-
-    On the route: take the plan edge (the true local cost minimum by
-    sub-path optimality of the global search) while it is open.
-    Off the route: the greedy step toward the tracked waypoint, which is
-    never ``at``: arriving there rejoins past it (``rejoin_check``).
-    """
-    wp = plan.waypoints[waypoint_index]
-    if waypoint_index >= 1 and at == plan.waypoints[waypoint_index - 1]:
-        a = OFFSET_TO_ACTION[(wp[0] - at[0], wp[1] - at[1])]
-        if edges[at][a] is not None:
-            return a
-    return greedy_step(edges, at, wp)
-
-
 def local_step(moves: TableMoves | None, edges: EdgeTable,
                blocked: Callable[[CellIndex], bool], cell: CellIndex,
                plan: PathPlan, waypoint_index: int) -> tuple[bool, int]:
     """(chi, action) of a route follower carrying the moves of a frozen
-    table (or None). chi is ``detect_block``; while it holds, the move is
-    the table's (``bypass_move``'s), or with no table or none for this
-    state, a ``greedy_step`` sidestep toward the first waypoint not
-    blocked (else the goal). Otherwise the move is ``follow_route``'s."""
-    if not detect_block(blocked, plan, waypoint_index):
-        return False, follow_route(plan, waypoint_index, edges, cell)
+    table (or None); chi is whether its tracked waypoint is ``blocked``.
+
+    While the waypoint is clear: the plan edge from the waypoint before it
+    while that edge is open, else the ``greedy_step`` toward the waypoint,
+    or ACTION_STAY (the follower yields) when that step's cell is blocked.
+    While it is blocked: the table's move (``bypass_move``'s), or with no
+    table or none for this state, a ``greedy_step`` sidestep toward the
+    first waypoint not blocked (else the goal). Every move is ACTION_STAY
+    or an open entry onto a cell not blocked."""
+    wp = plan.waypoints[waypoint_index]
+    if not blocked(wp):
+        if waypoint_index and cell == plan.waypoints[waypoint_index - 1]:
+            a = OFFSET_TO_ACTION[(wp[0] - cell[0], wp[1] - cell[1])]
+            if edges[cell][a] is not None:
+                return False, a
+        a = greedy_step(edges, cell, wp)
+        if a != ACTION_STAY and blocked(edges[cell][a][0]):
+            return False, ACTION_STAY
+        return False, a
     action = None if moves is None else moves[
         build_local_state(edges, blocked, cell, plan, waypoint_index)]
     if action is None:
@@ -345,14 +314,14 @@ class BypassInstance:
     hybrid_time: float
     oracle_time: float
     success: bool
-    collided: bool
+    collided: bool  # always False: local_step never enters the bar
 
 
 @dataclass
 class BypassEvaluation:
     episodes: int
     successes: int
-    collisions: int
+    collisions: int  # always 0: the instances' collided
     instances: list[BypassInstance]
 
 
@@ -365,12 +334,13 @@ class CorridorEnv:
     across it at a random column, which stays for the whole episode. The
     corridor never changes: the episode code takes the bar as an argument
     and its blocking predicate is the bar's own membership test, so a
-    query runs no Python frame. It keeps ``route_elapsed[j]``, the time
-    after the first ``j`` of the route's ``plan.edge_times`` (added left to
-    right from 0.0), ``bars``, one ``frozenset`` per distinct bar drawn, so
-    that equal bars are one object with one cached hash, and
-    ``oracle_times``, each bar's replanning time once ``oracle_time`` first
-    asks for it; at most 120 bars can be drawn.
+    query runs no Python frame. A training pick may walk into the wall or
+    the bar (a collision); ``local_step`` never does. It keeps
+    ``route_elapsed[j]``, the time after the first ``j`` of the route's
+    ``plan.edge_times`` (added left to right from 0.0), ``bars``, one
+    ``frozenset`` per distinct bar drawn, so that equal bars are one object
+    with one cached hash, and ``oracle_times``, each bar's replanning time
+    once ``oracle_time`` first asks for it; at most 120 bars can be drawn.
     """
 
     def __init__(self, profile: AgentProfile):
@@ -423,13 +393,13 @@ def _rollout(env: CorridorEnv, moves: TableMoves | None,
     """Whole-route rollout past ``bar`` by ``local_step`` with ``moves``,
     with no reward.
 
-    A stay costs ``env.stay_time``; a move into a None entry (the corridor
-    wall) or a bar cell is a collision. Ends at the goal, on collision or
-    after 6 steps per waypoint; returns (success, collided, elapsed
+    A stay costs ``env.stay_time``; ``local_step`` never moves into the
+    corridor wall or the bar, so collided is always False. Ends at the goal
+    or after 6 steps per waypoint; returns (success, collided, elapsed
     seconds). From a waypoint whose next one is clear, ``local_step``
-    takes the plan edge, never None, so it runs only from the waypoint
-    before the first barred one to the rejoin past the last; the steps
-    before are ``env.route_elapsed``, those after add ``plan.edge_times``.
+    takes the plan edge, so it runs only from the waypoint before the
+    first barred one to the rejoin past the last; the steps before are
+    ``env.route_elapsed``, those after add ``plan.edge_times``.
     """
     edges, plan, index = env.edges, env.plan, env.plan.index
     wps = plan.waypoints
@@ -448,12 +418,10 @@ def _rollout(env: CorridorEnv, moves: TableMoves | None,
             elapsed += env.stay_time
         else:
             e = edges[cell][a]
-            if e is None or e[0] in bar:
-                return False, True, elapsed
             cell = e[0]
             elapsed += e[1]
         k = index.get(cell)
-        if k is not None and k >= wi:  # rejoined, as rejoin_check
+        if k is not None and k >= wi:  # rejoined
             wi = k + 1
         if cell == goal:
             return True, False, elapsed
@@ -483,8 +451,8 @@ def _train_episode(env: CorridorEnv, q: QRows, bar: frozenset[CellIndex],
     - the pick: with probability ``epsilon`` a uniform draw of the nine
       actions from ``rng`` (read only when ``epsilon > 0``), else the first
       maximum of row ``s``;
-    - the move, checked as ``_rollout`` checks it, and the rejoin test of
-      ``rejoin_check`` as one ``PathPlan.index`` lookup;
+    - the move (a stay costs ``env.stay_time``; a None entry or a bar cell
+      is a collision) and the rejoin test, one ``PathPlan.index`` lookup;
     - the reward that ``RewardWeights`` states;
     - the backup ``q[s][a] + alpha * ((r + gamma * max(q[s_next]))
       - q[s][a])``, with ``s_next = s`` after a collision.

@@ -30,7 +30,6 @@ from .local_adapt import (
     greedy_step,
     load_qtable,
     local_step,
-    rejoin_check,
 )
 from .planner import NoPathError, PathPlan
 from .terrain import (
@@ -433,7 +432,9 @@ class World:
                 remaining = 0.0
 
     def _decide(self, agent: AgentRuntime) -> bool:
-        """Pick and commit the next edge; False means stand for this step."""
+        """Pick and commit the next edge (a chase's ``greedy_step`` or a
+        follower's ``local_step``, each ACTION_STAY or a move the agent may
+        take); False means stand for this step."""
         if agent.chase_cell is not None:
             agent.last_chi = False
             if agent.cell == agent.chase_cell:
@@ -456,41 +457,37 @@ class World:
 
         # a deciding route follower has a plan and a waypoint ahead
         plan = agent.plan
-        blocked = self._blocker(agent)
-        chi, action = local_step(agent.qtable, agent.edges, blocked,
-                                 agent.cell, plan, agent.waypoint_index)
+        chi, action = local_step(agent.qtable, agent.edges,
+                                 self._blocker(agent), agent.cell, plan,
+                                 agent.waypoint_index)
         agent.last_chi = chi
         agent.mode = (MODE_ADAPTING if chi or deviation_cells(agent.cell, plan)
                       else MODE_FOLLOWING)
-        return self._commit(agent, action, blocked)
+        return self._commit(agent, action)
 
-    def _commit(self, agent: AgentRuntime, action: int,
-                blocked: Callable[[CellIndex], bool] | None = None) -> bool:
-        """Start walking the edge of ``action``; False means stand instead.
-
-        The agent stands on ACTION_STAY, on a None entry, or on a
-        ``blocked`` destination (the later-ordered mover yields). A chase
-        passes no ``blocked``: its ``greedy_step`` skipped blocked cells.
-        """
-        e = None if action == ACTION_STAY else agent.edges[agent.cell][action]
-        if e is not None and (blocked is None or not blocked(e[0])):
-            dest, _time, agent.edge_speed, agent.edge_slope = e
-            agent.edge_source = agent.cell
-            agent.edge_target = dest
-            agent.edge_target_xy = self.grid.cell_center(dest)
-            agent.last_action = ACTION_NAMES[action]
-            return True
-        agent.edge_speed = 0.0
-        agent.last_action = "stay"
-        return False
+    def _commit(self, agent: AgentRuntime, action: int) -> bool:
+        """Start walking the edge of ``action``, which the step rules found
+        open and not blocked; False means stand instead, on ACTION_STAY."""
+        if action == ACTION_STAY:
+            agent.edge_speed = 0.0
+            agent.last_action = "stay"
+            return False
+        dest, _time, agent.edge_speed, agent.edge_slope = (
+            agent.edges[agent.cell][action])
+        agent.edge_source = agent.cell
+        agent.edge_target = dest
+        agent.edge_target_xy = self.grid.cell_center(dest)
+        agent.last_action = ACTION_NAMES[action]
+        return True
 
     def _at_center(self, agent: AgentRuntime, t0: float, dt: float,
                    remaining: float) -> None:
         if agent.chase_cell is not None:
             return
+        # a rejoin: back on the route at or past the tracked waypoint
         plan = agent.plan
-        rejoined, k = rejoin_check(agent.cell, plan, agent.waypoint_index)
-        if not rejoined:
+        k = plan.index.get(agent.cell)
+        if k is None or k < agent.waypoint_index:
             return
         agent.waypoint_index = k + 1
         if agent.mode == MODE_ADAPTING:

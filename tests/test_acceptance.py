@@ -26,7 +26,6 @@ from terramob.local_adapt import (
     bypass_move,
     deviation_cells,
     evaluate_bypass,
-    rejoin_check,
     save_qtable,
     train_bypass,
 )
@@ -291,7 +290,8 @@ def test_criterion_4_training_backs_up_as_q_update():
             kind, s_next = "collision", s
             r = _reference_reward("collision", 0.0, w)
         else:
-            rejoined, k = rejoin_check(e[0], plan, wi)
+            k = plan.index.get(e[0])
+            rejoined = k is not None and k >= wi
             dev = deviation_cells(e[0], plan)
             kind, r = (("rejoin", _reference_reward("rejoin", 0.0, w))
                        if rejoined else

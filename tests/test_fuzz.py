@@ -10,7 +10,9 @@ reader is also checked against the token-at-a-time reader it replaced:
 same grid bytes or the same error, whichever numpy is installed. The local
 step rules, which read an edge table, are checked against per-neighbor
 loops over ``agents.edge`` on random small grids, and every entry of the
-table against ``agents.edge`` itself; the trace
+table against ``agents.edge`` itself; a route follower's ``local_step``
+must return a stay or an open move onto a cell that is not blocked, on
+A* plans over flat and rough grids with holes; the trace
 writer against the per-row writer it replaced, also with one ``t_s``
 text memo shared by several files. Training, which backs up plain float
 rows, is checked against the numpy-scalar loop it replaced: the same
@@ -31,7 +33,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import (
+    assume, example, given, reject, settings, strategies as st,
+)
 
 from terramob.agents import EdgeTable, builtin_profile, builtin_profiles, edge
 from terramob.cli import EXIT_BAD_INPUT, EXIT_OK, main
@@ -39,8 +43,8 @@ from terramob.local_adapt import (
     ACTION_STAY, ACTIONS, N_ACTIONS, N_DEVIATION_BUCKETS, N_STATES,
     CorridorEnv, EpisodeStats, LearningParams, RewardWeights, TableMoves,
     _offset_direction, _rollout, build_local_state, bypass_move,
-    detect_block, deviation_cells, follow_route, greedy_step, load_qtable,
-    local_step, rejoin_check, train_bypass, write_learning_curve,
+    deviation_cells, greedy_step, load_qtable, local_step, train_bypass,
+    write_learning_curve,
 )
 from terramob.planner import (
     OBJECTIVES, NoPathError, PathPlan, astar, dijkstra_oracle, heuristic,
@@ -648,10 +652,10 @@ def _reference_train(env, weights, params):
         s = _reference_state(grid, profile, blocked, cell, plan, wi)
         total_r, success, steps = 0.0, False, params.max_steps_per_episode
         for step in range(1, params.max_steps_per_episode + 1):
-            if detect_block(blocked, plan, wi):
-                a = _reference_select_action(q, s, epsilon, rng)
-            else:
-                a = follow_route(plan, wi, env.edges, cell)
+            # the bar covers the tracked waypoint until the rejoin that
+            # ends the episode: every step is a table step
+            assert blocked(plan.waypoints[wi])
+            a = _reference_select_action(q, s, epsilon, rng)
             if a == ACTION_STAY:
                 dest, move_time = cell, env.stay_time
             else:
@@ -665,7 +669,8 @@ def _reference_train(env, weights, params):
                     steps = step
                     break
             prev_cell, cell = cell, dest
-            rejoined, k = rejoin_check(cell, plan, wi)
+            k = plan.index.get(cell)
+            rejoined = k is not None and k >= wi
             if rejoined:
                 wi = k + 1
             dev = deviation_cells(cell, plan)
@@ -695,6 +700,69 @@ def _corridor(name):
     if name not in _CORRIDORS:
         _CORRIDORS[name] = CorridorEnv(builtin_profile(name))
     return _CORRIDORS[name]
+
+
+@st.composite
+def follower_cases(draw):
+    """One decision of a route follower: a flat or rough grid of up to
+    8 x 8 cells with nodata holes, an A* plan over it, a tracked waypoint
+    index from 1 to the last, a cell at most 2 cells from the route, a
+    blocked set of waypoints and cells near the route, and the moves of a
+    table (none, zeros, random normal or one-hot)."""
+    nrows, ncols = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    cellsize = draw(st.sampled_from([30.0, 7.3]))
+    levels = [0.0, 2.0, 6.0, 12.0] if draw(st.booleans()) else [0.0]
+    heights = draw(st.lists(st.sampled_from(levels), min_size=nrows * ncols,
+                            max_size=nrows * ncols))
+    holes = draw(st.sets(st.integers(0, nrows * ncols - 1),
+                         max_size=nrows * ncols // 4))
+    heights = [DEFAULT_NODATA if i in holes else h * cellsize / 30.0
+               for i, h in enumerate(heights)]
+    grid = ElevationGrid(ncols, nrows, 0.0, 0.0, cellsize, DEFAULT_NODATA,
+                         np.array(heights))
+    cells = [CellIndex(i // ncols, i % ncols) for i in range(nrows * ncols)
+             if i not in holes]
+    assume(len(cells) >= 2)
+    start, goal = draw(st.lists(st.sampled_from(cells), min_size=2,
+                                max_size=2, unique=True))
+    profile = draw(st.sampled_from(builtin_profiles()))
+    try:
+        plan, _stats = astar(grid, profile, start, goal)
+    except NoPathError:
+        reject()
+    wps = plan.waypoints
+    wi = draw(st.integers(1, len(wps) - 1))
+    w = draw(st.sampled_from(wps))
+    dr, dc = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    cell = CellIndex(min(max(w.row + dr, 0), nrows - 1),
+                     min(max(w.col + dc, 0), ncols - 1))
+    near = [CellIndex(r, c) for r in range(nrows) for c in range(ncols)
+            if deviation_cells(CellIndex(r, c), plan) <= 2]
+    bar = draw(st.frozensets(st.sampled_from(wps) | st.sampled_from(near)))
+    kind = draw(st.sampled_from([None, "zeros", "normal", "one_hot"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.zeros((N_STATES, N_ACTIONS))
+    if kind == "normal":
+        q = rng.normal(size=q.shape)
+    elif kind == "one_hot":
+        q[np.arange(N_STATES), rng.integers(N_ACTIONS, size=N_STATES)] = 1.0
+    return (EdgeTable(grid, profile), plan, wi, cell, bar,
+            None if kind is None else TableMoves(q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(follower_cases())
+# off the route two cells above the corridor's clear waypoint 6, whose
+# cheapest step goes south-east onto a blocked cell: the follower yields
+@example((_corridor("fit_adults").edges, _corridor("fit_adults").plan, 6,
+          CellIndex(1, 5), frozenset({CellIndex(2, 6)}), None))
+def test_local_step_returns_only_a_move_the_follower_may_take(case):
+    edges, plan, wi, cell, bar, moves = case
+    chi, a = local_step(moves, edges, bar.__contains__, cell, plan, wi)
+    assert chi == (plan.waypoints[wi] in bar)
+    if a != ACTION_STAY:
+        e = edges[cell][a]
+        assert e is not None and e[0] not in bar
 
 
 weights_terms = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 20.0)
@@ -757,7 +825,7 @@ def _reference_rollout(env, q, bar):
             cell = e[0]
             elapsed += e[1]
         k = index.get(cell)
-        if k is not None and k >= wi:  # rejoined, as rejoin_check
+        if k is not None and k >= wi:  # rejoined
             wi = k + 1
         if cell == goal:
             return True, False, elapsed

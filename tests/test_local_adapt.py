@@ -21,14 +21,11 @@ from terramob.local_adapt import (
     TableMoves,
     build_local_state,
     bypass_move,
-    detect_block,
     deviation_cells,
     evaluate_bypass,
-    follow_route,
     greedy_step,
     load_qtable,
     local_step,
-    rejoin_check,
     save_qtable,
     _offset_direction,
     _rollout,
@@ -37,6 +34,7 @@ from terramob.local_adapt import (
     write_learning_curve,
 )
 from terramob.planner import PathPlan
+from terramob.sim import ScenarioConfig, build_world
 from terramob.terrain import CellIndex, make_synthetic
 
 from conftest import (
@@ -371,35 +369,49 @@ class TestBypassMove:
 # ---------------------------------------------------------------------------
 
 class TestDetectBlock:
+    """``local_step``'s chi: the tracked waypoint is blocked."""
+
+    @staticmethod
+    def chi(*cells):
+        edges = fit_edges(make_synthetic("flat", nrows=7, ncols=10, h=0.0))
+        return local_step(None, edges, blocked_by(*cells), CellIndex(3, 3),
+                          straight_plan(), 4)[0]
+
     def test_empty_world(self):
-        plan = straight_plan()
-        assert not detect_block(blocked_by(), plan, 4)
+        assert self.chi() is False
 
     def test_obstacle_on_next_waypoint(self):
-        plan = straight_plan()
-        assert detect_block(blocked_by(CellIndex(3, 4)), plan, 4)
+        assert self.chi(CellIndex(3, 4)) is True
 
     def test_obstacle_off_path(self):
-        plan = straight_plan()
-        assert not detect_block(blocked_by(CellIndex(1, 4)), plan, 4)
-
-    def test_exhausted_plan(self):
-        plan = straight_plan()
-        assert not detect_block(blocked_by(CellIndex(3, 9)), plan, 10)
+        assert self.chi(CellIndex(1, 4)) is False
 
 
 class TestRejoinCheck:
+    """A simulated agent arriving on a cell rejoins when the cell is a
+    waypoint at or past the one it tracks (``World._at_center``)."""
+
+    @staticmethod
+    def tracked_after_arriving(cell, waypoint_index=4):
+        world = build_world(ScenarioConfig.from_dict({
+            "terrain": {"recipe": "flat", "nrows": 7, "ncols": 10, "h": 0.0},
+            "agents": [{"id": "a", "profile": "fit_adults",
+                        "start": [3, 0], "goal": [3, 9]}],
+            "sim": {"dt": 1.0, "max_sim_time": 600, "seed": 1}}))
+        agent = world.agents[0]
+        assert agent.plan.waypoints == straight_plan().waypoints
+        agent.cell, agent.waypoint_index = cell, waypoint_index
+        world._at_center(agent, 0.0, 1.0, 0.0)
+        return agent.waypoint_index
+
     def test_on_plan_forward(self):
-        plan = straight_plan()
-        assert rejoin_check(CellIndex(3, 6), plan, 4) == (True, 6)
+        assert self.tracked_after_arriving(CellIndex(3, 6)) == 7
 
     def test_off_path(self):
-        plan = straight_plan()
-        assert rejoin_check(CellIndex(2, 6), plan, 4) == (False, 4)
+        assert self.tracked_after_arriving(CellIndex(2, 6)) == 4
 
     def test_behind_current_index(self):
-        plan = straight_plan()
-        assert rejoin_check(CellIndex(3, 2), plan, 4) == (False, 4)
+        assert self.tracked_after_arriving(CellIndex(3, 2)) == 4
 
 
 @st.composite
@@ -454,8 +466,9 @@ class TestRouteLookups:
             assert deviation_cells(cell, plan) == dev
             forward = [k for k in range(wi, len(plan.waypoints))
                        if plan.waypoints[k] == cell]
-            expected = (True, forward[0]) if forward else (False, wi)
-            assert rejoin_check(cell, plan, wi) == expected
+            k = plan.index.get(cell)
+            assert (k if k is not None and k >= wi else None) == (
+                forward[0] if forward else None)
         off_route = {c for c in queries if c not in plan.index}
         assert set(plan.deviations) == off_route
         assert ("rows" in vars(plan)) == bool(off_route)
@@ -469,18 +482,21 @@ class TestRouteLookups:
 
 
 class TestFollowRoute:
+    """``local_step``'s move while the tracked waypoint is clear."""
+
     def test_clear_straight_plan_takes_plan_edge(self):
         env = CorridorEnv(builtin_profile("fit_adults"))
-        action = follow_route(env.plan, 5, env.edges, CellIndex(3, 4))
-        assert ACTIONS[action] == (0, 1)  # east along the route
+        chi, action = local_step(None, env.edges, blocked_by(),
+                                 CellIndex(3, 4), env.plan, 5)
+        assert not chi and ACTIONS[action] == (0, 1)  # east along the route
 
     def test_off_route_equal_cost_tie_breaks_low_index(self):
         grid = make_synthetic("flat", nrows=10, ncols=10, h=0.0)
         grid = grid.with_nodata([CellIndex(4, 6)])
         plan = PathPlan([CellIndex(3, 7)], [], 0.0, 0.0)
-        action = follow_route(plan, 0, fit_edges(grid), CellIndex(5, 5))
         # N and E tie once the direct NE step is a hole; N has the lower index
-        assert action == 0
+        assert local_step(None, fit_edges(grid), blocked_by(),
+                          CellIndex(5, 5), plan, 0) == (False, 0)
 
 
 class TestBuildLocalState:

@@ -177,6 +177,22 @@ class TestStep:
         assert agent.last_chi is True
         assert agent.last_action == "se"
 
+    def test_off_route_follower_yields_to_a_blocked_step(self):
+        # two cells above its route, the follower's waypoint (3, 1) is
+        # clear, but its cheapest step toward it, south onto (2, 1), is an
+        # obstacle cell until 5 s: it stands until then, then moves on
+        cfg = flat_cfg(obstacles=[{"cells": [[2, 1]], "schedule": [[0, 5]]}])
+        world = build_world(cfg)
+        agent = world.agents[0]
+        agent.cell = CellIndex(1, 1)
+        agent.position = world.grid.cell_center(agent.cell)
+        for _ in range(6):
+            world.step()
+        rows = agent.trace[1:]
+        assert [(r.chi, r.action, r.speed_mps) for r in rows] == (
+            [(False, "stay", 0.0)] * 5 + [(False, "s", 1.5)])
+        assert all((r.row, r.col, r.mode) == (1, 1, "adapting") for r in rows)
+
     def test_agents_naming_one_table_file_share_its_moves(self, tmp_path):
         q = np.zeros((N_STATES, N_ACTIONS))
         q[7, 2] = 1.0
