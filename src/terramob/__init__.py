@@ -10,7 +10,6 @@ from .agents import (
     EdgeTable,
     builtin_profile,
     builtin_profiles,
-    edge,
     speed,
 )
 from .local_adapt import (
@@ -29,7 +28,6 @@ from .sim import (
     SimReport,
     World,
     compare_transport,
-    effort_accrual,
     run_scenario,
 )
 from .terrain import (

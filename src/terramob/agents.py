@@ -7,16 +7,14 @@ curve is linear in slope from r(0) = 1 through that anchor, floored at
 MIN_SLOPE_REDUCTION, with a hard impassability cutoff at ``max_slope``.
 A profile derives the two constants of its curve, ``slope_drop`` and
 ``load_factor``, once, so the law itself has no per-kind branch.
-``edge`` is the one edge rule built on it. ``EdgeTable`` holds its
-answers for the 8 moves out of each cell of one grid for one profile; the
-local step rules and the simulation read every move from it. Its entry is
-None for every move ``edge`` gives speed 0.0, so "closed" is one test.
-``planner.astar`` repeats ``edge`` and ``speed`` inline, operation for
-operation, pinned bit for bit against the Dijkstra oracle
-(tests/test_planner.py). ``EdgeTable``'s row fill repeats ``edge``'s
-geometry (bounds, nodata, sealed corners, run) and calls ``speed``; a
-differential test pins it against ``edge`` entry by entry
-(tests/test_agents.py, tests/test_fuzz.py).
+``EdgeTable`` is the one edge rule built on it: the 8 moves out of each
+cell of one grid for one profile, which the local step rules, the
+simulation and the Dijkstra oracle read. Its entry is None for every move
+an agent cannot make, so "closed" is one test. ``planner.astar`` repeats
+the rule and ``speed`` inline, operation for operation, pinned bit for bit
+against the oracle (tests/test_planner.py, tests/test_fuzz.py). The rule's
+test reference, ``_reference_edge`` in tests/conftest.py, pins the table
+entry by entry (tests/test_agents.py, tests/test_fuzz.py).
 """
 
 from __future__ import annotations
@@ -24,9 +22,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field, replace
 
-from .terrain import (
-    NEIGHBOR_OFFSETS, OFFSET_TO_ACTION, SQRT2, CellIndex, ElevationGrid,
-)
+from .terrain import NEIGHBOR_OFFSETS, SQRT2, CellIndex, ElevationGrid
 
 KIND_HUMAN = "human"
 KIND_ANIMAL = "animal"
@@ -188,70 +184,24 @@ def profile_from_spec(spec: str | dict) -> AgentProfile:
     return AgentProfile(**spec)
 
 
-def edge(
-    p: AgentProfile,
-    grid: ElevationGrid,
-    a: CellIndex,
-    b: CellIndex,
-) -> tuple[float, float, float]:
-    """``(run, slope, speed)`` of the grid edge a -> b: the one edge rule.
-
-    ``run`` is the horizontal length in meters (cellsize, times sqrt(2) on
-    a diagonal), ``slope`` the grade in percent and ``speed`` the profile's
-    walking speed in m/s. Speed is 0.0, and the edge impassable, when
-      - either endpoint is out of bounds or nodata (slope reads 0.0);
-      - it is a diagonal whose two flanking cells, ``(b.row, a.col)`` and
-        ``(a.row, b.col)``, are both nodata (a sealed corner, which
-        ``terrain.line_of_sight`` also treats as opaque; slope reads 0.0);
-      - its slope exceeds the profile's ``max_slope``.
-    Non-adjacent cells are a caller error (ValueError). Elevations are
-    read through ``grid.flat``.
-
-    ``planner.astar`` carries an inlined copy of this rule and of ``speed``,
-    and ``EdgeTable`` one of its geometry, that must stay bit-identical to
-    it. Both read the same flat view; A* tests bounds once per expanded
-    node instead of per edge.
-    """
-    ar, ac = a[0], a[1]
-    br, bc = b[0], b[1]
-    dr = br - ar
-    dc = bc - ac
-    if (dr, dc) not in OFFSET_TO_ACTION:
-        raise ValueError(f"cells {(ar, ac)} and {(br, bc)} are not adjacent")
-    diagonal = dr != 0 and dc != 0
-    run = grid.cellsize * (SQRT2 if diagonal else 1.0)
-    nrows, ncols = grid.nrows, grid.ncols
-    if not (0 <= ar < nrows and 0 <= ac < ncols
-            and 0 <= br < nrows and 0 <= bc < ncols):
-        return run, 0.0, 0.0
-    flat = grid.flat
-    va = flat[ar * ncols + ac]
-    vb = flat[br * ncols + bc]
-    nodata = grid.nodata
-    if va == nodata or vb == nodata or (
-            diagonal and flat[br * ncols + ac] == nodata
-            and flat[ar * ncols + bc] == nodata):
-        return run, 0.0, 0.0
-    slope = abs(vb - va) / run * 100.0
-    return run, slope, speed(p, slope)
-
-
 class EdgeTable(dict):
-    """The moves out of each cell of ``grid`` for ``profile``: ``edge``'s
-    answers, a row at a time, from an inlined copy of ``edge``'s geometry
-    and a call of ``speed``.
+    """The moves out of each cell of ``grid`` for ``profile``: the one
+    edge rule, filled a row at a time.
 
     ``table[cell]`` is a tuple of 8 entries in action (``NEIGHBOR_OFFSETS``)
-    order. An entry is None where ``edge``'s speed is 0.0 (off the grid,
-    nodata, a sealed corner, steeper than ``max_slope``, or out of an
-    off-grid or nodata source), else ``(dest, run / speed, speed, slope)``
-    with ``edge``'s positive speed and slope. A cell's row is filled on its
-    first read and kept, which is exact because grids and profiles never
-    change; a later read is one dict lookup. A flat step (equal heights,
-    not a sealed corner) is ``(dest, run / v0, v0, 0.0)`` with ``v0 =
-    speed(profile, 0.0)`` and the step's time at it made once per table:
-    ``edge`` computes the same, its slope being ``abs(±0.0) / run * 100 =
-    +0.0``.
+    order. A move's run is the cellsize, times sqrt(2) on a diagonal, and
+    its slope is the height change over the run in percent. Its entry is
+    None, the move closed, when either endpoint is off the grid or nodata,
+    when it is a diagonal whose two flanking cells, ``(dest.row, col)``
+    and ``(row, dest.col)``, are both nodata (a sealed corner, which
+    ``terrain.line_of_sight`` also treats as opaque), or when its slope is
+    over ``max_slope`` (``speed`` is 0.0); else it is ``(dest, run / speed,
+    speed, slope)``. A cell's row is filled on its first read and kept,
+    which is exact because grids and profiles never change; a later read
+    is one dict lookup. A flat step (equal heights, not a sealed corner)
+    is ``(dest, run / v0, v0, 0.0)`` with ``v0 = speed(profile, 0.0)`` and
+    the step's time at it made once per table: its slope is
+    ``abs(±0.0) / run * 100 = +0.0``.
     """
 
     __slots__ = ("grid", "profile", "v0", "steps")
@@ -260,8 +210,8 @@ class EdgeTable(dict):
         self.grid = grid
         self.profile = profile
         self.v0 = v0 = speed(profile, 0.0)  # the speed of every flat edge
-        # (dr, dc, run, flat time) per action, made once per table: edge's
-        # runs and their time at v0
+        # (dr, dc, run, flat time) per action, made once per table: the
+        # moves' runs and their time at v0
         self.steps = []
         for dr, dc in NEIGHBOR_OFFSETS:
             run = grid.cellsize * (SQRT2 if dr and dc else 1.0)
@@ -273,7 +223,7 @@ class EdgeTable(dict):
         flat, nodata = grid.flat, grid.nodata
         new = tuple.__new__  # a CellIndex without namedtuple's Python __new__
         r, c = cell
-        # edge refuses every step out of an off-grid or nodata source
+        # every step out of an off-grid or nodata source is closed
         if not (0 <= r < nrows and 0 <= c < ncols
                 and (va := flat[r * ncols + c]) != nodata):
             row = self[cell] = (None,) * 8

@@ -314,14 +314,15 @@ class BypassInstance:
     hybrid_time: float
     oracle_time: float
     success: bool
-    collided: bool  # always False: local_step never enters the bar
+    # local_step never enters the bar; kept because the train digests of
+    # perfbench/workloads.py (line 376) and the CI smoke step hash it
+    collided: bool = False
 
 
 @dataclass
 class BypassEvaluation:
     episodes: int
     successes: int
-    collisions: int  # always 0: the instances' collided
     instances: list[BypassInstance]
 
 
@@ -389,23 +390,23 @@ class CorridorEnv:
 
 
 def _rollout(env: CorridorEnv, moves: TableMoves | None,
-             bar: frozenset[CellIndex]) -> tuple[bool, bool, float]:
+             bar: frozenset[CellIndex]) -> tuple[bool, float]:
     """Whole-route rollout past ``bar`` by ``local_step`` with ``moves``,
     with no reward.
 
     A stay costs ``env.stay_time``; ``local_step`` never moves into the
-    corridor wall or the bar, so collided is always False. Ends at the goal
-    or after 6 steps per waypoint; returns (success, collided, elapsed
-    seconds). From a waypoint whose next one is clear, ``local_step``
-    takes the plan edge, so it runs only from the waypoint before the
-    first barred one to the rejoin past the last; the steps before are
-    ``env.route_elapsed``, those after add ``plan.edge_times``.
+    corridor wall or the bar. Ends at the goal or after 6 steps per
+    waypoint; returns (success, elapsed seconds). From a waypoint whose
+    next one is clear, ``local_step`` takes the plan edge, so it runs only
+    from the waypoint before the first barred one to the rejoin past the
+    last; the steps before are ``env.route_elapsed``, those after add
+    ``plan.edge_times``.
     """
     edges, plan, index = env.edges, env.plan, env.plan.index
     wps = plan.waypoints
     barred = [k for k in map(index.get, bar) if k]  # after the start
     if not barred:
-        return True, False, env.route_elapsed[-1]
+        return True, env.route_elapsed[-1]
     first, last = min(barred), max(barred)
     blocked = bar.__contains__
     cell, wi, elapsed = wps[first - 1], first, env.route_elapsed[first - 1]
@@ -424,14 +425,14 @@ def _rollout(env: CorridorEnv, moves: TableMoves | None,
         if k is not None and k >= wi:  # rejoined
             wi = k + 1
         if cell == goal:
-            return True, False, elapsed
+            return True, elapsed
     else:
-        return False, False, elapsed
+        return False, elapsed
     for steps, t in enumerate(plan.edge_times[wi - 1:], start=steps):
         if steps == cap:
-            return False, False, elapsed
+            return False, elapsed
         elapsed += t
-    return True, False, elapsed
+    return True, elapsed
 
 
 def _train_episode(env: CorridorEnv, q: QRows, bar: frozenset[CellIndex],
@@ -560,20 +561,17 @@ def evaluate_bypass(
     moves = TableMoves(q)
     instances: list[BypassInstance] = []
     successes = 0
-    collisions = 0
-    # bar -> (elapsed, oracle time, success, collided)
-    scored: dict[frozenset[CellIndex], tuple[float, float, bool, bool]] = {}
+    # bar -> (elapsed, oracle time, success)
+    scored: dict[frozenset[CellIndex], tuple[float, float, bool]] = {}
     for _ in range(episodes):
         bar = env.sample_obstacle(rng)
         values = scored.get(bar)
         if values is None:
-            success, collided, elapsed = _rollout(env, moves, bar)
-            values = scored[bar] = (
-                elapsed, env.oracle_time(bar), success, collided)
+            success, elapsed = _rollout(env, moves, bar)
+            values = scored[bar] = (elapsed, env.oracle_time(bar), success)
         instances.append(BypassInstance(*values))
         successes += values[2]
-        collisions += values[3]
-    return BypassEvaluation(episodes, successes, collisions, instances)
+    return BypassEvaluation(episodes, successes, instances)
 
 
 # ---------------------------------------------------------------------------

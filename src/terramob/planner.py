@@ -5,26 +5,18 @@ distance divided by the profile's flat-terrain speed (admissible because no
 edge can be walked faster), and ties are broken deterministically: larger g
 first, then (row, col) order.
 
-A* carries its own inlined copy of the edge rule (``agents.edge``:
+A* carries the one inlined copy of the edge rule (``agents.EdgeTable``:
 bounds, nodata, sealed corners, slope limit), of the speed law
-(``agents.speed``) and of the heuristic over flat node ids
-``row * ncols + col``, which is faster than calling them per edge. It
-reads elevations through the grid's zero-copy flat view
-(``ElevationGrid.flat``), and a node off the grid's border, whose eight
-neighbors are all on the grid, skips the bounds test; a border node
-walks only the steps that stay on the grid. A* keeps the time of the
-edge it relaxes a node along, next to the node's parent, and a plan's edge
-times are those: a plan calls no ``agents.edge``. Its totals add the edges
-left to right, never with ``sum``, which compensates float rounding since
-Python 3.12, so they are the same on every Python version. A flat edge
-(equal heights) takes ``run / speed(p, 0.0)``, computed once per search
-for each step; that is exact, since its slope is +0.0 (``abs(±0.0)``),
-within every profile's positive ``max_slope``. The uniform-cost
-oracle (``dijkstra_all``) weighs each edge with ``agents.edge`` itself (its
-run in meters in distance mode), so the optimality tests compare two
-separately written kernels. ``agents.EdgeTable``'s row fill repeats the
-rule's geometry and calls ``agents.speed``; a test compares it with
-``agents.edge`` entry by entry.
+(``agents.speed``) and of the heuristic, over flat node ids
+``row * ncols + col``, read through the grid's zero-copy flat view
+(``ElevationGrid.flat``). A node off the grid's border, whose eight
+neighbors are all on the grid, skips the bounds test; a border node walks
+only the steps that stay on the grid. A plan's edge times are the times
+A* relaxed its nodes along. Its totals add the edges left to right, never
+with ``sum``, which compensates float rounding since Python 3.12, so they
+are the same on every Python version. The uniform-cost oracle
+(``dijkstra_all``) walks the rows of an ``EdgeTable`` instead, so the
+optimality tests compare two separately written kernels.
 """
 
 from __future__ import annotations
@@ -35,7 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import IO
 
-from .agents import MIN_SLOPE_REDUCTION, AgentProfile, edge, speed
+from .agents import MIN_SLOPE_REDUCTION, AgentProfile, EdgeTable, speed
 from .terrain import CellIndex, ElevationGrid, NEIGHBOR_OFFSETS, SQRT2
 
 
@@ -119,9 +111,9 @@ def astar(
     grid, so a search costs nothing proportional to the grid size: its
     heap, maps and closed set hold only the nodes it reaches. The edge
     cost and the heuristic are inlined: they repeat the arithmetic of
-    ``agents.edge`` and ``heuristic`` operation for operation, so every
-    edge weight is bit-identical to ``run / speed`` of ``agents.edge``, and
-    every edge ``agents.edge`` refuses is skipped. The bounds part of that
+    ``EdgeTable`` and ``heuristic`` operation for operation, so every edge
+    weight is bit-identical to an ``EdgeTable`` entry's time, and every
+    move the table has no entry for is skipped. The bounds part of that
     rule is decided once per expansion: an interior node walks all eight
     steps unchecked, a border node only those that stay on the grid. A
     neighbor as high as the expanded node (never nodata) is a flat edge,
@@ -134,7 +126,7 @@ def astar(
     next to its parent: these are the plan's ``edge_times``, and the
     minimized total is the goal's g.
     ``test_astar_matches_oracle_on_border_and_interior_nodes``
-    (tests/test_fuzz.py) pins them to ``run / speed`` of ``agents.edge``.
+    (tests/test_fuzz.py) pins them to the edge rule's test reference.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -295,10 +287,10 @@ def dijkstra_all(
 ) -> dict[CellIndex, float]:
     """Uniform-cost distances from ``source`` to every reachable cell.
 
-    Written independently of the A* code path so it can serve as an oracle.
-    Impassability (``agents.edge``: bounds, nodata, sealed corners, slope
-    limit) is the same under both objectives; only the minimized quantity
-    changes.
+    Written independently of the A* code path so it can serve as an oracle:
+    it walks the rows of an ``EdgeTable``, taking an entry's time, or in
+    distance mode its action's run. Impassability (a None entry) is the
+    same under both objectives; only the minimized quantity changes.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -306,6 +298,8 @@ def dijkstra_all(
     if not grid.traversable(source):
         raise ValueError(f"source cell {tuple(source)} is not traversable")
     timed = objective == "time"
+    edges = EdgeTable(grid, p)
+    runs = [run for _dr, _dc, run, _flat_time in edges.steps]
     dist: dict[CellIndex, float] = {source: 0.0}
     done: set[CellIndex] = set()
     heap: list[tuple[float, int, int]] = [(0.0, source.row, source.col)]
@@ -315,14 +309,10 @@ def dijkstra_all(
         if cell in done:
             continue
         done.add(cell)
-        for dr, dc in NEIGHBOR_OFFSETS:
-            nb = CellIndex(row + dr, col + dc)
-            if not grid.in_bounds(nb) or nb in done:
+        for e, run in zip(edges[cell], runs):
+            if e is None or (nb := e[0]) in done:
                 continue
-            run, _slope, v = edge(p, grid, cell, nb)
-            if v <= 0.0:
-                continue
-            nd = d + (run / v if timed else run)
+            nd = d + (e[1] if timed else run)
             if nd < dist.get(nb, math.inf):
                 dist[nb] = nd
                 heapq.heappush(heap, (nd, nb.row, nb.col))

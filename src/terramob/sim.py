@@ -5,7 +5,9 @@ switch to the learned bypass policy whenever the next routed step is
 obstructed, and rejoin the route without ever replanning globally. Pursuers
 re-aim greedily at their target's last seen cell and give up after a
 sustained loss of sight or an exhausted effort budget. Everything is
-deterministic for a given configuration and seed.
+deterministic for a given configuration and seed. ``World._advance_agent``
+holds the rules for a step's effort, time * (1 + slope / 100), and for
+the cell that holds a position; tests/conftest.py keeps their references.
 """
 
 from __future__ import annotations
@@ -79,18 +81,6 @@ def check_run_length(dt: float, max_sim_time: float,
             f" at most {MAX_SIM_STEPS} are allowed")
 
 
-def effort_accrual(edge_time: float, slope: float) -> float:
-    """Exertion proxy for time spent on a slope: time * (1 + slope/100).
-
-    ``World`` steps carry an inlined copy that must stay bit-identical.
-    """
-    if edge_time < 0:
-        raise ValueError("edge_time must be non-negative")
-    if slope < 0:
-        raise ValueError("slope must be non-negative")
-    return edge_time * (1.0 + slope / 100.0)
-
-
 # ---------------------------------------------------------------------------
 # Scene elements
 # ---------------------------------------------------------------------------
@@ -124,6 +114,8 @@ class PursuitRule:
     capture_radius: float
 
     def __post_init__(self):
+        if self.pursuer == self.target:
+            raise ValueError(f"agent {self.pursuer!r} cannot pursue itself")
         if not self.los_loss_limit > 0:  # NaN fails each check
             raise ValueError("los_loss_limit must be positive")
         if not self.effort_budget >= 0:
@@ -402,7 +394,8 @@ class World:
             dist = math.hypot(dx, dy)
             # edge_speed > 0 with a target: _commit, "close", walk-back
             t_need = dist / agent.edge_speed
-            # effort_accrual and cell_of_point inlined, op for op
+            # effort accrues as time * (1 + slope / 100), and an agent's
+            # cell is the one holding its position
             if t_need <= remaining:
                 agent.position = (tx, ty)
                 agent.cell = agent.edge_target

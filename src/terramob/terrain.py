@@ -3,8 +3,8 @@
 Grids are immutable row-major arrays with ESRI ASCII text I/O, exact
 line-of-sight / viewshed tests, and a handful of synthetic terrain
 generators for desk-scale scenarios. Which steps can be walked, how long
-they are, and at what slope, is decided by ``agents.edge``, and
-``agents.EdgeTable`` keeps its answers per grid and profile.
+they are, and at what slope, is decided by ``agents.EdgeTable`` per grid
+and profile.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class ElevationGrid:
     lower-left corner of the lower-left cell in projected meters. ``flat``
     is a read-only, zero-copy view of ``values`` in row-major order:
     ``flat[row * ncols + col]`` is the cell's elevation as a Python float,
-    which the per-cell hot paths (A*, ``agents.edge``, line of sight) read
-    several times faster than an ndarray element.
+    which the per-cell hot paths (A*, ``agents.EdgeTable``, line of sight)
+    read several times faster than an ndarray element.
     """
 
     ncols: int
@@ -138,11 +138,6 @@ class ElevationGrid:
         x = self.xll + (c[1] + 0.5) * self.cellsize
         y = self.yll + (self.nrows - 1 - c[0] + 0.5) * self.cellsize
         return x, y
-
-    def cell_of_point(self, x: float, y: float) -> CellIndex:
-        col = math.floor((x - self.xll) / self.cellsize)
-        row = self.nrows - 1 - math.floor((y - self.yll) / self.cellsize)
-        return CellIndex(row, col)
 
     def __reduce__(self):
         # a memoryview does not pickle or copy: rebuild the grid instead

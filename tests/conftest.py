@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
-from terramob.agents import AgentProfile, edge
+from terramob.agents import AgentProfile, speed
 from terramob.local_adapt import N_ACTIONS, BypassEvaluation, deviation_cells
 from terramob.planner import PathPlan
-from terramob.terrain import DEFAULT_NODATA, CellIndex, ElevationGrid
+from terramob.terrain import (
+    DEFAULT_NODATA, OFFSET_TO_ACTION, SQRT2, CellIndex, ElevationGrid,
+)
 
 
 def rough_grid(seed: int, nrows: int = 32, ncols: int = 32,
@@ -39,7 +43,10 @@ def validate_plan(plan: PathPlan, grid: ElevationGrid, p: AgentProfile) -> None:
     total = 0.0
     dist = 0.0
     for a, b, t in zip(plan.waypoints, plan.waypoints[1:], plan.edge_times):
-        run, _slope, v = edge(p, grid, a, b)  # raises if not adjacent
+        if (b[0] - a[0], b[1] - a[1]) not in OFFSET_TO_ACTION:
+            raise ValueError(f"cells {tuple(a)} and {tuple(b)} are not "
+                             "adjacent")
+        run, _slope, v = _reference_edge(p, grid, a, b)
         if not v > 0.0:
             raise ValueError(f"edge {tuple(a)} -> {tuple(b)} is impassable")
         if run / v != t:
@@ -56,9 +63,53 @@ def success_rate(ev: BypassEvaluation) -> float:
     return ev.successes / ev.episodes if ev.episodes else 0.0
 
 
-def collision_rate(ev: BypassEvaluation) -> float:
-    """Share of an evaluation's episodes that ended in a collision."""
-    return ev.collisions / ev.episodes if ev.episodes else 0.0
+def _reference_edge(p, grid, a, b):
+    """``(run, slope, speed)`` of the grid edge a -> b of adjacent cells:
+    the edge rule that ``agents.EdgeTable`` and ``planner.astar`` inline.
+
+    ``run`` is the horizontal length in meters (cellsize, times sqrt(2) on
+    a diagonal), ``slope`` the grade in percent and ``speed`` the profile's
+    walking speed in m/s. Speed is 0.0, and the edge impassable, when
+      - either endpoint is out of bounds or nodata (slope reads 0.0);
+      - it is a diagonal whose two flanking cells, ``(b.row, a.col)`` and
+        ``(a.row, b.col)``, are both nodata (a sealed corner, which
+        ``terrain.line_of_sight`` also treats as opaque; slope reads 0.0);
+      - its slope exceeds the profile's ``max_slope``.
+    """
+    ar, ac = a[0], a[1]
+    br, bc = b[0], b[1]
+    dr = br - ar
+    dc = bc - ac
+    diagonal = dr != 0 and dc != 0
+    run = grid.cellsize * (SQRT2 if diagonal else 1.0)
+    nrows, ncols = grid.nrows, grid.ncols
+    if not (0 <= ar < nrows and 0 <= ac < ncols
+            and 0 <= br < nrows and 0 <= bc < ncols):
+        return run, 0.0, 0.0
+    flat = grid.flat
+    va = flat[ar * ncols + ac]
+    vb = flat[br * ncols + bc]
+    nodata = grid.nodata
+    if va == nodata or vb == nodata or (
+            diagonal and flat[br * ncols + ac] == nodata
+            and flat[ar * ncols + bc] == nodata):
+        return run, 0.0, 0.0
+    slope = abs(vb - va) / run * 100.0
+    return run, slope, speed(p, slope)
+
+
+def _reference_effort(edge_time, slope):
+    """Exertion for time spent on a slope: time * (1 + slope/100), which
+    ``World._advance_agent`` inlines."""
+    return edge_time * (1.0 + slope / 100.0)
+
+
+def _reference_cell_of_point(grid, x, y):
+    """The cell holding the point (x, y), which ``World._advance_agent``
+    inlines."""
+    col = math.floor((x - grid.xll) / grid.cellsize)
+    row = grid.nrows - 1 - math.floor((y - grid.yll) / grid.cellsize)
+    return CellIndex(row, col)
 
 
 def _reference_reward(kind, amount, w):

@@ -11,14 +11,14 @@ from terramob.agents import (
     EdgeTable,
     builtin_profile,
     builtin_profiles,
-    edge,
     profile_from_spec,
     speed,
 )
 from terramob.terrain import (
-    DEFAULT_NODATA, NEIGHBOR_OFFSETS, CellIndex, ElevationGrid, make_synthetic,
+    DEFAULT_NODATA, NEIGHBOR_OFFSETS, OFFSET_TO_ACTION, CellIndex,
+    ElevationGrid, make_synthetic,
 )
-from conftest import rough_grid
+from conftest import _reference_edge, rough_grid
 
 
 def _human(reduction_at_ref):
@@ -208,10 +208,10 @@ class TestProfileValidation:
 
 
 def edge_time(p, grid, a, b):
-    """Seconds to walk the edge a -> b: ``run / speed`` of ``edge``,
-    infinite where its speed is 0.0."""
-    run, _slope, v = edge(p, grid, a, b)
-    return run / v if v > 0.0 else math.inf
+    """Seconds to walk the edge a -> b: the time of its ``EdgeTable``
+    entry, infinite where the entry is None."""
+    e = EdgeTable(grid, p)[a][OFFSET_TO_ACTION[(b[0] - a[0], b[1] - a[1])]]
+    return math.inf if e is None else e[1]
 
 
 class TestEdgeTime:
@@ -235,11 +235,6 @@ class TestEdgeTime:
         grid = flat10.with_nodata([CellIndex(0, 1)])
         p = builtin_profile("fit_adults")
         assert edge_time(p, grid, CellIndex(0, 0), CellIndex(0, 1)) == math.inf
-
-    def test_non_adjacent_is_an_error(self, flat10):
-        with pytest.raises(ValueError):
-            edge(builtin_profile("mule"), flat10,
-                 CellIndex(0, 0), CellIndex(5, 5))
 
     def test_symmetric_up_down(self):
         grid = make_synthetic("ramp", nrows=3, ncols=5, cellsize=30.0, slope=12.0)
@@ -288,7 +283,7 @@ class TestEdgeTable:
         (flat ones on the plateau), over-limit slopes, holes, sealed
         corners and sources off the grid or on a hole (speed 0 everywhere)
         all occur. An entry is None exactly where the neighbor is off the
-        grid or nodata or ``edge``'s speed is 0.0."""
+        grid or nodata or ``_reference_edge``'s speed is 0.0."""
         for p in builtin_profiles():
             table = EdgeTable(grid, p)
             seen = set()
@@ -300,7 +295,7 @@ class TestEdgeTable:
                         if not grid.traversable(b):
                             assert e is None
                             continue
-                        run, slope, v = edge(p, grid, a, b)
+                        run, slope, v = _reference_edge(p, grid, a, b)
                         if v > 0.0:
                             assert type(e[0]) is CellIndex
                             assert entry_bits(e) == entry_bits(

@@ -389,6 +389,23 @@ class TestSimulate:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    def test_agent_pursuing_itself_is_exit_3(self, tmp_path, capsys):
+        # such a rule ends at 0 s with its agent both arrived and captured
+        cfg = write_scenario(tmp_path, {
+            "terrain": {"recipe": "flat", "nrows": 6, "ncols": 6, "h": 0.0},
+            "agents": [{"id": "a", "profile": "fit_adults", "start": [0, 0],
+                        "goal": [5, 5]}],
+            "pursuit_rules": [{"pursuer": "a", "target": "a",
+                               "los_loss_limit": 120.0, "effort_budget": 1e5,
+                               "capture_radius": 2.0}],
+            "sim": {"dt": 1.0, "max_sim_time": 600, "seed": 1},
+        })
+        assert main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            "error: pursuit_rules[0]: agent 'a' cannot pursue itself\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("strict", ["false", 0, None])
     def test_non_boolean_strict_is_exit_3(self, tmp_path, capsys, strict):
         obj = json.loads(json.dumps(SCENARIO))

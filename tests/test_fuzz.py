@@ -9,11 +9,11 @@ fuzzed end to end: it exits 0 or 3 on any document. The bulk ``.asc``
 reader is also checked against the token-at-a-time reader it replaced:
 same grid bytes or the same error, whichever numpy is installed. The local
 step rules, which read an edge table, are checked against per-neighbor
-loops over ``agents.edge`` on random small grids, and every entry of the
-table against ``agents.edge`` itself; a route follower's ``local_step``
-must return a stay or an open move onto a cell that is not blocked, on
-A* plans over flat and rough grids with holes; the trace
-writer against the per-row writer it replaced, also with one ``t_s``
+loops over the edge rule's reference (``conftest._reference_edge``) on
+random small grids, and every entry of the table against it; a route
+follower's ``local_step`` must return a stay or an open move onto a
+cell that is not blocked, on A* plans over flat and rough grids with
+holes; the trace writer against the per-row writer it replaced, also with one ``t_s``
 text memo shared by several files. Training, which backs up plain float
 rows, is checked against the numpy-scalar loop it replaced: the same
 table bytes and the same learning curve. A held-out rollout, which runs
@@ -23,9 +23,12 @@ arbitrary ones, and a frozen table's kept moves (``TableMoves``) against
 ``bypass_move`` and the per-call rule it replaced. A* is checked against the
 Dijkstra oracle on grids of up to 6 x 6 cells, strips included, where
 most nodes are border nodes, so both its bounds-checked border path and
-its unchecked interior path run.
+its unchecked interior path run, and the oracle, which walks an edge
+table, against the same search over the edge rule's reference, on cells
+of 0.5 to 1000 m.
 """
 
+import heapq
 import io
 import json
 import math
@@ -37,7 +40,7 @@ from hypothesis import (
     assume, example, given, reject, settings, strategies as st,
 )
 
-from terramob.agents import EdgeTable, builtin_profile, builtin_profiles, edge
+from terramob.agents import EdgeTable, builtin_profile, builtin_profiles
 from terramob.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from terramob.local_adapt import (
     ACTION_STAY, ACTIONS, N_ACTIONS, N_DEVIATION_BUCKETS, N_STATES,
@@ -47,7 +50,8 @@ from terramob.local_adapt import (
     write_learning_curve,
 )
 from terramob.planner import (
-    OBJECTIVES, NoPathError, PathPlan, astar, dijkstra_oracle, heuristic,
+    OBJECTIVES, NoPathError, PathPlan, astar, dijkstra_all, dijkstra_oracle,
+    heuristic,
 )
 from terramob.sim import ScenarioConfig, TraceRecord, write_trace_csv
 from terramob.terrain import (
@@ -56,7 +60,8 @@ from terramob.terrain import (
     _looks_numeric, grid_from_recipe, parse_ascii_grid,
 )
 from conftest import (
-    _reference_q_update, _reference_reward, _reference_select_action,
+    _reference_edge, _reference_q_update, _reference_reward,
+    _reference_select_action,
 )
 
 FUZZ = settings(max_examples=300, deadline=None)
@@ -388,20 +393,21 @@ def test_report_exits_0_or_3(tmp_path_factory, doc):
 
 
 def _edge_time(profile, grid, a, b):
-    """Seconds to walk a -> b: ``run / speed`` of ``edge``, infinite
-    where its speed is 0.0."""
-    run, _slope, v = edge(profile, grid, a, b)
+    """Seconds to walk a -> b: ``run / speed`` of ``_reference_edge``,
+    infinite where its speed is 0.0."""
+    run, _slope, v = _reference_edge(profile, grid, a, b)
     return run / v if v > 0.0 else math.inf
 
 
 def _reference_state(grid, profile, blocked, cell, plan, waypoint_index):
-    """``build_local_state`` as a loop over the 8 offsets, on ``edge``: a
-    bit is set for a move at speed 0.0, and ``blocked`` is asked only
-    about the others."""
+    """``build_local_state`` as a loop over the 8 offsets, on
+    ``_reference_edge``: a bit is set for a move at speed 0.0, and
+    ``blocked`` is asked only about the others."""
     code = 0
     for i, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
         nb = CellIndex(cell[0] + dr, cell[1] + dc)
-        if edge(profile, grid, cell, nb)[2] == 0.0 or blocked(nb):
+        if (_reference_edge(profile, grid, cell, nb)[2] == 0.0
+                or blocked(nb)):
             code |= 1 << i
     wp = plan.waypoints[min(waypoint_index, len(plan.waypoints) - 1)]
     dev = min(deviation_cells(cell, plan), N_DEVIATION_BUCKETS - 1)
@@ -410,7 +416,7 @@ def _reference_state(grid, profile, blocked, cell, plan, waypoint_index):
 
 
 def _reference_greedy(grid, profile, at, target, blocked):
-    """``greedy_step`` as a loop over the 8 offsets, on ``edge``."""
+    """``greedy_step`` as a loop over the 8 offsets, on ``_reference_edge``."""
     best_action, best_cost = ACTION_STAY, math.inf
     for a, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
         dest = CellIndex(at[0] + dr, at[1] + dc)
@@ -481,9 +487,9 @@ def test_local_step_rules_match_per_neighbor_loops(case):
         assert (greedy_step(edges, cell, target)
                 == _reference_greedy(grid, profile, cell, target, None))
     # every entry of every profile's table is None exactly where
-    # agents.edge's speed is 0.0 (the neighbor off the grid or nodata
-    # included), and elsewhere agents.edge bit for bit (float.hex tells 0.0
-    # from -0.0); sources include the cells around the grid
+    # _reference_edge's speed is 0.0 (the neighbor off the grid or nodata
+    # included), and elsewhere _reference_edge bit for bit (float.hex tells
+    # 0.0 from -0.0); sources include the cells around the grid
     for p in builtin_profiles():
         table = EdgeTable(grid, p)
         for r in range(-1, grid.nrows + 1):
@@ -492,7 +498,7 @@ def test_local_step_rules_match_per_neighbor_loops(case):
                 assert len(table[a]) == len(NEIGHBOR_OFFSETS)
                 for e, (dr, dc) in zip(table[a], NEIGHBOR_OFFSETS):
                     b = CellIndex(r + dr, c + dc)
-                    run, slope, v = edge(p, grid, a, b)
+                    run, slope, v = _reference_edge(p, grid, a, b)
                     if v == 0.0:
                         assert e is None
                         continue
@@ -631,8 +637,83 @@ def test_astar_matches_oracle_on_border_and_interior_nodes(case):
     assert (plan.total_time if objective == "time"
             else plan.total_distance) == want
     for a, b, t in zip(plan.waypoints, plan.waypoints[1:], plan.edge_times):
-        run, _slope, v = edge(profile, grid, a, b)
+        run, _slope, v = _reference_edge(profile, grid, a, b)
         assert v > 0.0 and t == run / v
+
+
+def _reference_dijkstra(grid, p, source, objective):
+    """``planner.dijkstra_all`` as a loop over the 8 offsets, on
+    ``_reference_edge``: each edge weighs ``run / speed``, or its run in
+    distance mode."""
+    timed = objective == "time"
+    dist = {source: 0.0}
+    done = set()
+    heap = [(0.0, source.row, source.col)]
+    while heap:
+        d, row, col = heapq.heappop(heap)
+        cell = CellIndex(row, col)
+        if cell in done:
+            continue
+        done.add(cell)
+        for dr, dc in NEIGHBOR_OFFSETS:
+            nb = CellIndex(row + dr, col + dc)
+            if not grid.in_bounds(nb) or nb in done:
+                continue
+            run, _slope, v = _reference_edge(p, grid, cell, nb)
+            if v <= 0.0:
+                continue
+            nd = d + (run / v if timed else run)
+            if nd < dist.get(nb, math.inf):
+                dist[nb] = nd
+                heapq.heappush(heap, (nd, nb.row, nb.col))
+    return dist
+
+
+@st.composite
+def oracle_cases(draw):
+    """A grid of 1 x 1 to 6 x 6 cells of 0.5 to 1000 m with heights scaled
+    with the cellsize (flat steps, slopes on both sides of every profile's
+    limit) and nodata holes, so sealed corners occur, and a source cell."""
+    nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cellsize = draw(st.sampled_from([0.5, 7.3, 30.0, 1000.0])
+                    | st.floats(0.5, 1000.0))
+    heights = draw(st.lists(
+        st.floats(0.0, 16.0) | st.sampled_from([0.0, -0.0, 4.5, 10.5, None,
+                                                None]),
+        min_size=nrows * ncols, max_size=nrows * ncols))
+    r, c = draw(st.integers(0, nrows - 1)), draw(st.integers(0, ncols - 1))
+    if heights[r * ncols + c] is None:
+        heights[r * ncols + c] = 0.0
+    values = [DEFAULT_NODATA if h is None else h * cellsize / 30.0
+              for h in heights]
+    grid = ElevationGrid(ncols, nrows, 0.0, 0.0, cellsize, DEFAULT_NODATA,
+                         np.array(values))
+    return grid, CellIndex(r, c)
+
+
+def _oracle_example(cellsize):
+    """From the centre: a sealed corner to the north-west, a hole to the
+    north, a rise over every profile's limit to the east, and open moves
+    elsewhere."""
+    h = DEFAULT_NODATA
+    values = np.array([[0.0, h, 3.0], [h, 0.0, 20.0], [0.0, 1.0, 0.0]])
+    values[values != h] *= cellsize / 30.0
+    return (ElevationGrid(3, 3, 0.0, 0.0, cellsize, h, values),
+            CellIndex(1, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_cases())
+@example(_oracle_example(0.5))
+@example(_oracle_example(1000.0))
+def test_dijkstra_all_over_edge_table_matches_reference_dijkstra(case):
+    grid, source = case
+    for p in builtin_profiles():
+        for objective in OBJECTIVES:
+            got = dijkstra_all(grid, p, source, objective)
+            want = _reference_dijkstra(grid, p, source, objective)
+            assert ({c: d.hex() for c, d in got.items()}
+                    == {c: d.hex() for c, d in want.items()})
 
 
 def _reference_train(env, weights, params):
@@ -820,16 +901,15 @@ def _reference_rollout(env, q, bar):
             elapsed += env.stay_time
         else:
             e = edges[cell][a]
-            if e is None or e[0] in bar:
-                return False, True, elapsed
+            assert e is not None and e[0] not in bar  # never a collision
             cell = e[0]
             elapsed += e[1]
         k = index.get(cell)
         if k is not None and k >= wi:  # rejoined
             wi = k + 1
         if cell == goal:
-            return True, False, elapsed
-    return False, False, elapsed
+            return True, elapsed
+    return False, elapsed
 
 
 def _reference_bypass_move(q, s):
@@ -937,8 +1017,7 @@ def _assert_rollouts_match(env, q, bars):
     moves = TableMoves(q)  # one memo over the bars, as evaluate_bypass
     for bar in bars:
         got, want = _rollout(env, moves, bar), _reference_rollout(env, q, bar)
-        assert (got[0], got[1], got[2].hex()) == (
-            want[0], want[1], want[2].hex()), sorted(bar)
+        assert (got[0], got[1].hex()) == (want[0], want[1].hex()), sorted(bar)
 
 
 @settings(max_examples=150, deadline=None)
@@ -998,5 +1077,5 @@ def test_rollout_matches_reference_at_the_step_cap_past_the_bars(name):
     bar = frozenset(wps[b] for b in (5, 9, 13, 17, 22))
     q, passed = _excursion_table(env, bar)
     assert passed == 176  # on waypoint 24 of 30
-    assert _reference_rollout(env, q, bar)[:2] == (False, False)
+    assert not _reference_rollout(env, q, bar)[0]
     _assert_rollouts_match(env, q, [bar])

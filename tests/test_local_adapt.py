@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from terramob import planner
-from terramob.agents import EdgeTable, builtin_profile, builtin_profiles, edge
+from terramob.agents import EdgeTable, builtin_profile, builtin_profiles
 from terramob.local_adapt import (
     ACTION_STAY,
     ACTIONS,
@@ -38,9 +38,9 @@ from terramob.sim import ScenarioConfig, build_world
 from terramob.terrain import CellIndex, make_synthetic
 
 from conftest import (
+    _reference_edge,
     _reference_select_action,
     _reward_bound,
-    collision_rate,
     success_rate,
 )
 
@@ -601,12 +601,12 @@ class TestCorridorEnv:
         p = builtin_profile(name)
         env = CorridorEnv(p)
         a, b = CellIndex(env.mid, 0), CellIndex(env.mid, 1)
-        run, _slope, v = edge(p, env.grid, a, b)
+        run, _slope, v = _reference_edge(p, env.grid, a, b)
         assert env.stay_time == run / v
 
     def test_a_move_is_refused_into_the_bar_or_the_wall(self):
         # the move check of both episode functions: a None entry or a bar
-        # cell is refused, and any other entry is edge()'s move
+        # cell is refused, and any other entry is _reference_edge's move
         env = CorridorEnv(builtin_profile("fit_adults"))
         bar = env.sample_obstacle(np.random.default_rng(2))
         cells = [CellIndex(r, c) for r in range(env.grid.nrows)
@@ -619,7 +619,8 @@ class TestCorridorEnv:
                 if e is None or e[0] in bar:
                     refused.add(dest)
                 else:
-                    run, _slope, v = edge(env.profile, env.grid, cell, dest)
+                    run, _slope, v = _reference_edge(env.profile, env.grid,
+                                                     cell, dest)
                     assert e[:2] == (dest, run / v)
         on_grid = {c for c in refused
                    if 0 <= c.row < env.grid.nrows
@@ -721,14 +722,11 @@ class TestTraining:
         assert sum(s.success for s in late) / len(late) >= 0.9
         ev = evaluate_bypass(q, env, episodes=100, seed=777)
         assert success_rate(ev) >= 0.9
-        # trained argmax never walks into the bar: no collisions at eval
-        assert ev.collisions == 0
 
     def test_collision_penalty_ablation(self):
         # without the collision penalty, ending an episode by walking into
         # the bar looks cheap: training keeps walking into it, and the table
-        # it leaves gets a held-out agent past far fewer bars. Held out, the
-        # run-time rule never walks into a bar, so neither table collides.
+        # it leaves gets a held-out agent past far fewer bars.
         env = CorridorEnv(builtin_profile("fit_adults"))
         params = LearningParams(episodes=2000, seed=5,
                                 epsilon_decay_episodes=1000)
@@ -744,7 +742,6 @@ class TestTraining:
         assert late_collisions(c_ablated) > 4 * late_collisions(c_default)  # 23
         ev_default = evaluate_bypass(q_default, env, episodes=150, seed=321)
         ev_ablated = evaluate_bypass(q_ablated, env, episodes=150, seed=321)
-        assert collision_rate(ev_default) == collision_rate(ev_ablated) == 0.0
         assert success_rate(ev_default) >= 0.9  # 150 of 150 at this seed
         assert success_rate(ev_ablated) <= success_rate(ev_default) - 0.2  # 78
 
@@ -820,13 +817,11 @@ class TestEvaluateBypass:
         start, goal = fresh.plan.waypoints[0], fresh.plan.waypoints[-1]
         moves = TableMoves(trained)
         for bar, got in zip(bars, ev.instances, strict=True):
-            success, collided, elapsed = _rollout(fresh, moves, bar)
+            success, elapsed = _rollout(fresh, moves, bar)
             oracle, _ = planner.astar(fresh.grid.with_nodata(bar),
                                       fresh.profile, start, goal)
-            assert got == BypassInstance(elapsed, oracle.total_time, success,
-                                         collided)
+            assert got == BypassInstance(elapsed, oracle.total_time, success)
         assert ev.successes == sum(i.success for i in ev.instances)
-        assert ev.collisions == sum(i.collided for i in ev.instances)
         assert 0 < ev.successes < 200  # both outcomes are pinned
 
     def test_the_corridor_replans_each_bar_once_over_calls(
@@ -844,8 +839,8 @@ class TestEvaluateBypass:
                                 episodes=60, seed=6)
 
         def hexed(ev):
-            return [(i.hybrid_time.hex(), i.oracle_time.hex(), i.success,
-                     i.collided) for i in ev.instances]
+            return [(i.hybrid_time.hex(), i.oracle_time.hex(), i.success)
+                    for i in ev.instances]
 
         assert hexed(second) == hexed(alone)
 
@@ -866,8 +861,8 @@ class TestEvaluateBypass:
                                 seed=5)
 
         def hexed(ev):
-            return [(i.hybrid_time.hex(), i.oracle_time.hex(), i.success,
-                     i.collided) for i in ev.instances]
+            return [(i.hybrid_time.hex(), i.oracle_time.hex(), i.success)
+                    for i in ev.instances]
 
         assert hexed(after) == hexed(alone) != hexed(before)
 
@@ -882,10 +877,9 @@ class TestEvaluateBypass:
         q = zeros()
         q[s, ACTIONS.index((0, 1))] = 1.0
         assert ACTIONS[_reference_select_action(q, s, 0.0, None)] == (0, 1)
-        success, collided, elapsed = _rollout(env, TableMoves(q), bar)
-        assert success and not collided
-        assert (success, collided, elapsed) == _rollout(
-            env, TableMoves(zeros()), bar)
+        success, elapsed = _rollout(env, TableMoves(q), bar)
+        assert success
+        assert (success, elapsed) == _rollout(env, TableMoves(zeros()), bar)
 
     def test_negative_episodes_refused(self, trained):
         env = CorridorEnv(builtin_profile("fit_adults"))

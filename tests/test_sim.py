@@ -25,7 +25,6 @@ from terramob.sim import (
     _simulate,
     build_world,
     compare_transport,
-    effort_accrual,
     format_distance,
     format_duration,
     render_comparison_table,
@@ -33,6 +32,8 @@ from terramob.sim import (
     write_trace_csv,
 )
 from terramob.terrain import CellIndex, ElevationGrid, serialize_ascii_grid
+
+from conftest import _reference_cell_of_point, _reference_effort
 
 
 def flat_cfg(**overrides):
@@ -48,20 +49,33 @@ def flat_cfg(**overrides):
 
 
 class TestEffortAccrual:
+    """A World step's effort on an edge: time * (1 + slope / 100)."""
+
+    @staticmethod
+    def walk(run, speed, slope):
+        """The effort of one step in which an agent walks ``run`` meters
+        east at ``speed`` on ``slope`` percent to a cell centre, where it
+        stands (a chase whose sight is lost)."""
+        grid = ElevationGrid(3, 1, 0.0, 0.0, 30.0, -9999.0, np.zeros((1, 3)))
+        target = CellIndex(0, 2)
+        tx, ty = grid.cell_center(target)
+        agent = AgentRuntime(
+            id="a", profile=builtin_profile("fit_adults"), plan=None,
+            position=(tx - run, ty), cell=target, chase_cell=target,
+            edge_target=target, edge_target_xy=(tx, ty), edge_speed=speed,
+            edge_slope=slope)
+        World(grid, [agent], [], [], dt=60.0).step()
+        return agent.effort_spent
+
     def test_flat_edge(self):
-        assert effort_accrual(20.0, 0.0) == 20.0
+        assert self.walk(30.0, 1.5, 0.0) == 20.0
 
     def test_15_percent_edge(self):
-        assert effort_accrual(26.666666666666668, 15.0) == pytest.approx(
-            30.667, abs=1e-3
-        )
+        # 30 m at 1.125 m/s take 26.67 s
+        assert self.walk(30.0, 1.125, 15.0) == pytest.approx(30.667, abs=1e-3)
 
     def test_zero_duration(self):
-        assert effort_accrual(0.0, 10.0) == 0.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            effort_accrual(-1.0, 0.0)
+        assert self.walk(0.0, 1.5, 10.0) == 0.0
 
 
 class TestObstacle:
@@ -513,9 +527,8 @@ class TestTrainedAgentOnSteepGround:
 
 
 class TestInlinedStepArithmetic:
-    """``World.step`` inlines ``effort_accrual`` and
-    ``ElevationGrid.cell_of_point``; both branches of a move must agree
-    with them bit for bit."""
+    """Both branches of a ``World.step`` move agree bit for bit with the
+    references of its effort and cell rules (tests/conftest.py)."""
 
     origins = st.floats(-1e6, 1e6)
     cellsizes = st.sampled_from([0.5, 1.0, 30.0]) | st.floats(0.01, 500.0)
@@ -546,13 +559,14 @@ class TestInlinedStepArithmetic:
         dist = math.hypot(dx, dy)
         if dist / speed <= dt:
             assert agent.position == (tx, ty) and agent.cell == target
-            want = effort_accrual(dist / speed, slope)
+            want = _reference_effort(dist / speed, slope)
         else:
             moved = speed * dt
             assert agent.position == (start[0] + dx / dist * moved,
                                       start[1] + dy / dist * moved)
-            assert agent.cell == grid.cell_of_point(*agent.position)
-            want = effort_accrual(dt, slope)
+            assert agent.cell == _reference_cell_of_point(
+                grid, *agent.position)
+            want = _reference_effort(dt, slope)
         assert agent.effort_spent.hex() == want.hex()
 
     @settings(max_examples=300, deadline=None)
