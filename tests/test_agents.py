@@ -243,6 +243,20 @@ class TestEdgeTime:
         down = edge_time(p, grid, CellIndex(1, 2), CellIndex(1, 1))
         assert up == down
 
+    def test_each_entry_steps_to_its_actions_neighbor(self):
+        # a table row holds only the 8 adjacent moves, each in its action's
+        # slot: no entry reaches a cell that is not the source's neighbor
+        grid = rough_grid(3, nrows=8, ncols=8, nodata_frac=0.2)
+        table = EdgeTable(grid, builtin_profile("fit_adults"))
+        for r in range(-1, 9):
+            for c in range(-1, 9):
+                row = table[CellIndex(r, c)]
+                assert len(row) == len(NEIGHBOR_OFFSETS) == 8
+                for (dr, dc), e in zip(NEIGHBOR_OFFSETS, row):
+                    if e is not None:
+                        assert e[0] == (r + dr, c + dc)
+                        assert max(abs(dr), abs(dc)) == 1
+
 
 def entry_bits(e):
     """An edge-table entry with its floats as ``float.hex`` text, so that

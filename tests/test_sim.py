@@ -77,6 +77,13 @@ class TestEffortAccrual:
     def test_zero_duration(self):
         assert self.walk(0.0, 1.5, 10.0) == 0.0
 
+    def test_matches_reference_effort(self):
+        for run, speed, slope in [(30.0, 1.5, 0.0), (30.0, 0.9, 7.5),
+                                  (42.42640687119285, 1.2, 20.0),
+                                  (12.5, 0.4, 35.0)]:
+            assert self.walk(run, speed, slope) == pytest.approx(
+                _reference_effort(run / speed, slope), rel=1e-12)
+
 
 class TestObstacle:
     def test_schedule_activation(self):

@@ -236,6 +236,18 @@ class TestSlope:
         assert move(grid, CellIndex(0, 0), CellIndex(0, 1))[2] == 0.0
         assert move(grid, CellIndex(0, 1), CellIndex(0, 0))[2] == 0.0
 
+    def test_off_grid_or_nodata_source_row_closed(self):
+        values = np.zeros((3, 3))
+        values[1, 1] = -9999.0
+        grid = ElevationGrid(3, 3, 0, 0, 30.0, -9999.0, values)
+        table = EdgeTable(grid, FIT)
+        for cell in (CellIndex(1, 1), CellIndex(-1, 0), CellIndex(0, 3),
+                     CellIndex(3, 3)):
+            assert table[cell] == (None,) * 8
+        # a corner beside the hole keeps its two other moves open
+        assert sorted(e[0] for e in table[CellIndex(0, 0)] if e) == [
+            (0, 1), (1, 0)]
+
     def test_symmetric_on_rough_grid(self):
         grid = rough_grid(11, nrows=10, ncols=10, nodata_frac=0.0)
         rng = np.random.default_rng(1)
