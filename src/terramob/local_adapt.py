@@ -11,13 +11,15 @@ randomized corridor episodes and frozen for simulation. While it trains,
 visited, made on first read, and returns them as that array.
 ``_train_episode`` is the one definition of the training rules: the pick
 (the first maximum of a row, or an exploring draw), the reward of a step
-(``RewardWeights``) and the temporal-difference backup; it computes each
-cell's state code and deviation once per episode. ``local_step`` is the
-run-time rule of a route follower, simulated or held out: the route, else
-the table's best open move, else a sidestep by cost; a held-out rollout
-runs it only where a bar can change the move. It reads a frozen table's
-moves from a ``TableMoves``, which computes each state's ``bypass_move``
-once.
+(``RewardWeights``) and the temporal-difference backup. A
+``CorridorEnv`` keeps each cell's state code and deviation per (bar,
+tracked waypoint) in a ``StateCodes``, which training and held-out
+rollouts on the env share, since neither depends on the table.
+``local_step`` is the run-time rule of a route follower, simulated or
+held out: the route, else the table's best open move, else a sidestep by
+cost; a held-out rollout runs it only where a bar can change the move. It
+reads a frozen table's moves from a ``TableMoves``, which computes each
+state's ``bypass_move`` once, per call and never past it.
 
 "Obstructed" is decided by one blocking predicate, a ``Callable[[CellIndex],
 bool]`` that ``local_step``, ``build_local_state`` and ``greedy_step``
@@ -239,6 +241,31 @@ def build_local_state(
     return code | (direction << 8) | (dev << 11)
 
 
+StateCodes = dict[CellIndex, tuple[int, int]]
+"""The kept state codes of one bar and tracked waypoint: ``codes[cell]``
+is (``build_local_state``, ``deviation_cells``) of ``cell``, made by
+``keep_state_code`` on the first read of ``cell``. A ``CorridorEnv``
+keeps one per (bar, waypoint) in ``CorridorEnv.codes``. It is a plain
+dict, not a ``dict`` subclass with ``__missing__`` like ``TableMoves``:
+on Python 3.11 a subclass's lookups take a slower generic path, and one
+read perfbench's train ``call_ms_p50`` 1-2 % higher."""
+
+
+def keep_state_code(codes: StateCodes, edges: EdgeTable,
+                    blocked: Callable[[CellIndex], bool], cell: CellIndex,
+                    plan: PathPlan, waypoint_index: int) -> tuple[int, int]:
+    """Make (``build_local_state``, ``deviation_cells``) of ``cell`` under
+    ``blocked`` while it tracks waypoint ``waypoint_index``, keep it as
+    ``codes[cell]`` and return it. A reader writes ``codes.get(cell) or
+    keep_state_code(...)``: one dict lookup once the code is kept. The kept
+    code is exact only while ``edges``, ``blocked`` and ``plan`` do not
+    change, which on a ``CorridorEnv`` they never do."""
+    v = codes[cell] = (
+        build_local_state(edges, blocked, cell, plan, waypoint_index),
+        deviation_cells(cell, plan))
+    return v
+
+
 def greedy_step(
     edges: EdgeTable,
     at: CellIndex,
@@ -267,7 +294,8 @@ def greedy_step(
 
 def local_step(moves: TableMoves | None, edges: EdgeTable,
                blocked: Callable[[CellIndex], bool], cell: CellIndex,
-               plan: PathPlan, waypoint_index: int) -> tuple[bool, int]:
+               plan: PathPlan, waypoint_index: int,
+               codes: StateCodes | None = None) -> tuple[bool, int]:
     """(chi, action) of a route follower carrying the moves of a frozen
     table (or None); chi is whether its tracked waypoint is ``blocked``.
 
@@ -277,7 +305,11 @@ def local_step(moves: TableMoves | None, edges: EdgeTable,
     While it is blocked: the table's move (``bypass_move``'s), or with no
     table or none for this state, a ``greedy_step`` sidestep toward the
     first waypoint not blocked (else the goal). Every move is ACTION_STAY
-    or an open entry onto a cell not blocked."""
+    or an open entry onto a cell not blocked. The state code is read from
+    ``codes`` when given (the ``StateCodes`` of ``blocked`` and
+    ``waypoint_index``, which a held-out rollout keeps on its env), made
+    and kept there on a miss; the simulation passes none, and the code is
+    made by ``build_local_state`` on each blocked step."""
     wp = plan.waypoints[waypoint_index]
     if not blocked(wp):
         if waypoint_index and cell == plan.waypoints[waypoint_index - 1]:
@@ -288,8 +320,14 @@ def local_step(moves: TableMoves | None, edges: EdgeTable,
         if a != ACTION_STAY and blocked(edges[cell][a][0]):
             return False, ACTION_STAY
         return False, a
-    action = None if moves is None else moves[
-        build_local_state(edges, blocked, cell, plan, waypoint_index)]
+    if moves is None:
+        action = None
+    elif codes is None:
+        action = moves[build_local_state(edges, blocked, cell, plan,
+                                         waypoint_index)]
+    else:
+        action = moves[(codes.get(cell) or keep_state_code(
+            codes, edges, blocked, cell, plan, waypoint_index))[0]]
     if action is None:
         aim = next((w for w in plan.waypoints[waypoint_index:]
                     if not blocked(w)), plan.waypoints[-1])
@@ -340,8 +378,13 @@ class CorridorEnv:
     ``route_elapsed[j]``, the time after the first ``j`` of the route's
     ``plan.edge_times`` (added left to right from 0.0), ``bars``, one
     ``frozenset`` per distinct bar drawn, so that equal bars are one object
-    with one cached hash, and ``oracle_times``, each bar's replanning time
-    once ``oracle_time`` first asks for it; at most 120 bars can be drawn.
+    with one cached hash, ``oracle_times``, each bar's replanning time
+    once ``oracle_time`` first asks for it, and ``codes``, the
+    ``StateCodes`` of each (bar, tracked waypoint) that ``state_codes``
+    was asked for; at most 120 bars can be drawn. None of these depends on
+    a table, so training and every held-out call on one env share them:
+    each cell's state code is made once per bar and waypoint over all of
+    them.
     """
 
     def __init__(self, profile: AgentProfile):
@@ -360,6 +403,7 @@ class CorridorEnv:
         # (column, first row, last row) -> the bar's one frozenset
         self.bars: dict[tuple[int, int, int], frozenset[CellIndex]] = {}
         self.oracle_times: dict[frozenset[CellIndex], float] = {}
+        self.codes: dict[tuple[frozenset[CellIndex], int], StateCodes] = {}
 
     def sample_obstacle(self, rng: np.random.Generator) -> frozenset[CellIndex]:
         """Vertical bar across the route, always leaving a gap on both
@@ -388,6 +432,12 @@ class CorridorEnv:
             t = self.oracle_times[bar] = plan.total_time
         return t
 
+    def state_codes(self, bar: frozenset[CellIndex],
+                    waypoint_index: int) -> StateCodes:
+        """The kept ``StateCodes`` of ``bar`` while the agent tracks
+        waypoint ``waypoint_index``."""
+        return self.codes.setdefault((bar, waypoint_index), {})
+
 
 def _rollout(env: CorridorEnv, moves: TableMoves | None,
              bar: frozenset[CellIndex]) -> tuple[bool, float]:
@@ -400,7 +450,9 @@ def _rollout(env: CorridorEnv, moves: TableMoves | None,
     next one is clear, ``local_step`` takes the plan edge, so it runs only
     from the waypoint before the first barred one to the rejoin past the
     last; the steps before are ``env.route_elapsed``, those after add
-    ``plan.edge_times``.
+    ``plan.edge_times``. ``local_step`` reads each state code from the
+    env's ``state_codes`` of the bar and the tracked waypoint, kept past
+    the call; only the moves of ``moves`` belong to the caller.
     """
     edges, plan, index = env.edges, env.plan, env.plan.index
     wps = plan.waypoints
@@ -410,11 +462,12 @@ def _rollout(env: CorridorEnv, moves: TableMoves | None,
     first, last = min(barred), max(barred)
     blocked = bar.__contains__
     cell, wi, elapsed = wps[first - 1], first, env.route_elapsed[first - 1]
+    codes = env.state_codes(bar, wi)
     goal, cap = wps[-1], 6 * len(wps)
     for steps in range(first - 1, cap):
         if wi > last:
             break
-        _chi, a = local_step(moves, edges, blocked, cell, plan, wi)
+        _chi, a = local_step(moves, edges, blocked, cell, plan, wi, codes)
         if a == ACTION_STAY:
             elapsed += env.stay_time
         else:
@@ -424,6 +477,7 @@ def _rollout(env: CorridorEnv, moves: TableMoves | None,
         k = index.get(cell)
         if k is not None and k >= wi:  # rejoined
             wi = k + 1
+            codes = env.state_codes(bar, wi)
         if cell == goal:
             return True, elapsed
     else:
@@ -446,8 +500,10 @@ def _train_episode(env: CorridorEnv, q: QRows, bar: frozenset[CellIndex],
     ``params.max_steps_per_episode`` steps. Every step is a table step: the
     bar covers waypoint ``wi``, which moves only on the rejoin that ends it.
     Until then a cell's state code and deviation depend on the cell alone,
-    so ``seen`` keeps them for the episode. A step is the one definition of
-    the training rules:
+    and both are read from the env's ``state_codes`` of ``(bar, wi)``; the
+    rejoin's successor reads those of ``(bar, k + 1)``. The env keeps them
+    past the episode, so a training run makes each once over all its
+    episodes. A step is the one definition of the training rules:
 
     - the pick: with probability ``epsilon`` a uniform draw of the nine
       actions from ``rng`` (read only when ``epsilon > 0``), else the first
@@ -462,9 +518,10 @@ def _train_episode(env: CorridorEnv, q: QRows, bar: frozenset[CellIndex],
     blocked = bar.__contains__
     alpha, gamma = params.alpha, params.gamma
     wi = next(iter(bar)).col
+    codes = env.state_codes(bar, wi)
     cell = plan.waypoints[wi - 1]
-    s, dev = build_local_state(edges, blocked, cell, plan, wi), 0
-    seen = {cell: (s, dev)}  # cell -> (state code, deviation_cells)
+    s, dev = codes.get(cell) or keep_state_code(codes, edges, blocked, cell,
+                                                plan, wi)
     total_r = 0.0
     for step in range(1, params.max_steps_per_episode + 1):
         row = q[s]
@@ -487,15 +544,13 @@ def _train_episode(env: CorridorEnv, q: QRows, bar: frozenset[CellIndex],
         if rejoined:
             r = weights.rejoin
             # the successor state tracks the next waypoint, k + 1
-            s_next = build_local_state(edges, blocked, dest, plan, k + 1)
+            after = env.state_codes(bar, k + 1)
+            s_next = (after.get(dest) or keep_state_code(
+                after, edges, blocked, dest, plan, k + 1))[0]
         else:
             prev_dev = dev
-            known = seen.get(dest)
-            if known is None:
-                known = seen[dest] = (
-                    build_local_state(edges, blocked, dest, plan, wi),
-                    deviation_cells(dest, plan))
-            s_next, dev = known
+            s_next, dev = codes.get(dest) or keep_state_code(
+                codes, edges, blocked, dest, plan, wi)
             if dev > 0:
                 r = -weights.deviation_per_cell * dev
             elif prev_dev == 0:  # on the route, no gain
@@ -548,12 +603,13 @@ def evaluate_bypass(
     Each instance also carries the bar's replanning time,
     ``env.oracle_time``, so callers can compare the bypass detour against
     full replanning; ``env`` keeps that time, so each distinct bar is
-    replanned once over all calls on it. The moves of ``q`` are kept in
-    one ``TableMoves`` per call, never past it: a caller may change ``q``
-    between calls. A rollout is a pure function of ``q`` and the bar, so
-    each distinct bar is rolled out once per call; a bar drawn again gets
-    a new instance with the first one's values. ``episodes`` must be
-    non-negative.
+    replanned once over all calls on it. It keeps each bar's state codes
+    too (``env.state_codes``), so each is made once over all calls and
+    training on it. The moves of ``q`` are kept in one ``TableMoves`` per
+    call, never past it: a caller may change ``q`` between calls. A
+    rollout is a pure function of ``q`` and the bar, so each distinct bar
+    is rolled out once per call; a bar drawn again gets a new instance
+    with the first one's values. ``episodes`` must be non-negative.
     """
     if episodes < 0:
         raise ValueError("episodes must be non-negative")

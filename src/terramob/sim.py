@@ -604,6 +604,9 @@ class ScenarioConfig:
             terrain = obj["terrain"]
         except KeyError:
             raise ConfigError("config needs a 'terrain' entry") from None
+        if not isinstance(terrain, (str, dict)):
+            raise ConfigError("'terrain' must be a path ending in .asc, a"
+                              " recipe string or a recipe object")
         sim = obj.get("sim", {})
         if not isinstance(sim, dict):
             raise ConfigError("'sim' must be an object")

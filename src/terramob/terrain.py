@@ -607,7 +607,9 @@ def grid_from_recipe(spec: str | dict) -> ElevationGrid:
     """Build a synthetic grid from a recipe spec.
 
     Accepts a dict (``{"recipe": "flat", "nrows": 10, ...}``) or a compact
-    string of the form ``"flat:h=100,nrows=10,ncols=10,cellsize=30"``.
+    string of the form ``"flat:h=100,nrows=10,ncols=10,cellsize=30"``. The
+    recipe name is checked before its parameters, so a mistyped grid path
+    such as ``dem.ASC`` is refused as an unknown recipe.
     """
     if isinstance(spec, str):
         kind, _, rest = spec.partition(":")
@@ -622,6 +624,9 @@ def grid_from_recipe(spec: str | dict) -> ElevationGrid:
     spec = dict(spec)
     try:
         kind = str(spec.pop("recipe"))
+        if kind not in RECIPES:
+            raise ValueError(f"unknown recipe {kind!r}; expected one of"
+                             f" {RECIPES} or a path ending in .asc")
         nrows = spec.pop("nrows")
         ncols = spec.pop("ncols")
         cellsize = float(spec.pop("cellsize", 30.0))

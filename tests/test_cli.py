@@ -1,6 +1,9 @@
 import argparse
 import filecmp
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -182,6 +185,26 @@ class TestSimulate:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
         cmp = filecmp.dircmp(out1, out2)
         assert not cmp.diff_files
+
+    def test_the_seed_only_names_the_run(self, tmp_path):
+        # the simulation draws no random number: another sim.seed changes
+        # the report's seed field and no other output byte
+        outs = []
+        for seed in (11, 12):
+            obj = json.loads(json.dumps(SCENARIO))
+            obj["sim"]["seed"] = seed
+            cfg = tmp_path / f"s{seed}.json"
+            cfg.write_text(json.dumps(obj))
+            outs.append(tmp_path / f"o{seed}")
+            assert main(["simulate", "--config", str(cfg),
+                         "--out", str(outs[-1])]) == EXIT_OK
+        a, b = (json.loads((o / "report.json").read_text()) for o in outs)
+        assert (a.pop("seed"), b.pop("seed")) == (11, 12)
+        assert a == b
+        cmp = filecmp.dircmp(*outs)
+        assert cmp.diff_files == ["report.json"] and not cmp.left_only
+        assert not filecmp.dircmp(outs[0] / "traces",
+                                  outs[1] / "traces").diff_files
 
     def test_strict_no_path_is_exit_2(self, tmp_path):
         from terramob.terrain import CellIndex, make_synthetic, serialize_ascii_grid
@@ -532,6 +555,39 @@ class TestMalformedInput:
         err = self._simulate_err(tmp_path, capsys, obj)
         assert err == "error: recipe needs a 'recipe' entry\n"
 
+    @pytest.mark.parametrize("terrain", [None, True, 5, [1, 2]])
+    def test_terrain_neither_string_nor_object(self, tmp_path, capsys,
+                                               terrain):
+        obj = json.loads(json.dumps(SCENARIO))
+        obj["terrain"] = terrain
+        err = self._simulate_err(tmp_path, capsys, obj)
+        assert err == ("error: 'terrain' must be a path ending in .asc, a"
+                       " recipe string or a recipe object\n")
+
+    @pytest.mark.parametrize("terrain", ["dem.ASC", "dem.txt"])
+    def test_terrain_path_without_asc_suffix(self, tmp_path, capsys,
+                                             terrain):
+        # not read as a grid file: refused by its name, before any recipe
+        # parameter is looked for
+        from terramob.terrain import make_synthetic, serialize_ascii_grid
+        (tmp_path / terrain).write_text(serialize_ascii_grid(
+            make_synthetic("flat", nrows=3, ncols=3)))
+        assert main(["plan", "--terrain", str(tmp_path / terrain),
+                     "--profile", "fit_adults", "--start", "0,0",
+                     "--goal", "2,2", "--out",
+                     str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            f"error: unknown recipe {str(tmp_path / terrain)!r}; expected"
+            " one of ('flat', 'ramp', 'ridge', 'cone', 'two_corridor') or a"
+            " path ending in .asc\n")
+
+    def test_flat_recipe_without_parameters(self, tmp_path, capsys):
+        assert main(["plan", "--terrain", "flat", "--profile", "fit_adults",
+                     "--start", "0,0", "--goal", "2,2",
+                     "--out", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err == (
+            "error: recipe needs a 'nrows' entry\n")
+
     def test_transport_route_not_an_object(self, tmp_path, capsys):
         obj = json.loads(json.dumps(SCENARIO))
         obj["transport"]["routes"] = [5]
@@ -639,7 +695,7 @@ class TestMalformedInput:
          "two_corridor needs nrows >= 3 and odd ncols >= 5"),
         ("dune:nrows=3,ncols=3",
          "unknown recipe 'dune'; expected one of ('flat', 'ramp', 'ridge',"
-         " 'cone', 'two_corridor')"),
+         " 'cone', 'two_corridor') or a path ending in .asc"),
         ("flat:h=0,slope=2,nrows=3,ncols=3",
          "unexpected recipe parameter(s): ['slope']"),
         ("flat:xll=inf,nrows=3,ncols=3", "grid origin must be finite"),
@@ -828,3 +884,29 @@ def test_unwritable_out_is_exit_3(tmp_path, capsys, command):
     assert main(argv + ["--out", str(blocker / "out")]) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestModuleEntryPoint:
+    """``python -m terramob`` runs ``cli.main`` and exits with its code."""
+
+    def _run(self, *argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src + (os.pathsep + path if path else "")}
+        return subprocess.run([sys.executable, "-m", "terramob", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    def test_plan_exits_0_and_writes_plan_csv(self, tmp_path):
+        done = self._run("plan", "--terrain", "flat:h=0,nrows=4,ncols=4",
+                         "--profile", "mule", "--start", "0,0",
+                         "--goal", "3,3", "--out", str(tmp_path))
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "total_time_s=" in done.stdout
+        assert (tmp_path / "plan.csv").exists()
+
+    def test_unknown_flag_exits_3(self, tmp_path):
+        done = self._run("plan", "--nope")
+        assert done.returncode == EXIT_BAD_INPUT
+        assert "Traceback" not in done.stderr

@@ -46,8 +46,8 @@ from terramob.local_adapt import (
     ACTION_STAY, ACTIONS, N_ACTIONS, N_DEVIATION_BUCKETS, N_STATES,
     CorridorEnv, EpisodeStats, LearningParams, RewardWeights, TableMoves,
     _offset_direction, _rollout, build_local_state, bypass_move,
-    deviation_cells, greedy_step, load_qtable, local_step, train_bypass,
-    write_learning_curve,
+    deviation_cells, greedy_step, keep_state_code, load_qtable, local_step,
+    train_bypass, write_learning_curve,
 )
 from terramob.planner import (
     OBJECTIVES, NoPathError, PathPlan, astar, dijkstra_all, dijkstra_oracle,
@@ -1079,3 +1079,62 @@ def test_rollout_matches_reference_at_the_step_cap_past_the_bars(name):
     assert passed == 176  # on waypoint 24 of 30
     assert not _reference_rollout(env, q, bar)[0]
     _assert_rollouts_match(env, q, [bar])
+
+
+@st.composite
+def memo_cases(draw):
+    """A profile whose corridor differs, a short training run, a table
+    (the trained one or random normal), bars (the corridor's own draws,
+    and arbitrary ones with off-route and off-grid cells and several
+    route waypoints), and reads of any grid cell under one of those bars
+    while tracking any waypoint up to one past the goal."""
+    name = draw(st.sampled_from(["fit_adults", "mule", "ox_cart"]))
+    env = _corridor(name)
+    wps = env.plan.waypoints
+    cells = st.sampled_from(
+        [CellIndex(r, c) for r in range(-1, env.grid.nrows + 1)
+         for c in range(-1, env.grid.ncols + 1)])
+    bars = draw(st.lists(st.one_of(
+        st.sampled_from(_corridor_bars(name)),
+        st.frozensets(cells, max_size=6),
+        st.tuples(st.frozensets(st.sampled_from(wps), min_size=2, max_size=4),
+                  st.frozensets(cells, max_size=3)).map(
+                      lambda t: t[0] | t[1]),
+    ), min_size=1, max_size=6))
+    on_grid = st.sampled_from(
+        [CellIndex(r, c) for r in range(env.grid.nrows)
+         for c in range(env.grid.ncols)])
+    reads = draw(st.lists(st.tuples(
+        st.integers(0, len(bars) - 1), st.integers(1, len(wps)), on_grid),
+        max_size=12))
+    params = LearningParams(episodes=draw(st.integers(0, 25)),
+                            epsilon_decay_episodes=draw(st.integers(0, 20)),
+                            seed=draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["trained", "normal"]))
+    return name, params, kind, bars, reads
+
+
+@settings(max_examples=100, deadline=None)
+@given(memo_cases())
+def test_every_kept_state_code_matches_the_reference(case):
+    # training, rollouts and reads fill one fresh corridor's memo; every
+    # entry is the state code and deviation of its cell, bar and waypoint
+    name, params, kind, bars, reads = case
+    env = CorridorEnv(builtin_profile(name))
+    q, _ = train_bypass(env, RewardWeights(), params)
+    if kind == "normal":
+        q = np.random.default_rng(params.seed).normal(size=q.shape)
+    moves = TableMoves(q)
+    for bar in bars:
+        _rollout(env, moves, bar)
+    for k, wi, cell in reads:
+        codes = env.state_codes(bars[k], wi)
+        codes.get(cell) or keep_state_code(codes, env.edges, bars[k].__contains__,
+                                           cell, env.plan, wi)
+    grid, plan, profile = env.grid, env.plan, env.profile
+    assert env.codes or not (params.episodes or reads)
+    for (bar, wi), codes in env.codes.items():
+        for cell, (s, dev) in codes.items():
+            assert s == _reference_state(grid, profile, bar.__contains__,
+                                         cell, plan, wi), (sorted(bar), wi)
+            assert dev == deviation_cells(cell, plan)

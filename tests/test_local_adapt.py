@@ -866,6 +866,56 @@ class TestEvaluateBypass:
 
         assert hexed(after) == hexed(alone) != hexed(before)
 
+    def test_a_table_scored_after_another_equals_a_fresh_corridor(
+            self, trained):
+        # the corridor keeps the state codes table A's calls made; table
+        # B reads them, and its rollouts are those of a fresh corridor
+        env = CorridorEnv(builtin_profile("fit_adults"))
+        other = np.random.default_rng(1).normal(size=trained.shape)
+        evaluate_bypass(trained, env, episodes=200, seed=5)
+        assert env.codes
+        shared = evaluate_bypass(other, env, episodes=200, seed=6)
+        alone = evaluate_bypass(other, CorridorEnv(env.profile),
+                                episodes=200, seed=6)
+
+        def hexed(ev):
+            return [(i.hybrid_time.hex(), i.oracle_time.hex(), i.success)
+                    for i in ev.instances]
+
+        assert hexed(shared) == hexed(alone)
+
+    @pytest.mark.parametrize("name", ["fit_adults", "mule"])
+    def test_training_and_scoring_share_a_corridor_in_either_order(
+            self, name):
+        params = LearningParams(episodes=300, seed=3,
+                                epsilon_decay_episodes=150)
+
+        def written(q, curve):
+            table, rows = io.StringIO(), io.StringIO()
+            save_qtable(q, table, gamma=0.95, alpha=0.1, seed=3,
+                        episodes=300)
+            write_learning_curve(curve, rows)
+            return table.getvalue(), rows.getvalue()
+
+        def hexed(ev):
+            return [(i.hybrid_time.hex(), i.oracle_time.hex(), i.success)
+                    for i in ev.instances]
+
+        # scoring, then training on the same corridor
+        q, curve = train_bypass(CorridorEnv(builtin_profile(name)),
+                                RewardWeights(), params)
+        scored = CorridorEnv(builtin_profile(name))
+        evaluate_bypass(q, scored, episodes=200, seed=8)
+        assert written(*train_bypass(scored, RewardWeights(), params)) == (
+            written(q, curve))
+        # training, then scoring on the same corridor
+        used = CorridorEnv(builtin_profile(name))
+        train_bypass(used, RewardWeights(), params)
+        assert used.codes
+        assert hexed(evaluate_bypass(q, used, episodes=200, seed=9)) == (
+            hexed(evaluate_bypass(q, CorridorEnv(builtin_profile(name)),
+                                  episodes=200, seed=9)))
+
     def test_a_table_that_picks_the_bar_sidesteps_it(self):
         # the row of the first blocked state holds only the step into the
         # bar: the rollout skips it, as a simulated agent does, and
