@@ -793,6 +793,12 @@ def count_astar(monkeypatch):
     return calls
 
 
+def _hexed(ev):
+    """A ``BypassEvaluation``'s instances, times compared by float.hex."""
+    return [(i.hybrid_time.hex(), i.oracle_time.hex(), i.success)
+            for i in ev.instances]
+
+
 class TestEvaluateBypass:
     @pytest.fixture(scope="class")
     def trained(self):
@@ -838,11 +844,7 @@ class TestEvaluateBypass:
         alone = evaluate_bypass(trained, CorridorEnv(env.profile),
                                 episodes=60, seed=6)
 
-        def hexed(ev):
-            return [(i.hybrid_time.hex(), i.oracle_time.hex(), i.success)
-                    for i in ev.instances]
-
-        assert hexed(second) == hexed(alone)
+        assert _hexed(second) == _hexed(alone)
 
     def test_a_table_changed_between_calls_is_read_again(self, trained):
         # a call keeps no move past its end: after the rows its rollouts
@@ -860,11 +862,7 @@ class TestEvaluateBypass:
         alone = evaluate_bypass(q, CorridorEnv(env.profile), episodes=60,
                                 seed=5)
 
-        def hexed(ev):
-            return [(i.hybrid_time.hex(), i.oracle_time.hex(), i.success)
-                    for i in ev.instances]
-
-        assert hexed(after) == hexed(alone) != hexed(before)
+        assert _hexed(after) == _hexed(alone) != _hexed(before)
 
     def test_a_table_scored_after_another_equals_a_fresh_corridor(
             self, trained):
@@ -878,11 +876,7 @@ class TestEvaluateBypass:
         alone = evaluate_bypass(other, CorridorEnv(env.profile),
                                 episodes=200, seed=6)
 
-        def hexed(ev):
-            return [(i.hybrid_time.hex(), i.oracle_time.hex(), i.success)
-                    for i in ev.instances]
-
-        assert hexed(shared) == hexed(alone)
+        assert _hexed(shared) == _hexed(alone)
 
     @pytest.mark.parametrize("name", ["fit_adults", "mule"])
     def test_training_and_scoring_share_a_corridor_in_either_order(
@@ -897,10 +891,6 @@ class TestEvaluateBypass:
             write_learning_curve(curve, rows)
             return table.getvalue(), rows.getvalue()
 
-        def hexed(ev):
-            return [(i.hybrid_time.hex(), i.oracle_time.hex(), i.success)
-                    for i in ev.instances]
-
         # scoring, then training on the same corridor
         q, curve = train_bypass(CorridorEnv(builtin_profile(name)),
                                 RewardWeights(), params)
@@ -912,9 +902,9 @@ class TestEvaluateBypass:
         used = CorridorEnv(builtin_profile(name))
         train_bypass(used, RewardWeights(), params)
         assert used.codes
-        assert hexed(evaluate_bypass(q, used, episodes=200, seed=9)) == (
-            hexed(evaluate_bypass(q, CorridorEnv(builtin_profile(name)),
-                                  episodes=200, seed=9)))
+        assert _hexed(evaluate_bypass(q, used, episodes=200, seed=9)) == (
+            _hexed(evaluate_bypass(q, CorridorEnv(builtin_profile(name)),
+                                   episodes=200, seed=9)))
 
     def test_a_table_that_picks_the_bar_sidesteps_it(self):
         # the row of the first blocked state holds only the step into the
