@@ -352,8 +352,8 @@ class BypassInstance:
     hybrid_time: float
     oracle_time: float
     success: bool
-    # local_step never enters the bar; kept because the train digests of
-    # perfbench/workloads.py (line 376) and the CI smoke step hash it
+    # local_step never enters the bar; kept because perfbench's train
+    # digest (perfbench/workloads.py) hashes it
     collided: bool = False
 
 
@@ -477,7 +477,8 @@ def _rollout(env: CorridorEnv, moves: TableMoves | None,
         k = index.get(cell)
         if k is not None and k >= wi:  # rejoined
             wi = k + 1
-            codes = env.state_codes(bar, wi)
+            if wi <= last:  # past the last barred waypoint no code is read
+                codes = env.state_codes(bar, wi)
         if cell == goal:
             return True, elapsed
     else:

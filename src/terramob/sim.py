@@ -40,6 +40,7 @@ from .terrain import (
     ElevationGrid,
     line_of_sight,
     load_grid,
+    whole_number,
 )
 
 MODE_FOLLOWING = "following"
@@ -571,6 +572,11 @@ class TransportSpec:
 _ENTRY_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 
+def _cell(what: str, pair) -> CellIndex:
+    """A config cell ``[row, col]``; each coordinate is a whole number."""
+    return CellIndex(*[whole_number(f"{what} coordinate", v) for v in pair])
+
+
 def _list_entry(obj: dict, key: str) -> list:
     value = obj.get(key, [])
     if not isinstance(value, list):
@@ -633,8 +639,8 @@ class ScenarioConfig:
                 spec = AgentSpec(
                     id=str(a["id"]),
                     profile=a["profile"],
-                    start=CellIndex(*[int(v) for v in a["start"]]),
-                    goal=CellIndex(*[int(v) for v in a["goal"]]),
+                    start=_cell("start", a["start"]),
+                    goal=_cell("goal", a["goal"]),
                     qtable=a.get("qtable"),
                 )
             except _ENTRY_ERRORS as exc:
@@ -649,9 +655,7 @@ class ScenarioConfig:
         obstacles = []
         for i, ob in enumerate(_list_entry(obj, "obstacles")):
             try:
-                cells = frozenset(
-                    CellIndex(int(r), int(c)) for r, c in ob["cells"]
-                )
+                cells = frozenset(_cell("cell", rc) for rc in ob["cells"])
                 schedule = tuple(
                     (float(s), float(e)) for s, e in ob["schedule"]
                 )
@@ -694,8 +698,8 @@ class ScenarioConfig:
                         raise ValueError(f"routes[{j}] must be an object")
                     routes.append(RouteSpec(
                         name=str(rt.get("name", f"route_{j}")),
-                        start=CellIndex(*[int(v) for v in rt["start"]]),
-                        goal=CellIndex(*[int(v) for v in rt["goal"]]),
+                        start=_cell(f"routes[{j}].start", rt["start"]),
+                        goal=_cell(f"routes[{j}].goal", rt["goal"]),
                     ))
                 transport = TransportSpec(tr["a"], tr["b"], tuple(routes))
             except _ENTRY_ERRORS as exc:

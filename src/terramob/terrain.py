@@ -515,7 +515,8 @@ def make_synthetic(
                                 corridor at ``steep`` percent; everything else
                                 is nodata. ``ncols`` must be odd.
     """
-    nrows, ncols = _whole("nrows", nrows), _whole("ncols", ncols)
+    nrows = whole_number("recipe nrows", nrows)
+    ncols = whole_number("recipe ncols", ncols)
     if nrows <= 0 or ncols <= 0:
         raise ValueError("nrows and ncols must be positive")
     if nrows * ncols > MAX_GRID_CELLS:
@@ -541,7 +542,7 @@ def make_synthetic(
             values = np.tile(northing[:, None], (1, ncols))
     elif kind == "ridge":
         height = float(params.pop("height"))
-        position = _whole("position", params.pop("position"))
+        position = whole_number("recipe position", params.pop("position"))
         _no_extra(params)
         if height <= 0:
             raise ValueError("ridge height must be positive")
@@ -579,9 +580,10 @@ def make_synthetic(
     return ElevationGrid(ncols, nrows, xll, yll, cellsize, nodata, values)
 
 
-def _whole(key: str, value) -> int:
-    """A recipe size or column: an int, or an integral float such as 5.0
-    (as the .asc header takes); a fraction, a bool or a string is refused."""
+def whole_number(what: str, value) -> int:
+    """A recipe size or column, or a config cell's coordinate: an int, or an
+    integral float such as 5.0 (as the .asc header takes); a fraction, a
+    bool or a string is refused, naming ``what``."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if not isinstance(value, bool):
@@ -589,7 +591,7 @@ def _whole(key: str, value) -> int:
             return operator.index(value)
         except TypeError:
             pass
-    raise ValueError(f"recipe {key} must be an integer, got {value!r}")
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _no_extra(params: dict) -> None:

@@ -147,6 +147,14 @@ class TestCommandParsers:
         monkeypatch.setattr(cli, "build_parser", counted)
         return calls
 
+    @pytest.mark.parametrize("name", list(cli.COMMANDS))
+    def test_help_prints_the_command_usage(self, capsys, name):
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == EXIT_OK
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage.startswith(f"usage: terramob {name} [-h] ")
+
     def test_good_plan_never_builds_the_full_parser(self, tmp_path, builds):
         assert main(PLAN_ARGV + ["--out", str(tmp_path)]) == EXIT_OK
         assert builds == []
@@ -606,6 +614,27 @@ class TestMalformedInput:
         err = self._simulate_err(tmp_path, capsys, obj)
         assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("value", [1.9, 2.5, True, "1"])
+    @pytest.mark.parametrize("where, what", [
+        ("agents[0]", "start"), ("agents[0]", "goal"), ("obstacles[0]", "cell"),
+        ("transport", "routes[0].start"),
+    ])
+    def test_fractional_cell_coordinate_is_exit_3(self, tmp_path, capsys,
+                                                  where, what, value):
+        # refused by the rule recipe sizes follow, not truncated to a cell
+        obj = json.loads(json.dumps(SCENARIO))
+        if where == "agents[0]":
+            obj["agents"][0][what] = [value, 0]
+        elif where == "obstacles[0]":
+            obj["obstacles"] = [{"cells": [[value, 4]],
+                                 "schedule": [[0, 10]]}]
+        else:
+            obj["transport"]["routes"][0]["start"] = [value, 0]
+        err = self._simulate_err(tmp_path, capsys, obj)
+        assert err == (f"error: {where}: {what} coordinate must be an"
+                       f" integer, got {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["report", "simulate"])
     def test_deeply_nested_json(self, tmp_path, capsys, command):
         deep = tmp_path / "deep.json"
@@ -905,6 +934,18 @@ class TestModuleEntryPoint:
         assert done.returncode == EXIT_OK, done.stderr
         assert "total_time_s=" in done.stdout
         assert (tmp_path / "plan.csv").exists()
+
+    def test_moat_exits_2(self, tmp_path):
+        from terramob.terrain import CellIndex, make_synthetic, serialize_ascii_grid
+        grid = make_synthetic("flat", nrows=6, ncols=6, h=0.0)
+        moat = grid.with_nodata([CellIndex(r, 3) for r in range(6)])
+        (tmp_path / "moat.asc").write_text(serialize_ascii_grid(moat))
+        done = self._run("plan", "--terrain", str(tmp_path / "moat.asc"),
+                         "--profile", "mule", "--start", "0,0",
+                         "--goal", "5,5", "--out", str(tmp_path))
+        assert done.returncode == EXIT_NO_PATH
+        assert done.stderr.startswith("no path: ")
+        assert "Traceback" not in done.stderr
 
     def test_unknown_flag_exits_3(self, tmp_path):
         done = self._run("plan", "--nope")

@@ -878,6 +878,20 @@ class TestEvaluateBypass:
 
         assert _hexed(shared) == _hexed(alone)
 
+    @pytest.mark.parametrize("name", ["fit_adults", "mule", "ox_cart"])
+    def test_rollouts_keep_no_empty_state_codes(self, name):
+        # a rollout fetches a waypoint's codes only while it can read them,
+        # not after its last rejoin; what the corridor keeps changes no
+        # rollout
+        env = CorridorEnv(builtin_profile(name))
+        kept = [evaluate_bypass(zeros(), env, episodes=40, seed=k)
+                for k in range(30)]
+        assert env.codes and all(env.codes.values())
+        alone = [evaluate_bypass(zeros(), CorridorEnv(env.profile),
+                                 episodes=40, seed=k) for k in range(30)]
+
+        assert list(map(_hexed, kept)) == list(map(_hexed, alone))
+
     @pytest.mark.parametrize("name", ["fit_adults", "mule"])
     def test_training_and_scoring_share_a_corridor_in_either_order(
             self, name):

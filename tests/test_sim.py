@@ -257,8 +257,8 @@ class TestStep:
         assert b["distance_m"] == pytest.approx(240.0)
 
     def test_untrained_bypass_aims_past_the_blocked_waypoint(self):
-        # the CI smoke scenario: a one-cell bar on a straight route; aiming
-        # at the bar itself took an orthogonal staircase of 270 m
+        # a one-cell bar on a straight route; aiming at the bar itself
+        # took an orthogonal staircase of 270 m
         cfg = flat_cfg(
             terrain={"recipe": "flat", "nrows": 6, "ncols": 8, "h": 0.0},
             agents=[{"id": "a", "profile": "fit_adults",
@@ -269,6 +269,50 @@ class TestStep:
         assert a["outcome"] == "arrived"
         assert a["distance_m"] == pytest.approx(150.0 + 60.0 * math.sqrt(2))
         assert a["duration_s"] == pytest.approx(a["distance_m"] / 1.5)
+
+    def test_bar_beside_a_hole_costs_no_detour(self, tmp_path):
+        # the route bends round the nodata hole at (1,2) beside a standing
+        # bar at (0,3); the agent adapts there and walks the route it
+        # would walk without the bar
+        values = np.arange(4.0)[:, None] + np.arange(5.0)
+        values[1, 2] = -9999.0
+        (tmp_path / "rows.asc").write_text(serialize_ascii_grid(
+            ElevationGrid(5, 4, 0.0, 0.0, 30.0, -9999.0, values)))
+
+        def walk(obstacles):
+            return run_scenario(ScenarioConfig.from_dict({
+                "terrain": "rows.asc",
+                "agents": [{"id": "h", "profile": "fit_adults",
+                            "start": [1, 0], "goal": [1, 4]}],
+                "obstacles": obstacles,
+                "sim": {"dt": 1.0, "max_sim_time": 600, "seed": 1},
+            }, base_dir=tmp_path))
+
+        clear, _ = walk([])
+        barred, traces = walk([{"cells": [[0, 3]], "schedule": [[0, 1000]]}])
+        (free,), (h,) = clear.agents, barred.agents
+        assert free["outcome"] == h["outcome"] == "arrived"
+        assert "adapting" in {row.mode for row in traces["h"]}
+        assert h["distance_m"] == pytest.approx(free["distance_m"])
+
+    def test_agents_carrying_a_trained_table_sidestep_diagonally(
+            self, tmp_path):
+        # two agents name one short training's table, each blocked by a
+        # one-cell bar: each passes it on the diagonals
+        assert main(["train", "--episodes", "200", "--seed", "7",
+                     "--out", str(tmp_path / "qt")]) == 0
+        cfg = flat_cfg(
+            terrain={"recipe": "flat", "nrows": 6, "ncols": 8, "h": 0.0},
+            agents=[{"id": a, "profile": "fit_adults", "start": [r, 0],
+                     "goal": [r, 7], "qtable": "qt/qtable.txt"}
+                    for a, r in (("q", 2), ("r", 4))],
+            obstacles=[{"cells": [[r, 4]], "schedule": [[0, 1000]]}
+                       for r in (2, 4)])
+        cfg.base_dir = tmp_path
+        report, _traces = run_scenario(cfg)
+        for a in report.agents:
+            assert a["outcome"] == "arrived"
+            assert a["distance_m"] == pytest.approx(150.0 + 60.0 * math.sqrt(2))
 
     def test_crossing_diagonals_yield_by_id(self):
         # both reach the shared corner in the same step and each disc
@@ -471,24 +515,23 @@ def trained_dir(tmp_path_factory):
     return work
 
 
-def _one_agent_outcome(work, values, cellsize, start, goal, bar, until,
-                       max_sim_time, qtable=True):
-    """(outcome, duration_s) of one ``fit_adults`` agent walking ``start``
-    -> ``goal`` on the ``values`` grid past ``bar``, present for [0,
-    ``until``] s; it carries the table in ``work`` when ``qtable``."""
+def _outcomes(work, values, cellsize, agents, bar, until, max_sim_time):
+    """Each agent's (outcome, duration_s): ``agents`` holds the (start,
+    goal, carries the table in ``work``) of ``fit_adults`` agents walking
+    on the ``values`` grid past ``bar``, present for [0, ``until``] s."""
     nrows, ncols = values.shape
     (work / "grid.asc").write_text(serialize_ascii_grid(ElevationGrid(
         ncols, nrows, 0.0, 0.0, cellsize, -9999.0, values)))
-    agent = {"id": "a", "profile": "fit_adults", "start": start, "goal": goal}
-    if qtable:
-        agent["qtable"] = "qt/qtable.txt"
+    specs = [{"id": f"a{i}", "profile": "fit_adults", "start": start,
+              "goal": goal, **({"qtable": "qt/qtable.txt"} if qtable else {})}
+             for i, (start, goal, qtable) in enumerate(agents)]
     cfg = ScenarioConfig.from_dict({
-        "terrain": "grid.asc", "agents": [agent],
+        "terrain": "grid.asc", "agents": specs,
         "obstacles": [{"cells": bar, "schedule": [[0.0, until]]}],
         "sim": {"dt": 1.0, "max_sim_time": max_sim_time, "seed": 1},
     }, base_dir=work)
     report, _traces = run_scenario(cfg)
-    return report.agents[0]["outcome"], report.agents[0]["duration_s"]
+    return [(a["outcome"], a["duration_s"]) for a in report.agents]
 
 
 class TestTrainedAgentOnSteepGround:
@@ -501,11 +544,16 @@ class TestTrainedAgentOnSteepGround:
         # a 7 x 20 grid of 30 m cells whose rows 4-6 stand 100 m high
         values = np.zeros((7, 20))
         values[4:] = 100.0
-        run = (trained_dir, values, 30.0, [3, 0], [3, 19], [[3, 10]], 2000.0,
-               6000)
-        untrained = _one_agent_outcome(*run, qtable=False)
+
+        def walk(qtable):
+            (got,) = _outcomes(trained_dir, values, 30.0,
+                               [([3, 0], [3, 19], qtable)], [[3, 10]],
+                               2000.0, 6000)
+            return got
+
+        untrained = walk(qtable=False)
         assert untrained == ("arrived", pytest.approx(396.5685424949234))
-        outcome, duration = _one_agent_outcome(*run)
+        outcome, duration = walk(qtable=True)
         assert outcome == "arrived" and duration <= 1.1 * untrained[1]
 
     def test_spike_beside_a_three_cell_bar(self, trained_dir):
@@ -513,24 +561,26 @@ class TestTrainedAgentOnSteepGround:
         # 120 % steep
         values = np.zeros((7, 10))
         values[1, 5] = 9.0
-        outcome, _duration = _one_agent_outcome(
-            trained_dir, values, 7.5, [3, 0], [3, 9],
+        ((outcome, _duration),) = _outcomes(
+            trained_dir, values, 7.5, [([3, 0], [3, 9], True)],
             [[2, 5], [3, 5], [4, 5]], 1000.0, 600)
         assert outcome == "arrived"
 
     def test_short_table_beside_a_spike_and_a_one_cell_bar(self, tmp_path):
-        # the packaging smoke test's steep scenario: the benchmark's table
-        # and a 9 m spike at (5,5). South of the bar the spike's closed bit
-        # gives a state this short training never reached; its row is all
-        # zero, so the agent sidesteps by cost instead of walking n into
-        # the bar.
+        # the benchmark's table and a 9 m spike at (5,5). South of the bar
+        # the spike's closed bit gives a state this short training never
+        # reached; its row is all zero, so the tabled agent sidesteps by
+        # cost instead of walking n into the bar. An untrained agent plans
+        # round the spike beside it.
         assert main(["train", "--episodes", "100", "--epsilon-decay", "40",
                      "--seed", "7", "--out", str(tmp_path / "qt")]) == 0
         values = np.zeros((7, 10))
         values[5, 5] = 9.0
-        outcome, _duration = _one_agent_outcome(
-            tmp_path, values, 7.5, [3, 0], [3, 9], [[3, 5]], 1000.0, 600)
-        assert outcome == "arrived"
+        outcomes = _outcomes(
+            tmp_path, values, 7.5,
+            [([3, 0], [3, 9], True), ([5, 0], [5, 9], False)], [[3, 5]],
+            1000.0, 600)
+        assert [outcome for outcome, _duration in outcomes] == ["arrived"] * 2
 
 
 class TestInlinedStepArithmetic:
@@ -1073,6 +1123,20 @@ class TestConfigValidation:
                                   dict(rule, target="t2")],
                 "sim": {"seed": 1, "max_sim_time": 3000},
             })
+
+    def test_integral_float_cell_reads_as_int(self):
+        cfg = ScenarioConfig.from_dict({
+            "terrain": "flat:h=0,nrows=5,ncols=5",
+            "agents": [{"id": "x", "profile": "mule",
+                        "start": [1.0, 0], "goal": [4, 4.0]}],
+            "obstacles": [{"cells": [[2.0, 2]], "schedule": [[0, 10]]}],
+            "sim": {"seed": 1},
+        })
+        (spec,), (obstacle,) = cfg.agents, cfg.obstacles
+        assert (spec.start, spec.goal) == ((1, 0), (4, 4))
+        assert obstacle.cells == {(2, 2)}
+        cells = [*spec.start, *spec.goal, *next(iter(obstacle.cells))]
+        assert all(type(v) is int for v in cells)
 
     def test_out_of_bounds_start(self):
         cfg = ScenarioConfig.from_dict({
