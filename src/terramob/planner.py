@@ -11,12 +11,18 @@ bounds, nodata, sealed corners, slope limit), of the speed law
 ``row * ncols + col``, read through the grid's zero-copy flat view
 (``ElevationGrid.flat``). A node off the grid's border, whose eight
 neighbors are all on the grid, skips the bounds test; a border node walks
-only the steps that stay on the grid. A plan's edge times are the times
-A* relaxed its nodes along. Its totals add the edges left to right, never
-with ``sum``, which compensates float rounding since Python 3.12, so they
-are the same on every Python version. The uniform-cost oracle
-(``dijkstra_all``) walks the rows of an ``EdgeTable`` instead, so the
-optimality tests compare two separately written kernels.
+only the steps that stay on the grid. A neighbor is skipped before any
+edge arithmetic when g plus the step's least cost (its flat time, or its
+run in distance mode) is no less than its best g: ``slope_drop >= 0``
+gives every passable edge a reduction factor r <= 1, so by monotone
+rounding no edge costs less than that. An expanded node is closed by
+setting its best g to -inf, so that skip and the pop's staleness test
+reject it with one lookup, and there is no closed set. A plan's edge
+times are the times A* relaxed its nodes along. Its totals add the edges
+left to right, never with ``sum``, which compensates float rounding since
+Python 3.12, so they are the same on every Python version. The
+uniform-cost oracle (``dijkstra_all``) walks the rows of an ``EdgeTable``
+instead, so the optimality tests compare two separately written kernels.
 """
 
 from __future__ import annotations
@@ -109,7 +115,7 @@ def astar(
     Nodes are flat ids ``row * ncols + col``, and grid values are read one
     at a time from ``grid.flat``, the grid's zero-copy view built with the
     grid, so a search costs nothing proportional to the grid size: its
-    heap, maps and closed set hold only the nodes it reaches. The edge
+    heap and maps hold only the nodes it reaches. The edge
     cost and the heuristic are inlined: they repeat the arithmetic of
     ``EdgeTable`` and ``heuristic`` operation for operation, so every edge
     weight is bit-identical to an ``EdgeTable`` entry's time, and every
@@ -122,11 +128,27 @@ def astar(
     skips the slope and speed arithmetic; the sealed-corner test still
     applies to it.
 
+    Before that arithmetic, a neighbor is skipped when ``g + least`` is at
+    least its best g, where ``least`` is the step's flat time (its run in
+    distance mode): every passable edge has r <= 1 (``slope_drop >= 0``),
+    so by monotone rounding its time is at least the flat time and its g
+    at least ``g + least``, and the relax test ``ng < best`` would fail
+    too. In distance mode ``g + least`` is that g exactly. An expanded node
+    is marked closed by setting its best g to -inf, so the pop's test
+    ``g > g_best[node]`` and the skip reject it with the one lookup each
+    already makes. Neither changes the expansion order, the counters or
+    any plan bit.
+
     Under both objectives the search keeps each relaxed node's edge time
     next to its parent: these are the plan's ``edge_times``, and the
     minimized total is the goal's g.
-    ``test_astar_matches_oracle_on_border_and_interior_nodes``
-    (tests/test_fuzz.py) pins them to the edge rule's test reference.
+    tests/test_fuzz.py::test_astar_matches_oracle_on_border_and_interior_nodes
+    pins them to the edge rule's test reference, on any valid profile;
+    tests/test_fuzz.py::test_edge_table_time_is_at_least_flat_time pins
+    the bound the skip rests on, and
+    tests/test_astar_golden.py::test_matches_golden holds recorded plans at
+    its boundary: profiles whose every edge costs exactly its flat time,
+    and whole-metre heights.
     """
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}")
@@ -151,20 +173,23 @@ def astar(
     cellsize = grid.cellsize
     nodata = grid.nodata
     flat = grid.flat
-    # (id offset, run, dr, dc, seal, flat time) in NEIGHBOR_OFFSETS order,
-    # which fixes the order neighbors are pushed and so the search's
+    # (id offset, run, dr, dc, seal, flat time, least) in NEIGHBOR_OFFSETS
+    # order, which fixes the order neighbors are pushed and so the search's
     # tie-breaking. seal holds the id offsets of a diagonal's two flanking
     # cells, else None. flat time is the step's time between equal heights:
-    # their slope is +0.0, whose speed is speed(p, 0.0).
+    # their slope is +0.0, whose speed is speed(p, 0.0). least is the least
+    # the step can add to g: its flat time in time mode (no edge is faster),
+    # its run in distance mode.
+    timed = objective == "time"
     v0 = speed(p, 0.0)
     steps = []
     for dr, dc in NEIGHBOR_OFFSETS:
         diagonal = dr != 0 and dc != 0
         run = cellsize * (SQRT2 if diagonal else 1.0)
         steps.append((dr * ncols + dc, run, dr, dc,
-                      (dr * ncols, dc) if diagonal else None, run / v0))
+                      (dr * ncols, dc) if diagonal else None, run / v0,
+                      run / v0 if timed else run))
 
-    timed = objective == "time"
     s_flat = p.s_flat
     ref_slope = p.ref_slope
     max_slope = p.max_slope
@@ -180,11 +205,11 @@ def astar(
 
     start_id = start.row * ncols + start.col
     goal_id = goal.row * ncols + goal.col
+    # node -> best g so far; -inf once expanded (closed)
     g_best: dict[int, float] = {start_id: 0.0}
     best = g_best.get
     parent: dict[int, int] = {}
     edge_time: dict[int, float] = {}  # node -> time of its edge from parent
-    closed: set[int] = set()
     # Heap key (f, -g, id): equal f prefers deeper nodes, then row-major
     # cell order (the id order), so the search is fully deterministic.
     open_heap = [(octile_distance_m(start, goal, cellsize) / h_speed, 0.0,
@@ -196,9 +221,9 @@ def astar(
     while open_heap:
         _, neg_g, node = heappop(open_heap)
         g = -neg_g
-        if node in closed or g > g_best[node]:
+        if g > g_best[node]:  # stale, or already closed
             continue
-        closed.add(node)
+        g_best[node] = -inf
         expanded += 1
         if node == goal_id:
             plan = _build_plan(grid, parent, edge_time, start_id, goal_id)
@@ -212,9 +237,11 @@ def astar(
             around = [s for s in steps
                       if 0 <= row + s[2] < nrows and 0 <= col + s[3] < ncols]
         va = flat[node]
-        for offset, run, dr, dc, seal, flat_w in around:
+        for offset, run, dr, dc, seal, flat_w, least in around:
             nb = node + offset
-            if nb in closed:
+            # no edge to nb costs less than least: skip its arithmetic when
+            # even that would not improve nb (always, once nb is closed)
+            if g + least >= (known := best(nb, inf)):
                 continue
             vb = flat[nb]
             if vb == va:
@@ -232,7 +259,7 @@ def astar(
                     r = min_r
                 w = run / (s_flat * (r * load_factor))
             ng = g + (w if timed else run)
-            if ng < best(nb, inf):
+            if ng < known:
                 # sealed corner: both flanks of a diagonal are nodata; tested
                 # only on relaxing edges, where it is cheapest
                 if (seal is not None and flat[node + seal[0]] == nodata

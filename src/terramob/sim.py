@@ -619,7 +619,7 @@ class ScenarioConfig:
         if "seed" not in sim:
             raise ConfigError("config needs sim.seed (runs must be seeded)")
         try:
-            seed = int(sim["seed"])
+            seed = whole_number("seed", sim["seed"])
             dt = float(sim.get("dt", cls.dt))
             max_sim_time = float(sim.get("max_sim_time", cls.max_sim_time))
             observer_height = float(sim.get("observer_height", cls.observer_height))

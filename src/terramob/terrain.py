@@ -581,9 +581,9 @@ def make_synthetic(
 
 
 def whole_number(what: str, value) -> int:
-    """A recipe size or column, or a config cell's coordinate: an int, or an
-    integral float such as 5.0 (as the .asc header takes); a fraction, a
-    bool or a string is refused, naming ``what``."""
+    """A recipe size or column, a config cell's coordinate or ``sim.seed``:
+    an int, or an integral float such as 5.0 (as the .asc header takes); a
+    fraction, a bool or a string is refused, naming ``what``."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if not isinstance(value, bool):

@@ -635,6 +635,24 @@ class TestMalformedInput:
                        f" integer, got {value!r}\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("value", [1.9, True, "1"])
+    def test_non_integral_seed_is_exit_3(self, tmp_path, capsys, value):
+        # refused by the rule cell coordinates follow, not truncated to 1
+        obj = json.loads(json.dumps(SCENARIO))
+        obj["sim"]["seed"] = value
+        err = self._simulate_err(tmp_path, capsys, obj)
+        assert err == (f"error: sim: seed must be an integer,"
+                       f" got {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_integral_float_seed_reads_as_int(self, tmp_path):
+        obj = json.loads(json.dumps(SCENARIO))
+        obj["sim"]["seed"] = 7.0
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(write_scenario(tmp_path, obj)),
+                     "--out", str(out)]) == EXIT_OK
+        assert (out / "report.json").read_text().count('"seed": 7,') == 1
+
     @pytest.mark.parametrize("command", ["report", "simulate"])
     def test_deeply_nested_json(self, tmp_path, capsys, command):
         deep = tmp_path / "deep.json"

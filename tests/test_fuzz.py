@@ -23,9 +23,11 @@ arbitrary ones, and a frozen table's kept moves (``TableMoves``) against
 ``bypass_move`` and the per-call rule it replaced. A* is checked against the
 Dijkstra oracle on grids of up to 6 x 6 cells, strips included, where
 most nodes are border nodes, so both its bounds-checked border path and
-its unchecked interior path run, and the oracle, which walks an edge
-table, against the same search over the edge rule's reference, on cells
-of 0.5 to 1000 m.
+its unchecked interior path run, for built-in profiles and any the
+constructor takes, and the oracle, which walks an edge table, against the
+same search over the edge rule's reference, on cells of 0.5 to 1000 m. On
+any profile, no edge table entry is faster than its step at flat-ground
+speed, the bound A* skips neighbors by.
 """
 
 import heapq
@@ -40,7 +42,9 @@ from hypothesis import (
     assume, example, given, reject, settings, strategies as st,
 )
 
-from terramob.agents import EdgeTable, builtin_profile, builtin_profiles
+from terramob.agents import (
+    AgentProfile, EdgeTable, builtin_profile, builtin_profiles,
+)
 from terramob.cli import EXIT_BAD_INPUT, EXIT_OK, main
 from terramob.local_adapt import (
     ACTION_STAY, ACTIONS, N_ACTIONS, N_DEVIATION_BUCKETS, N_STATES,
@@ -596,11 +600,32 @@ def test_trace_writer_matches_per_row_writer(records):
 
 
 @st.composite
+def profiles(draw):
+    """Any profile the constructor takes: human ones with reduction_at_ref
+    in [0, 100], animal ones with r_slope_at_ref and r_load in (0, 1], the
+    ends drawn often (a reduction of 0 or an r_slope_at_ref of 1 makes
+    every passable edge cost its flat time), and varied s_flat, ref_slope
+    and max_slope. Every bound keeps the speed at max_slope, at least
+    s_flat * 0.1 * r_load, a normal float, so no draw is refused."""
+    kw = {"name": "drawn", "s_flat": draw(st.floats(0.1, 5.0)),
+          "ref_slope": draw(st.floats(0.5, 100.0)),
+          "max_slope": draw(st.sampled_from([0.01, 35.0, 1000.0])
+                            | st.floats(0.01, 1000.0))}
+    if draw(st.booleans()):
+        return AgentProfile(kind="human", **kw, reduction_at_ref=draw(
+            st.sampled_from([0.0, 100.0]) | st.floats(0.0, 100.0)))
+    fraction = st.just(1.0) | st.floats(1e-300, 1.0)
+    return AgentProfile(kind="animal", **kw, r_slope_at_ref=draw(fraction),
+                        r_load=draw(fraction))
+
+
+@st.composite
 def search_cases(draw):
     """A grid of 1 x 1 to 6 x 6 cells of 30 m (1 x N and N x 1 strips
     included) with rough heights, flat edges (0.0 beside -0.0 too), nodata
-    holes and slopes on both sides of every profile's limit; two endpoints,
-    mostly in a corner or on the border; a profile and an objective."""
+    holes and slopes on both sides of every built-in profile's limit; two
+    endpoints, mostly in a corner or on the border; a built-in or drawn
+    profile and an objective."""
     nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     heights = draw(st.lists(
         st.floats(0.0, 16.0) | st.sampled_from([0.0, -0.0, 4.5, 10.5,
@@ -619,7 +644,8 @@ def search_cases(draw):
             heights[r * ncols + c] = 0.0
     grid = ElevationGrid(ncols, nrows, 0.0, 0.0, 30.0, DEFAULT_NODATA,
                          np.array(heights))
-    return (grid, start, goal, draw(st.sampled_from(builtin_profiles())),
+    return (grid, start, goal,
+            draw(st.sampled_from(builtin_profiles()) | profiles()),
             draw(st.sampled_from(OBJECTIVES)))
 
 
@@ -714,6 +740,23 @@ def test_dijkstra_all_over_edge_table_matches_reference_dijkstra(case):
             want = _reference_dijkstra(grid, p, source, objective)
             assert ({c: d.hex() for c, d in got.items()}
                     == {c: d.hex() for c, d in want.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(profiles(), oracle_cases())
+def test_edge_table_time_is_at_least_flat_time(profile, case):
+    # the bound A*'s neighbor skip rests on: r <= 1 on every passable edge,
+    # so no entry's time is below its step's flat time, and with no slope
+    # reduction (slope_drop 0) every entry's time is the flat time
+    grid, _source = case
+    table = EdgeTable(grid, profile)
+    for r in range(grid.nrows):
+        for c in range(grid.ncols):
+            for e, (_dr, _dc, _run, flat_time) in zip(table[CellIndex(r, c)],
+                                                      table.steps):
+                assert e is None or e[1] >= flat_time
+                if e is not None and profile.slope_drop == 0.0:
+                    assert e[1] == flat_time
 
 
 def _reference_train(env, weights, params):
